@@ -7,6 +7,7 @@ usage errors, 3 numerical guard failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -55,6 +56,10 @@ class RunConfig:
 
 
 def _phi_grid(cfg: RunConfig) -> list[float]:
+    if not (math.isfinite(cfg.phi_step) and cfg.phi_step > 0):
+        raise LayoutError(f"--phi-step must be finite and positive, got {cfg.phi_step!r}")
+    if not math.isfinite(cfg.phi_stop):
+        raise LayoutError(f"--phi-stop must be finite, got {cfg.phi_stop!r}")
     values = []
     phi = cfg.phi_start
     while phi <= cfg.phi_stop + 1e-12:
@@ -129,6 +134,12 @@ def run_figures(cfg: RunConfig) -> str:
     raise ValueError(f"unknown figure {cfg.figure!r}")
 
 
+def _single_gate_bound(weights: list[int], backend: str) -> int:
+    """Single-qubit gates one step may use: 2w+1 per weight-w monomial on the
+    collective backend, 6w+1 on the C-phase backend."""
+    return sum((2 * w + 1) if backend == "collective" else (6 * w + 1) for w in weights)
+
+
 def run_compile(cfg: RunConfig) -> tuple[str, str | None]:
     layout = _load_layout(cfg)
     if cfg.monomial is not None:
@@ -139,14 +150,11 @@ def run_compile(cfg: RunConfig) -> tuple[str, str | None]:
         monomials = lm.plaquette_monomials(layout, cfg.coupling)
     circuit = cp.compile_step(monomials, cfg.phi, cfg.backend)
     report = cp.resource_report(circuit, cfg.noise, backend=cfg.backend)
-    counts = circuit.counts
-    weights = [m.weight for m in monomials]
-    report["single_bound"] = sum(
-        (2 * w + 1) if cfg.backend == "collective" else (6 * w + 1) for w in weights
-    )
+    report["single_bound"] = _single_gate_bound([m.weight for m in monomials], cfg.backend)
     report["backend"] = cfg.backend
     report["monomials"] = len(monomials)
-    assert counts.single <= report["single_bound"]
+    if report["single"] > report["single_bound"]:
+        raise GuardError(f"{report['single']} single-qubit gates exceed the bound {report['single_bound']}")
     circuit_text = cp.format_circuit(circuit) if cfg.circuit_out else None
     return cp.report_json(report), circuit_text
 

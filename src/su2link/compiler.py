@@ -112,13 +112,6 @@ class Circuit:
         return Circuit(self.gates + other.gates, max(self.n_qubits, other.n_qubits))
 
 
-_AXIS_MATRIX = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
     if gate.kind == "rot":
         letters = {gate.qubits[0]: gate.axis.upper()}

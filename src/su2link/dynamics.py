@@ -6,6 +6,13 @@ monomial at a time (cos * 1 - i sin * P) in a fixed term order, repeated for
 the chosen number of steps.  The simulated phase is phi = J * t, so at unit
 coupling the phase and the evolution time coincide.
 
+Each monomial P acts through the bit-mask kernel ``pauli.action``: a factor
+table of (coefficient, perm, phases) is built once per Hamiltonian and term
+order, and one factor maps psi to ``cos * psi - i sin * (phases * psi[..., perm])``
+without any matrix.  ``sweep`` builds the table once and evolves all phases
+of one step count together as a ``(n_phi, 2^n)`` batch, with the time step
+as a column; each row gets the same arithmetic as a ``trotter_evolve`` call.
+
 States are plain complex numpy arrays of length 2^n.  Every evolution
 preserves the norm to 1e-10; sweeps are evaluated in deterministic grid order.
 """
@@ -25,7 +32,7 @@ from .linkmodel import (
     plaquette_monomials,
     total_gauge_casimir,
 )
-from .pauli import PauliSum, dense
+from .pauli import PauliSum, action, dense
 
 EVOLVE_QUBIT_LIMIT = 12
 NORM_TOL = 1e-10
@@ -45,10 +52,11 @@ def _n_qubits_of(state: np.ndarray) -> int:
     return n
 
 
-def _check_norm(state: np.ndarray) -> np.ndarray:
-    if abs(np.linalg.norm(state) - 1.0) > NORM_TOL:
+def _check_norm(states: np.ndarray) -> np.ndarray:
+    """Guard one state, or every row of a batch of states."""
+    if np.any(abs(np.linalg.norm(states, axis=-1) - 1.0) > NORM_TOL):
         raise GuardError("state norm drifted beyond 1e-10")
-    return state
+    return states
 
 
 def expectation(op: PauliSum, state: np.ndarray) -> float:
@@ -95,9 +103,38 @@ def plaquette_plan(
     """Hamiltonian plus the plan that walks its monomials in listing order
     (all-position term, antisymmetric color triples, mixed terms)."""
     hamiltonian = plaquette_hamiltonian(layout, coupling)
+    return hamiltonian, TrotterPlan(_listing_order(layout, coupling, hamiltonian), steps, phi)
+
+
+def _listing_order(layout: PlaquetteLayout, coupling: float, hamiltonian: PauliSum) -> tuple[int, ...]:
     index_of = {term.key(): i for i, term in enumerate(hamiltonian.terms)}
-    order = tuple(index_of[m.key()] for m in plaquette_monomials(layout, coupling))
-    return hamiltonian, TrotterPlan(order, steps, phi)
+    return tuple(index_of[m.key()] for m in plaquette_monomials(layout, coupling))
+
+
+def _trotter_factors(
+    hamiltonian: PauliSum, order: tuple[int, ...], n_qubits: int
+) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Guarded factor table: (real weight c, perm, phases) of each unit string P
+    in ``order``."""
+    if n_qubits > EVOLVE_QUBIT_LIMIT:
+        raise GuardError(f"Trotter evolution limited to {EVOLVE_QUBIT_LIMIT} qubits")
+    if not hamiltonian.is_hermitian():
+        raise GuardError("Hamiltonian must be Hermitian")
+    terms = hamiltonian.terms
+    if len(order) != len(terms):
+        raise ValueError("plan order does not cover the Hamiltonian's terms")
+    return [(terms[k].coefficient.real, *action(terms[k].bare(), n_qubits)) for k in order]
+
+
+def _apply_factors(factors, dt, steps: int, states: np.ndarray) -> np.ndarray:
+    """The factor table applied ``steps`` times to one state (scalar ``dt``) or
+    to a batch of states (``dt`` a column, one row per state)."""
+    trig = [(np.cos(c * dt), np.sin(c * dt), perm, phases) for c, perm, phases in factors]
+    out = states
+    for _ in range(steps):
+        for cos_a, sin_a, perm, phases in trig:
+            out = cos_a * out - 1j * sin_a * (phases * out[..., perm])
+    return out
 
 
 def trotter_evolve(
@@ -108,25 +145,9 @@ def trotter_evolve(
     Each factor is computed in closed form: exp(-i c P dt) = cos(c dt) - i sin(c dt) P
     for a unit-coefficient string P with real weight c.
     """
-    n = _n_qubits_of(state)
-    if n > EVOLVE_QUBIT_LIMIT:
-        raise GuardError(f"Trotter evolution limited to {EVOLVE_QUBIT_LIMIT} qubits")
-    if not hamiltonian.is_hermitian():
-        raise GuardError("Hamiltonian must be Hermitian")
-    terms = hamiltonian.terms
-    if len(plan.order) != len(terms):
-        raise ValueError("plan order does not cover the Hamiltonian's terms")
+    factors = _trotter_factors(hamiltonian, plan.order, _n_qubits_of(state))
     dt = plan.phi / coupling / plan.steps
-    factors = []
-    for k in plan.order:
-        term = terms[k]
-        angle = term.coefficient.real * dt
-        factors.append((np.cos(angle), np.sin(angle), dense(term.bare(), n)))
-    out = state
-    for _ in range(plan.steps):
-        for cos_a, sin_a, matrix in factors:
-            out = cos_a * out - 1j * sin_a * (matrix @ out)
-    return _check_norm(out)
+    return _check_norm(_apply_factors(factors, dt, plan.steps, state))
 
 
 def overlap(state: np.ndarray, other: np.ndarray) -> float:
@@ -173,7 +194,9 @@ def sweep(
 
     The initial state is the canonical representative of the requested gauge
     sector; the digital state uses the listing-order Trotter plan, or equals
-    the ideal state for the exact backend.
+    the ideal state for the exact backend.  The Hamiltonian, its spectrum, the
+    ideal states and the Trotter factor table are built once per call; the
+    digital states of one step count are evolved as one batch over phi.
     """
     if backend not in ("trotter", "exact"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -183,24 +206,29 @@ def sweep(
     table = gauge_sectors(layout)
     psi0 = canonical_sector_state(table, start_sector)
     hamiltonian = plaquette_hamiltonian(layout, coupling)
+    if backend == "trotter":
+        factors = _trotter_factors(hamiltonian, _listing_order(layout, coupling, hamiltonian), n)
     casimir = dense(total_gauge_casimir(layout), n)
     eigvals, eigvecs = np.linalg.eigh(dense(hamiltonian, n))
     psi0_eig = eigvecs.conj().T @ psi0
 
+    def gauge(psi: np.ndarray) -> float:
+        return float((psi.conj() @ casimir @ psi).real)
+
+    ideal = [(eigvecs * np.exp(-1j * eigvals * (phi / coupling))) @ psi0_eig for phi in phis]
+    gauge_ideal = [gauge(psi) for psi in ideal]
+    if any(abs(g) < DEVIATION_GUARD for g in gauge_ideal):
+        raise GuardError("ideal gauge expectation vanished")
     rows = []
     for steps in steps_list:
-        for phi in phis:
-            t = phi / coupling
-            psi_ideal = (eigvecs * np.exp(-1j * eigvals * t)) @ psi0_eig
-            if backend == "exact":
-                psi_digital = psi_ideal
-            else:
-                _, plan = plaquette_plan(layout, coupling, steps, phi)
-                psi_digital = trotter_evolve(hamiltonian, plan, psi0, coupling)
-            gauge_i = float((psi_ideal.conj() @ casimir @ psi_ideal).real)
-            gauge_d = float((psi_digital.conj() @ casimir @ psi_digital).real)
-            if abs(gauge_i) < DEVIATION_GUARD:
-                raise GuardError("ideal gauge expectation vanished")
+        if backend == "exact":
+            digital = ideal
+        else:
+            dt = (np.asarray(phis, dtype=float) / coupling / steps)[:, None]
+            batch = np.broadcast_to(psi0, (len(phis), len(psi0)))
+            digital = _check_norm(_apply_factors(factors, dt, steps, batch))
+        for phi, psi_ideal, gauge_i, psi_digital in zip(phis, ideal, gauge_ideal, digital):
+            gauge_d = gauge(psi_digital)
             rows.append(
                 SweepRow(
                     steps=steps,

@@ -24,18 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GuardError
-from .pauli import PauliString, PauliSum, dense
+from .pauli import PauliString, PauliSum, dense, letter_matrix
 
 MODE_LIMIT = 14
 DEGENERACY_GUARD = 1e-9
 REACH_TOL = 1e-12
 
-_SIGMA = {
-    1: np.array([[0, 1], [1, 0]], dtype=complex),
-    2: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    3: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-_SIGMA_Y = _SIGMA[2]
+_SIGMA_Y = letter_matrix("Y")
 
 UP, DOWN = 0, 1
 LEFT, RIGHT = 0, 1
@@ -193,6 +188,7 @@ def build_v(cfg: ChainConfig) -> np.ndarray:
 def su2_generator(cfg: ChainConfig, site: int, a: int) -> PauliSum:
     """Color generator at a site: link right-end part (incoming link), the
     matter spin, and link left-end part (outgoing link)."""
+    sigma = letter_matrix({1: "X", 2: "Y", 3: "Z"}[a])
     total = PauliSum()
     pieces = []
     if site > 0:
@@ -203,7 +199,7 @@ def su2_generator(cfg: ChainConfig, site: int, a: int) -> PauliSum:
     for modes in pieces:
         for alpha in (UP, DOWN):
             for beta in (UP, DOWN):
-                coeff = _SIGMA[a][alpha, beta] / 2.0
+                coeff = sigma[alpha, beta] / 2.0
                 if coeff != 0:
                     total = total + coeff * (raising(modes[alpha]) * lowering(modes[beta]))
     return total

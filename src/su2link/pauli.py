@@ -1,9 +1,19 @@
-"""Exact algebra of Pauli strings and their dense realizations.
+"""Exact algebra of Pauli strings, their action on states and their dense
+realizations.
 
 A PauliString is a complex coefficient times a tensor product of single-qubit
 Pauli letters; a PauliSum is a merged linear combination of strings.  All
 coefficient arithmetic is double-precision complex, phases are tracked exactly
 over {1, i, -1, -i}, and like terms merge with tolerance ``MERGE_TOL``.
+
+``action`` is the one kernel that applies a string to a state.  It uses the
+symplectic encoding of Aaronson & Gottesman, PRA 70, 052328 (2004): X and Y
+letters set bits of an X mask, Y and Z letters set bits of a Z mask, and each
+Y contributes a factor i (Y = i X Z).  A string then maps basis state
+``k ^ xmask`` to ``k`` with the phase ``c i^#Y (-1)^popcount((k ^ xmask) & zmask)``,
+so applying it is one gather and one multiply, with no matrix.  ``dense``
+scatters the same (perm, phases) pairs into a matrix; it serves eigensolvers
+and tests.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -223,32 +233,47 @@ def commutator(a: PauliString, b: PauliString) -> PauliSum:
     return PauliSum([ab, -ba])
 
 
-def dense(op: PauliSum | PauliString, n_qubits: int) -> np.ndarray:
-    """Dense matrix of ``op`` on ``n_qubits`` qubits.
+_I_POWERS = (1, 1j, -1, -1j)
 
+
+def action(term: PauliString, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit-mask action of ``term`` on ``n_qubits`` qubits as ``(perm, phases)``.
+
+    ``(term psi)[k] = phases[k] * psi[perm[k]]`` for every basis index k, with
+    ``perm = k ^ xmask`` and ``phases = c i^#Y (-1)^popcount(perm & zmask)``.
     Bit ordering: qubit 0 is the least significant bit of the basis index, so
     basis state ``k`` assigns qubit q the bit ``(k >> q) & 1``.
     """
+    if n_qubits < 0:
+        raise ValueError("n_qubits must be non-negative")
+    if term.support and max(term.support) >= n_qubits:
+        raise ValueError(f"support {term.support} does not fit in {n_qubits} qubits")
+    xmask = sum(1 << q for q, letter in term.letters.items() if letter != "Z")
+    z_qubits = [q for q, letter in term.letters.items() if letter != "X"]
+    n_y = sum(1 for letter in term.letters.values() if letter == "Y")
+    perm = np.arange(2**n_qubits) ^ xmask
+    parity = np.zeros_like(perm)
+    for q in z_qubits:
+        parity ^= perm >> q
+    signs = 1 - 2 * (parity & 1)
+    return perm, (term.coefficient * _I_POWERS[n_y % 4]) * signs
+
+
+def dense(op: PauliSum | PauliString, n_qubits: int) -> np.ndarray:
+    """Dense matrix of ``op`` on ``n_qubits`` qubits, scattered from ``action``:
+    row k of each term holds its phase in column perm[k]."""
     if n_qubits > DENSE_QUBIT_LIMIT:
         raise GuardError(f"dense realization limited to {DENSE_QUBIT_LIMIT} qubits, got {n_qubits}")
     if n_qubits < 0:
         raise ValueError("n_qubits must be non-negative")
     terms = _as_sum(op).terms
-    for term in terms:
-        if term.support and max(term.support) >= n_qubits:
-            raise ValueError(f"support {term.support} does not fit in {n_qubits} qubits")
+    actions = [action(term, n_qubits) for term in terms]  # every support checked before allocating
     dim = 2**n_qubits
+    rows = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    for term in terms:
-        block = np.array([[1]], dtype=complex)
-        for q in range(n_qubits - 1, -1, -1):
-            block = np.kron(block, _MATRICES[term.letters.get(q, "I")])
-        out += term.coefficient * block
+    for perm, phases in actions:
+        out[rows, perm] += phases
     return out
-
-
-def identity_sum() -> PauliSum:
-    return PauliSum([PauliString(1.0)])
 
 
 # ---------------------------------------------------------------------------

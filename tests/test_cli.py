@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from su2link import cli
 from su2link import linkmodel as lm
@@ -210,3 +211,25 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code, _, err = run(["bounds", "--config", str(config)], capsys)
     assert code == 2
     assert "unknown option" in err
+
+
+def test_compile_single_bound_violation_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_single_gate_bound", lambda weights, backend: 0)
+    code, out, err = run(["compile", "--backend", "collective", "--step"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "exceed the bound 0" in err
+
+
+@pytest.mark.parametrize("step", ["0", "-0.1", "nan"])
+def test_figures_rejects_bad_phi_step(step, capsys):
+    code, out, err = run(["figures", "fig3", "--phi-step", step], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--phi-step must be finite and positive" in err
+
+
+def test_figures_rejects_infinite_phi_stop(capsys):
+    code, _, err = run(["figures", "fig3", "--phi-stop", "inf"], capsys)
+    assert code == 2
+    assert "--phi-stop must be finite" in err

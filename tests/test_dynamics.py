@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from su2link import cli
 from su2link import dynamics as dyn
 from su2link import linkmodel as lm
 from su2link.errors import GuardError
-from su2link.pauli import PauliString, PauliSum
+from su2link.pauli import PauliString, PauliSum, dense
 
 
 @pytest.fixture(scope="module")
@@ -208,3 +209,86 @@ def test_sweep_fidelity_ordering(layout):
     rows2 = dyn.sweep(layout, 1.0, [2], phis, 2.25)
     rows3 = dyn.sweep(layout, 1.0, [3], phis, 2.25)
     assert all(r3.fidelity > r2.fidelity for r2, r3 in zip(rows2, rows3))
+
+
+def dense_trotter_reference(hamiltonian, plan, state, coupling=1.0):
+    """The Trotter loop as it was before the bit-mask kernel: one dense matrix
+    per monomial, applied by matrix-vector products."""
+    n = int(np.log2(len(state)))
+    dt = plan.phi / coupling / plan.steps
+    factors = []
+    for k in plan.order:
+        term = hamiltonian.terms[k]
+        angle = term.coefficient.real * dt
+        factors.append((np.cos(angle), np.sin(angle), dense(term.bare(), n)))
+    out = state
+    for _ in range(plan.steps):
+        for cos_a, sin_a, matrix in factors:
+            out = cos_a * out - 1j * sin_a * (matrix @ out)
+    return out
+
+
+def per_point_sweep_reference(layout, coupling, steps_list, phis, start_sector):
+    """sweep() as it was before batching: one trotter_evolve call, one ideal
+    state and one plan per grid point."""
+    n = layout.n_qubits
+    psi0 = lm.canonical_sector_state(lm.gauge_sectors(layout), start_sector)
+    hamiltonian = lm.plaquette_hamiltonian(layout, coupling)
+    casimir = dense(lm.total_gauge_casimir(layout), n)
+    eigvals, eigvecs = np.linalg.eigh(dense(hamiltonian, n))
+    psi0_eig = eigvecs.conj().T @ psi0
+    rows = []
+    for steps in steps_list:
+        for phi in phis:
+            psi_ideal = (eigvecs * np.exp(-1j * eigvals * (phi / coupling))) @ psi0_eig
+            _, plan = dyn.plaquette_plan(layout, coupling, steps, phi)
+            psi_digital = dyn.trotter_evolve(hamiltonian, plan, psi0, coupling)
+            gauge_i = float((psi_ideal.conj() @ casimir @ psi_ideal).real)
+            gauge_d = float((psi_digital.conj() @ casimir @ psi_digital).real)
+            rows.append(
+                dyn.SweepRow(
+                    steps, float(phi), (gauge_i - gauge_d) / gauge_i, dyn.overlap(psi_ideal, psi0),
+                    dyn.overlap(psi_ideal, psi_digital), gauge_i, gauge_d,
+                )
+            )
+    return rows
+
+
+def test_trotter_kernel_matches_dense_loop_bitwise(hamiltonian, layout, sector_table):
+    rng = np.random.default_rng(3)
+    random_psi = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
+    states = [lm.canonical_sector_state(sector_table, 0.75), random_psi / np.linalg.norm(random_psi)]
+    for psi in states:
+        for steps, phi in [(1, 0.05), (3, 0.7), (8, 2.0)]:
+            _, plan = dyn.plaquette_plan(layout, 1.0, steps, phi)
+            expected = dense_trotter_reference(hamiltonian, plan, psi)
+            assert dyn.trotter_evolve(hamiltonian, plan, psi).tobytes() == expected.tobytes()
+    shuffled = dyn.TrotterPlan(tuple(rng.permutation(len(hamiltonian)).tolist()), 2, 1.3)
+    expected = dense_trotter_reference(hamiltonian, shuffled, states[1], coupling=0.7)
+    assert dyn.trotter_evolve(hamiltonian, shuffled, states[1], coupling=0.7).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "steps_list, start_sector",
+    [((1, 2, 3, 4), 0.75), ((1, 2, 4, 8, 16, 32, 64), 0.75), ((1, 2, 4, 8, 16, 32, 64), 2.75)],
+    ids=["fig3", "figS2-0.75", "figS2-2.75"],
+)
+def test_batched_sweep_matches_per_point_loop_bitwise(layout, steps_list, start_sector):
+    phis = cli._phi_grid(cli.RunConfig("figures"))  # the fig3 and figS2 default grid
+    assert len(phis) == 40
+    rows = dyn.sweep(layout, 1.0, list(steps_list), phis, start_sector)
+    assert repr(rows) == repr(per_point_sweep_reference(layout, 1.0, steps_list, phis, start_sector))
+
+
+def test_sweep_norm_guard_checks_every_row(layout, monkeypatch):
+    # one corrupted row of the batch must trip the guard
+    original = dyn._apply_factors
+
+    def corrupt_last_row(factors, dt, steps, states):
+        out = original(factors, dt, steps, states).copy()
+        out[-1] *= 1.001
+        return out
+
+    monkeypatch.setattr(dyn, "_apply_factors", corrupt_last_row)
+    with pytest.raises(GuardError, match="norm"):
+        dyn.sweep(layout, 1.0, [2], [0.3, 0.6, 0.9], 0.75)

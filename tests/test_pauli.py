@@ -5,6 +5,7 @@ from su2link.errors import GuardError
 from su2link.pauli import (
     PauliString,
     PauliSum,
+    action,
     commutator,
     dense,
     format_string,
@@ -110,6 +111,90 @@ def test_dense_guards():
         dense(PauliString(1, {0: "X"}), 15)
     with pytest.raises(ValueError):
         dense(PauliString(1, {3: "X"}), 2)
+
+
+def kron_dense_reference(op, n: int) -> np.ndarray:
+    """dense() as it was built before the bit-mask kernel: one kron chain of
+    letter matrices per term, scaled and accumulated in canonical term order."""
+    terms = op.terms if isinstance(op, PauliSum) else [op]
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for term in terms:
+        block = np.array([[1]], dtype=complex)
+        for q in range(n - 1, -1, -1):
+            block = np.kron(block, MATS[term.letters.get(q, "I")])
+        out += term.coefficient * block
+    return out
+
+
+def full_letters(rng, n) -> dict[int, str]:
+    """Every qubit draws one of I, X, Y, Z; identity letters are left out."""
+    letters = {q: "IXYZ"[rng.integers(4)] for q in range(n)}
+    return {q: letter for q, letter in letters.items() if letter != "I"}
+
+
+def random_state(rng, n, real=False) -> np.ndarray:
+    psi = rng.normal(size=2**n)
+    return psi.astype(complex) if real else psi + 1j * rng.normal(size=2**n)
+
+
+def test_action_single_letters():
+    perm, phases = action(PauliString(1, {0: "X"}), 1)
+    assert perm.tolist() == [1, 0] and phases.tolist() == [1, 1]
+    perm, phases = action(PauliString(1, {0: "Y"}), 1)
+    assert perm.tolist() == [1, 0] and phases.tolist() == [-1j, 1j]
+    perm, phases = action(PauliString(-2.0, {1: "Z"}), 2)
+    assert perm.tolist() == [0, 1, 2, 3] and phases.tolist() == [-2, -2, 2, 2]
+    perm, phases = action(PauliString(0.5j), 0)
+    assert perm.tolist() == [0] and phases.tolist() == [0.5j]
+
+
+def test_action_guards():
+    with pytest.raises(ValueError):
+        action(PauliString(1, {3: "X"}), 2)
+    with pytest.raises(ValueError):
+        action(PauliString(1), -1)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_action_matches_dense_bitwise(n):
+    # Each case has a coefficient or a state with one vanishing part, so every
+    # product rounds once and BLAS, fused or not, must agree bit for bit.
+    rng = np.random.default_rng(100 + n)
+    for _ in range(12):
+        letters = full_letters(rng, n)
+        cases = [
+            (complex(rng.normal(), rng.normal()), random_state(rng, n, real=True)),
+            (rng.normal(), random_state(rng, n)),
+            (1j * rng.normal(), random_state(rng, n)),
+            (-1j, random_state(rng, n)),
+        ]
+        for coefficient, psi in cases:
+            term = PauliString(coefficient, letters)
+            perm, phases = action(term, n)
+            assert (phases * psi[perm]).tobytes() == (dense(term, n) @ psi).tobytes()
+
+
+def test_action_complex_coefficient_on_complex_state():
+    # c * psi sums two rounded products per part; a fused multiply-add in BLAS
+    # may round that sum differently, so agreement is to a few ulps.
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        term = PauliString(complex(rng.normal(), rng.normal()), full_letters(rng, n))
+        psi = random_state(rng, n)
+        perm, phases = action(term, n)
+        tol = 4 * np.finfo(float).eps * abs(term.coefficient) * np.max(np.abs(psi))
+        np.testing.assert_allclose(phases * psi[perm], dense(term, n) @ psi, rtol=0, atol=tol)
+
+
+def test_dense_scatter_matches_kron_reference_bitwise():
+    rng = np.random.default_rng(11)
+    for n in range(9):
+        for _ in range(4):
+            coefficients = [complex(rng.normal(), rng.normal()), rng.normal(), 1j * rng.normal()]
+            op = PauliSum([PauliString(c, full_letters(rng, n)) for c in coefficients])
+            assert dense(op, n).tobytes() == kron_dense_reference(op, n).tobytes()
+            term = PauliString(coefficients[0], full_letters(rng, n))
+            assert dense(term, n).tobytes() == kron_dense_reference(term, n).tobytes()
 
 
 def test_sum_merges_like_terms():
