@@ -55,14 +55,25 @@ class RunConfig:
     noise: cp.NoiseModel = field(default_factory=cp.NoiseModel)
 
 
+PHI_GRID_LIMIT = 10_000
+
+
 def _phi_grid(cfg: RunConfig) -> list[float]:
+    """phi_start, phi_start + phi_step, ... up to phi_stop, by accumulation.
+
+    A step too small to move phi (absolutely, or at the magnitude phi has
+    reached) would loop forever; the point limit turns that into an error.
+    """
     if not (math.isfinite(cfg.phi_step) and cfg.phi_step > 0):
         raise LayoutError(f"--phi-step must be finite and positive, got {cfg.phi_step!r}")
-    if not math.isfinite(cfg.phi_stop):
-        raise LayoutError(f"--phi-stop must be finite, got {cfg.phi_stop!r}")
+    for option, value in (("--phi-start", cfg.phi_start), ("--phi-stop", cfg.phi_stop)):
+        if not math.isfinite(value):
+            raise LayoutError(f"{option} must be finite, got {value!r}")
     values = []
     phi = cfg.phi_start
     while phi <= cfg.phi_stop + 1e-12:
+        if len(values) == PHI_GRID_LIMIT:
+            raise LayoutError(f"phi grid would exceed {PHI_GRID_LIMIT} points")
         values.append(round(phi, 12))
         phi += cfg.phi_step
     return values
@@ -119,13 +130,14 @@ def run_figures(cfg: RunConfig) -> str:
             "cap_collective_low,cap_collective_high,cap_cphase_low,cap_cphase_high"
         ]
         for n_steps in steps:
+            rows = dyn.sweep(layout, cfg.coupling, [n_steps], phis, start)
             per_n = {
                 name: cp.GateCounts(c.collective * n_steps, c.cphase * n_steps, c.single * n_steps)
                 for name, c in counts.items()
             }
             coll_band = cp.fidelity_cap(per_n["collective"], cfg.noise)
             cph_band = cp.fidelity_cap(per_n["cphase"], cfg.noise)
-            for row in dyn.sweep(layout, cfg.coupling, [n_steps], phis, start):
+            for row in rows:
                 lines.append(
                     f"{row.steps},{row.phi!r},{row.overlap_initial!r},{row.fidelity!r},"
                     f"{coll_band[0]!r},{coll_band[1]!r},{cph_band[0]!r},{cph_band[1]!r}"

@@ -76,6 +76,11 @@ def exact_evolve(hamiltonian: PauliSum, state: np.ndarray, t: float) -> np.ndarr
     return _check_norm(out)
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 1:
+        raise ValueError("step count must be at least 1")
+
+
 @dataclass(frozen=True)
 class TrotterPlan:
     """Term order (a permutation of the Hamiltonian's canonical term list),
@@ -86,8 +91,7 @@ class TrotterPlan:
     phi: float
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("step count must be at least 1")
+        _check_steps(self.steps)
         if sorted(self.order) != list(range(len(self.order))):
             raise ValueError("order must be a permutation of the term indices")
 
@@ -194,14 +198,17 @@ def sweep(
 
     The initial state is the canonical representative of the requested gauge
     sector; the digital state uses the listing-order Trotter plan, or equals
-    the ideal state for the exact backend.  The Hamiltonian, its spectrum, the
-    ideal states and the Trotter factor table are built once per call; the
-    digital states of one step count are evolved as one batch over phi.
+    the ideal state for the exact backend.  Every step count must be at least
+    1, as in a TrotterPlan.  The Hamiltonian, its spectrum, the ideal states
+    and the Trotter factor table are built once per call; the digital states
+    of one step count are evolved as one batch over phi.
     """
     if backend not in ("trotter", "exact"):
         raise ValueError(f"unknown backend {backend!r}")
     if not steps_list or not phis:
         return []
+    for steps in steps_list:
+        _check_steps(steps)
     n = layout.n_qubits
     table = gauge_sectors(layout)
     psi0 = canonical_sector_state(table, start_sector)

@@ -229,7 +229,44 @@ def test_figures_rejects_bad_phi_step(step, capsys):
     assert "--phi-step must be finite and positive" in err
 
 
-def test_figures_rejects_infinite_phi_stop(capsys):
-    code, _, err = run(["figures", "fig3", "--phi-stop", "inf"], capsys)
+@pytest.mark.parametrize("option", ["--phi-start", "--phi-stop"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_figures_rejects_non_finite_phi_bounds(option, value, capsys):
+    code, out, err = run(["figures", "fig3", f"{option}={value}"], capsys)
     assert code == 2
-    assert "--phi-stop must be finite" in err
+    assert out == ""
+    assert f"{option} must be finite" in err
+
+
+def test_config_file_rejects_infinite_phi_start(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("phi_start=-inf\n", encoding="utf-8")
+    code, out, err = run(["figures", "fig3", "--config", str(config)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--phi-start must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ["--phi-step", "1e-300"],  # moves phi, but by far too little to reach the stop
+        ["--phi-start=-1e308"],  # the default step does not move phi at all
+        ["--phi-start", "9007199254740990", "--phi-stop", "9007199254741000", "--phi-step", "1"],
+    ],
+    ids=["tiny-step", "huge-start", "stalls-at-2**53"],
+)
+def test_figures_rejects_grid_that_never_ends(bounds, capsys):
+    code, out, err = run(["figures", "fig3", *bounds], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"phi grid would exceed {cli.PHI_GRID_LIMIT} points" in err
+
+
+@pytest.mark.parametrize("figure", ["fig3", "fig4", "figS2"])
+@pytest.mark.parametrize("steps", ["0", "-1", "2,0"])
+def test_figures_rejects_step_count_below_one(figure, steps, capsys):
+    code, out, err = run(["figures", figure, f"--steps={steps}", "--phi-stop", "0.1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "step count must be at least 1" in err

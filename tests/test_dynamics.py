@@ -177,6 +177,13 @@ def test_sweep_empty_grid(layout):
     assert dyn.sweep(layout, 1.0, [2], [], 0.75) == []
 
 
+@pytest.mark.parametrize("backend", ["trotter", "exact"])
+@pytest.mark.parametrize("steps_list", [[0], [-1], [2, 0]])
+def test_sweep_rejects_step_count_below_one(layout, backend, steps_list):
+    with pytest.raises(ValueError, match="step count must be at least 1"):
+        dyn.sweep(layout, 1.0, steps_list, [0.5], 0.75, backend=backend)
+
+
 def test_sweep_deterministic_and_serializable(layout):
     rows_a = dyn.sweep(layout, 1.0, [1, 2], [0.3, 0.6], 0.75)
     rows_b = dyn.sweep(layout, 1.0, [1, 2], [0.3, 0.6], 0.75)
