@@ -396,7 +396,16 @@ def _to_run_config(args: argparse.Namespace) -> RunConfig:
         )
     elif args.command == "covariance":
         kwargs.update(layout_path=args.layout_path, sets=args.sets, seed=args.seed)
-    return RunConfig(**kwargs)
+    cfg = RunConfig(**kwargs)
+    if not (math.isfinite(cfg.coupling) and cfg.coupling != 0):
+        raise LayoutError(f"--J must be finite and nonzero, got {cfg.coupling!r}")
+    if not all(math.isfinite(ratio) and ratio > 0 for ratio in cfg.ratios):
+        raise LayoutError(f"--ratios must be finite and positive, got {','.join(map(repr, cfg.ratios))}")
+    if cfg.plaquettes < 1:
+        raise LayoutError(f"--plaquettes must be at least 1, got {cfg.plaquettes}")
+    if cfg.sets < 0:
+        raise LayoutError(f"--sets must be non-negative, got {cfg.sets}")
+    return cfg
 
 
 def _write(path: str | None, content: str) -> None:

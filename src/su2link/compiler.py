@@ -7,10 +7,11 @@ the string's support, plus at most 2N basis-change rotations.  Backend two
 shared ancilla (one C-phase plus two local Z rotations each) and needs the
 ancilla prepared in a fixed axis eigenstate.
 
-Gate conventions:
-  rot(axis, q, angle)     = exp(-i angle/2 sigma_axis(q))
-  coll(qubits, angle)     = exp(+i angle sum_{i<j} X_i X_j)  over the set
-  cphase((a, b), angle)   = diag(1, 1, 1, exp(-2i angle))
+Gate conventions, each applied in closed form to a block of state columns
+through the gather-and-phase kernel ``pauli.action``, with no matrix exponential:
+  rot(axis, q, angle)   = exp(-i angle/2 sigma_axis(q)) = cos(angle/2) - i sin(angle/2) sigma_axis(q)
+  coll(qubits, angle)   = exp(+i angle sum_{i<j} X_i X_j) = prod_{i<j} (cos angle + i sin angle X_i X_j)
+  cphase((a, b), angle) = diag(1, 1, 1, exp(-2i angle)): rows with bits a and b set gain exp(-2i angle)
 
 The conjugated-center identity behind both backends: with C = the collective
 XX half-turn (angle pi/4) over N qubits,
@@ -29,12 +30,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .errors import GuardError
-from .linalg import expi_hermitian
-from .pauli import DENSE_QUBIT_LIMIT, PauliString, PauliSum, dense
+from .pauli import DENSE_QUBIT_LIMIT, PauliString, PauliSum, action
 
 COLLECTIVE_WINDOW = (1e-4, 5e-4)
 CPHASE_WINDOW = (1e-5, 5e-5)
@@ -112,38 +113,35 @@ class Circuit:
         return Circuit(self.gates + other.gates, max(self.n_qubits, other.n_qubits))
 
 
+def _apply_gates(gates: tuple[Gate, ...], block: np.ndarray) -> np.ndarray:
+    """The gates, in order, applied to the columns of ``block`` in closed form."""
+    n = len(block).bit_length() - 1
+    for gate in gates:
+        if max(gate.qubits) >= n:
+            raise ValueError(f"gate acts outside the {n}-qubit register")
+        if gate.kind == "cphase":
+            rows, (a, b) = np.arange(len(block)), gate.qubits
+            block = np.where((rows >> a) & (rows >> b) & 1, np.exp(-2j * gate.angle), 1.0)[:, None] * block
+            continue
+        if gate.kind == "rot":  # factors (P, theta) of exp(i theta P)
+            factors = [(PauliString(1.0, {gate.qubits[0]: gate.axis.upper()}), -gate.angle / 2.0)]
+        else:
+            factors = [(PauliString(1.0, {a: "X", b: "X"}), gate.angle) for a, b in combinations(gate.qubits, 2)]
+        for string, theta in factors:
+            perm, phases = action(string, n)
+            block = math.cos(theta) * block + 1j * math.sin(theta) * (phases[:, None] * block[perm])
+    return block
+
+
 def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
-    if gate.kind == "rot":
-        letters = {gate.qubits[0]: gate.axis.upper()}
-        generator = dense(PauliString(1.0, letters), n_qubits)
-        return expi_hermitian(generator, scale=-gate.angle / 2.0)
-    if gate.kind == "coll":
-        pairs = PauliSum(
-            [
-                PauliString(1.0, {a: "X", b: "X"})
-                for i, a in enumerate(gate.qubits)
-                for b in gate.qubits[i + 1 :]
-            ]
-        )
-        return expi_hermitian(dense(pairs, n_qubits), scale=gate.angle)
-    # cphase: diagonal phase on the |11> component of the two qubits
-    dim = 2**n_qubits
-    diag = np.ones(dim, dtype=complex)
-    a, b = gate.qubits
-    for index in range(dim):
-        if (index >> a) & 1 and (index >> b) & 1:
-            diag[index] = np.exp(-2j * gate.angle)
-    return np.diag(diag)
+    return circuit_unitary(Circuit((gate,), n_qubits))
 
 
 def circuit_unitary(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
     n = circuit.n_qubits if n_qubits is None else n_qubits
     if n > DENSE_QUBIT_LIMIT:
         raise GuardError(f"dense circuits limited to {DENSE_QUBIT_LIMIT} qubits")
-    out = np.eye(2**n, dtype=complex)
-    for gate in circuit.gates:
-        out = gate_unitary(gate, n) @ out
-    return out
+    return _apply_gates(circuit.gates, np.eye(2**n, dtype=complex))
 
 
 # basis-change rotations V with V sigma_canonical V^dag = sigma_target
@@ -279,16 +277,15 @@ def reduced_system_unitary(circuit: Circuit, ancilla: int, prepared: np.ndarray)
     """Action of the circuit on the system register with the ancilla prepared
     in (and projected back onto) the given single-qubit state."""
     n_total = circuit.n_qubits
-    full = circuit_unitary(circuit)
-    dim_sys = 2 ** (n_total - 1)
-    embed = np.zeros((2**n_total, dim_sys), dtype=complex)
-    low_mask = (1 << ancilla) - 1
-    for index in range(dim_sys):
-        low = index & low_mask
-        high = index >> ancilla
-        for bit in (0, 1):
-            embed[low | (bit << ancilla) | (high << (ancilla + 1)), index] = prepared[bit]
-    return embed.conj().T @ full @ embed
+    if n_total > DENSE_QUBIT_LIMIT:
+        raise GuardError(f"dense circuits limited to {DENSE_QUBIT_LIMIT} qubits")
+    if not 0 <= ancilla < n_total:
+        raise ValueError(f"ancilla {ancilla} is outside the {n_total}-qubit register")
+    # a register index split into (bits above the ancilla, ancilla bit, bits below, column)
+    shape = (2 ** (n_total - 1 - ancilla), 2, 2**ancilla, -1)
+    system = np.eye(2 ** (n_total - 1), dtype=complex).reshape(shape[0], 1, shape[2], -1)
+    out = _apply_gates(circuit.gates, (prepared[:, None, None] * system).reshape(2**n_total, -1))
+    return np.tensordot(out.reshape(shape), np.conj(prepared), axes=(1, 0)).reshape(len(out) // 2, -1)
 
 
 # ---------------------------------------------------------------------------

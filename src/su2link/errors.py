@@ -7,4 +7,5 @@ class GuardError(ValueError):
 
 
 class LayoutError(ValueError):
-    """A plaquette layout is malformed or references unknown ids."""
+    """A plaquette layout or run configuration is malformed or names
+    something that does not exist (an unknown id or gauge sector)."""

@@ -217,7 +217,8 @@ class GaugeSectorTable:
         for s in self.sectors:
             if abs(s.eigenvalue - eigenvalue) <= tol:
                 return s
-        raise KeyError(f"no sector with eigenvalue {eigenvalue}")
+        available = ", ".join(repr(round(s.eigenvalue, 10)) for s in self.sectors)
+        raise LayoutError(f"no sector with eigenvalue {eigenvalue!r}; available: {available}")
 
 
 def gauge_sectors(layout: PlaquetteLayout) -> GaugeSectorTable:

@@ -270,3 +270,45 @@ def test_figures_rejects_step_count_below_one(figure, steps, capsys):
     assert code == 2
     assert out == ""
     assert "step count must be at least 1" in err
+
+
+def assert_config_error(result, message):
+    """Exit 2, nothing on stdout, and one line on stderr naming the problem."""
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("figure", ["fig3", "fig4", "figS2"])
+def test_figures_rejects_unknown_start_sector(figure, capsys):
+    result = run(["figures", figure, "--start-sector", "1.0", "--phi-stop", "0.1"], capsys)
+    assert_config_error(result, "no sector with eigenvalue 1.0; available: 0.75, 2.25, 2.75")
+
+
+@pytest.mark.parametrize("command", [["figures", "fig3"], ["compile", "--backend", "cphase"]])
+@pytest.mark.parametrize("coupling", ["nan", "inf", "-inf", "0"])
+def test_rejects_non_finite_or_zero_coupling(command, coupling, capsys):
+    result = run([*command, f"--J={coupling}"], capsys)
+    assert_config_error(result, "--J must be finite and nonzero")
+
+
+@pytest.mark.parametrize("ratios", ["0", "-0.1", "nan", "inf", "0.1,0"])
+def test_matter_rejects_non_positive_ratios(ratios, capsys):
+    result = run(["matter", f"--ratios={ratios}"], capsys)
+    assert_config_error(result, "--ratios must be finite and positive")
+
+
+@pytest.mark.parametrize("plaquettes", ["0", "-1"])
+def test_bounds_rejects_plaquettes_below_one(plaquettes, capsys):
+    result = run(["bounds", f"--plaquettes={plaquettes}"], capsys)
+    assert_config_error(result, f"--plaquettes must be at least 1, got {plaquettes}")
+
+
+def test_covariance_rejects_negative_sets(capsys):
+    assert_config_error(run(["covariance", "--sets=-1"], capsys), "--sets must be non-negative, got -1")
+    code, out, err = run(["covariance", "--sets", "0"], capsys)
+    assert code == 0
+    assert out == "set,link,max_deviation\n"
+    assert err == ""

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from su2link import compiler as cp
 from su2link import linkmodel as lm
 from su2link.compiler import Circuit, GateCounts, NoiseModel, coll, cphase, rot
+from su2link.errors import GuardError
 from su2link.linalg import expi_hermitian, unitary_distance_up_to_phase
-from su2link.pauli import PauliString, dense
+from su2link.pauli import PauliString, PauliSum, dense
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,85 @@ def test_collective_gate_matches_pair_sum():
     gate = coll((0, 2), 0.3)
     want = expi_hermitian(dense(PauliString(1.0, {0: "X", 2: "X"}), 3), scale=0.3)
     assert np.allclose(cp.gate_unitary(gate, 3), want, atol=1e-12)
+
+
+ORACLE_TOL = 1e-12
+
+
+def generator_unitary(generator, scale, n):
+    """Dense spectral exponential exp(i scale generator), the gates' oracle."""
+    return expi_hermitian(dense(generator, n), scale=scale)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_closed_form_gates_match_spectral_exponential(n):
+    # each gate's generator is Hermitian by construction, so the closed forms
+    # are checked against the spectral exponential of that generator
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        angle = rng.uniform(-2 * np.pi, 2 * np.pi)
+        qubit = int(rng.integers(n))
+        for axis in "xyz":
+            want = generator_unitary(PauliString(1.0, {qubit: axis.upper()}), -angle / 2, n)
+            assert np.max(np.abs(cp.gate_unitary(rot(axis, qubit, angle), n) - want)) < ORACLE_TOL
+        for size in range(2, min(n, 6) + 1):
+            qubits = tuple(int(q) for q in rng.permutation(n)[:size])  # any order
+            pairs = PauliSum([PauliString(1.0, {a: "X", b: "X"}) for a, b in combinations(qubits, 2)])
+            want = generator_unitary(pairs, angle, n)
+            assert np.max(np.abs(cp.gate_unitary(coll(qubits, angle), n) - want)) < ORACLE_TOL
+        a, b = (int(q) for q in rng.permutation(n)[:2])
+        # projector onto bits a and b both set: (1 - Z_a - Z_b + Z_a Z_b) / 4
+        both = PauliSum(
+            [PauliString(0.25), PauliString(-0.25, {a: "Z"}), PauliString(-0.25, {b: "Z"}),
+             PauliString(0.25, {a: "Z", b: "Z"})]
+        )
+        want = generator_unitary(both, -2 * angle, n)
+        assert np.max(np.abs(cp.gate_unitary(cphase(a, b, angle), n) - want)) < ORACLE_TOL
+
+
+def test_gate_outside_register_rejected():
+    for gate in (rot("y", 3, 0.2), coll((0, 3), 0.2), cphase(3, 1, 0.2)):
+        with pytest.raises(ValueError):
+            cp.gate_unitary(gate, 3)
+        with pytest.raises(ValueError):
+            cp.circuit_unitary(Circuit((gate,), 4), 3)
+
+
+def test_dense_guard_fires_before_allocation():
+    limit = cp.DENSE_QUBIT_LIMIT
+    with pytest.raises(GuardError):
+        cp.gate_unitary(rot("x", 0, 0.1), limit + 1)
+    with pytest.raises(GuardError):
+        cp.reduced_system_unitary(Circuit((rot("x", 0, 0.1),), limit + 2), 0, cp.ancilla_state(2))
+
+
+def sandwiched_system_unitary(circuit, ancilla, prepared):
+    """Reduced action the long way: embed^dag . U . embed with the full U."""
+    n = circuit.n_qubits
+    embed = np.zeros((2**n, 2 ** (n - 1)), dtype=complex)
+    for index in range(2 ** (n - 1)):
+        low, high = index & ((1 << ancilla) - 1), index >> ancilla
+        for bit in (0, 1):
+            embed[low | (bit << ancilla) | (high << (ancilla + 1)), index] = prepared[bit]
+    return embed.conj().T @ cp.circuit_unitary(circuit) @ embed
+
+
+@pytest.mark.parametrize("ancilla", [0, 3, 6])
+def test_reduced_unitary_matches_sandwich(monomials, ancilla):
+    # the system qubits skip the ancilla, so the reduced block is still the
+    # target exponential on six qubits
+    for monomial in monomials:
+        shifted = PauliString(
+            monomial.coefficient, {q + (q >= ancilla): letter for q, letter in monomial.letters.items()}
+        )
+        # widened to 7 qubits, as a monomial may leave the top system qubit idle
+        circuit = Circuit(cp.compile_cphase(shifted, 0.7, ancilla=ancilla).gates, 7)
+        prepared = cp.ancilla_state(monomial.weight)
+        got = cp.reduced_system_unitary(circuit, ancilla, prepared)
+        assert np.max(np.abs(got - sandwiched_system_unitary(circuit, ancilla, prepared))) < ORACLE_TOL
+        assert unitary_distance_up_to_phase(target_unitary(monomial, 0.7, 6), got) < 1e-9
+    with pytest.raises(ValueError):
+        cp.reduced_system_unitary(circuit, 7, prepared)
 
 
 def test_collective_monomial_counts(monomials):
