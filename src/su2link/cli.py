@@ -172,8 +172,11 @@ def run_compile(cfg: RunConfig) -> tuple[str, str | None]:
 
 
 def run_bounds(cfg: RunConfig) -> str:
-    generic = cp.plaquette_steps_bound(cfg.plaquettes, cfg.jt, cfg.eps, cfg.fractal_degree)
-    printed = cp.printed_steps_bound(cfg.plaquettes, cfg.jt, cfg.eps)
+    try:
+        generic = cp.plaquette_steps_bound(cfg.plaquettes, cfg.jt, cfg.eps, cfg.fractal_degree)
+        printed = cp.printed_steps_bound(cfg.plaquettes, cfg.jt, cfg.eps)
+    except OverflowError:
+        raise LayoutError("the step bound overflows a float for these inputs") from None
     report = {
         "schema": 1,
         "plaquettes": cfg.plaquettes,
@@ -401,6 +404,10 @@ def _to_run_config(args: argparse.Namespace) -> RunConfig:
         raise LayoutError(f"--J must be finite and nonzero, got {cfg.coupling!r}")
     if not all(math.isfinite(ratio) and ratio > 0 for ratio in cfg.ratios):
         raise LayoutError(f"--ratios must be finite and positive, got {','.join(map(repr, cfg.ratios))}")
+    if not (math.isfinite(cfg.jt) and cfg.jt >= 0):
+        raise LayoutError(f"--Jt must be finite and non-negative, got {cfg.jt!r}")
+    if not (math.isfinite(cfg.eps) and cfg.eps > 0):
+        raise LayoutError(f"--eps must be finite and positive, got {cfg.eps!r}")
     if cfg.plaquettes < 1:
         raise LayoutError(f"--plaquettes must be at least 1, got {cfg.plaquettes}")
     if cfg.sets < 0:

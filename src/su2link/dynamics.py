@@ -1,17 +1,24 @@
 """Exact and Trotterized time evolution of plaquette states.
 
-Exact evolution goes through the spectral decomposition of the dense
-Hamiltonian; Trotterized evolution applies the closed-form exponential of one
-monomial at a time (cos * 1 - i sin * P) in a fixed term order, repeated for
-the chosen number of steps.  The simulated phase is phi = J * t, so at unit
-coupling the phase and the evolution time coincide.
+Exact evolution reduces the Hamiltonian to the Krylov space of the initial
+state by Lanczos iteration (Park & Light, J. Chem. Phys. 85, 5870 (1986)),
+run until that space is invariant, so the reduction is exact rather than an
+approximation: the plaquette Hamiltonian has few distinct eigenvalues and the
+space closes after a handful of vectors.  The small tridiagonal matrix is
+diagonalised once and serves every time of a sweep.  Trotterized evolution
+applies the closed-form exponential of one monomial at a time
+(cos * 1 - i sin * P) in a fixed term order, repeated for the chosen number
+of steps.  The simulated phase is phi = J * t, so at unit coupling the phase
+and the evolution time coincide.
 
-Each monomial P acts through the bit-mask kernel ``pauli.action``: a factor
-table of (coefficient, perm, phases) is built once per Hamiltonian and term
-order, and one factor maps psi to ``cos * psi - i sin * (phases * psi[..., perm])``
-without any matrix.  ``sweep`` builds the table once and evolves all phases
-of one step count together as a ``(n_phi, 2^n)`` batch, with the time step
-as a column; each row gets the same arithmetic as a ``trotter_evolve`` call.
+Every operator acts through the bit-mask kernel ``pauli.action``, with no
+matrix: ``pauli.matvec`` for the Lanczos iteration and for expectation
+values, and a factor table of (coefficient, perm, phases) for the Trotter
+product, where one factor maps psi to ``cos * psi - i sin * (phases * psi[..., perm])``.
+``sweep`` builds the table once and evolves all phases of one step count
+together as a ``(n_phi, 2^n)`` batch, with the time step as a column; each
+row gets the same arithmetic as a ``trotter_evolve`` call, and likewise for
+the ideal states and ``exact_evolve``.
 
 States are plain complex numpy arrays of length 2^n.  Every evolution
 preserves the norm to 1e-10; sweeps are evaluated in deterministic grid order.
@@ -32,10 +39,11 @@ from .linkmodel import (
     plaquette_monomials,
     total_gauge_casimir,
 )
-from .pauli import PauliSum, action, dense
+from .pauli import PauliSum, action, matvec
 
 EVOLVE_QUBIT_LIMIT = 12
 NORM_TOL = 1e-10
+LANCZOS_BREAKDOWN = 1e-13
 DEVIATION_GUARD = 1e-12
 
 
@@ -59,21 +67,71 @@ def _check_norm(states: np.ndarray) -> np.ndarray:
     return states
 
 
+def _expectations(apply_op, states: np.ndarray) -> np.ndarray:
+    """<psi|op|psi> of one state, or of every row of a batch, for a Hermitian
+    op given as a ``pauli.matvec``."""
+    return np.sum(states.conj() * apply_op(states), axis=-1).real
+
+
 def expectation(op: PauliSum, state: np.ndarray) -> float:
-    matrix = dense(op, _n_qubits_of(state))
-    return float((state.conj() @ matrix @ state).real)
+    return float(_expectations(matvec(op, _n_qubits_of(state)), state))
 
 
-def exact_evolve(hamiltonian: PauliSum, state: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) applied through the spectral decomposition of dense(H)."""
+def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray):
+    """Eigenpairs of H on the Krylov space of ``state``, as (eigvals,
+    amplitudes, ritz): H ritz[k] = eigvals[k] ritz[k] and
+    state = sum_k amplitudes[k] ritz[k].
+
+    Lanczos with two full reorthogonalisations per step runs until the next
+    vector vanishes (or the space fills the register), then the tridiagonal
+    matrix T is diagonalised.  The residual ||H V - V T|| is guarded relative
+    to the coefficient 1-norm of H, which bounds its operator norm.
+    """
     n = _n_qubits_of(state)
     if n > EVOLVE_QUBIT_LIMIT:
         raise GuardError(f"exact evolution limited to {EVOLVE_QUBIT_LIMIT} qubits")
     if not hamiltonian.is_hermitian():
         raise GuardError("Hamiltonian must be Hermitian")
-    eigvals, eigvecs = np.linalg.eigh(dense(hamiltonian, n))
-    out = (eigvecs * np.exp(-1j * eigvals * t)) @ (eigvecs.conj().T @ state)
+    _check_norm(state)
+    apply_h = matvec(hamiltonian, n)
+    scale = sum(abs(term.coefficient) for term in hamiltonian.terms)
+    vectors, images, alphas, betas = [state / np.linalg.norm(state)], [], [], []
+    while True:
+        images.append(apply_h(vectors[-1]))
+        alphas.append(np.vdot(vectors[-1], images[-1]).real)
+        rest = images[-1] - alphas[-1] * vectors[-1] - (betas[-1] * vectors[-2] if betas else 0)
+        block = np.array(vectors)
+        for _ in range(2):
+            rest = rest - (block.conj() @ rest) @ block
+        beta = np.linalg.norm(rest)
+        if beta <= LANCZOS_BREAKDOWN * scale or len(vectors) == len(state):
+            break
+        betas.append(beta)
+        vectors.append(rest / beta)
+    tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    block = np.array(vectors)
+    residual = np.linalg.norm(np.array(images) - tridiagonal @ block)
+    if residual > NORM_TOL * scale:
+        raise GuardError(f"Lanczos residual {residual:.3g} exceeds 1e-10 of the Hamiltonian's norm")
+    eigvals, eigvecs = np.linalg.eigh(tridiagonal)
+    return eigvals, np.linalg.norm(state) * eigvecs[0], eigvecs.T @ block
+
+
+def _evolve_spectrum(spectrum, times: np.ndarray) -> np.ndarray:
+    """exp(-i H t) state for every t in ``times``, one row each, from a
+    ``_krylov_spectrum``; each row gets the same arithmetic whatever the
+    number of times."""
+    eigvals, amplitudes, ritz = spectrum
+    weights = np.exp(-1j * eigvals * times[:, None]) * amplitudes
+    out = np.zeros((len(times), ritz.shape[1]), dtype=complex)
+    for k in range(len(eigvals)):
+        out += weights[:, k, None] * ritz[k]
     return _check_norm(out)
+
+
+def exact_evolve(hamiltonian: PauliSum, state: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) applied by Lanczos reduction to the Krylov space of the state."""
+    return _evolve_spectrum(_krylov_spectrum(hamiltonian, state), np.array([t], dtype=float))[0]
 
 
 def _check_steps(steps: int) -> None:
@@ -163,10 +221,13 @@ def overlap(state: np.ndarray, other: np.ndarray) -> float:
 
 def relative_deviation(op: PauliSum, reference: np.ndarray, other: np.ndarray) -> float:
     """(<op>_ref - <op>_other) / <op>_ref, guarded against a vanishing reference."""
-    ref_value = expectation(op, reference)
+    if reference.shape != other.shape:
+        raise ValueError("states must have equal dimension")
+    apply_op = matvec(op, _n_qubits_of(reference))
+    ref_value, other_value = (float(_expectations(apply_op, s)) for s in (reference, other))
     if abs(ref_value) < DEVIATION_GUARD:
         raise GuardError("reference expectation value too small for a relative deviation")
-    return (ref_value - expectation(op, other)) / ref_value
+    return (ref_value - other_value) / ref_value
 
 
 def gauge_deviation(psi_ideal: np.ndarray, psi_digital: np.ndarray, layout: PlaquetteLayout) -> float:
@@ -210,20 +271,13 @@ def sweep(
     for steps in steps_list:
         _check_steps(steps)
     n = layout.n_qubits
-    table = gauge_sectors(layout)
-    psi0 = canonical_sector_state(table, start_sector)
+    psi0 = canonical_sector_state(gauge_sectors(layout), start_sector)
     hamiltonian = plaquette_hamiltonian(layout, coupling)
     if backend == "trotter":
         factors = _trotter_factors(hamiltonian, _listing_order(layout, coupling, hamiltonian), n)
-    casimir = dense(total_gauge_casimir(layout), n)
-    eigvals, eigvecs = np.linalg.eigh(dense(hamiltonian, n))
-    psi0_eig = eigvecs.conj().T @ psi0
-
-    def gauge(psi: np.ndarray) -> float:
-        return float((psi.conj() @ casimir @ psi).real)
-
-    ideal = [(eigvecs * np.exp(-1j * eigvals * (phi / coupling))) @ psi0_eig for phi in phis]
-    gauge_ideal = [gauge(psi) for psi in ideal]
+    casimir = matvec(total_gauge_casimir(layout), n)
+    ideal = _evolve_spectrum(_krylov_spectrum(hamiltonian, psi0), np.asarray(phis, dtype=float) / coupling)
+    gauge_ideal = [float(g) for g in _expectations(casimir, ideal)]
     if any(abs(g) < DEVIATION_GUARD for g in gauge_ideal):
         raise GuardError("ideal gauge expectation vanished")
     rows = []
@@ -234,8 +288,9 @@ def sweep(
             dt = (np.asarray(phis, dtype=float) / coupling / steps)[:, None]
             batch = np.broadcast_to(psi0, (len(phis), len(psi0)))
             digital = _check_norm(_apply_factors(factors, dt, steps, batch))
-        for phi, psi_ideal, gauge_i, psi_digital in zip(phis, ideal, gauge_ideal, digital):
-            gauge_d = gauge(psi_digital)
+        gauge_digital = [float(g) for g in _expectations(casimir, digital)]
+        points = zip(phis, ideal, gauge_ideal, digital, gauge_digital)
+        for phi, psi_ideal, gauge_i, psi_digital, gauge_d in points:
             rows.append(
                 SweepRow(
                     steps=steps,

@@ -5,12 +5,15 @@ on which end of the link the single excitation sits (Z = +1 means the head /
 right end), the spin qubit carries its color.  From these we build the link
 operators, left/right generators, the per-vertex gauge generators, the
 triangular-plaquette Hamiltonian, and the decomposition of the register into
-gauge sectors (common eigenspaces of the summed squared generators).
+gauge sectors (eigenspaces of the summed squared generators), which are
+counted from the spins at each vertex rather than diagonalised.
 
 All construction functions are pure and return immutable values.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,12 +160,12 @@ def gauge_generator(layout: PlaquetteLayout, vertex: int, a: int) -> PauliSum:
 
 def total_gauge_casimir(layout: PlaquetteLayout) -> PauliSum:
     """Sum over vertices and colors of the squared gauge generators."""
-    total = PauliSum()
+    squares = []
     for vertex in layout.vertices:
         for a in (1, 2, 3):
             g = gauge_generator(layout, vertex, a)
-            total = total + g * g
-    return total
+            squares += (g * g).terms
+    return PauliSum(squares)
 
 
 def plaquette_monomials(layout: PlaquetteLayout, coupling: float) -> list[PauliString]:
@@ -202,7 +205,16 @@ def plaquette_hamiltonian(layout: PlaquetteLayout, coupling: float) -> PauliSum:
 class GaugeSector:
     eigenvalue: float
     degeneracy: int
-    basis: np.ndarray  # shape (2^n, degeneracy), orthonormal columns
+    layout: PlaquetteLayout = field(repr=False, compare=False)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Dense oracle for tests: an orthonormal eigenbasis of the sector,
+        shape (2^n, degeneracy), from ``eigh`` of the dense Casimir on every
+        access."""
+        n = self.layout.n_qubits
+        eigvals, eigvecs = np.linalg.eigh(dense(total_gauge_casimir(self.layout), n))
+        return eigvecs[:, np.abs(eigvals - self.eigenvalue) <= SECTOR_CLUSTER_TOL]
 
 
 @dataclass(frozen=True)
@@ -221,38 +233,93 @@ class GaugeSectorTable:
         raise LayoutError(f"no sector with eigenvalue {eigenvalue!r}; available: {available}")
 
 
-def gauge_sectors(layout: PlaquetteLayout) -> GaugeSectorTable:
-    """Full spectral decomposition of the summed squared gauge generators.
+def _spins_at_vertices(layout: PlaquetteLayout, index: int) -> list[list[int]]:
+    """Per vertex, the spin qubits of the links whose excitation sits there in
+    basis state ``index`` (position bit 0, Z = +1: the head end)."""
+    spins: dict[int, list[int]] = {v: [] for v in layout.vertices}
+    for link in layout.links:
+        spins[link.frm if (index >> link.pos_qubit) & 1 else link.to].append(link.spin_qubit)
+    return list(spins.values())
 
-    Eigenvalues are clustered with tolerance 1e-8 (the spectral gaps are order
-    one); each sector keeps an orthonormal eigenbasis.
+
+def _combine(options_per_vertex) -> Counter:
+    """Choose one (4 j(j+1), weight) option per vertex: the summed weight of
+    each total 4 * sum_v j_v(j_v + 1)."""
+    totals = Counter({0: 1})
+    for options in options_per_vertex:
+        combined = Counter()
+        for q, weight in totals.items():
+            for dq, dweight in options:
+                combined[q + dq] += weight * dweight
+        totals = combined
+    return totals
+
+
+def _multiplets(k: int) -> list[tuple[int, int]]:
+    """(4 j(j+1), number of states) for each total spin j of k coupled
+    spin-1/2s: spin j occurs C(k, k/2-j) - C(k, k/2-j-1) times, with 2j+1
+    states each."""
+    out = []
+    for j2 in range(k % 2, k + 1, 2):  # j2 = 2j
+        low = (k - j2) // 2
+        count = math.comb(k, low) - (math.comb(k, low - 1) if low else 0)
+        out.append((j2 * (j2 + 2), count * (j2 + 1)))
+    return out
+
+
+def gauge_sectors(layout: PlaquetteLayout) -> GaugeSectorTable:
+    """Eigenvalues and degeneracies of the summed squared gauge generators, by
+    counting.
+
+    The Casimir commutes with every position Z.  In one position
+    configuration the generators at vertex v are the total spin of the k_v
+    spins whose excitation sits at v, so the Casimir is sum_v j_v(j_v + 1)
+    over the couplings of those spins.  Each qubit index that no link uses
+    doubles every degeneracy.
     """
     n = layout.n_qubits
     if n > SECTOR_DIM_LIMIT:
         raise GuardError(f"sector analysis limited to {SECTOR_DIM_LIMIT} qubits, got {n}")
-    casimir = dense(total_gauge_casimir(layout), n)
-    eigvals, eigvecs = np.linalg.eigh(casimir)
-    sectors = []
-    start = 0
-    for i in range(1, len(eigvals) + 1):
-        if i == len(eigvals) or eigvals[i] - eigvals[start] > SECTOR_CLUSTER_TOL:
-            value = float(np.mean(eigvals[start:i]))
-            sectors.append(GaugeSector(value, i - start, eigvecs[:, start:i].copy()))
-            start = i
-    return GaugeSectorTable(n, tuple(sectors))
+    counts = Counter()
+    for config in range(2 ** len(layout.links)):
+        index = sum(1 << link.pos_qubit for i, link in enumerate(layout.links) if (config >> i) & 1)
+        counts.update(_combine(_multiplets(len(spins)) for spins in _spins_at_vertices(layout, index)))
+    unused = 2 ** (n - 2 * len(layout.links))
+    return GaugeSectorTable(
+        n, tuple(GaugeSector(q / 4, count * unused, layout) for q, count in sorted(counts.items()))
+    )
 
 
 def canonical_sector_state(table: GaugeSectorTable, eigenvalue: float) -> np.ndarray:
     """Deterministic representative of a sector: the normalized projection of
-    the lowest-index computational basis state with nonzero weight in it."""
+    the lowest-index computational basis state with nonzero weight in it.
+
+    A basis state whose spins at vertex v sum to m_v has weight in every total
+    spin |m_v| <= j_v <= k_v / 2 there, so it has weight in the sector if some
+    such choice gives the eigenvalue.  The projection is the Lagrange
+    polynomial prod_{mu != lambda} (C - mu) / (lambda - mu) of the Casimir C
+    over the table's eigenvalues, applied through ``pauli.matvec``.
+    """
     sector = table.sector(eigenvalue)
-    basis = sector.basis
+    layout = sector.layout
+    target = round(4 * sector.eigenvalue)
     for index in range(2**table.n_qubits):
-        component = basis @ basis[index, :].conj()
-        norm = np.linalg.norm(component)
-        if norm > 1e-8:
-            return component / norm
-    raise RuntimeError("sector basis is empty")  # unreachable for a valid table
+        options = []
+        for spins in _spins_at_vertices(layout, index):
+            m2 = abs(sum(1 - 2 * ((index >> q) & 1) for q in spins))  # 2 |m_v|
+            options.append([(j2 * (j2 + 2), 1) for j2 in range(m2, len(spins) + 1, 2)])
+        if _combine(options)[target]:
+            break
+    else:
+        raise RuntimeError("no basis state has weight in the sector")  # unreachable for a counted table
+    casimir = pauli.matvec(total_gauge_casimir(layout), table.n_qubits)
+    state = np.zeros(2**table.n_qubits, dtype=complex)
+    state[index] = 1.0
+    for mu in table.eigenvalues():
+        if mu != sector.eigenvalue:
+            state = (casimir(state) - mu * state) / (sector.eigenvalue - mu)
+    # adding 0.0 turns the -0.0 that a negative lambda - mu leaves into +0.0
+    return state / np.linalg.norm(state) + 0.0
 
 
 def gauge_covariance_check(

@@ -11,9 +11,10 @@ symplectic encoding of Aaronson & Gottesman, PRA 70, 052328 (2004): X and Y
 letters set bits of an X mask, Y and Z letters set bits of a Z mask, and each
 Y contributes a factor i (Y = i X Z).  A string then maps basis state
 ``k ^ xmask`` to ``k`` with the phase ``c i^#Y (-1)^popcount((k ^ xmask) & zmask)``,
-so applying it is one gather and one multiply, with no matrix.  ``dense``
-scatters the same (perm, phases) pairs into a matrix; it serves eigensolvers
-and tests.
+so applying it is one gather and one multiply, with no matrix.  ``matvec``
+sums those gathers over the terms of a PauliSum.  ``dense`` scatters the same
+(perm, phases) pairs into a matrix; it serves the covariance check, the matter
+chain and the tests.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -257,6 +258,29 @@ def action(term: PauliString, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
         parity ^= perm >> q
     signs = 1 - 2 * (parity & 1)
     return perm, (term.coefficient * _I_POWERS[n_y % 4]) * signs
+
+
+def matvec(op: PauliSum | PauliString, n_qubits: int):
+    """``op`` as a matrix-free map built from ``action``: the returned function
+    applies it to one state or to every row of a batch of states.  Terms that
+    flip the same bits share one gather; each row gets the same arithmetic
+    whatever the batch size."""
+    by_xmask: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for term in _as_sum(op).terms:
+        perm, phases = action(term, n_qubits)
+        xmask = int(perm[0])
+        if xmask in by_xmask:
+            phases = by_xmask[xmask][1] + phases
+        by_xmask[xmask] = (perm, phases)
+    pairs = list(by_xmask.values())
+
+    def apply(states: np.ndarray) -> np.ndarray:
+        out = np.zeros(np.shape(states), dtype=complex)
+        for perm, phases in pairs:
+            out += phases * states[..., perm]
+        return out
+
+    return apply
 
 
 def dense(op: PauliSum | PauliString, n_qubits: int) -> np.ndarray:

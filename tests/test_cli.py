@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from su2link import cli
+from su2link import dynamics as dyn
 from su2link import linkmodel as lm
+from su2link.pauli import dense
 
 
 def run(argv, capsys):
@@ -312,3 +315,57 @@ def test_covariance_rejects_negative_sets(capsys):
     assert code == 0
     assert out == "set,link,max_deviation\n"
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--Jt", "-1", "--Jt must be finite and non-negative, got -1.0"),
+        ("--Jt", "inf", "--Jt must be finite and non-negative, got inf"),
+        ("--Jt", "nan", "--Jt must be finite and non-negative, got nan"),
+        ("--eps", "nan", "--eps must be finite and positive, got nan"),
+        ("--eps", "inf", "--eps must be finite and positive, got inf"),
+        ("--eps", "0", "--eps must be finite and positive, got 0.0"),
+        ("--eps", "-0.1", "--eps must be finite and positive, got -0.1"),
+    ],
+)
+def test_bounds_rejects_bad_jt_and_eps(option, value, message, capsys):
+    assert_config_error(run(["bounds", f"{option}={value}"], capsys), message)
+
+
+@pytest.mark.parametrize("argv", [["--Jt", "1e300"], ["--k", "1000"]])
+def test_bounds_overflow_exits_2(argv, capsys):
+    assert_config_error(run(["bounds", *argv], capsys), "the step bound overflows a float")
+
+
+def test_bounds_zero_jt_needs_no_steps(capsys):
+    code, out, _ = run(["bounds", "--Jt", "0"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["steps_generic"] == 0 and report["steps_printed_constant"] == 0
+
+
+def test_two_plaquette_fig3_matches_dense_oracle(two_plaquette, two_plaquette_path, dense_canonical_state, capsys):
+    code, out, err = run(
+        ["figures", "fig3", "--steps", "1,2", "--layout", str(two_plaquette_path),
+         "--phi-start", "0.5", "--phi-stop", "0.6"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    rows = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[1:]])
+    assert rows[:, :2].tolist() == [[n, phi] for n in (1, 2) for phi in (0.5, 0.55, 0.6)]
+    # the oracle: dense-basis start state, eigh of the dense Hamiltonian, dense Casimir
+    n = two_plaquette.n_qubits
+    psi0 = dense_canonical_state(two_plaquette, 0.75)
+    hamiltonian = lm.plaquette_hamiltonian(two_plaquette, 1.0)
+    eigvals, eigvecs = np.linalg.eigh(dense(hamiltonian, n).real)
+    casimir = dense(lm.total_gauge_casimir(two_plaquette), n)
+    expected = []
+    for steps, phi in rows[:, :2]:
+        ideal = eigvecs @ (np.exp(-1j * eigvals * phi) * (eigvecs.T @ psi0))
+        _, plan = dyn.plaquette_plan(two_plaquette, 1.0, int(steps), phi)
+        digital = dyn.trotter_evolve(hamiltonian, plan, psi0)
+        gauge_i, gauge_d = (float((psi.conj() @ casimir @ psi).real) for psi in (ideal, digital))
+        overlaps = [abs(np.vdot(ideal, other)) ** 2 for other in (psi0, digital)]
+        expected.append([steps, phi, (gauge_i - gauge_d) / gauge_i, *overlaps])
+    assert np.max(np.abs(rows - np.array(expected))) < 1e-12

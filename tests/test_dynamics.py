@@ -236,22 +236,21 @@ def dense_trotter_reference(hamiltonian, plan, state, coupling=1.0):
 
 
 def per_point_sweep_reference(layout, coupling, steps_list, phis, start_sector):
-    """sweep() as it was before batching: one trotter_evolve call, one ideal
-    state and one plan per grid point."""
-    n = layout.n_qubits
+    """sweep() as a loop over grid points: one exact_evolve per phi, one
+    trotter_evolve and one plan per point, and the gauge values through
+    expectation()."""
     psi0 = lm.canonical_sector_state(lm.gauge_sectors(layout), start_sector)
     hamiltonian = lm.plaquette_hamiltonian(layout, coupling)
-    casimir = dense(lm.total_gauge_casimir(layout), n)
-    eigvals, eigvecs = np.linalg.eigh(dense(hamiltonian, n))
-    psi0_eig = eigvecs.conj().T @ psi0
+    casimir = lm.total_gauge_casimir(layout)
+    ideal = {phi: dyn.exact_evolve(hamiltonian, psi0, phi / coupling) for phi in phis}
+    gauge_ideal = {phi: dyn.expectation(casimir, psi) for phi, psi in ideal.items()}
     rows = []
     for steps in steps_list:
         for phi in phis:
-            psi_ideal = (eigvecs * np.exp(-1j * eigvals * (phi / coupling))) @ psi0_eig
+            psi_ideal, gauge_i = ideal[phi], gauge_ideal[phi]
             _, plan = dyn.plaquette_plan(layout, coupling, steps, phi)
             psi_digital = dyn.trotter_evolve(hamiltonian, plan, psi0, coupling)
-            gauge_i = float((psi_ideal.conj() @ casimir @ psi_ideal).real)
-            gauge_d = float((psi_digital.conj() @ casimir @ psi_digital).real)
+            gauge_d = dyn.expectation(casimir, psi_digital)
             rows.append(
                 dyn.SweepRow(
                     steps, float(phi), (gauge_i - gauge_d) / gauge_i, dyn.overlap(psi_ideal, psi0),
@@ -299,3 +298,101 @@ def test_sweep_norm_guard_checks_every_row(layout, monkeypatch):
     monkeypatch.setattr(dyn, "_apply_factors", corrupt_last_row)
     with pytest.raises(GuardError, match="norm"):
         dyn.sweep(layout, 1.0, [2], [0.3, 0.6, 0.9], 0.75)
+
+
+@pytest.fixture(scope="module")
+def dense_spectra(layouts):
+    """eigh of the dense plaquette Hamiltonian (real symmetric) per layout."""
+    out = {}
+    for name in ("triangle", "two_plaquette"):
+        matrix = dense(lm.plaquette_hamiltonian(layouts[name], 1.0), layouts[name].n_qubits)
+        assert not matrix.imag.any()
+        out[name] = np.linalg.eigh(matrix.real)
+    return out
+
+
+@pytest.mark.parametrize("name", ["triangle", "two_plaquette"])
+def test_lanczos_exact_evolve_matches_eigh(layouts, dense_spectra, name):
+    layout = layouts[name]
+    n = layout.n_qubits
+    hamiltonian = lm.plaquette_hamiltonian(layout, 1.0)
+    eigvals, eigvecs = dense_spectra[name]
+    rng = np.random.default_rng(5)
+    random_psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    table = lm.gauge_sectors(layout)
+    states = [random_psi / np.linalg.norm(random_psi), dyn.basis_state(n, 0), dyn.basis_state(n, 2**n - 3)]
+    states += [lm.canonical_sector_state(table, ev) for ev in table.eigenvalues()]
+    for psi in states:
+        for t in (0.0, 0.37, 1.3, -2.0, 7.5):
+            expected = eigvecs @ (np.exp(-1j * eigvals * t) * (eigvecs.T @ psi))
+            assert np.max(np.abs(dyn.exact_evolve(hamiltonian, psi, t) - expected)) < 1e-12
+
+
+def test_lanczos_exact_evolve_matches_eigh_on_random_pauli_sum():
+    rng = np.random.default_rng(11)
+    terms = [
+        PauliString(rng.normal(), {q: "XYZ"[rng.integers(3)] for q in range(5) if rng.random() < 0.6} or {0: "Z"})
+        for _ in range(25)
+    ]
+    h = PauliSum(terms)
+    eigvals, eigvecs = np.linalg.eigh(dense(h, 5))
+    psi = rng.normal(size=32) + 1j * rng.normal(size=32)
+    psi /= np.linalg.norm(psi)
+    expected = (eigvecs * np.exp(-0.9j * eigvals)) @ (eigvecs.conj().T @ psi)
+    assert np.max(np.abs(dyn.exact_evolve(h, psi, 0.9) - expected)) < 1e-12
+
+
+def test_lanczos_residual_guard(hamiltonian, sector_table, monkeypatch):
+    psi0 = lm.canonical_sector_state(sector_table, 0.75)
+    # stopping before the Krylov space closes leaves the last beta in the residual
+    with monkeypatch.context() as patch:
+        patch.setattr(dyn, "LANCZOS_BREAKDOWN", 0.5)
+        with pytest.raises(GuardError, match="Lanczos residual"):
+            dyn.exact_evolve(hamiltonian, psi0, 0.5)
+    # an operator that is not the same linear map at every call breaks H V = V T
+    original = dyn.matvec
+    rng = np.random.default_rng(0)
+
+    def noisy_matvec(op, n):
+        apply = original(op, n)
+        return lambda states: apply(states) + 1e-6 * rng.normal(size=np.shape(states))
+
+    monkeypatch.setattr(dyn, "matvec", noisy_matvec)
+    with pytest.raises(GuardError, match="Lanczos residual"):
+        dyn.exact_evolve(hamiltonian, psi0, 0.5)
+
+
+def test_expectations_match_dense(layout, hamiltonian):
+    rng = np.random.default_rng(8)
+    states = []
+    for _ in range(2):
+        psi = rng.normal(size=64) + 1j * rng.normal(size=64)
+        states.append(psi / np.linalg.norm(psi))
+    casimir = lm.total_gauge_casimir(layout)
+    for op in (casimir, hamiltonian, PauliSum([PauliString(0.3, {1: "Y", 4: "X"}), PauliString(-1.1, {2: "Z"})])):
+        matrix = dense(op, 6)
+        values = [float((psi.conj() @ matrix @ psi).real) for psi in states]
+        assert abs(dyn.expectation(op, states[0]) - values[0]) < 1e-12
+        expected = (values[0] - values[1]) / values[0]
+        assert abs(dyn.relative_deviation(op, states[0], states[1]) - expected) < 1e-12
+    matrix = dense(casimir, 6)
+    values = [float((psi.conj() @ matrix @ psi).real) for psi in states]
+    assert abs(dyn.gauge_deviation(states[0], states[1], layout) - (values[0] - values[1]) / values[0]) < 1e-12
+
+
+def test_two_plaquette_sweep_builds_no_dense_matrix(two_plaquette, monkeypatch):
+    def refuse_dense(*args, **kwargs):
+        raise AssertionError("dense matrix built on the sweep path")
+
+    sizes = []
+    original_eigh = np.linalg.eigh
+
+    def recording_eigh(matrix, *args, **kwargs):
+        sizes.append(np.shape(matrix)[-1])
+        return original_eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(lm, "dense", refuse_dense)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    rows = dyn.sweep(two_plaquette, 1.0, [1, 2], [0.5, 1.0], 0.75)
+    assert len(rows) == 4
+    assert sizes and max(sizes) <= 64  # only the Lanczos tridiagonal matrix

@@ -233,6 +233,51 @@ def test_canonical_sector_states(layout):
     assert abs(abs(psi[0]) - 1) < 1e-12
 
 
+def position_block_table(layout):
+    """Dense oracle for the sector table: eigh of the Casimir in each position
+    configuration.  Every Casimir term acts on a position qubit with Z or not
+    at all, so fixing the position bits leaves a dense matrix on the other
+    qubits; its eigenvalues are rounded to 8 digits and counted."""
+    positions = [link.pos_qubit for link in layout.links]
+    others = [q for q in range(layout.n_qubits) if q not in positions]
+    terms = lm.total_gauge_casimir(layout).terms
+    counts = Counter()
+    for config in range(2 ** len(positions)):
+        bits = {q: (config >> i) & 1 for i, q in enumerate(positions)}
+        reduced = []
+        for term in terms:
+            assert all(term.letters[q] == "Z" for q in term.support if q in bits)
+            sign = np.prod([1 - 2 * bits[q] for q in term.support if q in bits])
+            letters = {others.index(q): letter for q, letter in term.letters.items() if q not in bits}
+            reduced.append(PauliString(sign * term.coefficient, letters))
+        block = dense(PauliSum(reduced), len(others))
+        counts.update(np.round(np.linalg.eigvalsh(block), 8).tolist())
+    return dict(sorted(counts.items()))
+
+
+@pytest.mark.parametrize("name", ["triangle", "two_plaquette", "disjoint_triangles", "unused_qubit"])
+def test_counted_table_matches_dense_eigh(layouts, name):
+    layout = layouts[name]
+    table = lm.gauge_sectors(layout)
+    counted = {round(s.eigenvalue, 8): s.degeneracy for s in table.sectors}
+    assert counted == position_block_table(layout)
+    assert sum(counted.values()) == 2**layout.n_qubits
+    assert table.eigenvalues() == sorted(table.eigenvalues())
+    if name == "two_plaquette":
+        assert counted == {0.75: 36, 2.25: 176, 2.75: 192, 3.75: 8, 4.25: 240, 4.75: 252, 5.25: 96, 5.75: 24}
+    if name == "unused_qubit":
+        assert counted == {0.75: 24, 2.25: 32, 2.75: 72}
+
+
+@pytest.mark.parametrize("name", ["triangle", "two_plaquette"])
+def test_canonical_sector_state_matches_dense_basis(layouts, dense_canonical_state, name):
+    layout = layouts[name]
+    table = lm.gauge_sectors(layout)
+    for eigenvalue in table.eigenvalues():
+        expected = dense_canonical_state(layout, eigenvalue)
+        assert np.max(np.abs(lm.canonical_sector_state(table, eigenvalue) - expected)) < 1e-12
+
+
 def test_covariance_identity_angles(layout):
     angles = {v: (0.0, 0.0, 0.0) for v in layout.vertices}
     assert lm.gauge_covariance_check(layout, "12", angles) < 1e-12
