@@ -102,6 +102,16 @@ def _step_counts(layout: lm.PlaquetteLayout) -> dict[str, cp.GateCounts]:
     }
 
 
+def _fidelity_bands(
+    counts: dict[str, cp.GateCounts], n_steps: int, noise: cp.NoiseModel
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(collective, cphase) fidelity caps of ``n_steps`` full steps."""
+    return tuple(
+        cp.fidelity_cap(cp.GateCounts(c.collective * n_steps, c.cphase * n_steps, c.single * n_steps), noise)
+        for c in (counts["collective"], counts["cphase"])
+    )
+
+
 def run_figures(cfg: RunConfig) -> str:
     layout = _load_layout(cfg)
     phis = _phi_grid(cfg)
@@ -113,35 +123,31 @@ def run_figures(cfg: RunConfig) -> str:
     if cfg.figure == "figS2":
         steps = cfg.steps or (1, 2, 4, 8, 16, 32, 64)
         starts = (cfg.start_sector,) if cfg.start_sector is not None else (0.75, 2.75)
+        rows = dyn.sweep(layout, cfg.coupling, list(steps), phis, starts)
+        per_start = len(rows) // len(starts)
         lines = ["start,N,phi,gauge_I,gauge_D,overlap_I0"]
-        for start in starts:
-            for row in dyn.sweep(layout, cfg.coupling, list(steps), phis, start):
-                lines.append(
-                    f"{start!r},{row.steps},{row.phi!r},{row.gauge_ideal!r},"
-                    f"{row.gauge_digital!r},{row.overlap_initial!r}"
-                )
+        for index, row in enumerate(rows):
+            lines.append(
+                f"{starts[index // per_start]!r},{row.steps},{row.phi!r},{row.gauge_ideal!r},"
+                f"{row.gauge_digital!r},{row.overlap_initial!r}"
+            )
         return "\n".join(lines) + "\n"
     if cfg.figure == "fig4":
         steps = cfg.steps or (2, 3)
         start = cfg.start_sector if cfg.start_sector is not None else 2.25
+        rows = dyn.sweep(layout, cfg.coupling, list(steps), phis, start)
         counts = _step_counts(layout)
         lines = [
             "N,phi,overlap_I0,fidelity_ID,"
             "cap_collective_low,cap_collective_high,cap_cphase_low,cap_cphase_high"
         ]
-        for n_steps in steps:
-            rows = dyn.sweep(layout, cfg.coupling, [n_steps], phis, start)
-            per_n = {
-                name: cp.GateCounts(c.collective * n_steps, c.cphase * n_steps, c.single * n_steps)
-                for name, c in counts.items()
-            }
-            coll_band = cp.fidelity_cap(per_n["collective"], cfg.noise)
-            cph_band = cp.fidelity_cap(per_n["cphase"], cfg.noise)
-            for row in rows:
-                lines.append(
-                    f"{row.steps},{row.phi!r},{row.overlap_initial!r},{row.fidelity!r},"
-                    f"{coll_band[0]!r},{coll_band[1]!r},{cph_band[0]!r},{cph_band[1]!r}"
-                )
+        bands = {n_steps: _fidelity_bands(counts, n_steps, cfg.noise) for n_steps in set(steps)}
+        for row in rows:
+            coll_band, cph_band = bands[row.steps]
+            lines.append(
+                f"{row.steps},{row.phi!r},{row.overlap_initial!r},{row.fidelity!r},"
+                f"{coll_band[0]!r},{coll_band[1]!r},{cph_band[0]!r},{cph_band[1]!r}"
+            )
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown figure {cfg.figure!r}")
 
@@ -210,11 +216,10 @@ def run_covariance(cfg: RunConfig) -> str:
     layout = _load_layout(cfg)
     rng = np.random.default_rng(cfg.seed)
     lines = ["set,link,max_deviation"]
-    for index in range(cfg.sets):
-        angles = {v: tuple(rng.uniform(-np.pi, np.pi, 3)) for v in layout.vertices}
-        for link in layout.links:
-            deviation = lm.gauge_covariance_check(layout, link.link_id, angles)
-            lines.append(f"{index},{link.link_id},{deviation!r}")
+    angle_sets = [{v: tuple(rng.uniform(-np.pi, np.pi, 3)) for v in layout.vertices} for _ in range(cfg.sets)]
+    for index, deviations in enumerate(lm.gauge_covariance_deviations(layout, angle_sets)):
+        for link_id, deviation in deviations.items():
+            lines.append(f"{index},{link_id},{deviation!r}")
     return "\n".join(lines) + "\n"
 
 

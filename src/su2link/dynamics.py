@@ -15,10 +15,18 @@ Every operator acts through the bit-mask kernel ``pauli.action``, with no
 matrix: ``pauli.matvec`` for the Lanczos iteration and for expectation
 values, and a factor table of (coefficient, perm, phases) for the Trotter
 product, where one factor maps psi to ``cos * psi - i sin * (phases * psi[..., perm])``.
-``sweep`` builds the table once and evolves all phases of one step count
-together as a ``(n_phi, 2^n)`` batch, with the time step as a column; each
-row gets the same arithmetic as a ``trotter_evolve`` call, and likewise for
-the ideal states and ``exact_evolve``.
+
+Every plaquette monomial flips all of its plaquette's position qubits, so an
+evolution never leaves the XOR cosets of the Hamiltonian's X masks that its
+start state touches (``pauli.reachable``; on the triangle 8 of 64 basis
+states for each sector representative).  Evolutions run on those rows only,
+with the restricted kernel, and go back to full 2^n vectors before any
+expectation value or overlap is taken; a state with full support reaches the
+whole register on the same path.  ``sweep`` evolves every (start, step count,
+phi) row as one ragged batch sorted by step count, where step s acts on the
+prefix of rows that take more than s steps.  Each row gets the same
+arithmetic as a ``trotter_evolve`` call, and likewise for the ideal states
+and ``exact_evolve``.
 
 States are plain complex numpy arrays of length 2^n.  Every evolution
 preserves the norm to 1e-10; sweeps are evaluated in deterministic grid order.
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +48,7 @@ from .linkmodel import (
     plaquette_monomials,
     total_gauge_casimir,
 )
-from .pauli import PauliSum, action, matvec
+from .pauli import PauliSum, action, matvec, reachable
 
 EVOLVE_QUBIT_LIMIT = 12
 NORM_TOL = 1e-10
@@ -77,23 +86,58 @@ def expectation(op: PauliSum, state: np.ndarray) -> float:
     return float(_expectations(matvec(op, _n_qubits_of(state)), state))
 
 
+class _Space(NamedTuple):
+    """The sorted basis indices ``rows`` of an ``n_qubits`` register that an
+    evolution stays on."""
+
+    n_qubits: int
+    rows: np.ndarray
+
+
+def _check_evolution(hamiltonian: PauliSum, n_qubits: int, kind: str) -> None:
+    if n_qubits > EVOLVE_QUBIT_LIMIT:
+        raise GuardError(f"{kind} evolution limited to {EVOLVE_QUBIT_LIMIT} qubits")
+    if not hamiltonian.is_hermitian():
+        raise GuardError("Hamiltonian must be Hermitian")
+
+
+def _reach(hamiltonian: PauliSum, states: np.ndarray, n_qubits: int) -> _Space:
+    """The XOR cosets of the Hamiltonian's X masks that the support of
+    ``states`` (one state or a batch) touches."""
+    support = np.flatnonzero(np.any(np.reshape(states, (-1, 2**n_qubits)) != 0, axis=0))
+    return _Space(n_qubits, reachable(hamiltonian, support, n_qubits))
+
+
+def _local_matvec(op: PauliSum, space: _Space):
+    """``op`` as a ``pauli.matvec`` on the rows of ``space``."""
+    return matvec(op, space.n_qubits, space.rows)
+
+
+def _scatter(space: _Space, states: np.ndarray) -> np.ndarray:
+    """States held on the rows of ``space`` (one, or a batch) as full 2^n
+    vectors, zero off those rows."""
+    out = np.zeros(np.shape(states)[:-1] + (2**space.n_qubits,), dtype=complex)
+    out[..., space.rows] = states
+    return out
+
+
 def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray):
     """Eigenpairs of H on the Krylov space of ``state``, as (eigvals,
-    amplitudes, ritz): H ritz[k] = eigvals[k] ritz[k] and
-    state = sum_k amplitudes[k] ritz[k].
+    amplitudes, ritz, space): H ritz[k] = eigvals[k] ritz[k] and
+    state = sum_k amplitudes[k] ritz[k], with the Ritz vectors held on the
+    rows of ``space``, the cosets that the state reaches.
 
     Lanczos with two full reorthogonalisations per step runs until the next
-    vector vanishes (or the space fills the register), then the tridiagonal
+    vector vanishes (or the space fills those rows), then the tridiagonal
     matrix T is diagonalised.  The residual ||H V - V T|| is guarded relative
     to the coefficient 1-norm of H, which bounds its operator norm.
     """
     n = _n_qubits_of(state)
-    if n > EVOLVE_QUBIT_LIMIT:
-        raise GuardError(f"exact evolution limited to {EVOLVE_QUBIT_LIMIT} qubits")
-    if not hamiltonian.is_hermitian():
-        raise GuardError("Hamiltonian must be Hermitian")
+    _check_evolution(hamiltonian, n, "exact")
     _check_norm(state)
-    apply_h = matvec(hamiltonian, n)
+    space = _reach(hamiltonian, state, n)
+    state = state[space.rows]
+    apply_h = _local_matvec(hamiltonian, space)
     scale = sum(abs(term.coefficient) for term in hamiltonian.terms)
     vectors, images, alphas, betas = [state / np.linalg.norm(state)], [], [], []
     while True:
@@ -114,19 +158,19 @@ def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray):
     if residual > NORM_TOL * scale:
         raise GuardError(f"Lanczos residual {residual:.3g} exceeds 1e-10 of the Hamiltonian's norm")
     eigvals, eigvecs = np.linalg.eigh(tridiagonal)
-    return eigvals, np.linalg.norm(state) * eigvecs[0], eigvecs.T @ block
+    return eigvals, np.linalg.norm(state) * eigvecs[0], eigvecs.T @ block, space
 
 
 def _evolve_spectrum(spectrum, times: np.ndarray) -> np.ndarray:
-    """exp(-i H t) state for every t in ``times``, one row each, from a
-    ``_krylov_spectrum``; each row gets the same arithmetic whatever the
-    number of times."""
-    eigvals, amplitudes, ritz = spectrum
+    """exp(-i H t) state for every t in ``times``, one full 2^n row each,
+    from a ``_krylov_spectrum``; each row gets the same arithmetic whatever
+    the number of times."""
+    eigvals, amplitudes, ritz, space = spectrum
     weights = np.exp(-1j * eigvals * times[:, None]) * amplitudes
     out = np.zeros((len(times), ritz.shape[1]), dtype=complex)
     for k in range(len(eigvals)):
         out += weights[:, k, None] * ritz[k]
-    return _check_norm(out)
+    return _scatter(space, _check_norm(out))
 
 
 def exact_evolve(hamiltonian: PauliSum, state: np.ndarray, t: float) -> np.ndarray:
@@ -174,28 +218,30 @@ def _listing_order(layout: PlaquetteLayout, coupling: float, hamiltonian: PauliS
 
 
 def _trotter_factors(
-    hamiltonian: PauliSum, order: tuple[int, ...], n_qubits: int
+    hamiltonian: PauliSum, order: tuple[int, ...], space: _Space
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Guarded factor table: (real weight c, perm, phases) of each unit string P
-    in ``order``."""
-    if n_qubits > EVOLVE_QUBIT_LIMIT:
-        raise GuardError(f"Trotter evolution limited to {EVOLVE_QUBIT_LIMIT} qubits")
-    if not hamiltonian.is_hermitian():
-        raise GuardError("Hamiltonian must be Hermitian")
+    """Factor table on the rows of ``space``: (real weight c, perm, phases) of
+    each unit string P in ``order``."""
     terms = hamiltonian.terms
     if len(order) != len(terms):
         raise ValueError("plan order does not cover the Hamiltonian's terms")
-    return [(terms[k].coefficient.real, *action(terms[k].bare(), n_qubits)) for k in order]
+    return [(terms[k].coefficient.real, *action(terms[k].bare(), *space)) for k in order]
 
 
-def _apply_factors(factors, dt, steps: int, states: np.ndarray) -> np.ndarray:
-    """The factor table applied ``steps`` times to one state (scalar ``dt``) or
-    to a batch of states (``dt`` a column, one row per state)."""
-    trig = [(np.cos(c * dt), np.sin(c * dt), perm, phases) for c, perm, phases in factors]
-    out = states
-    for _ in range(steps):
-        for cos_a, sin_a, perm, phases in trig:
-            out = cos_a * out - 1j * sin_a * (phases * out[..., perm])
+def _apply_factors(factors, dt, steps, states: np.ndarray) -> np.ndarray:
+    """The factor table applied to a batch of states, one row each, with one
+    time step ``dt`` and one step count ``steps`` per row, the rows sorted by
+    step count, descending.  Step s acts on the prefix of rows whose count
+    exceeds s, so every row gets the arithmetic it would get alone."""
+    dt = np.asarray(dt, dtype=float)[:, None]
+    steps = np.asarray(steps)
+    trig = [(np.cos(c * dt), 1j * np.sin(c * dt), perm, phases) for c, perm, phases in factors]
+    out = np.array(states, dtype=complex)
+    for step in range(int(steps.max(initial=0))):
+        active = int(np.count_nonzero(steps > step))
+        block = out[:active]
+        for cos_a, isin_a, perm, phases in trig:
+            block[...] = cos_a[:active] * block - isin_a[:active] * (phases * block[:, perm])
     return out
 
 
@@ -207,9 +253,13 @@ def trotter_evolve(
     Each factor is computed in closed form: exp(-i c P dt) = cos(c dt) - i sin(c dt) P
     for a unit-coefficient string P with real weight c.
     """
-    factors = _trotter_factors(hamiltonian, plan.order, _n_qubits_of(state))
+    n = _n_qubits_of(state)
+    _check_evolution(hamiltonian, n, "Trotter")
+    space = _reach(hamiltonian, state, n)
+    factors = _trotter_factors(hamiltonian, plan.order, space)
     dt = plan.phi / coupling / plan.steps
-    return _check_norm(_apply_factors(factors, dt, plan.steps, state))
+    evolved = _apply_factors(factors, [dt], [plan.steps], state[None, space.rows])
+    return _scatter(space, _check_norm(evolved))[0]
 
 
 def overlap(state: np.ndarray, other: np.ndarray) -> float:
@@ -252,56 +302,77 @@ def sweep(
     coupling: float,
     steps_list: list[int],
     phis: list[float],
-    start_sector: float,
+    start_sector: float | Sequence[float],
     backend: str = "trotter",
 ) -> list[SweepRow]:
-    """Deterministic grid evaluation: rows in (steps outer, phi inner) order.
+    """Deterministic grid evaluation: rows in (start, steps as given, phi)
+    order, for one start sector eigenvalue or a sequence of them.
 
     The initial state is the canonical representative of the requested gauge
     sector; the digital state uses the listing-order Trotter plan, or equals
     the ideal state for the exact backend.  Every step count must be at least
-    1, as in a TrotterPlan.  The Hamiltonian, its spectrum, the ideal states
-    and the Trotter factor table are built once per call; the digital states
-    of one step count are evolved as one batch over phi.
+    1, as in a TrotterPlan.  The Hamiltonian, the Casimir, the sector table
+    and the Trotter factor table are built once per call, and each start's
+    spectrum once.  The digital states of every (step count, start, phi) form
+    one ragged batch on the cosets the starts reach, sorted by step count, and
+    go back to full vectors one (start, step count) block at a time.
     """
     if backend not in ("trotter", "exact"):
         raise ValueError(f"unknown backend {backend!r}")
-    if not steps_list or not phis:
+    starts = [start_sector] if np.ndim(start_sector) == 0 else list(start_sector)
+    if not steps_list or not phis or not starts:
         return []
     for steps in steps_list:
         _check_steps(steps)
     n = layout.n_qubits
-    psi0 = canonical_sector_state(gauge_sectors(layout), start_sector)
+    casimir_op = total_gauge_casimir(layout)
+    table = gauge_sectors(layout)
+    psi0 = [canonical_sector_state(table, start, casimir_op) for start in starts]
     hamiltonian = plaquette_hamiltonian(layout, coupling)
-    if backend == "trotter":
-        factors = _trotter_factors(hamiltonian, _listing_order(layout, coupling, hamiltonian), n)
-    casimir = matvec(total_gauge_casimir(layout), n)
-    ideal = _evolve_spectrum(_krylov_spectrum(hamiltonian, psi0), np.asarray(phis, dtype=float) / coupling)
-    gauge_ideal = [float(g) for g in _expectations(casimir, ideal)]
-    if any(abs(g) < DEVIATION_GUARD for g in gauge_ideal):
+    casimir = matvec(casimir_op, n)
+    times = np.asarray(phis, dtype=float) / coupling
+    ideal = [_evolve_spectrum(_krylov_spectrum(hamiltonian, psi), times) for psi in psi0]
+    gauge_ideal = [[float(g) for g in _expectations(casimir, states)] for states in ideal]
+    if any(abs(g) < DEVIATION_GUARD for values in gauge_ideal for g in values):
         raise GuardError("ideal gauge expectation vanished")
+    overlap_initial = [[overlap(psi, start) for psi in states] for states, start in zip(ideal, psi0)]
+
+    if backend == "exact":
+        space = _Space(n, np.arange(2**n))
+        digital = {(steps, s): ideal[s] for steps in steps_list for s in range(len(starts))}
+    else:
+        space = _reach(hamiltonian, np.array(psi0), n)
+        factors = _trotter_factors(hamiltonian, _listing_order(layout, coupling, hamiltonian), space)
+        blocks = [(steps, s) for steps in sorted(set(steps_list), reverse=True) for s in range(len(starts))]
+        evolved = _check_norm(_apply_factors(
+            factors,
+            np.concatenate([times / steps for steps, _ in blocks]),
+            np.repeat([steps for steps, _ in blocks], len(phis)),
+            np.concatenate([np.broadcast_to(psi0[s][space.rows], (len(phis), len(space.rows))) for _, s in blocks]),
+        ))
+        digital = {block: evolved[i * len(phis):(i + 1) * len(phis)] for i, block in enumerate(blocks)}
+
+    made: dict[tuple[int, int], list[SweepRow]] = {}
     rows = []
-    for steps in steps_list:
-        if backend == "exact":
-            digital = ideal
-        else:
-            dt = (np.asarray(phis, dtype=float) / coupling / steps)[:, None]
-            batch = np.broadcast_to(psi0, (len(phis), len(psi0)))
-            digital = _check_norm(_apply_factors(factors, dt, steps, batch))
-        gauge_digital = [float(g) for g in _expectations(casimir, digital)]
-        points = zip(phis, ideal, gauge_ideal, digital, gauge_digital)
-        for phi, psi_ideal, gauge_i, psi_digital, gauge_d in points:
-            rows.append(
-                SweepRow(
-                    steps=steps,
-                    phi=float(phi),
-                    deviation=(gauge_i - gauge_d) / gauge_i,
-                    overlap_initial=overlap(psi_ideal, psi0),
-                    fidelity=overlap(psi_ideal, psi_digital),
-                    gauge_ideal=gauge_i,
-                    gauge_digital=gauge_d,
-                )
-            )
+    for s in range(len(starts)):
+        for steps in steps_list:
+            if (steps, s) not in made:
+                states = _scatter(space, digital[steps, s])
+                gauge_digital = [float(g) for g in _expectations(casimir, states)]
+                points = zip(phis, ideal[s], gauge_ideal[s], overlap_initial[s], states, gauge_digital)
+                made[steps, s] = [
+                    SweepRow(
+                        steps=steps,
+                        phi=float(phi),
+                        deviation=(gauge_i - gauge_d) / gauge_i,
+                        overlap_initial=overlap_i,
+                        fidelity=overlap(psi_ideal, psi_digital),
+                        gauge_ideal=gauge_i,
+                        gauge_digital=gauge_d,
+                    )
+                    for phi, psi_ideal, gauge_i, overlap_i, psi_digital, gauge_d in points
+                ]
+            rows += made[steps, s]
     return rows
 
 

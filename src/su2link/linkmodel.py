@@ -148,23 +148,26 @@ def gauge_generator(layout: PlaquetteLayout, vertex: int, a: int) -> PauliSum:
         raise LayoutError(f"unknown vertex {vertex!r}")
     if a not in _AXES:
         raise ValueError(f"color index must be 1..3, got {a}")
-    total = PauliSum()
+    return _gauge_generators(layout)[vertex, a]
+
+
+def _gauge_generators(layout: PlaquetteLayout) -> dict[tuple[int, int], PauliSum]:
+    """Every gauge generator of a layout by (vertex, color), from one pass
+    over the links that adds each link's generators in layout order."""
+    total = {(vertex, a): PauliSum() for vertex in layout.vertices for a in (1, 2, 3)}
     for link in layout.links:
         left, right = left_right_generators(layout, link.link_id)
-        if link.to == vertex:
-            total = total + right[a - 1]
-        if link.frm == vertex:
-            total = total + left[a - 1]
+        for a in (1, 2, 3):
+            total[link.to, a] = total[link.to, a] + right[a - 1]
+            total[link.frm, a] = total[link.frm, a] + left[a - 1]
     return total
 
 
 def total_gauge_casimir(layout: PlaquetteLayout) -> PauliSum:
     """Sum over vertices and colors of the squared gauge generators."""
     squares = []
-    for vertex in layout.vertices:
-        for a in (1, 2, 3):
-            g = gauge_generator(layout, vertex, a)
-            squares += (g * g).terms
+    for g in _gauge_generators(layout).values():
+        squares += (g * g).terms
     return PauliSum(squares)
 
 
@@ -290,7 +293,9 @@ def gauge_sectors(layout: PlaquetteLayout) -> GaugeSectorTable:
     )
 
 
-def canonical_sector_state(table: GaugeSectorTable, eigenvalue: float) -> np.ndarray:
+def canonical_sector_state(
+    table: GaugeSectorTable, eigenvalue: float, casimir: PauliSum | None = None
+) -> np.ndarray:
     """Deterministic representative of a sector: the normalized projection of
     the lowest-index computational basis state with nonzero weight in it.
 
@@ -298,7 +303,8 @@ def canonical_sector_state(table: GaugeSectorTable, eigenvalue: float) -> np.nda
     spin |m_v| <= j_v <= k_v / 2 there, so it has weight in the sector if some
     such choice gives the eigenvalue.  The projection is the Lagrange
     polynomial prod_{mu != lambda} (C - mu) / (lambda - mu) of the Casimir C
-    over the table's eigenvalues, applied through ``pauli.matvec``.
+    over the table's eigenvalues, applied through ``pauli.matvec``; a caller
+    that already holds ``total_gauge_casimir`` of the layout may pass it.
     """
     sector = table.sector(eigenvalue)
     layout = sector.layout
@@ -312,12 +318,12 @@ def canonical_sector_state(table: GaugeSectorTable, eigenvalue: float) -> np.nda
             break
     else:
         raise RuntimeError("no basis state has weight in the sector")  # unreachable for a counted table
-    casimir = pauli.matvec(total_gauge_casimir(layout), table.n_qubits)
+    apply_casimir = pauli.matvec(total_gauge_casimir(layout) if casimir is None else casimir, table.n_qubits)
     state = np.zeros(2**table.n_qubits, dtype=complex)
     state[index] = 1.0
     for mu in table.eigenvalues():
         if mu != sector.eigenvalue:
-            state = (casimir(state) - mu * state) / (sector.eigenvalue - mu)
+            state = (apply_casimir(state) - mu * state) / (sector.eigenvalue - mu)
     # adding 0.0 turns the -0.0 that a negative lambda - mu leaves into +0.0
     return state / np.linalg.norm(state) + 0.0
 
@@ -332,24 +338,50 @@ def gauge_covariance_check(
 
     ``angles`` assigns three rotation angles to every vertex.
     """
+    link = layout.link(link_id)
+    return _link_covariance(layout, link, angles, _gauge_transform(layout, _gauge_generators(layout), angles))
+
+
+def gauge_covariance_deviations(
+    layout: PlaquetteLayout, angle_sets: list[dict[int, tuple[float, float, float]]]
+) -> list[dict[str, float]]:
+    """``gauge_covariance_check`` of every link, in layout order, for each
+    angle set: the gauge generators are built once and each set's gauge
+    transformation once for all links."""
+    generators = _gauge_generators(layout)
+    out = []
+    for angles in angle_sets:
+        transform = _gauge_transform(layout, generators, angles)
+        out.append({link.link_id: _link_covariance(layout, link, angles, transform) for link in layout.links})
+    return out
+
+
+def _gauge_transform(
+    layout: PlaquetteLayout,
+    generators: dict[tuple[int, int], PauliSum],
+    angles: dict[int, tuple[float, float, float]],
+) -> np.ndarray:
+    """exp(-i sum_{v,a} angles[v][a-1] G_v^a) as a dense matrix."""
     missing = set(layout.vertices) - set(angles)
     if missing:
         raise ValueError(f"angles missing for vertices {sorted(missing)}")
-    n = layout.n_qubits
     generator = PauliSum()
     for vertex in layout.vertices:
         for a in (1, 2, 3):
-            generator = generator + angles[vertex][a - 1] * gauge_generator(layout, vertex, a)
-    transform = expi_hermitian(dense(generator, n), scale=-1.0)
+            generator = generator + angles[vertex][a - 1] * generators[vertex, a]
+    return expi_hermitian(dense(generator, layout.n_qubits), scale=-1.0)
 
-    link = layout.link(link_id)
+
+def _link_covariance(layout: PlaquetteLayout, link: Link, angles, transform: np.ndarray) -> float:
+    """``gauge_covariance_check`` of one link, given the gauge transformation."""
+    n = layout.n_qubits
     sigma = [pauli.letter_matrix(l) for l in ("X", "Y", "Z")]
     half_from = sum(angles[link.frm][a] * sigma[a] for a in range(3)) / 2.0
     half_to = sum(angles[link.to][a] * sigma[a] for a in range(3)) / 2.0
     rot_from = expi_hermitian(half_from)
     rot_to = expi_hermitian(half_to, scale=-1.0)
 
-    u_dense = [[dense(op, n) for op in row] for row in link_operator(layout, link_id)]
+    u_dense = [[dense(op, n) for op in row] for row in link_operator(layout, link.link_id)]
     worst = 0.0
     for alpha in range(2):
         for beta in range(2):

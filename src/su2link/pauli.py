@@ -12,9 +12,11 @@ letters set bits of an X mask, Y and Z letters set bits of a Z mask, and each
 Y contributes a factor i (Y = i X Z).  A string then maps basis state
 ``k ^ xmask`` to ``k`` with the phase ``c i^#Y (-1)^popcount((k ^ xmask) & zmask)``,
 so applying it is one gather and one multiply, with no matrix.  ``matvec``
-sums those gathers over the terms of a PauliSum.  ``dense`` scatters the same
-(perm, phases) pairs into a matrix; it serves the covariance check, the matter
-chain and the tests.
+sums those gathers over the terms of a PauliSum.  Both also come in a
+restricted form, on a set of rows closed under the X masks; ``reachable``
+finds the smallest such set that holds a given support, by GF(2) elimination
+of the masks.  ``dense`` scatters the same (perm, phases) pairs into a
+matrix; it serves the covariance check, the matter chain and the tests.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import GuardError
 
 MERGE_TOL = 1e-12
-DENSE_QUBIT_LIMIT = 14
+DENSE_QUBIT_LIMIT = 12
 
 _LETTERS = ("I", "X", "Y", "Z")
 
@@ -237,38 +239,53 @@ def commutator(a: PauliString, b: PauliString) -> PauliSum:
 _I_POWERS = (1, 1j, -1, -1j)
 
 
-def action(term: PauliString, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+def _xmask(term: PauliString) -> int:
+    """The bits that ``term`` flips: one per X or Y letter."""
+    return sum(1 << q for q, letter in term.letters.items() if letter != "Z")
+
+
+def action(term: PauliString, n_qubits: int, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Bit-mask action of ``term`` on ``n_qubits`` qubits as ``(perm, phases)``.
 
     ``(term psi)[k] = phases[k] * psi[perm[k]]`` for every basis index k, with
     ``perm = k ^ xmask`` and ``phases = c i^#Y (-1)^popcount(perm & zmask)``.
     Bit ordering: qubit 0 is the least significant bit of the basis index, so
     basis state ``k`` assigns qubit q the bit ``(k >> q) & 1``.
+
+    With ``rows``, a sorted array of basis indices closed under the X mask,
+    the pair is taken on those rows only: psi then holds the amplitudes of
+    ``rows``, and ``perm[i]`` is the position of ``rows[i] ^ xmask`` in them.
     """
     if n_qubits < 0:
         raise ValueError("n_qubits must be non-negative")
     if term.support and max(term.support) >= n_qubits:
         raise ValueError(f"support {term.support} does not fit in {n_qubits} qubits")
-    xmask = sum(1 << q for q, letter in term.letters.items() if letter != "Z")
     z_qubits = [q for q, letter in term.letters.items() if letter != "X"]
     n_y = sum(1 for letter in term.letters.values() if letter == "Y")
-    perm = np.arange(2**n_qubits) ^ xmask
-    parity = np.zeros_like(perm)
+    flipped = (np.arange(2**n_qubits) if rows is None else rows) ^ _xmask(term)
+    parity = np.zeros_like(flipped)
     for q in z_qubits:
-        parity ^= perm >> q
+        parity ^= flipped >> q
     signs = 1 - 2 * (parity & 1)
-    return perm, (term.coefficient * _I_POWERS[n_y % 4]) * signs
+    phases = (term.coefficient * _I_POWERS[n_y % 4]) * signs
+    if rows is None:
+        return flipped, phases
+    perm = np.searchsorted(rows, flipped)
+    if len(rows) and not np.array_equal(rows[np.minimum(perm, len(rows) - 1)], flipped):
+        raise ValueError("rows are not closed under the term's X mask")
+    return perm, phases
 
 
-def matvec(op: PauliSum | PauliString, n_qubits: int):
+def matvec(op: PauliSum | PauliString, n_qubits: int, rows: np.ndarray | None = None):
     """``op`` as a matrix-free map built from ``action``: the returned function
-    applies it to one state or to every row of a batch of states.  Terms that
+    applies it to one state or to every row of a batch of states, given on
+    all 2^n basis indices or, with ``rows``, on those rows only.  Terms that
     flip the same bits share one gather; each row gets the same arithmetic
     whatever the batch size."""
     by_xmask: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for term in _as_sum(op).terms:
-        perm, phases = action(term, n_qubits)
-        xmask = int(perm[0])
+        perm, phases = action(term, n_qubits, rows)
+        xmask = _xmask(term)
         if xmask in by_xmask:
             phases = by_xmask[xmask][1] + phases
         by_xmask[xmask] = (perm, phases)
@@ -281,6 +298,33 @@ def matvec(op: PauliSum | PauliString, n_qubits: int):
         return out
 
     return apply
+
+
+def reachable(op: PauliSum | PauliString, indices: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Sorted basis indices that ``op`` connects to ``indices``: every
+    ``k ^ x`` with k in ``indices`` and x in the GF(2) span of the terms' X
+    masks.  These XOR cosets are closed under every term, so a state
+    supported on ``indices`` stays on them under any function of ``op``.
+
+    Elimination keeps one mask per pivot bit, the mask's highest set bit.
+    Clearing the pivot bits of an index, highest first, maps it to the same
+    representative as every other index of its coset, so an index is
+    reachable when its representative is one of those of ``indices``.
+    """
+    op = _as_sum(op)
+    if op.support and max(op.support) >= n_qubits:
+        raise ValueError(f"support {op.support} does not fit in {n_qubits} qubits")
+    basis: dict[int, int] = {}
+    for term in op.terms:
+        x = _xmask(term)
+        while x and (x.bit_length() - 1) in basis:
+            x ^= basis[x.bit_length() - 1]
+        if x:
+            basis[x.bit_length() - 1] = x
+    representatives = np.arange(2**n_qubits)
+    for pivot in sorted(basis, reverse=True):
+        representatives = np.where((representatives >> pivot) & 1, representatives ^ basis[pivot], representatives)
+    return np.flatnonzero(np.isin(representatives, representatives[np.asarray(indices, dtype=int)]))
 
 
 def dense(op: PauliSum | PauliString, n_qubits: int) -> np.ndarray:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +199,62 @@ def test_covariance_report(capsys):
     assert lines[0] == "set,link,max_deviation"
     assert len(lines) == 1 + 2 * 3
     assert all(float(line.split(",")[2]) < 1e-9 for line in lines[1:])
+
+
+def test_covariance_builds_one_transform_per_set(monkeypatch, capsys):
+    sizes = []
+    original = lm.expi_hermitian
+
+    def recording(matrix, scale=1.0):
+        sizes.append(len(matrix))
+        return original(matrix, scale)
+
+    monkeypatch.setattr(lm, "expi_hermitian", recording)
+    code, out, _ = run(["covariance", "--sets", "3"], capsys)
+    assert code == 0 and len(out.splitlines()) == 1 + 3 * 3
+    assert sizes.count(2**6) == 3  # the 2x2 color rotations make up the rest
+
+
+def test_matter_three_sites_exits_3_before_allocating():
+    # 14 modes would need a 4 GiB dense matrix; under a 3 GB address-space
+    # cap the size guard must answer before any allocation is tried
+    resource = pytest.importorskip("resource")
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 3_000_000_000 if hard == resource.RLIM_INFINITY else min(3_000_000_000, hard)
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "su2link.cli", "matter", "--sites", "3"],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+    )
+    assert result.returncode == 3
+    assert result.stderr.splitlines() == ["numerical guard: dense realization limited to 12 qubits, got 14"]
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("figure", ["fig3", "fig4", "figS2"])
+def test_default_figures_match_golden_outputs(figure, capsys):
+    """The default figure CSVs against the committed ones in tests/data: the
+    header and the start, N and phi columns exactly, every other value within
+    1e-12 (the last bits may move with the BLAS build)."""
+    code, out, _ = run(["figures", figure], capsys)
+    assert code == 0
+    want = (GOLDEN / f"{figure}.csv").read_text(encoding="utf-8").splitlines()
+    got = out.splitlines()
+    assert got[0] == want[0] and len(got) == len(want)
+    header = want[0].split(",")
+    for got_line, want_line in zip(got[1:], want[1:]):
+        for column, got_value, want_value in zip(header, got_line.split(","), want_line.split(",")):
+            if column in ("start", "N", "phi"):
+                assert got_value == want_value
+            else:
+                assert abs(float(got_value) - float(want_value)) <= 1e-12, (column, got_line, want_line)
 
 
 def test_config_file_defaults_and_precedence(tmp_path, capsys):

@@ -5,7 +5,8 @@ from su2link import cli
 from su2link import dynamics as dyn
 from su2link import linkmodel as lm
 from su2link.errors import GuardError
-from su2link.pauli import PauliString, PauliSum, dense
+from su2link.linalg import expi_hermitian
+from su2link.pauli import PauliString, PauliSum, action, dense, matvec, reachable
 
 
 @pytest.fixture(scope="module")
@@ -350,14 +351,14 @@ def test_lanczos_residual_guard(hamiltonian, sector_table, monkeypatch):
         with pytest.raises(GuardError, match="Lanczos residual"):
             dyn.exact_evolve(hamiltonian, psi0, 0.5)
     # an operator that is not the same linear map at every call breaks H V = V T
-    original = dyn.matvec
+    original = dyn._local_matvec
     rng = np.random.default_rng(0)
 
     def noisy_matvec(op, n):
         apply = original(op, n)
         return lambda states: apply(states) + 1e-6 * rng.normal(size=np.shape(states))
 
-    monkeypatch.setattr(dyn, "matvec", noisy_matvec)
+    monkeypatch.setattr(dyn, "_local_matvec", noisy_matvec)
     with pytest.raises(GuardError, match="Lanczos residual"):
         dyn.exact_evolve(hamiltonian, psi0, 0.5)
 
@@ -396,3 +397,119 @@ def test_two_plaquette_sweep_builds_no_dense_matrix(two_plaquette, monkeypatch):
     rows = dyn.sweep(two_plaquette, 1.0, [1, 2], [0.5, 1.0], 0.75)
     assert len(rows) == 4
     assert sizes and max(sizes) <= 64  # only the Lanczos tridiagonal matrix
+
+
+def random_coset_sum(rng, n):
+    """A random Hermitian Pauli sum on n qubits whose X masks leave at least
+    four XOR cosets, so that every sparse start evolves on part of the
+    register."""
+    while True:
+        terms = [
+            PauliString(rng.normal(), {q: "XYZ"[rng.integers(3)] for q in range(n) if rng.random() < 0.6} or {0: "Z"})
+            for _ in range(int(rng.integers(2, 6)))
+        ]
+        h = PauliSum(terms)
+        if len(reachable(h, [0], n)) <= 2 ** (n - 2):
+            return h
+
+
+def sparse_starts(rng, h, n):
+    """A basis state, a state on two indices of one coset and a state on one
+    index each of two cosets."""
+    one = int(rng.integers(2**n))
+    coset = reachable(h, [one], n)
+    other = int(rng.choice(np.setdiff1d(np.arange(2**n), coset)))
+    partner = int(rng.choice(coset[coset != one])) if len(coset) > 1 else one
+    starts = []
+    for indices in ([one], [one, partner], [one, other]):
+        psi = np.zeros(2**n, dtype=complex)
+        psi[indices] = rng.normal(size=len(indices)) + 1j * rng.normal(size=len(indices))
+        starts.append(psi / np.linalg.norm(psi))
+    assert len(reachable(h, [one, other], n)) == 2 * len(coset)
+    return starts
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_restricted_evolution_matches_dense_on_random_pauli_sums(n):
+    rng = np.random.default_rng(20 + n)
+    for _ in range(6):
+        h = random_coset_sum(rng, n)
+        matrix = dense(h, n)
+        for psi in sparse_starts(rng, h, n):
+            assert len(dyn._reach(h, psi, n).rows) < 2**n
+            for t in (0.4, -1.3):
+                expected = expi_hermitian(matrix, scale=-t) @ psi
+                assert np.max(np.abs(dyn.exact_evolve(h, psi, t) - expected)) < 1e-12
+            plan = dyn.TrotterPlan(tuple(rng.permutation(len(h)).tolist()), 3, 0.9)
+            expected = dense_trotter_reference(h, plan, psi)
+            assert np.max(np.abs(dyn.trotter_evolve(h, plan, psi) - expected)) < 1e-12
+
+
+def full_register_trotter(hamiltonian, plan, state):
+    """The Trotter product on all 2^n amplitudes with the unrestricted kernel."""
+    n = int(np.log2(len(state)))
+    dt = plan.phi / plan.steps
+    out = state
+    for _ in range(plan.steps):
+        for k in plan.order:
+            term = hamiltonian.terms[k]
+            perm, phases = action(term.bare(), n)
+            angle = term.coefficient.real * dt
+            out = np.cos(angle) * out - 1j * np.sin(angle) * (phases * out[perm])
+    return out
+
+
+def taylor_evolve(hamiltonian, state, t, pieces=16, order=30):
+    """exp(-i H t) state as `pieces` truncated Taylor series on the full
+    register, through the unrestricted matvec."""
+    apply_h = matvec(hamiltonian, int(np.log2(len(state))))
+    out = state
+    for _ in range(pieces):
+        term, total = out, out.copy()
+        for k in range(1, order):
+            term = apply_h(term) * (-1j * t / pieces / k)
+            total = total + term
+        out = total
+    return out
+
+
+@pytest.mark.parametrize("name", ["triangle", "two_plaquette", "disjoint_triangles", "unused_qubit"])
+def test_restricted_evolution_matches_full_register_on_layouts(layouts, name):
+    layout = layouts[name]
+    n = layout.n_qubits
+    hamiltonian = lm.plaquette_hamiltonian(layout, 1.0)
+    table = lm.gauge_sectors(layout)
+    low, high = table.eigenvalues()[0], table.eigenvalues()[-1]
+    mixed = lm.canonical_sector_state(table, low) + lm.canonical_sector_state(table, high)
+    states = [lm.canonical_sector_state(table, low), mixed / np.linalg.norm(mixed), dyn.basis_state(n, 2**n - 1)]
+    _, plan = dyn.plaquette_plan(layout, 1.0, 3, 0.8)
+    for psi in states:
+        assert len(dyn._reach(hamiltonian, psi, n).rows) < 2**n
+        assert np.max(np.abs(dyn.exact_evolve(hamiltonian, psi, 0.7) - taylor_evolve(hamiltonian, psi, 0.7))) < 1e-12
+        expected = full_register_trotter(hamiltonian, plan, psi)
+        assert np.max(np.abs(dyn.trotter_evolve(hamiltonian, plan, psi) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["triangle", "two_plaquette", "disjoint_triangles", "unused_qubit"])
+def test_ragged_sweep_rows_match_single_calls_bitwise(layouts, name):
+    layout = layouts[name]
+    starts = lm.gauge_sectors(layout).eigenvalues()[:2]
+    phis = [0.3, 0.7]
+    rows = dyn.sweep(layout, 1.0, [3, 1, 3], phis, starts)
+    assert [(r.steps, r.phi) for r in rows] == [(n, phi) for _ in starts for n in (3, 1, 3) for phi in phis]
+    expected = [row for start in starts for n in (3, 1, 3) for row in dyn.sweep(layout, 1.0, [n], phis, start)]
+    assert repr(rows) == repr(expected)
+
+
+def test_sweep_builds_the_casimir_once_per_call(layout, monkeypatch):
+    calls = []
+    original = lm.total_gauge_casimir
+
+    def counting(layout):
+        calls.append(layout)
+        return original(layout)
+
+    monkeypatch.setattr(lm, "total_gauge_casimir", counting)
+    monkeypatch.setattr(dyn, "total_gauge_casimir", counting)
+    dyn.sweep(layout, 1.0, [2, 1], [0.3, 0.6], [0.75, 2.75])
+    assert len(calls) == 1

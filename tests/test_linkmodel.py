@@ -291,6 +291,19 @@ def test_covariance_random_angles(layout):
             assert lm.gauge_covariance_check(layout, link_id, angles) < 1e-9
 
 
+@pytest.mark.parametrize("name", ["triangle", "unused_qubit"])
+def test_covariance_deviations_match_per_link_checks(layouts, name):
+    layout = layouts[name]
+    rng = np.random.default_rng(12)
+    angle_sets = [{v: tuple(rng.uniform(-np.pi, np.pi, 3)) for v in layout.vertices} for _ in range(2)]
+    results = lm.gauge_covariance_deviations(layout, angle_sets)
+    assert len(results) == 2
+    for angles, deviations in zip(angle_sets, results):
+        assert list(deviations) == [link.link_id for link in layout.links]
+        assert deviations == {link.link_id: lm.gauge_covariance_check(layout, link.link_id, angles) for link in layout.links}
+        assert max(deviations.values()) < 1e-9
+
+
 def test_covariance_untouched_link(layout):
     angles = {1: (0.0, 0.0, 0.0), 2: (0.0, 0.0, 0.0), 3: (0.7, -0.2, 1.1)}
     # vertex 3 does not touch link 12

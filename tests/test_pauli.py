@@ -10,9 +10,11 @@ from su2link.pauli import (
     dense,
     format_string,
     format_sum,
+    matvec,
     multiply,
     parse_string,
     parse_sum,
+    reachable,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -244,3 +246,75 @@ def test_parse_rejects_garbage():
         parse_string("(1.0) Q3")
     with pytest.raises(ValueError):
         parse_string("(1.0) X0 Y0")
+
+
+def coset_closure(op, indices, n) -> list[int]:
+    """Breadth-first search over basis states: every index that a chain of
+    the terms' bit flips leads to from ``indices``."""
+    masks = {int(action(term, n)[0][0]) for term in op.terms}
+    seen, frontier = set(int(k) for k in indices), list(indices)
+    while frontier:
+        frontier = [k ^ x for k in frontier for x in masks if k ^ x not in seen]
+        seen.update(frontier)
+    return sorted(seen)
+
+
+def random_sparse_sum(rng, n, n_terms) -> PauliSum:
+    """A Hermitian sum whose X masks leave at least two XOR cosets."""
+    while True:
+        op = PauliSum([PauliString(rng.normal(), full_letters(rng, n) or {0: "Z"}) for _ in range(n_terms)])
+        if len(reachable(op, [0], n)) < 2**n:
+            return op
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_reachable_is_the_closure_of_the_support(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(10):
+        op = random_sparse_sum(rng, n, int(rng.integers(1, 5)))
+        for size in (1, 2, 3):
+            support = sorted(rng.choice(2**n, size=size, replace=False).tolist())
+            rows = reachable(op, support, n)
+            assert rows.tolist() == coset_closure(op, support, n)
+        assert reachable(op, np.arange(2**n), n).tolist() == list(range(2**n))
+
+
+def test_reachable_on_the_layouts(layouts):
+    from su2link import linkmodel as lm
+
+    rng = np.random.default_rng(9)
+    for name, layout in layouts.items():
+        n = layout.n_qubits
+        hamiltonian = lm.plaquette_hamiltonian(layout, 1.0)
+        masks = [int(action(term, n)[0][0]) for term in hamiltonian.terms]
+        supports = [[0], sorted(rng.choice(2**n, size=3, replace=False).tolist())]
+        for support in supports:
+            rows = reachable(hamiltonian, support, n)
+            assert set(support) <= set(rows.tolist()), name
+            for x in masks:
+                assert np.array_equal(np.sort(rows ^ x), rows), name
+            assert rows.tolist() == coset_closure(hamiltonian, support, n), name
+        assert np.array_equal(reachable(hamiltonian, np.arange(2**n), n), np.arange(2**n)), name
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_restricted_action_and_matvec_are_the_full_ones_on_the_rows(n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(10):
+        op = random_sparse_sum(rng, n, 3)
+        rows = reachable(op, rng.choice(2**n, size=2, replace=False), n)
+        psi = np.zeros(2**n, dtype=complex)
+        psi[rows] = random_state(rng, n)[: len(rows)]
+        assert matvec(op, n, rows)(psi[rows]).tobytes() == matvec(op, n)(psi)[rows].tobytes()
+        for term in op.terms:
+            perm, phases = action(term, n, rows)
+            full_perm, full_phases = action(term, n)
+            assert np.array_equal(rows[perm], full_perm[rows])
+            assert phases.tobytes() == full_phases[rows].tobytes()
+
+
+def test_restricted_action_rejects_rows_that_are_not_closed():
+    with pytest.raises(ValueError, match="not closed"):
+        action(PauliString(1, {1: "X"}), 2, np.array([0, 1]))
+    with pytest.raises(ValueError):
+        reachable(PauliString(1, {3: "X"}), [0], 2)
