@@ -208,7 +208,11 @@ def run_matter(cfg: RunConfig) -> str:
         n0=cfg.n0,
         matter_number=cfg.matter_number,
     )
-    rows = mt.compare_effective(chain, list(cfg.ratios))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            rows = mt.compare_effective(chain, list(cfg.ratios))
+    except (OverflowError, FloatingPointError):
+        raise LayoutError("the matter-chain energies overflow a float for these inputs") from None
     return mt.comparison_csv(rows)
 
 
@@ -252,7 +256,11 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict[str, object] | None = None) -> argparse.ArgumentParser:
+    """The su2link parser; ``defaults`` replaces the built-in defaults of
+    every command's options.  Their string values are converted by the
+    option's type, and one that does not convert raises
+    ``argparse.ArgumentError`` instead of exiting."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value defaults file")
     common.add_argument("--out", help="output file (default: stdout)")
@@ -310,6 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets", type=int, default=50)
     p.add_argument("--seed", type=int, default=1)
 
+    if defaults is not None:
+        parser.exit_on_error = False
+        for command in sub.choices.values():
+            command.exit_on_error = False
+            command.set_defaults(**defaults)
     return parser
 
 
@@ -320,15 +333,16 @@ _PHI_DEFAULTS = {
 }
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str]) -> None:
-    if not args.config:
-        return
+def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
+    """The ``key=value`` lines of ``args.config`` as option defaults: keys
+    are the chosen command's option destinations, as ``args`` lists them; a
+    switch is on for 1/true/yes."""
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as err:
         raise LayoutError(f"cannot read config file: {err}") from None
-    values: dict[str, str] = {}
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -336,27 +350,11 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
         if "=" not in line:
             raise LayoutError(f"config line {lineno}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-
-    actions = {a.dest: a for a in parser._actions}
-    for sub_action in parser._actions:
-        if isinstance(sub_action, argparse._SubParsersAction):
-            chosen = sub_action.choices.get(args.command)
-            if chosen is not None:
-                actions.update({a.dest: a for a in chosen._actions})
-
-    for key, value in values.items():
-        action = actions.get(key)
-        if action is None or key == "config":
+        key, value = key.strip(), value.strip()
+        if key in ("command", "config") or not hasattr(args, key):
             raise LayoutError(f"config file sets unknown option {key!r}")
-        explicitly_passed = any(opt in argv for opt in action.option_strings)
-        if explicitly_passed:
-            continue
-        convert = action.type or str
-        if isinstance(action, argparse._StoreTrueAction):
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-        else:
-            setattr(args, key, convert(value))
+        values[key] = value.lower() in ("1", "true", "yes") if isinstance(getattr(args, key), bool) else value
+    return values
 
 
 def _to_run_config(args: argparse.Namespace) -> RunConfig:
@@ -407,6 +405,10 @@ def _to_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**kwargs)
     if not (math.isfinite(cfg.coupling) and cfg.coupling != 0):
         raise LayoutError(f"--J must be finite and nonzero, got {cfg.coupling!r}")
+    if not math.isfinite(cfg.omega):
+        raise LayoutError(f"--omega must be finite, got {cfg.omega!r}")
+    if not (math.isfinite(cfg.hopping) and cfg.hopping > 0):
+        raise LayoutError(f"--hopping must be finite and positive, got {cfg.hopping!r}")
     if not all(math.isfinite(ratio) and ratio > 0 for ratio in cfg.ratios):
         raise LayoutError(f"--ratios must be finite and positive, got {','.join(map(repr, cfg.ratios))}")
     if not (math.isfinite(cfg.jt) and cfg.jt >= 0):
@@ -417,6 +419,8 @@ def _to_run_config(args: argparse.Namespace) -> RunConfig:
         raise LayoutError(f"--plaquettes must be at least 1, got {cfg.plaquettes}")
     if cfg.sets < 0:
         raise LayoutError(f"--sets must be non-negative, got {cfg.sets}")
+    if cfg.seed < 0:
+        raise LayoutError(f"--seed must be non-negative, got {cfg.seed}")
     return cfg
 
 
@@ -430,16 +434,18 @@ def _write(path: str | None, content: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config_file(parser, args, argv)
+        if args.config:
+            # parsing again with the file's values as defaults lets argparse
+            # decide which flags were given, in whatever spelling
+            args = build_parser(_config_defaults(args)).parse_args(argv)
         cfg = _to_run_config(args)
         outputs = dispatch(cfg)
     except GuardError as err:
         print(f"numerical guard: {err}", file=sys.stderr)
         return EXIT_GUARD
-    except (LayoutError, ValueError, OSError) as err:
+    except (LayoutError, ValueError, OSError, argparse.ArgumentError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     _write(args.out, outputs["main"])

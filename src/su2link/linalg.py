@@ -8,14 +8,10 @@ from .errors import GuardError
 HERMITICITY_TOL = 1e-10
 
 
-def check_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    if not np.allclose(matrix, matrix.conj().T, atol=tol):
-        raise GuardError("matrix is not Hermitian within tolerance")
-
-
 def expi_hermitian(matrix: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """exp(i * scale * matrix) for Hermitian ``matrix`` via spectral decomposition."""
-    check_hermitian(matrix)
+    if not np.allclose(matrix, matrix.conj().T, atol=HERMITICITY_TOL):
+        raise GuardError("matrix is not Hermitian within tolerance")
     eigvals, eigvecs = np.linalg.eigh(matrix)
     return (eigvecs * np.exp(1j * scale * eigvals)) @ eigvecs.conj().T
 

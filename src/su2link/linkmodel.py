@@ -4,9 +4,10 @@ Each link carries a position qubit and a spin qubit.  The position qubit says
 on which end of the link the single excitation sits (Z = +1 means the head /
 right end), the spin qubit carries its color.  From these we build the link
 operators, left/right generators, the per-vertex gauge generators, the
-triangular-plaquette Hamiltonian, and the decomposition of the register into
+triangular-plaquette Hamiltonian, the decomposition of the register into
 gauge sectors (eigenspaces of the summed squared generators), which are
-counted from the spins at each vertex rather than diagonalised.
+counted from the spins at each vertex rather than diagonalised, and a gauge
+covariance check that runs link by link on 4x4 matrices.
 
 All construction functions are pure and return immutable values.
 """
@@ -336,62 +337,55 @@ def gauge_covariance_check(
     """Max deviation between conjugating a link operator by the lattice gauge
     transformation and rotating its color indices locally at the two ends.
 
-    ``angles`` assigns three rotation angles to every vertex.
+    ``angles`` assigns three rotation angles to every vertex.  Generators on
+    different links act on different qubits, and on one link R^a and L^b sit
+    on complementary position projectors, so the transformation factorises
+    into one factor per link, V = prod_l V_l, and V U_l V^dag = V_l U_l V_l^dag.
+    The check therefore runs on the link's own two qubits.
     """
-    link = layout.link(link_id)
-    return _link_covariance(layout, link, angles, _gauge_transform(layout, _gauge_generators(layout), angles))
+    layout.link(link_id)  # an unknown id raises LayoutError
+    return gauge_covariance_deviations(layout, [angles])[0][link_id]
 
 
 def gauge_covariance_deviations(
     layout: PlaquetteLayout, angle_sets: list[dict[int, tuple[float, float, float]]]
 ) -> list[dict[str, float]]:
     """``gauge_covariance_check`` of every link, in layout order, for each
-    angle set: the gauge generators are built once and each set's gauge
-    transformation once for all links."""
-    generators = _gauge_generators(layout)
+    angle set: each link's 4x4 matrices are built once for all sets."""
+    matrices = [(link, _link_matrices(layout, link)) for link in layout.links]
     out = []
     for angles in angle_sets:
-        transform = _gauge_transform(layout, generators, angles)
-        out.append({link.link_id: _link_covariance(layout, link, angles, transform) for link in layout.links})
+        missing = set(layout.vertices) - set(angles)
+        if missing:
+            raise ValueError(f"angles missing for vertices {sorted(missing)}")
+        out.append({link.link_id: _link_covariance(link, mats, angles) for link, mats in matrices})
     return out
 
 
-def _gauge_transform(
-    layout: PlaquetteLayout,
-    generators: dict[tuple[int, int], PauliSum],
-    angles: dict[int, tuple[float, float, float]],
-) -> np.ndarray:
-    """exp(-i sum_{v,a} angles[v][a-1] G_v^a) as a dense matrix."""
-    missing = set(layout.vertices) - set(angles)
-    if missing:
-        raise ValueError(f"angles missing for vertices {sorted(missing)}")
-    generator = PauliSum()
-    for vertex in layout.vertices:
-        for a in (1, 2, 3):
-            generator = generator + angles[vertex][a - 1] * generators[vertex, a]
-    return expi_hermitian(dense(generator, layout.n_qubits), scale=-1.0)
+def _link_matrices(layout: PlaquetteLayout, link: Link) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L^a, R^a, U) of a link as 4x4 matrices on its (position, spin) qubits,
+    relabelled to qubits (0, 1): shapes (3, 4, 4), (3, 4, 4) and (2, 2, 4, 4)."""
+    local = {link.pos_qubit: 0, link.spin_qubit: 1}
+
+    def on_link(op: PauliSum) -> np.ndarray:
+        return dense(PauliSum([PauliString(t.coefficient, {local[q]: l for q, l in t.letters.items()}) for t in op.terms]), 2)
+
+    left, right = left_right_generators(layout, link.link_id)
+    u = [[on_link(op) for op in row] for row in link_operator(layout, link.link_id)]
+    return np.array([on_link(g) for g in left]), np.array([on_link(g) for g in right]), np.array(u)
 
 
-def _link_covariance(layout: PlaquetteLayout, link: Link, angles, transform: np.ndarray) -> float:
-    """``gauge_covariance_check`` of one link, given the gauge transformation."""
-    n = layout.n_qubits
+def _link_covariance(link: Link, matrices, angles) -> float:
+    """``gauge_covariance_check`` of one link from its ``_link_matrices``."""
+    left, right, u = matrices
+    generator = sum(angles[link.frm][a] * left[a] + angles[link.to][a] * right[a] for a in range(3))
+    transform = expi_hermitian(generator, scale=-1.0)
     sigma = [pauli.letter_matrix(l) for l in ("X", "Y", "Z")]
-    half_from = sum(angles[link.frm][a] * sigma[a] for a in range(3)) / 2.0
-    half_to = sum(angles[link.to][a] * sigma[a] for a in range(3)) / 2.0
-    rot_from = expi_hermitian(half_from)
-    rot_to = expi_hermitian(half_to, scale=-1.0)
-
-    u_dense = [[dense(op, n) for op in row] for row in link_operator(layout, link.link_id)]
-    worst = 0.0
-    for alpha in range(2):
-        for beta in range(2):
-            lhs = transform @ u_dense[alpha][beta] @ transform.conj().T
-            rhs = np.zeros_like(lhs)
-            for gam in range(2):
-                for delta in range(2):
-                    rhs += rot_from[alpha, gam] * rot_to[delta, beta] * u_dense[gam][delta]
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    rot_from = expi_hermitian(sum(angles[link.frm][a] * sigma[a] for a in range(3)) / 2.0)
+    rot_to = expi_hermitian(sum(angles[link.to][a] * sigma[a] for a in range(3)) / 2.0, scale=-1.0)
+    lhs = transform @ u @ transform.conj().T
+    rhs = np.einsum("ag,db,gdij->abij", rot_from, rot_to, u)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------

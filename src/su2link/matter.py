@@ -15,6 +15,10 @@ only while a cell holds at most one excitation, so the model space keeps that
 restriction and the effective-operator resolvent never leaves it.  The
 validation works inside a fixed total-excitation sector; effective blocks are
 compared modulo an additive constant, in units of the hopping strength.
+
+No 2^modes matrix is built: the state sets come from bit tests on index
+arrays, H0 from occupation counts, and the blocks of V and of the closed
+forms from ``pauli.columns``.
 """
 from __future__ import annotations
 
@@ -23,10 +27,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import pauli
 from .errors import GuardError
-from .pauli import PauliString, PauliSum, dense, letter_matrix
+from .pauli import PauliString, PauliSum, letter_matrix
 
-MODE_LIMIT = 14
+MODE_LIMIT = 20
 DEGENERACY_GUARD = 1e-9
 REACH_TOL = 1e-12
 
@@ -87,30 +92,6 @@ class ChainConfig:
         return 6 * link + 2 + 2 * side + spin
 
 
-@dataclass(frozen=True)
-class FockBasis:
-    """Occupation basis of all hard-core modes; mode k is bit k of the index."""
-
-    n_modes: int
-
-    def __post_init__(self):
-        if self.n_modes > MODE_LIMIT:
-            raise GuardError(f"Fock basis limited to {MODE_LIMIT} modes")
-
-    @property
-    def dimension(self) -> int:
-        return 2**self.n_modes
-
-    def occupation(self, index: int, mode: int) -> int:
-        return (index >> mode) & 1
-
-    def total(self, index: int) -> int:
-        return bin(index).count("1")
-
-    def indices_where(self, predicate) -> np.ndarray:
-        return np.array([i for i in range(self.dimension) if predicate(i)], dtype=int)
-
-
 def lowering(mode: int) -> PauliSum:
     return PauliSum([PauliString(0.5, {mode: "X"}), PauliString(0.5j, {mode: "Y"})])
 
@@ -125,9 +106,8 @@ def number(mode: int) -> PauliSum:
 
 def link_charge(cfg: ChainConfig, link: int) -> PauliSum:
     total = PauliSum()
-    for side in (LEFT, RIGHT):
-        for spin in (UP, DOWN):
-            total = total + number(cfg.c_mode(link, side, spin))
+    for mode in _link_modes(cfg, link):
+        total = total + number(mode)
     return total
 
 
@@ -148,12 +128,14 @@ def h0_operator(cfg: ChainConfig) -> PauliSum:
     return total
 
 
-def build_h0(cfg: ChainConfig) -> np.ndarray:
-    return dense(h0_operator(cfg), cfg.n_modes)
-
-
-def h0_diagonal(cfg: ChainConfig) -> np.ndarray:
-    return np.real(np.diag(build_h0(cfg)))
+def unperturbed_energies(cfg: ChainConfig, indices: np.ndarray) -> np.ndarray:
+    """The diagonal of ``h0_operator`` on the basis states ``indices``, from
+    occupation counts: omega times the total occupation plus the penalty
+    times each link's squared excess over n0."""
+    energies = cfg.omega * _occupation(indices, range(cfg.n_modes))
+    for link in range(cfg.n_links):
+        energies = energies + cfg.penalty * (_occupation(indices, _link_modes(cfg, link)) - cfg.n0) ** 2
+    return energies
 
 
 def v_operator(cfg: ChainConfig) -> PauliSum:
@@ -179,10 +161,6 @@ def v_operator(cfg: ChainConfig) -> PauliSum:
                         half = half + coeff * (lowering(cfg.c_mode(link, RIGHT, mu)) * b_low)
     total = cfg.hopping * half
     return total + total.adjoint()
-
-
-def build_v(cfg: ChainConfig) -> np.ndarray:
-    return dense(v_operator(cfg), cfg.n_modes)
 
 
 def su2_generator(cfg: ChainConfig, site: int, a: int) -> PauliSum:
@@ -215,41 +193,55 @@ def color_cells(cfg: ChainConfig) -> list[tuple[int, int]]:
     return cells
 
 
-def faithful_indices(cfg: ChainConfig, basis: FockBasis) -> np.ndarray:
+def _occupation(indices: np.ndarray, modes) -> np.ndarray:
+    """Number of excitations each basis state in ``indices`` holds in ``modes``."""
+    return sum(((indices >> mode) & 1 for mode in modes), np.zeros_like(indices))
+
+
+def _link_modes(cfg: ChainConfig, link: int) -> list[int]:
+    return [cfg.c_mode(link, side, spin) for side in (LEFT, RIGHT) for spin in (UP, DOWN)]
+
+
+def faithful_indices(cfg: ChainConfig) -> np.ndarray:
     """Model space: occupation states with at most one excitation per color
     cell (where the qubit realization of the color algebra is faithful)."""
-    cells = color_cells(cfg)
-
-    def good(index: int) -> bool:
-        return all(
-            basis.occupation(index, a) + basis.occupation(index, b) <= 1 for a, b in cells
-        )
-
-    return basis.indices_where(good)
+    indices = np.arange(2**cfg.n_modes)
+    keep = np.ones(len(indices), dtype=bool)
+    for a, b in color_cells(cfg):
+        keep &= ((indices >> a) & (indices >> b) & 1) == 0
+    return indices[keep]
 
 
-def sector_indices(cfg: ChainConfig, basis: FockBasis) -> np.ndarray:
-    """Model-space indices of the fixed total-excitation sector."""
-    faithful = set(faithful_indices(cfg, basis).tolist())
-    return basis.indices_where(
-        lambda i: i in faithful and basis.total(i) == cfg.total_excitations
-    )
+def penalty_free_indices(cfg: ChainConfig) -> np.ndarray:
+    """Model-space states of the fixed total-excitation sector with exactly
+    n0 excitations on every link."""
+    faithful = faithful_indices(cfg)
+    keep = _occupation(faithful, range(cfg.n_modes)) == cfg.total_excitations
+    for link in range(cfg.n_links):
+        keep &= _occupation(faithful, _link_modes(cfg, link)) == cfg.n0
+    return faithful[keep]
 
 
-def penalty_free_indices(cfg: ChainConfig, basis: FockBasis) -> np.ndarray:
-    """Sector states with exactly n0 excitations on every link."""
-    charge = [
-        [cfg.c_mode(link, side, spin) for side in (LEFT, RIGHT) for spin in (UP, DOWN)]
-        for link in range(cfg.n_links)
-    ]
-    sector = set(sector_indices(cfg, basis).tolist())
+def _block(op: PauliSum, rows: np.ndarray, cols: np.ndarray, n_modes: int) -> np.ndarray:
+    """``<rows| op |cols>`` as a dense array, ``rows`` sorted; elements that
+    lead outside ``rows`` are dropped."""
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    positions = np.arange(len(cols))
+    for targets, values in pauli.columns(op, cols, n_modes):
+        hit = np.isin(targets, rows)
+        out[np.searchsorted(rows, targets[hit]), positions[hit]] = values[hit]
+    return out
 
-    def good(index: int) -> bool:
-        if index not in sector:
-            return False
-        return all(sum(basis.occupation(index, m) for m in modes) == cfg.n0 for modes in charge)
 
-    return basis.indices_where(good)
+def _couplings(cfg: ChainConfig, p_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, <Q| V |P>): Q holds the model-space states outside P that the
+    hopping reaches from P, in ascending order; no other model-space state
+    outside P couples to P."""
+    v = v_operator(cfg)
+    # p_idx[:0] keeps the concatenation defined when V has no terms (zero hopping)
+    reached = np.concatenate([p_idx[:0]] + [targets for targets, _ in pauli.columns(v, p_idx, cfg.n_modes)])
+    q_idx = np.setdiff1d(np.intersect1d(reached, faithful_indices(cfg)), p_idx)
+    return q_idx, _block(v, q_idx, p_idx, cfg.n_modes)
 
 
 @dataclass(frozen=True)
@@ -257,51 +249,40 @@ class EffectiveBlock:
     """Dense effective operator on the penalty-free subspace.
 
     ``basis_indices`` are the Fock indices spanning the block, in ascending
-    order; ``degenerate_unreachable`` counts complement states inside the
-    degeneracy guard that carry no coupling (they cannot contribute).
+    order.
     """
 
     matrix: np.ndarray
     basis_indices: np.ndarray
-    degenerate_unreachable: int = 0
 
 
 def effective_hamiltonian(cfg: ChainConfig, energy_shift: float = 0.0) -> EffectiveBlock:
     """Second-order effective operator from the projector formula.
 
     With P the penalty-free subspace of the chosen sector at unperturbed
-    energy E0 and Q its model-space complement, the block is
-    P V Q (E0 - H0)^(-1) Q V P, symmetrized to kill roundoff.  Raises if the
-    hopping couples P to a complement state within 1e-9 * penalty of E0.
-    ``energy_shift`` adds a constant to the bare spectrum; the block cannot
-    depend on it (E0 shifts along) and the knob exists for consistency tests.
+    energy E0 and Q the model-space states outside P that the hopping
+    reaches from it, the block is P V Q (E0 - H0)^(-1) Q V P, symmetrized to
+    kill roundoff.  Raises if the hopping couples P to a complement state
+    within 1e-9 * penalty of E0.  ``energy_shift`` adds a constant to the
+    bare spectrum; the block cannot depend on it (E0 shifts along) and the
+    knob exists for consistency tests.
     """
-    basis = FockBasis(cfg.n_modes)
-    p_idx = penalty_free_indices(cfg, basis)
+    p_idx = penalty_free_indices(cfg)
     if len(p_idx) == 0:
         raise GuardError("penalty-free subspace is empty in this sector")
-    diag = h0_diagonal(cfg) + energy_shift
-    e0_values = diag[p_idx]
-    if np.max(e0_values) - np.min(e0_values) > 1e-9:
-        raise GuardError("penalty-free subspace is not degenerate")
-    e0 = float(e0_values[0])
-
-    in_p = set(p_idx.tolist())
-    q_idx = np.array([i for i in faithful_indices(cfg, basis) if i not in in_p], dtype=int)
-
-    v = build_v(cfg)
-    couplings = v[np.ix_(q_idx, p_idx)]
-    gaps = e0 - diag[q_idx]
+    q_idx, couplings = _couplings(cfg, p_idx)
+    # H0 depends only on the total and the link occupations, which P fixes
+    e0 = float(unperturbed_energies(cfg, p_idx[:1])[0]) + energy_shift
+    gaps = e0 - (unperturbed_energies(cfg, q_idx) + energy_shift)
     near = np.abs(gaps) < DEGENERACY_GUARD * cfg.penalty
     reachable = np.max(np.abs(couplings), axis=1) > REACH_TOL
     if np.any(near & reachable):
         raise GuardError("hopping couples the penalty-free subspace to a nearly degenerate state")
-    degenerate_unreachable = int(np.count_nonzero(near & ~reachable))
 
     inverse = np.where(near, 0.0, 1.0 / np.where(near, 1.0, gaps))
     block = couplings.conj().T @ (inverse[:, None] * couplings)
     block = (block + block.conj().T) / 2.0
-    return EffectiveBlock(block, p_idx, degenerate_unreachable)
+    return EffectiveBlock(block, p_idx)
 
 
 def closed_form_hopping(cfg: ChainConfig) -> PauliSum:
@@ -345,10 +326,9 @@ def closed_form_density(cfg: ChainConfig) -> PauliSum:
 
 
 def closed_form_block(cfg: ChainConfig) -> EffectiveBlock:
-    basis = FockBasis(cfg.n_modes)
-    p_idx = penalty_free_indices(cfg, basis)
-    full = dense(closed_form_hopping(cfg) + closed_form_density(cfg), cfg.n_modes)
-    return EffectiveBlock(full[np.ix_(p_idx, p_idx)], p_idx)
+    p_idx = penalty_free_indices(cfg)
+    op = closed_form_hopping(cfg) + closed_form_density(cfg)
+    return EffectiveBlock(_block(op, p_idx, p_idx, cfg.n_modes), p_idx)
 
 
 def block_deviation(brute: EffectiveBlock, closed: EffectiveBlock, hopping: float) -> float:
@@ -379,9 +359,8 @@ def compare_effective(cfg: ChainConfig, ratios: list[float]) -> list[ComparisonR
         scaled = replace(cfg, penalty=cfg.hopping / ratio)
         brute = effective_hamiltonian(scaled)
         closed = closed_form_block(scaled)
-        basis = FockBasis(scaled.n_modes)
-        p_idx = penalty_free_indices(scaled, basis)
-        density = dense(closed_form_density(scaled), scaled.n_modes)[np.ix_(p_idx, p_idx)]
+        p_idx = closed.basis_indices
+        density = _block(closed_form_density(scaled), p_idx, p_idx, scaled.n_modes)
         rows.append(
             ComparisonRow(
                 ratio=float(ratio),

@@ -15,8 +15,9 @@ so applying it is one gather and one multiply, with no matrix.  ``matvec``
 sums those gathers over the terms of a PauliSum.  Both also come in a
 restricted form, on a set of rows closed under the X masks; ``reachable``
 finds the smallest such set that holds a given support, by GF(2) elimination
-of the masks.  ``dense`` scatters the same (perm, phases) pairs into a
-matrix; it serves the covariance check, the matter chain and the tests.
+of the masks.  ``columns`` gives an operator's matrix elements out of chosen
+basis columns, one gather per X mask; ``dense`` scatters them into a matrix,
+for the tests and the covariance check's 4x4 link matrices.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -154,7 +155,7 @@ class PauliSum:
     strings in canonical order (lexicographic by support, then letters).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_sorted")
 
     def __init__(self, terms: Iterable[PauliString] = ()):
         merged: dict[tuple, complex] = {}
@@ -162,10 +163,11 @@ class PauliSum:
             key = term.key()
             merged[key] = merged.get(key, 0) + term.coefficient
         self._terms = {k: c for k, c in merged.items() if abs(c) > MERGE_TOL}
+        self._sorted = tuple(PauliString(c, dict(k)) for k, c in sorted(self._terms.items()))
 
     @property
     def terms(self) -> list[PauliString]:
-        return [PauliString(c, dict(k)) for k, c in sorted(self._terms.items())]
+        return list(self._sorted)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -244,6 +246,18 @@ def _xmask(term: PauliString) -> int:
     return sum(1 << q for q, letter in term.letters.items() if letter != "Z")
 
 
+def _phases(term: PauliString, sources: np.ndarray) -> np.ndarray:
+    """The amplitude ``c i^#Y (-1)^popcount(source & zmask)`` that ``term``
+    carries from each basis state in ``sources`` to ``source ^ xmask``."""
+    n_y = sum(1 for letter in term.letters.values() if letter == "Y")
+    parity = np.zeros_like(sources)
+    for q, letter in term.letters.items():
+        if letter != "X":
+            parity ^= sources >> q
+    signs = 1 - 2 * (parity & 1)
+    return (term.coefficient * _I_POWERS[n_y % 4]) * signs
+
+
 def action(term: PauliString, n_qubits: int, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Bit-mask action of ``term`` on ``n_qubits`` qubits as ``(perm, phases)``.
 
@@ -260,14 +274,8 @@ def action(term: PauliString, n_qubits: int, rows: np.ndarray | None = None) -> 
         raise ValueError("n_qubits must be non-negative")
     if term.support and max(term.support) >= n_qubits:
         raise ValueError(f"support {term.support} does not fit in {n_qubits} qubits")
-    z_qubits = [q for q, letter in term.letters.items() if letter != "X"]
-    n_y = sum(1 for letter in term.letters.values() if letter == "Y")
     flipped = (np.arange(2**n_qubits) if rows is None else rows) ^ _xmask(term)
-    parity = np.zeros_like(flipped)
-    for q in z_qubits:
-        parity ^= flipped >> q
-    signs = 1 - 2 * (parity & 1)
-    phases = (term.coefficient * _I_POWERS[n_y % 4]) * signs
+    phases = _phases(term, flipped)
     if rows is None:
         return flipped, phases
     perm = np.searchsorted(rows, flipped)
@@ -300,6 +308,24 @@ def matvec(op: PauliSum | PauliString, n_qubits: int, rows: np.ndarray | None = 
     return apply
 
 
+def columns(op: PauliSum | PauliString, cols: np.ndarray, n_qubits: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Matrix elements of ``op`` in the basis columns ``cols``, without a
+    matrix: one ``(targets, values)`` pair per distinct X mask, with
+    ``targets = cols ^ xmask`` and ``values[i] = <targets[i]| op |cols[i]>``.
+    Terms that flip the same bits are summed from zero in canonical term
+    order, as ``dense`` sums them, so every element equals the dense one
+    bitwise."""
+    op = _as_sum(op)
+    if op.support and max(op.support) >= n_qubits:
+        raise ValueError(f"support {op.support} does not fit in {n_qubits} qubits")
+    cols = np.asarray(cols, dtype=int)
+    by_xmask: dict[int, np.ndarray] = {}
+    for term in op.terms:
+        xmask = _xmask(term)
+        by_xmask[xmask] = by_xmask.get(xmask, 0.0) + _phases(term, cols)
+    return [(cols ^ xmask, values) for xmask, values in by_xmask.items()]
+
+
 def reachable(op: PauliSum | PauliString, indices: np.ndarray, n_qubits: int) -> np.ndarray:
     """Sorted basis indices that ``op`` connects to ``indices``: every
     ``k ^ x`` with k in ``indices`` and x in the GF(2) span of the terms' X
@@ -328,19 +354,17 @@ def reachable(op: PauliSum | PauliString, indices: np.ndarray, n_qubits: int) ->
 
 
 def dense(op: PauliSum | PauliString, n_qubits: int) -> np.ndarray:
-    """Dense matrix of ``op`` on ``n_qubits`` qubits, scattered from ``action``:
-    row k of each term holds its phase in column perm[k]."""
+    """Dense matrix of ``op`` on ``n_qubits`` qubits, scattered from
+    ``columns`` of every basis state."""
     if n_qubits > DENSE_QUBIT_LIMIT:
         raise GuardError(f"dense realization limited to {DENSE_QUBIT_LIMIT} qubits, got {n_qubits}")
     if n_qubits < 0:
         raise ValueError("n_qubits must be non-negative")
-    terms = _as_sum(op).terms
-    actions = [action(term, n_qubits) for term in terms]  # every support checked before allocating
-    dim = 2**n_qubits
-    rows = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    for perm, phases in actions:
-        out[rows, perm] += phases
+    cols = np.arange(2**n_qubits)
+    pairs = columns(op, cols, n_qubits)  # the support is checked before allocating
+    out = np.zeros((len(cols), len(cols)), dtype=complex)
+    for targets, values in pairs:
+        out[targets, cols] = values
     return out
 
 

@@ -50,9 +50,9 @@ def two_plaquette(layouts) -> PlaquetteLayout:
     return layouts["two_plaquette"]
 
 
-@pytest.fixture
-def two_plaquette_path(tmp_path):
-    path = tmp_path / "two_plaquette.layout"
+@pytest.fixture(scope="session")
+def two_plaquette_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("layouts") / "two_plaquette.layout"
     path.write_text(TWO_PLAQUETTE, encoding="utf-8")
     return path
 

@@ -201,23 +201,49 @@ def test_covariance_report(capsys):
     assert all(float(line.split(",")[2]) < 1e-9 for line in lines[1:])
 
 
-def test_covariance_builds_one_transform_per_set(monkeypatch, capsys):
-    sizes = []
-    original = lm.expi_hermitian
+def test_covariance_builds_no_matrix_larger_than_4x4(monkeypatch, two_plaquette_path, capsys):
+    dense_qubits, exponentiated, diagonalised = [], [], []
+    original_dense, original_expi, original_eigh = lm.dense, lm.expi_hermitian, np.linalg.eigh
 
-    def recording(matrix, scale=1.0):
-        sizes.append(len(matrix))
-        return original(matrix, scale)
+    def recording_dense(op, n_qubits):
+        dense_qubits.append(n_qubits)
+        return original_dense(op, n_qubits)
 
-    monkeypatch.setattr(lm, "expi_hermitian", recording)
-    code, out, _ = run(["covariance", "--sets", "3"], capsys)
-    assert code == 0 and len(out.splitlines()) == 1 + 3 * 3
-    assert sizes.count(2**6) == 3  # the 2x2 color rotations make up the rest
+    def recording_expi(matrix, scale=1.0):
+        exponentiated.append(len(matrix))
+        return original_expi(matrix, scale)
+
+    def recording_eigh(matrix, *args, **kwargs):
+        diagonalised.append(len(matrix))
+        return original_eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(lm, "dense", recording_dense)
+    monkeypatch.setattr(lm, "expi_hermitian", recording_expi)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    code, out, _ = run(["covariance", "--sets", "3", "--layout", str(two_plaquette_path)], capsys)
+    assert code == 0 and len(out.splitlines()) == 1 + 3 * 5
+    assert max(dense_qubits) == 2
+    assert exponentiated.count(4) == 3 * 5  # one link transformation per set and link
+    assert max(exponentiated) == 4 and max(diagonalised) == 4
 
 
-def test_matter_three_sites_exits_3_before_allocating():
-    # 14 modes would need a 4 GiB dense matrix; under a 3 GB address-space
-    # cap the size guard must answer before any allocation is tried
+def test_covariance_runs_on_a_three_triangle_strip(tmp_path, capsys):
+    # triangles 123, 234 and 345, each sharing one link with the next: 7 links, 14 qubits
+    ends = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 2), (4, 5), (5, 3)]
+    lines = [f"link {a}{b} {a} {b} {2 * k} {2 * k + 1}" for k, (a, b) in enumerate(ends)]
+    lines += ["plaquette 12 23 31", "plaquette 23 34 42", "plaquette 34 45 53"]
+    path = tmp_path / "strip.layout"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(["covariance", "--sets", "2", "--layout", str(path)], capsys)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[1] for row in rows] == [f"{a}{b}" for a, b in ends] * 2
+    assert all(float(row[2]) < 1e-12 for row in rows)
+
+
+def test_matter_five_sites_exits_3_before_allocating():
+    # 26 modes: the mode limit must answer before any 2^26 index array is
+    # built, under a 3 GB address-space cap
     resource = pytest.importorskip("resource")
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
     limit = 3_000_000_000 if hard == resource.RLIM_INFINITY else min(3_000_000_000, hard)
@@ -228,11 +254,11 @@ def test_matter_three_sites_exits_3_before_allocating():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     result = subprocess.run(
-        [sys.executable, "-m", "su2link.cli", "matter", "--sites", "3"],
+        [sys.executable, "-m", "su2link.cli", "matter", "--sites", "5"],
         capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
     )
     assert result.returncode == 3
-    assert result.stderr.splitlines() == ["numerical guard: dense realization limited to 12 qubits, got 14"]
+    assert result.stderr.splitlines() == ["numerical guard: chain needs 26 modes, limit is 20"]
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -266,6 +292,30 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
     code, out, _ = run(["bounds", "--config", str(config), "--eps", "0.9"], capsys)
     assert code == 0
     assert json.loads(out)["eps"] == 0.9
+
+
+@pytest.mark.parametrize("flag", [["--eps", "0.9"], ["--eps=0.9"], ["--ep", "0.9"], ["--ep=0.9"]])
+def test_config_file_loses_to_explicit_flag_in_any_spelling(flag, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("eps=0.4\n", encoding="utf-8")
+    code, out, _ = run(["bounds", "--config", str(config), *flag], capsys)
+    assert code == 0
+    assert json.loads(out)["eps"] == 0.9
+
+
+def test_config_file_switch_values(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    argv = ["compile", "--backend", "collective", "--monomial", "(1.0) X0 Y1", "--config", str(config)]
+    config.write_text("step=no\n", encoding="utf-8")
+    assert run(argv, capsys)[0] == 0
+    config.write_text("step=yes\n", encoding="utf-8")
+    assert_config_error(run(argv, capsys), "--step and --monomial are mutually exclusive")
+
+
+def test_config_file_bad_value_is_one_line(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("eps=abc\n", encoding="utf-8")
+    assert_config_error(run(["bounds", "--config", str(config)], capsys), "argument --eps: invalid float value: 'abc'")
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -363,6 +413,21 @@ def test_matter_rejects_non_positive_ratios(ratios, capsys):
     assert_config_error(result, "--ratios must be finite and positive")
 
 
+@pytest.mark.parametrize("omega", ["nan", "inf", "-inf"])
+def test_matter_rejects_non_finite_omega(omega, capsys):
+    assert_config_error(run(["matter", f"--omega={omega}"], capsys), "--omega must be finite")
+
+
+@pytest.mark.parametrize("hopping", ["nan", "inf", "-inf", "0", "-1"])
+def test_matter_rejects_hopping_that_is_not_finite_and_positive(hopping, capsys):
+    assert_config_error(run(["matter", f"--hopping={hopping}"], capsys), "--hopping must be finite and positive")
+
+
+@pytest.mark.parametrize("argv", [["--omega", "1e308"], ["--hopping", "1e200"], ["--ratios", "5e-324"]])
+def test_matter_overflow_exits_2(argv, capsys):
+    assert_config_error(run(["matter", *argv], capsys), "the matter-chain energies overflow a float")
+
+
 @pytest.mark.parametrize("plaquettes", ["0", "-1"])
 def test_bounds_rejects_plaquettes_below_one(plaquettes, capsys):
     result = run(["bounds", f"--plaquettes={plaquettes}"], capsys)
@@ -371,6 +436,7 @@ def test_bounds_rejects_plaquettes_below_one(plaquettes, capsys):
 
 def test_covariance_rejects_negative_sets(capsys):
     assert_config_error(run(["covariance", "--sets=-1"], capsys), "--sets must be non-negative, got -1")
+    assert_config_error(run(["covariance", "--seed=-1"], capsys), "--seed must be non-negative, got -1")
     code, out, err = run(["covariance", "--sets", "0"], capsys)
     assert code == 0
     assert out == "set,link,max_deviation\n"

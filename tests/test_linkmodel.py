@@ -6,6 +6,7 @@ import pytest
 from su2link import linkmodel as lm
 from su2link.errors import LayoutError
 from su2link.linkmodel import Link, PlaquetteLayout
+from su2link.linalg import expi_hermitian
 from su2link.pauli import PauliString, PauliSum, dense, letter_matrix
 
 EPSILON = {(1, 2, 3): 1, (1, 3, 2): -1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1}
@@ -302,6 +303,58 @@ def test_covariance_deviations_match_per_link_checks(layouts, name):
         assert list(deviations) == [link.link_id for link in layout.links]
         assert deviations == {link.link_id: lm.gauge_covariance_check(layout, link.link_id, angles) for link in layout.links}
         assert max(deviations.values()) < 1e-9
+
+
+def full_register_covariance(layout, angles, link_ids):
+    """Oracle for the per-link check: the dense exponential of every gauge
+    generator on the whole register, and each link operator as a dense 2^n
+    matrix conjugated by it."""
+    n = layout.n_qubits
+    generator = PauliSum()
+    for vertex in layout.vertices:
+        for a in (1, 2, 3):
+            generator = generator + angles[vertex][a - 1] * lm.gauge_generator(layout, vertex, a)
+    transform = expi_hermitian(dense(generator, n), scale=-1.0)
+    sigma = [letter_matrix(letter) for letter in "XYZ"]
+    out = {}
+    for link_id in link_ids:
+        link = layout.link(link_id)
+        rot_from = expi_hermitian(sum(angles[link.frm][a] * sigma[a] for a in range(3)) / 2.0)
+        rot_to = expi_hermitian(sum(angles[link.to][a] * sigma[a] for a in range(3)) / 2.0, scale=-1.0)
+        u = [[dense(op, n) for op in row] for row in lm.link_operator(layout, link_id)]
+        worst = 0.0
+        for alpha in range(2):
+            for beta in range(2):
+                lhs = transform @ u[alpha][beta] @ transform.conj().T
+                rhs = sum(rot_from[alpha, g] * rot_to[d, beta] * u[g][d] for g in range(2) for d in range(2))
+                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        out[link_id] = worst
+    return out
+
+
+# two_plaquette's 1024-dim oracle costs about a second per link, so it checks
+# only link 23, the one both plaquettes share
+ORACLE_LINKS = {"triangle": ("12", "23", "31"), "unused_qubit": ("12", "23", "31"), "two_plaquette": ("23",)}
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["generators", "swapped-generators"])
+@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+def test_covariance_matches_full_register_oracle(layouts, monkeypatch, name, swap):
+    """The per-link check against the full register, with the true generators
+    (roundoff on both sides) and with L and R swapped, where both must report
+    the same nonzero deviation."""
+    layout = layouts[name]
+    if swap:
+        original = lm.left_right_generators
+        monkeypatch.setattr(lm, "left_right_generators", lambda lay, link_id: original(lay, link_id)[::-1])
+    rng = np.random.default_rng(99 + swap)
+    for _ in range(1 if name == "two_plaquette" else 3):
+        angles = {v: tuple(rng.uniform(-np.pi, np.pi, 3)) for v in layout.vertices}
+        oracle = full_register_covariance(layout, angles, ORACLE_LINKS[name])
+        local = lm.gauge_covariance_deviations(layout, [angles])[0]
+        for link_id, expected in oracle.items():
+            assert abs(local[link_id] - expected) <= 1e-12
+            assert (local[link_id] > 0.1) if swap else (local[link_id] < 1e-12)
 
 
 def test_covariance_untouched_link(layout):

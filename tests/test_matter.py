@@ -15,33 +15,28 @@ def cfg():
     return mt.ChainConfig()
 
 
-@pytest.fixture(scope="module")
-def basis(cfg):
-    return mt.FockBasis(cfg.n_modes)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         mt.ChainConfig(n_sites=1)
     with pytest.raises(ValueError):
         mt.ChainConfig(penalty=0.0)
     with pytest.raises(GuardError):
-        mt.ChainConfig(n_sites=4)  # 20 modes, over the limit
+        mt.ChainConfig(n_sites=5)  # 26 modes, over the limit
     cfg = mt.ChainConfig()
     assert cfg.n_modes == 8
     assert cfg.total_excitations == 2
     assert cfg.ratio == pytest.approx(1e-3)
 
 
-def test_mode_operators(basis):
+def test_mode_operators():
     low = dense(mt.lowering(0), 1)
     assert np.allclose(low, [[0, 1], [0, 0]])
     assert np.allclose(dense(mt.raising(0), 1), low.conj().T)
     assert np.allclose(dense(mt.number(0), 1), np.diag([0, 1]))
 
 
-def test_h0_is_diagonal_with_expected_values(cfg, basis):
-    h0 = mt.build_h0(cfg)
+def test_h0_is_diagonal_with_expected_values(cfg):
+    h0 = dense(mt.h0_operator(cfg), cfg.n_modes)
     assert np.max(np.abs(h0 - np.diag(np.diag(h0)))) == 0
     diag = np.real(np.diag(h0))
     # empty chain: penalty n0^2 per link, no frequency part
@@ -52,8 +47,8 @@ def test_h0_is_diagonal_with_expected_values(cfg, basis):
     assert np.min(diag) >= 0.0
 
 
-def test_v_hermitian_and_moves_one_link_quantum(cfg, basis):
-    v = mt.build_v(cfg)
+def test_v_hermitian_and_moves_one_link_quantum(cfg):
+    v = dense(mt.v_operator(cfg), cfg.n_modes)
     assert np.max(np.abs(v - v.conj().T)) < 1e-12
     charge = np.real(np.diag(dense(mt.link_charge(cfg, 0), cfg.n_modes)))
     rows, cols = np.nonzero(np.abs(v) > 1e-12)
@@ -61,9 +56,9 @@ def test_v_hermitian_and_moves_one_link_quantum(cfg, basis):
     assert all(abs(charge[r] - charge[c]) == 1 for r, c in zip(rows, cols))
 
 
-def test_h0_plus_v_color_invariance_on_model_space(cfg, basis):
-    total = mt.build_h0(cfg) + mt.build_v(cfg)
-    keep = mt.faithful_indices(cfg, basis)
+def test_h0_plus_v_color_invariance_on_model_space(cfg):
+    total = dense(mt.h0_operator(cfg) + mt.v_operator(cfg), cfg.n_modes)
+    keep = mt.faithful_indices(cfg)
     for site in range(cfg.n_sites):
         for a in (1, 2, 3):
             gen = dense(mt.su2_generator(cfg, site, a), cfg.n_modes)
@@ -80,11 +75,11 @@ def test_su2_generator_algebra(cfg):
             assert np.allclose(comm, 1j * sign * gens[c - 1], atol=1e-12)
 
 
-def test_penalty_free_subspace(cfg, basis):
-    p_idx = mt.penalty_free_indices(cfg, basis)
+def test_penalty_free_subspace(cfg):
+    p_idx = mt.penalty_free_indices(cfg)
     # one matter particle on 4 slots times one link excitation on 4 slots
     assert len(p_idx) == 16
-    diag = mt.h0_diagonal(cfg)
+    diag = np.real(np.diag(dense(mt.h0_operator(cfg), cfg.n_modes)))
     assert np.allclose(diag[p_idx], cfg.omega * cfg.total_excitations)
 
 
@@ -122,7 +117,7 @@ def test_effective_invariant_under_energy_shift(cfg):
     assert np.max(np.abs(plain.matrix - shifted.matrix)) < 1e-12
 
 
-def test_density_term_block_diagonal_in_matter_occupation(cfg, basis):
+def test_density_term_block_diagonal_in_matter_occupation(cfg):
     density = dense(mt.closed_form_density(cfg), cfg.n_modes)
     assert np.max(np.abs(density - np.diag(np.diag(density)))) == 0
     matter_modes = [cfg.b_mode(s, a) for s in range(cfg.n_sites) for a in (mt.UP, mt.DOWN)]
@@ -153,3 +148,94 @@ def test_degenerate_denominator_guard(cfg):
     # the guard band around E0
     with pytest.raises(GuardError):
         mt.effective_hamiltonian(replace(cfg, omega=500.0, penalty=1000.0))
+
+
+# ---------------------------------------------------------------------------
+# the index-array construction against dense 2^8 matrices at two sites
+
+
+def predicate_sets(cfg):
+    """(faithful, penalty-free) from a Python predicate over every basis state."""
+
+    def occupied(index, modes):
+        return sum((index >> mode) & 1 for mode in modes)
+
+    faithful = [i for i in range(2**cfg.n_modes) if all(occupied(i, cell) <= 1 for cell in mt.color_cells(cfg))]
+    charges = [[cfg.c_mode(link, side, spin) for side in (mt.LEFT, mt.RIGHT) for spin in (mt.UP, mt.DOWN)] for link in range(cfg.n_links)]
+    penalty_free = [
+        i for i in faithful
+        if bin(i).count("1") == cfg.total_excitations and all(occupied(i, modes) == cfg.n0 for modes in charges)
+    ]
+    return faithful, penalty_free
+
+
+CONFIGS = {
+    "default": mt.ChainConfig(),
+    "two-matter": mt.ChainConfig(matter_number=2, omega=0.37, penalty=23.9, hopping=0.61),
+    "n0=2": mt.ChainConfig(n0=2, matter_number=0, penalty=41.3),
+}
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_index_sets_match_predicates(name):
+    cfg = CONFIGS[name]
+    faithful, penalty_free = predicate_sets(cfg)
+    assert mt.faithful_indices(cfg).tolist() == faithful
+    assert mt.penalty_free_indices(cfg).tolist() == penalty_free
+    assert len(penalty_free) > 0
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_unperturbed_energies_match_dense_diagonal(name):
+    cfg = CONFIGS[name]
+    everything = np.arange(2**cfg.n_modes)
+    diagonal = np.diag(dense(mt.h0_operator(cfg), cfg.n_modes))
+    energies = mt.unperturbed_energies(cfg, everything)
+    assert np.max(np.abs(energies - diagonal)) <= 1e-12 * cfg.penalty
+    if name == "default":  # integer coefficients: exact
+        assert np.array_equal(energies, diagonal)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_couplings_match_dense_hopping(name):
+    cfg = CONFIGS[name]
+    p_idx = mt.penalty_free_indices(cfg)
+    q_idx, couplings = mt._couplings(cfg, p_idx)
+    v = dense(mt.v_operator(cfg), cfg.n_modes)
+    assert np.array_equal(couplings, v[np.ix_(q_idx, p_idx)])
+    # Q is disjoint from P and holds every coupled model-space state
+    rest = np.setdiff1d(mt.faithful_indices(cfg), np.union1d(p_idx, q_idx))
+    assert not np.intersect1d(q_idx, p_idx).size and np.isin(q_idx, mt.faithful_indices(cfg)).all()
+    assert not np.any(v[np.ix_(rest, p_idx)])
+    assert not hasattr(mt, "dense")
+
+
+def dense_effective_block(cfg):
+    """The projector formula on dense matrices, with Q every model-space
+    state outside P."""
+    h0 = np.real(np.diag(dense(mt.h0_operator(cfg), cfg.n_modes)))
+    v = dense(mt.v_operator(cfg), cfg.n_modes)
+    faithful, p_idx = predicate_sets(cfg)
+    q_idx = np.setdiff1d(faithful, p_idx)
+    couplings = v[np.ix_(q_idx, p_idx)]
+    block = couplings.conj().T @ (couplings / (h0[p_idx[0]] - h0[q_idx])[:, None])
+    return (block + block.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_blocks_match_dense_path(name):
+    cfg = CONFIGS[name]
+    p_idx = mt.penalty_free_indices(cfg)
+    assert np.max(np.abs(mt.effective_hamiltonian(cfg).matrix - dense_effective_block(cfg))) <= 1e-12
+    closed = dense(mt.closed_form_hopping(cfg) + mt.closed_form_density(cfg), cfg.n_modes)[np.ix_(p_idx, p_idx)]
+    block = mt.closed_form_block(cfg)
+    assert np.array_equal(block.basis_indices, p_idx)
+    assert np.max(np.abs(block.matrix - closed)) <= 1e-12
+
+
+def test_three_sites_deviation_shrinks_with_ratio():
+    rows = mt.compare_effective(mt.ChainConfig(n_sites=3), RATIOS)
+    deviations = [r.deviation for r in rows]
+    assert all(b < a for a, b in zip(deviations, deviations[1:]))
+    assert deviations[2] / deviations[1] == pytest.approx(0.1, rel=0.15)
+    assert [r.density_norm for r in rows] == pytest.approx([4 * r for r in RATIOS])

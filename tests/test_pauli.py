@@ -6,6 +6,7 @@ from su2link.pauli import (
     PauliString,
     PauliSum,
     action,
+    columns,
     commutator,
     dense,
     format_string,
@@ -318,3 +319,21 @@ def test_restricted_action_rejects_rows_that_are_not_closed():
         action(PauliString(1, {1: "X"}), 2, np.array([0, 1]))
     with pytest.raises(ValueError):
         reachable(PauliString(1, {3: "X"}), [0], 2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_columns_are_the_dense_columns_bitwise(n):
+    rng = np.random.default_rng(80 + n)
+    for _ in range(6):
+        # repeated letter patterns with other coefficients share X masks
+        strings = [PauliString(complex(rng.normal(), rng.normal()), full_letters(rng, n)) for _ in range(5)]
+        op = PauliSum(strings + [s.bare() * rng.normal() for s in strings[:2]] + [PauliString(1j, {})])
+        cols = np.sort(rng.choice(2**n, size=min(3, 2**n), replace=False))
+        pairs = columns(op, cols, n)
+        assert len({tuple(targets ^ cols) for targets, _ in pairs}) == len(pairs)  # one pair per X mask
+        block = np.zeros((2**n, len(cols)), dtype=complex)
+        for targets, values in pairs:
+            block[targets, np.arange(len(cols))] = values
+        assert block.tobytes() == dense(op, n)[:, cols].tobytes()
+    with pytest.raises(ValueError):
+        columns(PauliString(1, {3: "X"}), np.array([0]), 2)
