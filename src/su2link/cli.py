@@ -55,7 +55,7 @@ class RunConfig:
     noise: cp.NoiseModel = field(default_factory=cp.NoiseModel)
 
 
-PHI_GRID_LIMIT = 10_000
+PHI_GRID_LIMIT = 10_000  # also caps covariance --sets; both lists are built in full first
 
 
 def _phi_grid(cfg: RunConfig) -> list[float]:
@@ -419,6 +419,8 @@ def _to_run_config(args: argparse.Namespace) -> RunConfig:
         raise LayoutError(f"--plaquettes must be at least 1, got {cfg.plaquettes}")
     if cfg.sets < 0:
         raise LayoutError(f"--sets must be non-negative, got {cfg.sets}")
+    if cfg.sets > PHI_GRID_LIMIT:
+        raise LayoutError(f"--sets must be at most {PHI_GRID_LIMIT}, got {cfg.sets}")
     if cfg.seed < 0:
         raise LayoutError(f"--seed must be non-negative, got {cfg.seed}")
     return cfg

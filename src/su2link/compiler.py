@@ -7,8 +7,9 @@ the string's support, plus at most 2N basis-change rotations.  Backend two
 shared ancilla (one C-phase plus two local Z rotations each) and needs the
 ancilla prepared in a fixed axis eigenstate.
 
-Gate conventions, each applied in closed form to a block of state columns
-through the gather-and-phase kernel ``pauli.action``, with no matrix exponential:
+Gate conventions, applied in closed form to a block of state columns with no
+matrix exponential: one ``pauli.action`` gather per X/Y rotation or XX pair,
+one multiply by a phase vector per run of Z rotations and C-phases:
   rot(axis, q, angle)   = exp(-i angle/2 sigma_axis(q)) = cos(angle/2) - i sin(angle/2) sigma_axis(q)
   coll(qubits, angle)   = exp(+i angle sum_{i<j} X_i X_j) = prod_{i<j} (cos angle + i sin angle X_i X_j)
   cphase((a, b), angle) = diag(1, 1, 1, exp(-2i angle)): rows with bits a and b set gain exp(-2i angle)
@@ -114,23 +115,34 @@ class Circuit:
 
 
 def _apply_gates(gates: tuple[Gate, ...], block: np.ndarray) -> np.ndarray:
-    """The gates, in order, applied to the columns of ``block`` in closed form."""
+    """The gates, in order, applied in place to the columns of ``block``; a
+    run of diagonal gates is fused into one phase vector, applied once."""
     n = len(block).bit_length() - 1
+    rows, pending = np.arange(len(block)), None
     for gate in gates:
         if max(gate.qubits) >= n:
             raise ValueError(f"gate acts outside the {n}-qubit register")
         if gate.kind == "cphase":
-            rows, (a, b) = np.arange(len(block)), gate.qubits
-            block = np.where((rows >> a) & (rows >> b) & 1, np.exp(-2j * gate.angle), 1.0)[:, None] * block
-            continue
-        if gate.kind == "rot":  # factors (P, theta) of exp(i theta P)
-            factors = [(PauliString(1.0, {gate.qubits[0]: gate.axis.upper()}), -gate.angle / 2.0)]
+            diagonal = np.where((rows >> gate.qubits[0]) & (rows >> gate.qubits[1]) & 1, np.exp(-2j * gate.angle), 1.0)
+        elif gate.axis == "z":
+            diagonal = np.where((rows >> gate.qubits[0]) & 1, np.exp(0.5j * gate.angle), np.exp(-0.5j * gate.angle))
         else:
-            factors = [(PauliString(1.0, {a: "X", b: "X"}), gate.angle) for a, b in combinations(gate.qubits, 2)]
-        for string, theta in factors:
-            perm, phases = action(string, n)
-            block = math.cos(theta) * block + 1j * math.sin(theta) * (phases[:, None] * block[perm])
-    return block
+            if pending is not None:
+                block *= pending[:, None]
+                pending = None
+            if gate.kind == "rot":  # factors (P, theta) of exp(i theta P)
+                factors = [(PauliString(1.0, {gate.qubits[0]: gate.axis.upper()}), -gate.angle / 2.0)]
+            else:
+                factors = [(PauliString(1.0, {a: "X", b: "X"}), gate.angle) for a, b in combinations(gate.qubits, 2)]
+            for string, theta in factors:
+                perm, phases = action(string, n)
+                gathered = block[perm]
+                gathered *= (1j * math.sin(theta) * phases)[:, None]
+                block *= math.cos(theta)
+                block += gathered
+            continue
+        pending = diagonal if pending is None else pending * diagonal
+    return block if pending is None else np.multiply(block, pending[:, None], out=block)
 
 
 def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:

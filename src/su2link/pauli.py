@@ -250,11 +250,8 @@ def _phases(term: PauliString, sources: np.ndarray) -> np.ndarray:
     """The amplitude ``c i^#Y (-1)^popcount(source & zmask)`` that ``term``
     carries from each basis state in ``sources`` to ``source ^ xmask``."""
     n_y = sum(1 for letter in term.letters.values() if letter == "Y")
-    parity = np.zeros_like(sources)
-    for q, letter in term.letters.items():
-        if letter != "X":
-            parity ^= sources >> q
-    signs = 1 - 2 * (parity & 1)
+    zmask = sum(1 << q for q, letter in term.letters.items() if letter != "X")
+    signs = 1 - 2 * (np.bitwise_count(sources & zmask) & 1).astype(sources.dtype)
     return (term.coefficient * _I_POWERS[n_y % 4]) * signs
 
 

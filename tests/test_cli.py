@@ -241,9 +241,8 @@ def test_covariance_runs_on_a_three_triangle_strip(tmp_path, capsys):
     assert all(float(row[2]) < 1e-12 for row in rows)
 
 
-def test_matter_five_sites_exits_3_before_allocating():
-    # 26 modes: the mode limit must answer before any 2^26 index array is
-    # built, under a 3 GB address-space cap
+def run_under_3gb(argv):
+    """The CLI in a subprocess under a 3 GB address-space cap."""
     resource = pytest.importorskip("resource")
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
     limit = 3_000_000_000 if hard == resource.RLIM_INFINITY else min(3_000_000_000, hard)
@@ -253,12 +252,28 @@ def test_matter_five_sites_exits_3_before_allocating():
 
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    result = subprocess.run(
-        [sys.executable, "-m", "su2link.cli", "matter", "--sites", "5"],
+    return subprocess.run(
+        [sys.executable, "-m", "su2link.cli", *argv],
         capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
     )
+
+
+def test_matter_five_sites_exits_3_before_allocating():
+    # 26 modes: the mode limit must answer before any 2^26 index array is built
+    result = run_under_3gb(["matter", "--sites", "5"])
     assert result.returncode == 3
     assert result.stderr.splitlines() == ["numerical guard: chain needs 26 modes, limit is 20"]
+
+
+def test_covariance_sets_over_limit_exits_2_before_allocating(capsys):
+    # every angle set is built before the first check, so the cap on --sets
+    # must answer before 10^8 of them fill the address space
+    result = run_under_3gb(["covariance", "--sets", "100000000"])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: --sets must be at most {cli.PHI_GRID_LIMIT}, got 100000000"]
+    over = cli.PHI_GRID_LIMIT + 1
+    assert_config_error(run(["covariance", f"--sets={over}"], capsys), f"--sets must be at most {cli.PHI_GRID_LIMIT}")
 
 
 GOLDEN = Path(__file__).parent / "data"

@@ -81,11 +81,17 @@ def test_closed_form_gates_match_spectral_exponential(n):
 
 
 def test_gate_outside_register_rejected():
-    for gate in (rot("y", 3, 0.2), coll((0, 3), 0.2), cphase(3, 1, 0.2)):
+    for gate in (rot("y", 3, 0.2), rot("z", 3, 0.2), coll((0, 3), 0.2), cphase(3, 1, 0.2)):
         with pytest.raises(ValueError):
             cp.gate_unitary(gate, 3)
         with pytest.raises(ValueError):
             cp.circuit_unitary(Circuit((gate,), 4), 3)
+    # a gate outside the register inside a run of diagonal gates, with the
+    # run ending at a non-diagonal gate and at the end of the circuit
+    run = (rot("z", 0, 0.1), cphase(0, 1, 0.2), rot("z", 3, 0.3), cphase(1, 2, 0.4))
+    for gates in (run + (rot("x", 0, 0.5),), run):
+        with pytest.raises(ValueError, match="outside the 3-qubit register"):
+            cp.circuit_unitary(Circuit(gates, 4), 3)
 
 
 def test_dense_guard_fires_before_allocation():
@@ -96,15 +102,65 @@ def test_dense_guard_fires_before_allocation():
         cp.reduced_system_unitary(Circuit((rot("x", 0, 0.1),), limit + 2), 0, cp.ancilla_state(2))
 
 
-def sandwiched_system_unitary(circuit, ancilla, prepared):
+def sandwiched_system_unitary(full, ancilla, prepared):
     """Reduced action the long way: embed^dag . U . embed with the full U."""
-    n = circuit.n_qubits
+    n = len(full).bit_length() - 1
     embed = np.zeros((2**n, 2 ** (n - 1)), dtype=complex)
     for index in range(2 ** (n - 1)):
         low, high = index & ((1 << ancilla) - 1), index >> ancilla
         for bit in (0, 1):
             embed[low | (bit << ancilla) | (high << (ancilla + 1)), index] = prepared[bit]
-    return embed.conj().T @ cp.circuit_unitary(circuit) @ embed
+    return embed.conj().T @ full @ embed
+
+
+def gate_oracle(gate, n):
+    """The gate's dense matrix from its definition, one gate at a time."""
+    if gate.kind == "rot":
+        letter = dense(PauliString(1.0, {gate.qubits[0]: gate.axis.upper()}), n)
+        return math.cos(gate.angle / 2) * np.eye(2**n) - 1j * math.sin(gate.angle / 2) * letter
+    if gate.kind == "coll":
+        pairs = PauliSum([PauliString(1.0, {a: "X", b: "X"}) for a, b in combinations(gate.qubits, 2)])
+        return generator_unitary(pairs, gate.angle, n)
+    rows, (a, b) = np.arange(2**n), gate.qubits
+    return np.diag(np.where((rows >> a) & (rows >> b) & 1, np.exp(-2j * gate.angle), 1.0))
+
+
+def random_gate(rng, n, diagonal):
+    angle = rng.uniform(-2 * np.pi, 2 * np.pi)
+    a, b, *_ = (int(q) for q in rng.permutation(n))
+    if diagonal:
+        return rot("z", a, angle) if rng.random() < 0.5 else cphase(a, b, angle)
+    if rng.random() < 0.6:
+        return rot(str(rng.choice(["x", "y"])), a, angle)
+    size = int(rng.integers(2, n + 1))
+    return coll(tuple(int(q) for q in rng.permutation(n)[:size]), angle)
+
+
+def random_circuit(rng, n, ends_diagonal):
+    """Six alternating runs of 1 to 8 diagonal (Z rotation, C-phase) or
+    non-diagonal (X/Y rotation, collective) gates; the last run is diagonal
+    when ``ends_diagonal``."""
+    gates, diagonal = [], not ends_diagonal
+    for _ in range(6):
+        gates += [random_gate(rng, n, diagonal) for _ in range(int(rng.integers(1, 9)))]
+        diagonal = not diagonal
+    return Circuit(tuple(gates), n)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_fused_circuits_match_per_gate_product(n):
+    rng = np.random.default_rng(200 + n)
+    for ends_diagonal in (False, True):
+        circuit = random_circuit(rng, n, ends_diagonal)
+        want = np.eye(2**n, dtype=complex)
+        for gate in circuit.gates:
+            want = gate_oracle(gate, n) @ want
+        assert np.max(np.abs(cp.circuit_unitary(circuit) - want)) < ORACLE_TOL
+        ancilla = int(rng.integers(n))
+        prepared = rng.normal(size=2) + 1j * rng.normal(size=2)
+        prepared /= np.linalg.norm(prepared)
+        got = cp.reduced_system_unitary(circuit, ancilla, prepared)
+        assert np.max(np.abs(got - sandwiched_system_unitary(want, ancilla, prepared))) < ORACLE_TOL
 
 
 @pytest.mark.parametrize("ancilla", [0, 3, 6])
@@ -119,7 +175,8 @@ def test_reduced_unitary_matches_sandwich(monomials, ancilla):
         circuit = Circuit(cp.compile_cphase(shifted, 0.7, ancilla=ancilla).gates, 7)
         prepared = cp.ancilla_state(monomial.weight)
         got = cp.reduced_system_unitary(circuit, ancilla, prepared)
-        assert np.max(np.abs(got - sandwiched_system_unitary(circuit, ancilla, prepared))) < ORACLE_TOL
+        want = sandwiched_system_unitary(cp.circuit_unitary(circuit), ancilla, prepared)
+        assert np.max(np.abs(got - want)) < ORACLE_TOL
         assert unitary_distance_up_to_phase(target_unitary(monomial, 0.7, 6), got) < 1e-9
     with pytest.raises(ValueError):
         cp.reduced_system_unitary(circuit, 7, prepared)

@@ -200,7 +200,7 @@ def test_unperturbed_energies_match_dense_diagonal(name):
 def test_couplings_match_dense_hopping(name):
     cfg = CONFIGS[name]
     p_idx = mt.penalty_free_indices(cfg)
-    q_idx, couplings = mt._couplings(cfg, p_idx)
+    q_idx, couplings = mt._couplings(cfg, p_idx, mt.faithful_indices(cfg))
     v = dense(mt.v_operator(cfg), cfg.n_modes)
     assert np.array_equal(couplings, v[np.ix_(q_idx, p_idx)])
     # Q is disjoint from P and holds every coupled model-space state
@@ -239,3 +239,21 @@ def test_three_sites_deviation_shrinks_with_ratio():
     assert all(b < a for a, b in zip(deviations, deviations[1:]))
     assert deviations[2] / deviations[1] == pytest.approx(0.1, rel=0.15)
     assert [r.density_norm for r in rows] == pytest.approx([4 * r for r in RATIOS])
+
+
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_sweep_builds_index_sets_once_and_density_norm_is_the_spectral_norm(n_sites, monkeypatch):
+    cfg = mt.ChainConfig(n_sites=n_sites)
+    ratios = [1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3]
+    builds = []
+    original = mt.faithful_indices
+    monkeypatch.setattr(mt, "faithful_indices", lambda c: builds.append(c) or original(c))
+    rows = mt.compare_effective(cfg, ratios)
+    assert builds == [cfg]
+    p_idx = mt.penalty_free_indices(cfg, original(cfg))
+    for ratio, row in zip(ratios, rows):
+        scaled = replace(cfg, penalty=cfg.hopping / ratio)
+        density = mt._block(mt.closed_form_density(scaled), p_idx, p_idx, cfg.n_modes)
+        assert row.density_norm == float(np.linalg.norm(density, 2))
+        brute = mt.effective_hamiltonian(scaled)
+        assert row.deviation == mt.block_deviation(brute, mt.closed_form_block(scaled), cfg.hopping)

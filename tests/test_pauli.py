@@ -3,6 +3,7 @@ import pytest
 
 from su2link.errors import GuardError
 from su2link.pauli import (
+    _phases,
     PauliString,
     PauliSum,
     action,
@@ -138,6 +139,29 @@ def full_letters(rng, n) -> dict[int, str]:
 def random_state(rng, n, real=False) -> np.ndarray:
     psi = rng.normal(size=2**n)
     return psi.astype(complex) if real else psi + 1j * rng.normal(size=2**n)
+
+
+def per_letter_phases(term: PauliString, sources: np.ndarray) -> np.ndarray:
+    """The phase rule one letter at a time: each Z or Y letter flips the sign
+    when its bit of the source is set."""
+    parity = np.zeros_like(sources)
+    for q, letter in term.letters.items():
+        if letter != "X":
+            parity ^= sources >> q
+    n_y = list(term.letters.values()).count("Y")
+    return (term.coefficient * (1, 1j, -1, -1j)[n_y % 4]) * (1 - 2 * (parity & 1))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 12])
+def test_phases_match_the_per_letter_rule_bitwise(n):
+    rng = np.random.default_rng(120 + n)
+    sources = np.arange(2**n)
+    for _ in range(8):
+        term = PauliString(complex(rng.normal(), rng.normal()), full_letters(rng, n))
+        got, want = _phases(term, sources), per_letter_phases(term, sources)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    some = rng.choice(2**n, size=min(5, 2**n), replace=False)
+    assert _phases(term, some).tobytes() == per_letter_phases(term, some).tobytes()
 
 
 def test_action_single_letters():
