@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -364,13 +365,22 @@ PLAQUETTE_NORM_READING = 1.0 / 8.0  # per-plaquette norm bound in units of |J|
 PRINTED_BOUND_CONSTANT = 2300.0
 
 
+def _fractal_factor(k: int) -> int:
+    """5^(2k), exactly.  For k past ``sys.float_info.max_10_exp`` (308) it
+    exceeds 10^k, more than any float, so no bound built on it converts:
+    OverflowError then comes before its billions of digits are built."""
+    if k > sys.float_info.max_10_exp:
+        raise OverflowError(f"5^(2k) does not fit a float for k = {k}")
+    return 5 ** (2 * k)
+
+
 def trotter_bound(m: int, norm_bound: float, t: float, eps: float, k: int = 1) -> int:
     """Ceiling of 2 m 5^(2k) (m * norm_bound * t)^(1 + 1/2k) / eps^(1/2k)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if k < 1:
         raise ValueError("fractal degree k must be at least 1")
-    value = 2 * m * 5 ** (2 * k) * (m * norm_bound * t) ** (1 + 1 / (2 * k)) / eps ** (1 / (2 * k))
+    value = 2 * m * _fractal_factor(k) * (m * norm_bound * t) ** (1 + 1 / (2 * k)) / eps ** (1 / (2 * k))
     return math.ceil(value)
 
 
@@ -378,7 +388,7 @@ def plaquette_bound_constant(k: int = 1) -> float:
     """Coefficient of (Jt)^(1+1/2k) in the one-plaquette step bound under the
     norm reading that makes m * norm = 2|J| per plaquette."""
     m = PLAQUETTE_TERMS
-    return 2 * m * 5 ** (2 * k) * (m * PLAQUETTE_NORM_READING) ** (1 + 1 / (2 * k))
+    return 2 * m * _fractal_factor(k) * (m * PLAQUETTE_NORM_READING) ** (1 + 1 / (2 * k))
 
 
 def plaquette_steps_bound(n_plaquettes: int, jt: float, eps: float, k: int = 1) -> int:

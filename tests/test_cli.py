@@ -474,7 +474,7 @@ def test_bounds_rejects_bad_jt_and_eps(option, value, message, capsys):
     assert_config_error(run(["bounds", f"{option}={value}"], capsys), message)
 
 
-@pytest.mark.parametrize("argv", [["--Jt", "1e300"], ["--k", "1000"]])
+@pytest.mark.parametrize("argv", [["--Jt", "1e300"], ["--k", "1000"], ["--k", str(2**31)]])
 def test_bounds_overflow_exits_2(argv, capsys):
     assert_config_error(run(["bounds", *argv], capsys), "the step bound overflows a float")
 
@@ -484,6 +484,63 @@ def test_bounds_zero_jt_needs_no_steps(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["steps_generic"] == 0 and report["steps_printed_constant"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "--eps", "abc"], "argument --eps: invalid float value: 'abc'"),
+        (["figures", "fig5"], "argument figure: invalid choice: 'fig5'"),
+        (["compile"], "the following arguments are required: --backend"),
+        ([], "the following arguments are required: command"),
+        (["figures", "fig3", "--J=--"], "argument --J: invalid float value: '--'"),
+        (["compile", "--backend=--"], "argument --backend: invalid choice: '--'"),
+    ],
+    ids=["bad-float", "bad-choice", "missing-option", "missing-command", "double-dash-value", "double-dash-choice"],
+)
+def test_usage_errors_are_one_line(argv, message, capsys):
+    assert_config_error(run(argv, capsys), message)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["bounds", "--help"])
+    assert exit_info.value.code == 0
+    assert "--eps" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("coupling", ["2e-12", "-2e-12", "1e-300"])
+def test_figures_rejects_vanishing_coupling(coupling, capsys):
+    # the monomial coefficients |J|/2 would fall under the Pauli merge tolerance
+    argv = ["figures", "fig3", "--steps", "1", "--phi-start", "0.5", "--phi-stop", "0.5", f"--J={coupling}"]
+    assert_config_error(run(argv, capsys), f"--J must exceed 2e-12 in magnitude, got {float(coupling)!r}")
+
+
+def test_compile_accepts_vanishing_coupling(capsys):
+    code, out, err = run(["compile", "--backend", "cphase", "--J=2e-12"], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["monomials"] == 16
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coupling", ["1e160", "1e300", "-1e200"])
+def test_figures_overflow_exits_2(coupling, capsys):
+    assert_config_error(run(["figures", "fig3", f"--J={coupling}"], capsys), "the plaquette energies overflow a float")
+
+
+@pytest.mark.parametrize("figure", ["fig3", "fig4", "figS2"])
+@pytest.mark.parametrize("steps", ["1000000000", f"1,{cli.PHI_GRID_LIMIT + 1}", str(2**31)])
+def test_figures_caps_step_counts(figure, steps, capsys):
+    result = run(["figures", figure, f"--steps={steps}"], capsys)
+    largest = max(int(part) for part in steps.split(","))
+    assert_config_error(result, f"--steps must be at most {cli.PHI_GRID_LIMIT}, got {largest}")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "out.txt"
+    assert_config_error(run(["bounds", "--out", str(missing)], capsys), "No such file or directory")
+    argv = ["compile", "--backend", "collective", "--circuit-out", str(missing)]
+    assert_config_error(run(argv, capsys), "No such file or directory")
 
 
 def test_two_plaquette_fig3_matches_dense_oracle(two_plaquette, two_plaquette_path, dense_canonical_state, capsys):

@@ -281,7 +281,7 @@ def test_trotter_kernel_matches_dense_loop_bitwise(hamiltonian, layout, sector_t
     ids=["fig3", "figS2-0.75", "figS2-2.75"],
 )
 def test_batched_sweep_matches_per_point_loop_bitwise(layout, steps_list, start_sector):
-    phis = cli._phi_grid(cli.RunConfig("figures"))  # the fig3 and figS2 default grid
+    phis = cli._phi_grid(0.05, 2.0, 0.05)  # the fig3 and figS2 default grid
     assert len(phis) == 40
     rows = dyn.sweep(layout, 1.0, list(steps_list), phis, start_sector)
     assert repr(rows) == repr(per_point_sweep_reference(layout, 1.0, steps_list, phis, start_sector))
