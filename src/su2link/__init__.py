@@ -31,7 +31,7 @@ from .linkmodel import (
     triangle_layout,
 )
 from .matter import ChainConfig, compare_effective, effective_hamiltonian
-from .pauli import PauliString, PauliSum, action, commutator, dense, multiply, parse_string, parse_sum
+from .pauli import PauliString, PauliSum, commutator, dense, multiply, parse_string, parse_sum
 
 __all__ = [
     "ChainConfig",
@@ -46,7 +46,6 @@ __all__ = [
     "PauliSum",
     "PlaquetteLayout",
     "TrotterPlan",
-    "action",
     "canonical_sector_state",
     "commutator",
     "compare_effective",

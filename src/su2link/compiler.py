@@ -8,8 +8,9 @@ shared ancilla (one C-phase plus two local Z rotations each) and needs the
 ancilla prepared in a fixed axis eigenstate.
 
 Gate conventions, applied in closed form to a block of state columns with no
-matrix exponential: one ``pauli.action`` gather per X/Y rotation or XX pair,
-one multiply by a phase vector per run of Z rotations and C-phases:
+matrix exponential: one gather per X/Y rotation or XX pair, from its
+``pauli.columns`` pair, and one multiply by a phase vector per run of Z
+rotations and C-phases:
   rot(axis, q, angle)   = exp(-i angle/2 sigma_axis(q)) = cos(angle/2) - i sin(angle/2) sigma_axis(q)
   coll(qubits, angle)   = exp(+i angle sum_{i<j} X_i X_j) = prod_{i<j} (cos angle + i sin angle X_i X_j)
   cphase((a, b), angle) = diag(1, 1, 1, exp(-2i angle)): rows with bits a and b set gain exp(-2i angle)
@@ -37,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import GuardError
-from .pauli import DENSE_QUBIT_LIMIT, PauliString, PauliSum, action
+from .pauli import DENSE_QUBIT_LIMIT, PauliString, columns
 
 COLLECTIVE_WINDOW = (1e-4, 5e-4)
 CPHASE_WINDOW = (1e-5, 5e-5)
@@ -85,13 +86,6 @@ class GateCounts:
     cphase: int = 0
     single: int = 0
 
-    def __add__(self, other: "GateCounts") -> "GateCounts":
-        return GateCounts(
-            self.collective + other.collective,
-            self.cphase + other.cphase,
-            self.single + other.single,
-        )
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -110,9 +104,6 @@ class Circuit:
             cphase=sum(1 for g in self.gates if g.kind == "cphase"),
             single=sum(1 for g in self.gates if g.kind == "rot"),
         )
-
-    def __add__(self, other: "Circuit") -> "Circuit":
-        return Circuit(self.gates + other.gates, max(self.n_qubits, other.n_qubits))
 
 
 def _apply_gates(gates: tuple[Gate, ...], block: np.ndarray) -> np.ndarray:
@@ -136,9 +127,9 @@ def _apply_gates(gates: tuple[Gate, ...], block: np.ndarray) -> np.ndarray:
             else:
                 factors = [(PauliString(1.0, {a: "X", b: "X"}), gate.angle) for a, b in combinations(gate.qubits, 2)]
             for string, theta in factors:
-                perm, phases = action(string, n)
+                ((perm, values),) = columns(string, rows, n)
                 gathered = block[perm]
-                gathered *= (1j * math.sin(theta) * phases)[:, None]
+                gathered *= (1j * math.sin(theta) * values[perm])[:, None]
                 block *= math.cos(theta)
                 block += gathered
             continue
@@ -280,10 +271,7 @@ def compile_step(monomials: list[PauliString], phi: float, backend: str, ancilla
         parts = [compile_cphase(m, phi, ancilla) for m in monomials]
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    out = parts[0]
-    for part in parts[1:]:
-        out = out + part
-    return out
+    return Circuit(tuple(g for part in parts for g in part.gates), max(part.n_qubits for part in parts))
 
 
 def reduced_system_unitary(circuit: Circuit, ancilla: int, prepared: np.ndarray) -> np.ndarray:
@@ -400,59 +388,6 @@ def printed_steps_bound(n_plaquettes: int, jt: float, eps: float) -> float:
     if eps <= 0:
         raise ValueError("eps must be positive")
     return PRINTED_BOUND_CONSTANT * n_plaquettes * (n_plaquettes * jt) ** 1.5 / math.sqrt(eps)
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    eps: float
-    steps: int
-    measured_error: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    measured: tuple[tuple[int, float], ...]  # (steps, state error)
-    checks: tuple[BoundCheck, ...]
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(c.satisfied for c in self.checks)
-
-
-def empirical_vs_bound(
-    hamiltonian: PauliSum,
-    psi0: np.ndarray,
-    t: float,
-    steps_list: list[int],
-    eps_list: list[float],
-    norm_bound: float = PLAQUETTE_NORM_READING,
-    coupling: float = 1.0,
-    order: tuple[int, ...] | None = None,
-) -> BoundReport:
-    """Measured digital state error versus the step-count bound.
-
-    For each requested accuracy the bound's step count is run and the achieved
-    error compared against it (the bound is loose, so the margin is large).
-    ``order`` overrides the canonical term order of the digitized product.
-    """
-    from .dynamics import TrotterPlan, exact_evolve, trotter_evolve
-
-    psi_ideal = exact_evolve(hamiltonian, psi0, t)
-    if order is None:
-        order = tuple(range(len(hamiltonian)))
-
-    def error_at(steps: int) -> float:
-        plan = TrotterPlan(order, steps, t * coupling)
-        return float(np.linalg.norm(trotter_evolve(hamiltonian, plan, psi0, coupling) - psi_ideal))
-
-    measured = tuple((steps, error_at(steps)) for steps in steps_list)
-    checks = []
-    for eps in eps_list:
-        steps = trotter_bound(len(hamiltonian), norm_bound, t, eps)
-        err = error_at(steps)
-        checks.append(BoundCheck(eps, steps, err, err <= eps))
-    return BoundReport(measured, tuple(checks))
 
 
 # ---------------------------------------------------------------------------

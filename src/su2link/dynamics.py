@@ -11,10 +11,10 @@ applies the closed-form exponential of one monomial at a time
 of steps.  The simulated phase is phi = J * t, so at unit coupling the phase
 and the evolution time coincide.
 
-Every operator acts through the bit-mask kernel ``pauli.action``, with no
+Every operator acts through the bit-mask kernel ``pauli.columns``, with no
 matrix: ``pauli.matvec`` for the Lanczos iteration and for expectation
-values, and a factor table of (coefficient, perm, phases) for the Trotter
-product, where one factor maps psi to ``cos * psi - i sin * (phases * psi[..., perm])``.
+values, and a factor table of (coefficient, perm, values) for the Trotter
+product, where one factor maps psi to ``cos * psi - i sin * (values * psi)[..., perm]``.
 
 Every plaquette monomial flips all of its plaquette's position qubits, so an
 evolution never leaves the XOR cosets of the Hamiltonian's X masks that its
@@ -28,6 +28,9 @@ prefix of rows that take more than s steps.  Each row gets the same
 arithmetic as a ``trotter_evolve`` call, and likewise for the ideal states
 and ``exact_evolve``.
 
+``empirical_vs_bound`` compares the measured Trotter error with the
+step-count bound of ``compiler.trotter_bound``.
+
 States are plain complex numpy arrays of length 2^n.  Every evolution
 preserves the norm to 1e-10; sweeps are evaluated in deterministic grid order.
 """
@@ -39,6 +42,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .compiler import PLAQUETTE_NORM_READING, trotter_bound
 from .errors import GuardError
 from .linkmodel import (
     PlaquetteLayout,
@@ -48,7 +52,7 @@ from .linkmodel import (
     plaquette_monomials,
     total_gauge_casimir,
 )
-from .pauli import PauliSum, action, matvec, reachable
+from .pauli import PauliSum, columns, matvec, positions, reachable
 
 EVOLVE_QUBIT_LIMIT = 12
 NORM_TOL = 1e-10
@@ -220,12 +224,16 @@ def _listing_order(layout: PlaquetteLayout, coupling: float, hamiltonian: PauliS
 def _trotter_factors(
     hamiltonian: PauliSum, order: tuple[int, ...], space: _Space
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Factor table on the rows of ``space``: (real weight c, perm, phases) of
-    each unit string P in ``order``."""
+    """Factor table on the rows of ``space``: (real weight c, perm, values) of
+    each unit string P in ``order``, from its one ``pauli.columns`` pair."""
     terms = hamiltonian.terms
     if len(order) != len(terms):
         raise ValueError("plan order does not cover the Hamiltonian's terms")
-    return [(terms[k].coefficient.real, *action(terms[k].bare(), *space)) for k in order]
+    factors = []
+    for k in order:
+        ((targets, values),) = columns(terms[k].bare(), space.rows, space.n_qubits)
+        factors.append((terms[k].coefficient.real, positions(space.rows, targets), values))
+    return factors
 
 
 def _apply_factors(factors, dt, steps, states: np.ndarray) -> np.ndarray:
@@ -235,13 +243,13 @@ def _apply_factors(factors, dt, steps, states: np.ndarray) -> np.ndarray:
     exceeds s, so every row gets the arithmetic it would get alone."""
     dt = np.asarray(dt, dtype=float)[:, None]
     steps = np.asarray(steps)
-    trig = [(np.cos(c * dt), 1j * np.sin(c * dt), perm, phases) for c, perm, phases in factors]
+    trig = [(np.cos(c * dt), 1j * np.sin(c * dt), perm, values) for c, perm, values in factors]
     out = np.array(states, dtype=complex)
     for step in range(int(steps.max(initial=0))):
         active = int(np.count_nonzero(steps > step))
         block = out[:active]
-        for cos_a, isin_a, perm, phases in trig:
-            block[...] = cos_a[:active] * block - isin_a[:active] * (phases * block[:, perm])
+        for cos_a, isin_a, perm, values in trig:
+            block[...] = cos_a[:active] * block - isin_a[:active] * (values * block)[:, perm]
     return out
 
 
@@ -287,6 +295,57 @@ def gauge_deviation(psi_ideal: np.ndarray, psi_digital: np.ndarray, layout: Plaq
 
 
 @dataclass(frozen=True)
+class BoundCheck:
+    eps: float
+    steps: int
+    measured_error: float
+    satisfied: bool
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    measured: tuple[tuple[int, float], ...]  # (steps, state error)
+    checks: tuple[BoundCheck, ...]
+
+    @property
+    def all_satisfied(self) -> bool:
+        return all(c.satisfied for c in self.checks)
+
+
+def empirical_vs_bound(
+    hamiltonian: PauliSum,
+    psi0: np.ndarray,
+    t: float,
+    steps_list: list[int],
+    eps_list: list[float],
+    norm_bound: float = PLAQUETTE_NORM_READING,
+    coupling: float = 1.0,
+    order: tuple[int, ...] | None = None,
+) -> BoundReport:
+    """Measured digital state error versus the step-count bound.
+
+    For each requested accuracy the bound's step count is run and the achieved
+    error compared against it (the bound is loose, so the margin is large).
+    ``order`` overrides the canonical term order of the digitized product.
+    """
+    psi_ideal = exact_evolve(hamiltonian, psi0, t)
+    if order is None:
+        order = tuple(range(len(hamiltonian)))
+
+    def error_at(steps: int) -> float:
+        plan = TrotterPlan(order, steps, t * coupling)
+        return float(np.linalg.norm(trotter_evolve(hamiltonian, plan, psi0, coupling) - psi_ideal))
+
+    measured = tuple((steps, error_at(steps)) for steps in steps_list)
+    checks = []
+    for eps in eps_list:
+        steps = trotter_bound(len(hamiltonian), norm_bound, t, eps)
+        err = error_at(steps)
+        checks.append(BoundCheck(eps, steps, err, err <= eps))
+    return BoundReport(measured, tuple(checks))
+
+
+@dataclass(frozen=True)
 class SweepRow:
     steps: int
     phi: float
@@ -303,22 +362,19 @@ def sweep(
     steps_list: list[int],
     phis: list[float],
     start_sector: float | Sequence[float],
-    backend: str = "trotter",
 ) -> list[SweepRow]:
     """Deterministic grid evaluation: rows in (start, steps as given, phi)
     order, for one start sector eigenvalue or a sequence of them.
 
     The initial state is the canonical representative of the requested gauge
-    sector; the digital state uses the listing-order Trotter plan, or equals
-    the ideal state for the exact backend.  Every step count must be at least
-    1, as in a TrotterPlan.  The Hamiltonian, the Casimir, the sector table
-    and the Trotter factor table are built once per call, and each start's
-    spectrum once.  The digital states of every (step count, start, phi) form
-    one ragged batch on the cosets the starts reach, sorted by step count, and
-    go back to full vectors one (start, step count) block at a time.
+    sector; the digital state uses the listing-order Trotter plan.  Every
+    step count must be at least 1, as in a TrotterPlan.  The Hamiltonian,
+    the Casimir, the sector table and the Trotter factor table are built
+    once per call, and each start's spectrum once.  The digital states of
+    every (step count, start, phi) form one ragged batch on the cosets the
+    starts reach, sorted by step count, and go back to full vectors one
+    (start, step count) block at a time.
     """
-    if backend not in ("trotter", "exact"):
-        raise ValueError(f"unknown backend {backend!r}")
     starts = [start_sector] if np.ndim(start_sector) == 0 else list(start_sector)
     if not steps_list or not phis or not starts:
         return []
@@ -337,20 +393,16 @@ def sweep(
         raise GuardError("ideal gauge expectation vanished")
     overlap_initial = [[overlap(psi, start) for psi in states] for states, start in zip(ideal, psi0)]
 
-    if backend == "exact":
-        space = _Space(n, np.arange(2**n))
-        digital = {(steps, s): ideal[s] for steps in steps_list for s in range(len(starts))}
-    else:
-        space = _reach(hamiltonian, np.array(psi0), n)
-        factors = _trotter_factors(hamiltonian, _listing_order(layout, coupling, hamiltonian), space)
-        blocks = [(steps, s) for steps in sorted(set(steps_list), reverse=True) for s in range(len(starts))]
-        evolved = _check_norm(_apply_factors(
-            factors,
-            np.concatenate([times / steps for steps, _ in blocks]),
-            np.repeat([steps for steps, _ in blocks], len(phis)),
-            np.concatenate([np.broadcast_to(psi0[s][space.rows], (len(phis), len(space.rows))) for _, s in blocks]),
-        ))
-        digital = {block: evolved[i * len(phis):(i + 1) * len(phis)] for i, block in enumerate(blocks)}
+    space = _reach(hamiltonian, np.array(psi0), n)
+    factors = _trotter_factors(hamiltonian, _listing_order(layout, coupling, hamiltonian), space)
+    blocks = [(steps, s) for steps in sorted(set(steps_list), reverse=True) for s in range(len(starts))]
+    evolved = _check_norm(_apply_factors(
+        factors,
+        np.concatenate([times / steps for steps, _ in blocks]),
+        np.repeat([steps for steps, _ in blocks], len(phis)),
+        np.concatenate([np.broadcast_to(psi0[s][space.rows], (len(phis), len(space.rows))) for _, s in blocks]),
+    ))
+    digital = {block: evolved[i * len(phis):(i + 1) * len(phis)] for i, block in enumerate(blocks)}
 
     made: dict[tuple[int, int], list[SweepRow]] = {}
     rows = []

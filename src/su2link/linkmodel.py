@@ -179,6 +179,8 @@ def plaquette_monomials(layout: PlaquetteLayout, coupling: float) -> list[PauliS
     triple-color terms in lexicographic (a, b, c) order, then the nine mixed
     terms grouped by color.  Coefficients are -J/2 times the implied signs.
     """
+    if not layout.plaquettes:
+        raise LayoutError("layout contains no plaquettes")
     epsilon = {
         (1, 2, 3): 1, (1, 3, 2): -1, (2, 1, 3): -1,
         (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1,
@@ -200,8 +202,6 @@ def plaquette_monomials(layout: PlaquetteLayout, coupling: float) -> list[PauliS
 def plaquette_hamiltonian(layout: PlaquetteLayout, coupling: float) -> PauliSum:
     """Magnetic Hamiltonian summed over the layout's plaquettes: 16 monomials
     per plaquette with coefficients of magnitude J/2."""
-    if not layout.plaquettes:
-        raise LayoutError("layout contains no plaquettes")
     return PauliSum(plaquette_monomials(layout, coupling))
 
 

@@ -6,18 +6,18 @@ Pauli letters; a PauliSum is a merged linear combination of strings.  All
 coefficient arithmetic is double-precision complex, phases are tracked exactly
 over {1, i, -1, -i}, and like terms merge with tolerance ``MERGE_TOL``.
 
-``action`` is the one kernel that applies a string to a state.  It uses the
+``columns`` is the one kernel that evaluates matrix elements.  It uses the
 symplectic encoding of Aaronson & Gottesman, PRA 70, 052328 (2004): X and Y
 letters set bits of an X mask, Y and Z letters set bits of a Z mask, and each
-Y contributes a factor i (Y = i X Z).  A string then maps basis state
-``k ^ xmask`` to ``k`` with the phase ``c i^#Y (-1)^popcount((k ^ xmask) & zmask)``,
-so applying it is one gather and one multiply, with no matrix.  ``matvec``
-sums those gathers over the terms of a PauliSum.  Both also come in a
-restricted form, on a set of rows closed under the X masks; ``reachable``
-finds the smallest such set that holds a given support, by GF(2) elimination
-of the masks.  ``columns`` gives an operator's matrix elements out of chosen
-basis columns, one gather per X mask; ``dense`` scatters them into a matrix,
-for the tests and the covariance check's 4x4 link matrices.
+Y contributes a factor i (Y = i X Z).  A string then maps basis state ``k``
+to ``k ^ xmask`` with the amplitude ``c i^#Y (-1)^popcount(k & zmask)``, so
+the elements out of chosen basis columns take one XOR per X mask and one
+sign vector per term, with no matrix.  ``matvec`` applies an operator to
+states from those pairs, one gather per X mask, on all 2^n basis indices or
+on a set of rows closed under the X masks (``positions`` looks the targets
+up there); ``reachable`` finds the smallest such set that holds a given
+support, by GF(2) elimination of the masks.  ``dense`` scatters the pairs
+into a matrix, for the tests and the covariance check's 4x4 link matrices.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -255,72 +255,58 @@ def _phases(term: PauliString, sources: np.ndarray) -> np.ndarray:
     return (term.coefficient * _I_POWERS[n_y % 4]) * signs
 
 
-def action(term: PauliString, n_qubits: int, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Bit-mask action of ``term`` on ``n_qubits`` qubits as ``(perm, phases)``.
-
-    ``(term psi)[k] = phases[k] * psi[perm[k]]`` for every basis index k, with
-    ``perm = k ^ xmask`` and ``phases = c i^#Y (-1)^popcount(perm & zmask)``.
-    Bit ordering: qubit 0 is the least significant bit of the basis index, so
-    basis state ``k`` assigns qubit q the bit ``(k >> q) & 1``.
-
-    With ``rows``, a sorted array of basis indices closed under the X mask,
-    the pair is taken on those rows only: psi then holds the amplitudes of
-    ``rows``, and ``perm[i]`` is the position of ``rows[i] ^ xmask`` in them.
-    """
-    if n_qubits < 0:
-        raise ValueError("n_qubits must be non-negative")
-    if term.support and max(term.support) >= n_qubits:
-        raise ValueError(f"support {term.support} does not fit in {n_qubits} qubits")
-    flipped = (np.arange(2**n_qubits) if rows is None else rows) ^ _xmask(term)
-    phases = _phases(term, flipped)
-    if rows is None:
-        return flipped, phases
-    perm = np.searchsorted(rows, flipped)
-    if len(rows) and not np.array_equal(rows[np.minimum(perm, len(rows) - 1)], flipped):
-        raise ValueError("rows are not closed under the term's X mask")
-    return perm, phases
-
-
-def matvec(op: PauliSum | PauliString, n_qubits: int, rows: np.ndarray | None = None):
-    """``op`` as a matrix-free map built from ``action``: the returned function
-    applies it to one state or to every row of a batch of states, given on
-    all 2^n basis indices or, with ``rows``, on those rows only.  Terms that
-    flip the same bits share one gather; each row gets the same arithmetic
-    whatever the batch size."""
-    by_xmask: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for term in _as_sum(op).terms:
-        perm, phases = action(term, n_qubits, rows)
-        xmask = _xmask(term)
-        if xmask in by_xmask:
-            phases = by_xmask[xmask][1] + phases
-        by_xmask[xmask] = (perm, phases)
-    pairs = list(by_xmask.values())
-
-    def apply(states: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.shape(states), dtype=complex)
-        for perm, phases in pairs:
-            out += phases * states[..., perm]
-        return out
-
-    return apply
-
-
 def columns(op: PauliSum | PauliString, cols: np.ndarray, n_qubits: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Matrix elements of ``op`` in the basis columns ``cols``, without a
     matrix: one ``(targets, values)`` pair per distinct X mask, with
     ``targets = cols ^ xmask`` and ``values[i] = <targets[i]| op |cols[i]>``.
     Terms that flip the same bits are summed from zero in canonical term
     order, as ``dense`` sums them, so every element equals the dense one
-    bitwise."""
-    op = _as_sum(op)
+    bitwise.  Bit ordering: qubit 0 is the least significant bit of the
+    basis index, so basis state ``k`` assigns qubit q the bit ``(k >> q) & 1``."""
+    terms = [op] if isinstance(op, PauliString) else _as_sum(op).terms
+    if n_qubits < 0:
+        raise ValueError("n_qubits must be non-negative")
     if op.support and max(op.support) >= n_qubits:
         raise ValueError(f"support {op.support} does not fit in {n_qubits} qubits")
     cols = np.asarray(cols, dtype=int)
     by_xmask: dict[int, np.ndarray] = {}
-    for term in op.terms:
+    for term in terms:
         xmask = _xmask(term)
         by_xmask[xmask] = by_xmask.get(xmask, 0.0) + _phases(term, cols)
     return [(cols ^ xmask, values) for xmask, values in by_xmask.items()]
+
+
+def positions(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Where each of ``targets`` sits in the sorted basis indices ``rows``;
+    rows closed under an operator's X masks hold the ``columns`` targets of
+    every row."""
+    perm = np.searchsorted(rows, targets)
+    if len(rows) and not np.array_equal(rows[np.minimum(perm, len(rows) - 1)], targets):
+        raise ValueError("rows are not closed under the operator's X masks")
+    return perm
+
+
+def matvec(op: PauliSum | PauliString, n_qubits: int, rows: np.ndarray | None = None):
+    """``op`` as a matrix-free map built from ``columns``: the returned
+    function applies it to one state or to every row of a batch of states,
+    given on all 2^n basis indices or, with ``rows`` (sorted, closed under
+    the X masks), on those rows only.  Each X mask is one multiply and one
+    gather, ``out += (values * states)[..., perm]`` with ``perm`` the
+    targets' positions, since flipping the same bits maps every target back
+    to its column; each row gets the same arithmetic whatever the batch size."""
+    cols = np.arange(2**n_qubits) if rows is None else rows
+    pairs = [
+        (targets if rows is None else positions(rows, targets), values)
+        for targets, values in columns(op, cols, n_qubits)
+    ]
+
+    def apply(states: np.ndarray) -> np.ndarray:
+        out = np.zeros(np.shape(states), dtype=complex)
+        for perm, values in pairs:
+            out += (values * states)[..., perm]
+        return out
+
+    return apply
 
 
 def reachable(op: PauliSum | PauliString, indices: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -355,10 +341,8 @@ def dense(op: PauliSum | PauliString, n_qubits: int) -> np.ndarray:
     ``columns`` of every basis state."""
     if n_qubits > DENSE_QUBIT_LIMIT:
         raise GuardError(f"dense realization limited to {DENSE_QUBIT_LIMIT} qubits, got {n_qubits}")
-    if n_qubits < 0:
-        raise ValueError("n_qubits must be non-negative")
     cols = np.arange(2**n_qubits)
-    pairs = columns(op, cols, n_qubits)  # the support is checked before allocating
+    pairs = columns(op, cols, n_qubits)  # n and the support are checked before allocating
     out = np.zeros((len(cols), len(cols)), dtype=complex)
     for targets, values in pairs:
         out[targets, cols] = values

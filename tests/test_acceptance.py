@@ -234,7 +234,7 @@ def test_criterion_09_bound_consistency(layout, hamiltonian, table):
         assert abs(constant - cp.PRINTED_BOUND_CONSTANT) / cp.PRINTED_BOUND_CONSTANT < 0.03
         psi0 = lm.canonical_sector_state(table, 0.75)
         _, plan = dyn.plaquette_plan(layout, 1.0, 1, 0.25)
-        report = cp.empirical_vs_bound(
+        report = dyn.empirical_vs_bound(
             hamiltonian, psi0, 0.25, [1, 4, 16], [0.1, 0.05], order=plan.order
         )
         assert report.all_satisfied

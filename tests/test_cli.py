@@ -331,6 +331,9 @@ def test_config_file_bad_value_is_one_line(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text("eps=abc\n", encoding="utf-8")
     assert_config_error(run(["bounds", "--config", str(config)], capsys), "argument --eps: invalid float value: 'abc'")
+    config.write_text("steps=1,,2\n", encoding="utf-8")
+    result = run(["figures", "fig3", "--config", str(config)], capsys)
+    assert_config_error(result, "argument --steps: expected comma-separated integers, got '1,,2'")
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -495,8 +498,18 @@ def test_bounds_zero_jt_needs_no_steps(capsys):
         ([], "the following arguments are required: command"),
         (["figures", "fig3", "--J=--"], "argument --J: invalid float value: '--'"),
         (["compile", "--backend=--"], "argument --backend: invalid choice: '--'"),
+        (["figures", "fig3", "--steps=abc"], "argument --steps: expected comma-separated integers, got 'abc'"),
+        (["figures", "fig3", "--steps=1.5"], "argument --steps: expected comma-separated integers, got '1.5'"),
+        (["figures", "fig3", "--steps", ","], "argument --steps: expected comma-separated integers, got ','"),
+        (["figures", "fig3", "--steps", "1,,2"], "argument --steps: expected comma-separated integers, got '1,,2'"),
+        (["matter", "--ratios=x"], "argument --ratios: expected comma-separated numbers, got 'x'"),
+        (["matter", "--ratios", "0.1,"], "argument --ratios: expected comma-separated numbers, got '0.1,'"),
     ],
-    ids=["bad-float", "bad-choice", "missing-option", "missing-command", "double-dash-value", "double-dash-choice"],
+    ids=[
+        "bad-float", "bad-choice", "missing-option", "missing-command", "double-dash-value", "double-dash-choice",
+        "steps-not-a-number", "steps-not-an-integer", "steps-empty-items", "steps-empty-item", "ratios-not-a-number",
+        "ratios-empty-item",
+    ],
 )
 def test_usage_errors_are_one_line(argv, message, capsys):
     assert_config_error(run(argv, capsys), message)
@@ -567,3 +580,12 @@ def test_two_plaquette_fig3_matches_dense_oracle(two_plaquette, two_plaquette_pa
         overlaps = [abs(np.vdot(ideal, other)) ** 2 for other in (psi0, digital)]
         expected.append([steps, phi, (gauge_i - gauge_d) / gauge_i, *overlaps])
     assert np.max(np.abs(rows - np.array(expected))) < 1e-12
+
+
+@pytest.mark.parametrize("backend", ["collective", "cphase"])
+def test_compile_rejects_a_layout_without_plaquettes(backend, tmp_path, capsys):
+    path = tmp_path / "open.layout"
+    path.write_text(lm.format_layout(lm.PlaquetteLayout(lm.triangle_layout().links, ())), encoding="utf-8")
+    result = run(["compile", "--backend", backend, "--layout", str(path)], capsys)
+    assert_config_error(result, "layout contains no plaquettes")
+

@@ -364,12 +364,12 @@ def test_plaquette_bound_constant_near_printed_value():
 
 def test_empirical_vs_bound(monomials):
     layout = lm.triangle_layout()
-    from su2link.dynamics import plaquette_plan
+    from su2link.dynamics import empirical_vs_bound, plaquette_plan
 
     hamiltonian, plan = plaquette_plan(layout, 1.0, 1, 0.0)
     table = lm.gauge_sectors(layout)
     psi0 = lm.canonical_sector_state(table, 0.75)
-    report = cp.empirical_vs_bound(
+    report = empirical_vs_bound(
         hamiltonian, psi0, 0.25, [1, 2, 4], [0.1, 0.05], order=plan.order
     )
     assert report.all_satisfied
@@ -381,7 +381,7 @@ def test_empirical_vs_bound(monomials):
     single = PauliSum([PauliString(0.5, {0: "X", 1: "X"})])
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
-    report = cp.empirical_vs_bound(single, psi, 0.5, [1, 2], [0.5])
+    report = empirical_vs_bound(single, psi, 0.5, [1, 2], [0.5])
     assert all(err < 1e-12 for _, err in report.measured)
 
 

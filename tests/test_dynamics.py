@@ -6,7 +6,7 @@ from su2link import dynamics as dyn
 from su2link import linkmodel as lm
 from su2link.errors import GuardError
 from su2link.linalg import expi_hermitian
-from su2link.pauli import PauliString, PauliSum, action, dense, matvec, reachable
+from su2link.pauli import PauliString, PauliSum, dense, matvec, reachable
 
 
 @pytest.fixture(scope="module")
@@ -178,11 +178,10 @@ def test_sweep_empty_grid(layout):
     assert dyn.sweep(layout, 1.0, [2], [], 0.75) == []
 
 
-@pytest.mark.parametrize("backend", ["trotter", "exact"])
 @pytest.mark.parametrize("steps_list", [[0], [-1], [2, 0]])
-def test_sweep_rejects_step_count_below_one(layout, backend, steps_list):
+def test_sweep_rejects_step_count_below_one(layout, steps_list):
     with pytest.raises(ValueError, match="step count must be at least 1"):
-        dyn.sweep(layout, 1.0, steps_list, [0.5], 0.75, backend=backend)
+        dyn.sweep(layout, 1.0, steps_list, [0.5], 0.75)
 
 
 def test_sweep_deterministic_and_serializable(layout):
@@ -194,14 +193,6 @@ def test_sweep_deterministic_and_serializable(layout):
     assert header == "N,phi,E,overlap_I0,fidelity_ID"
     assert len(rows_a) == 4
     assert [(r.steps, r.phi) for r in rows_a] == [(1, 0.3), (1, 0.6), (2, 0.3), (2, 0.6)]
-
-
-def test_sweep_exact_backend(layout):
-    rows = dyn.sweep(layout, 1.0, [1], [0.4], 2.25, backend="exact")
-    assert rows[0].deviation == pytest.approx(0.0, abs=1e-12)
-    assert rows[0].fidelity == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        dyn.sweep(layout, 1.0, [1], [0.4], 2.25, backend="qed")
 
 
 def test_sweep_gauge_convergence(layout):
@@ -453,9 +444,8 @@ def full_register_trotter(hamiltonian, plan, state):
     for _ in range(plan.steps):
         for k in plan.order:
             term = hamiltonian.terms[k]
-            perm, phases = action(term.bare(), n)
             angle = term.coefficient.real * dt
-            out = np.cos(angle) * out - 1j * np.sin(angle) * (phases * out[perm])
+            out = np.cos(angle) * out - 1j * np.sin(angle) * matvec(term.bare(), n)(out)
     return out
 
 

@@ -6,7 +6,6 @@ from su2link.pauli import (
     _phases,
     PauliString,
     PauliSum,
-    action,
     columns,
     commutator,
     dense,
@@ -16,6 +15,7 @@ from su2link.pauli import (
     multiply,
     parse_string,
     parse_sum,
+    positions,
     reachable,
 )
 
@@ -165,21 +165,23 @@ def test_phases_match_the_per_letter_rule_bitwise(n):
 
 
 def test_action_single_letters():
-    perm, phases = action(PauliString(1, {0: "X"}), 1)
-    assert perm.tolist() == [1, 0] and phases.tolist() == [1, 1]
-    perm, phases = action(PauliString(1, {0: "Y"}), 1)
-    assert perm.tolist() == [1, 0] and phases.tolist() == [-1j, 1j]
-    perm, phases = action(PauliString(-2.0, {1: "Z"}), 2)
-    assert perm.tolist() == [0, 1, 2, 3] and phases.tolist() == [-2, -2, 2, 2]
-    perm, phases = action(PauliString(0.5j), 0)
-    assert perm.tolist() == [0] and phases.tolist() == [0.5j]
+    ((targets, values),) = columns(PauliString(1, {0: "X"}), np.arange(2), 1)
+    assert targets.tolist() == [1, 0] and values.tolist() == [1, 1]
+    ((targets, values),) = columns(PauliString(1, {0: "Y"}), np.arange(2), 1)
+    assert targets.tolist() == [1, 0] and values.tolist() == [1j, -1j]
+    assert matvec(PauliString(1, {0: "Y"}), 1)(np.array([1.0, 2.0])).tolist() == [-2j, 1j]
+    ((targets, values),) = columns(PauliString(-2.0, {1: "Z"}), np.arange(4), 2)
+    assert targets.tolist() == [0, 1, 2, 3] and values.tolist() == [-2, -2, 2, 2]
+    ((targets, values),) = columns(PauliString(0.5j), np.arange(1), 0)
+    assert targets.tolist() == [0] and values.tolist() == [0.5j]
 
 
 def test_action_guards():
-    with pytest.raises(ValueError):
-        action(PauliString(1, {3: "X"}), 2)
-    with pytest.raises(ValueError):
-        action(PauliString(1), -1)
+    for build in (matvec, lambda op, n: columns(op, [0], n)):
+        with pytest.raises(ValueError):
+            build(PauliString(1, {3: "X"}), 2)
+        with pytest.raises(ValueError):
+            build(PauliString(1), -1)
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -197,8 +199,7 @@ def test_action_matches_dense_bitwise(n):
         ]
         for coefficient, psi in cases:
             term = PauliString(coefficient, letters)
-            perm, phases = action(term, n)
-            assert (phases * psi[perm]).tobytes() == (dense(term, n) @ psi).tobytes()
+            assert matvec(term, n)(psi).tobytes() == (dense(term, n) @ psi).tobytes()
 
 
 def test_action_complex_coefficient_on_complex_state():
@@ -208,9 +209,8 @@ def test_action_complex_coefficient_on_complex_state():
     for n in range(1, 9):
         term = PauliString(complex(rng.normal(), rng.normal()), full_letters(rng, n))
         psi = random_state(rng, n)
-        perm, phases = action(term, n)
         tol = 4 * np.finfo(float).eps * abs(term.coefficient) * np.max(np.abs(psi))
-        np.testing.assert_allclose(phases * psi[perm], dense(term, n) @ psi, rtol=0, atol=tol)
+        np.testing.assert_allclose(matvec(term, n)(psi), dense(term, n) @ psi, rtol=0, atol=tol)
 
 
 def test_dense_scatter_matches_kron_reference_bitwise():
@@ -276,7 +276,7 @@ def test_parse_rejects_garbage():
 def coset_closure(op, indices, n) -> list[int]:
     """Breadth-first search over basis states: every index that a chain of
     the terms' bit flips leads to from ``indices``."""
-    masks = {int(action(term, n)[0][0]) for term in op.terms}
+    masks = {int(targets[0]) for targets, _ in columns(op, [0], n)}
     seen, frontier = set(int(k) for k in indices), list(indices)
     while frontier:
         frontier = [k ^ x for k in frontier for x in masks if k ^ x not in seen]
@@ -311,7 +311,7 @@ def test_reachable_on_the_layouts(layouts):
     for name, layout in layouts.items():
         n = layout.n_qubits
         hamiltonian = lm.plaquette_hamiltonian(layout, 1.0)
-        masks = [int(action(term, n)[0][0]) for term in hamiltonian.terms]
+        masks = [int(targets[0]) for targets, _ in columns(hamiltonian, [0], n)]
         supports = [[0], sorted(rng.choice(2**n, size=3, replace=False).tolist())]
         for support in supports:
             rows = reachable(hamiltonian, support, n)
@@ -332,15 +332,15 @@ def test_restricted_action_and_matvec_are_the_full_ones_on_the_rows(n):
         psi[rows] = random_state(rng, n)[: len(rows)]
         assert matvec(op, n, rows)(psi[rows]).tobytes() == matvec(op, n)(psi)[rows].tobytes()
         for term in op.terms:
-            perm, phases = action(term, n, rows)
-            full_perm, full_phases = action(term, n)
-            assert np.array_equal(rows[perm], full_perm[rows])
-            assert phases.tobytes() == full_phases[rows].tobytes()
+            ((targets, values),) = columns(term, rows, n)
+            ((full_targets, full_values),) = columns(term, np.arange(2**n), n)
+            assert np.array_equal(rows[positions(rows, targets)], full_targets[rows])
+            assert values.tobytes() == full_values[rows].tobytes()
 
 
 def test_restricted_action_rejects_rows_that_are_not_closed():
     with pytest.raises(ValueError, match="not closed"):
-        action(PauliString(1, {1: "X"}), 2, np.array([0, 1]))
+        matvec(PauliString(1, {1: "X"}), 2, np.array([0, 1]))
     with pytest.raises(ValueError):
         reachable(PauliString(1, {3: "X"}), [0], 2)
 
