@@ -267,7 +267,8 @@ def compile_step(monomials: list[PauliString], phi: float, backend: str, ancilla
         parts = [compile_collective(m, phi) for m in monomials]
     elif backend == "cphase":
         if ancilla is None:
-            ancilla = 1 + max(q for m in monomials for q in m.support)
+            # identity monomials have no support; they compile to a global phase
+            ancilla = 1 + max((q for m in monomials for q in m.support), default=-1)
         parts = [compile_cphase(m, phi, ancilla) for m in monomials]
     else:
         raise ValueError(f"unknown backend {backend!r}")

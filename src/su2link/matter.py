@@ -138,6 +138,15 @@ def unperturbed_energies(cfg: ChainConfig, indices: np.ndarray) -> np.ndarray:
     return energies
 
 
+def _scaled(pattern: PauliSum, factor: float, name: str) -> PauliSum:
+    """``factor * pattern``; a nonzero factor that pushes terms under the
+    merge tolerance would silently drop them, so that raises."""
+    scaled = factor * pattern
+    if factor != 0 and len(scaled) < len(pattern):
+        raise GuardError(f"{name} is too small: terms fall under the Pauli merge tolerance {pauli.MERGE_TOL:g}")
+    return scaled
+
+
 def v_operator(cfg: ChainConfig) -> PauliSum:
     """Color-symmetric matter-link hopping, explicitly Hermitian."""
     half = PauliSum()
@@ -159,7 +168,7 @@ def v_operator(cfg: ChainConfig) -> PauliSum:
                     coeff = _SIGMA_Y[mu, alpha]
                     if coeff != 0:
                         half = half + coeff * (lowering(cfg.c_mode(link, RIGHT, mu)) * b_low)
-    total = cfg.hopping * half
+    total = _scaled(half, cfg.hopping, f"hopping {cfg.hopping:.3g}")
     return total + total.adjoint()
 
 
@@ -237,6 +246,8 @@ def _couplings(cfg: ChainConfig, p_idx: np.ndarray, faithful: np.ndarray) -> tup
     """(Q, <Q| V |P>): Q holds the model-space states (``faithful``) outside
     P that the hopping reaches from P, in ascending order; no other
     model-space state outside P couples to P."""
+    if len(p_idx) == 0:
+        raise GuardError("penalty-free subspace is empty in this sector")
     v = v_operator(cfg)
     # p_idx[:0] keeps the concatenation defined when V has no terms (zero hopping)
     reached = np.concatenate([p_idx[:0]] + [targets for targets, _ in pauli.columns(v, p_idx, cfg.n_modes)])
@@ -270,9 +281,14 @@ def effective_hamiltonian(cfg: ChainConfig, energy_shift: float = 0.0, spaces: t
     """
     faithful = faithful_indices(cfg) if spaces is None else spaces[0]
     p_idx = penalty_free_indices(cfg, faithful) if spaces is None else spaces[1]
-    if len(p_idx) == 0:
-        raise GuardError("penalty-free subspace is empty in this sector")
-    q_idx, couplings = _couplings(cfg, p_idx, faithful)
+    return _second_order(cfg, p_idx, *_couplings(cfg, p_idx, faithful), energy_shift)
+
+
+def _second_order(
+    cfg: ChainConfig, p_idx: np.ndarray, q_idx: np.ndarray, couplings: np.ndarray, energy_shift: float = 0.0
+) -> EffectiveBlock:
+    """The penalty-dependent part of ``effective_hamiltonian``: the gaps,
+    their guard and the weighted product of the couplings ``<Q| V |P>``."""
     # H0 depends only on the total and the link occupations, which P fixes
     e0 = float(unperturbed_energies(cfg, p_idx[:1])[0]) + energy_shift
     gaps = e0 - (unperturbed_energies(cfg, q_idx) + energy_shift)
@@ -287,9 +303,25 @@ def effective_hamiltonian(cfg: ChainConfig, energy_shift: float = 0.0, spaces: t
     return EffectiveBlock(block, p_idx)
 
 
+def _closed_form_term(cfg: ChainConfig, pattern: PauliSum) -> PauliSum:
+    """A closed-form pattern times its second-order scale -2 hopping^2 / penalty."""
+    return _scaled(pattern, -2.0 * cfg.hopping**2 / cfg.penalty, f"ratio {cfg.ratio:.3g}")
+
+
 def closed_form_hopping(cfg: ChainConfig) -> PauliSum:
     """The expected effective hopping: matter moves across a link while the
     link excitation swaps ends, in both color channels."""
+    return _hopping_form(cfg, _hopping_pattern(cfg))
+
+
+def _hopping_form(cfg: ChainConfig, pattern: PauliSum) -> PauliSum:
+    scaled = _closed_form_term(cfg, pattern)
+    return scaled + scaled.adjoint()
+
+
+def _hopping_pattern(cfg: ChainConfig) -> PauliSum:
+    """The penalty-free part of the closed-form hopping, before scaling and
+    adding the adjoint."""
     total = PauliSum()
     for link in range(cfg.n_links):
         site, nxt = link, link + 1
@@ -304,13 +336,17 @@ def closed_form_hopping(cfg: ChainConfig) -> PauliSum:
                         if coeff != 0:
                             conj = raising(cfg.c_mode(link, LEFT, mu)) * lowering(cfg.c_mode(link, RIGHT, nu))
                             total = total + coeff * (b_pair * conj)
-    scaled = (-2.0 * cfg.hopping**2 / cfg.penalty) * total
-    return scaled + scaled.adjoint()
+    return total
 
 
 def closed_form_density(cfg: ChainConfig) -> PauliSum:
     """The density-density companion term: matter density times the density of
     the adjacent link ends."""
+    return _closed_form_term(cfg, _density_pattern(cfg))
+
+
+def _density_pattern(cfg: ChainConfig) -> PauliSum:
+    """The penalty-free part of the closed-form density term."""
     total = PauliSum()
     for site in range(cfg.n_sites):
         matter = PauliSum()
@@ -324,7 +360,7 @@ def closed_form_density(cfg: ChainConfig) -> PauliSum:
             for spin in (UP, DOWN):
                 ends = ends + number(cfg.c_mode(site, LEFT, spin))
         total = total + matter * ends
-    return (-2.0 * cfg.hopping**2 / cfg.penalty) * total
+    return total
 
 
 def closed_form_block(cfg: ChainConfig, p_idx: np.ndarray | None = None) -> EffectiveBlock:
@@ -355,16 +391,22 @@ class ComparisonRow:
 
 def compare_effective(cfg: ChainConfig, ratios: list[float]) -> list[ComparisonRow]:
     """Deviation sweep: the penalty scale runs over hopping / ratio while the
-    mode frequency and hopping stay fixed; the index sets, which do not
-    depend on the penalty, are built once."""
+    mode frequency and hopping stay fixed.  What does not depend on the
+    penalty is built once: the index sets, the couplings of P to Q and the
+    closed forms' operator patterns; each ratio only scales the patterns and
+    builds its blocks."""
     faithful = faithful_indices(cfg)
     p_idx = penalty_free_indices(cfg, faithful)
+    q_idx, couplings = _couplings(cfg, p_idx, faithful)
+    hopping_pattern, density_pattern = _hopping_pattern(cfg), _density_pattern(cfg)
     rows = []
     for ratio in ratios:
         scaled = replace(cfg, penalty=cfg.hopping / ratio)
-        brute = effective_hamiltonian(scaled, spaces=(faithful, p_idx))
-        closed = closed_form_block(scaled, p_idx)
-        density = _block(closed_form_density(scaled), p_idx, p_idx, scaled.n_modes)
+        brute = _second_order(scaled, p_idx, q_idx, couplings)
+        density_op = _closed_form_term(scaled, density_pattern)
+        closed_op = _hopping_form(scaled, hopping_pattern) + density_op
+        closed = EffectiveBlock(_block(closed_op, p_idx, p_idx, cfg.n_modes), p_idx)
+        density = _block(density_op, p_idx, p_idx, cfg.n_modes)
         rows.append(
             ComparisonRow(
                 ratio=float(ratio),

@@ -81,6 +81,20 @@ class PauliString:
         self.letters = items
         self._key = tuple(sorted(items.items()))
 
+    @classmethod
+    def _derived(cls, coefficient: complex, key: tuple[tuple[int, str], ...]) -> PauliString:
+        """A string on the letter pattern ``key`` of an already validated
+        string: only the coefficient is checked, and ``letters`` is a fresh
+        dict."""
+        coefficient = complex(coefficient)
+        if coefficient == 0:
+            raise ValueError("zero-coefficient Pauli strings are not representable")
+        out = cls.__new__(cls)
+        out.coefficient = coefficient
+        out.letters = dict(key)
+        out._key = key
+        return out
+
     def key(self) -> tuple[tuple[int, str], ...]:
         """Canonical letter pattern, sorted by qubit index."""
         return self._key
@@ -94,15 +108,15 @@ class PauliString:
         return len(self._key)
 
     def with_coefficient(self, coefficient: complex) -> PauliString:
-        return PauliString(coefficient, self.letters)
+        return PauliString._derived(coefficient, self._key)
 
     def bare(self) -> PauliString:
         """The same letter pattern with unit coefficient."""
-        return PauliString(1.0, self.letters)
+        return PauliString._derived(1.0, self._key)
 
     def adjoint(self) -> PauliString:
         # every letter is Hermitian, so only the coefficient conjugates
-        return PauliString(self.coefficient.conjugate(), self.letters)
+        return PauliString._derived(self.coefficient.conjugate(), self._key)
 
     def is_hermitian(self, tol: float = MERGE_TOL) -> bool:
         return abs(self.coefficient.imag) <= tol
@@ -110,13 +124,13 @@ class PauliString:
     def __mul__(self, other):
         if isinstance(other, PauliString):
             return multiply(self, other)
-        return PauliString(self.coefficient * other, self.letters)
+        return PauliString._derived(self.coefficient * other, self._key)
 
     def __rmul__(self, other):
-        return PauliString(self.coefficient * other, self.letters)
+        return PauliString._derived(self.coefficient * other, self._key)
 
     def __neg__(self):
-        return PauliString(-self.coefficient, self.letters)
+        return PauliString._derived(-self.coefficient, self._key)
 
     def __eq__(self, other):
         if not isinstance(other, PauliString):
@@ -163,7 +177,7 @@ class PauliSum:
             key = term.key()
             merged[key] = merged.get(key, 0) + term.coefficient
         self._terms = {k: c for k, c in merged.items() if abs(c) > MERGE_TOL}
-        self._sorted = tuple(PauliString(c, dict(k)) for k, c in sorted(self._terms.items()))
+        self._sorted = tuple(PauliString._derived(c, k) for k, c in sorted(self._terms.items()))
 
     @property
     def terms(self) -> list[PauliString]:

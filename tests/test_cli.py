@@ -156,6 +156,17 @@ def test_compile_single_monomial(tmp_path, capsys):
     assert parse_circuit(text).counts.collective == 2
 
 
+@pytest.mark.parametrize("backend", ["collective", "cphase"])
+def test_compile_identity_monomial_is_a_global_phase(backend, tmp_path, capsys):
+    circuit_path = tmp_path / "gates.txt"
+    argv = ["compile", "--backend", backend, "--monomial", "(1.0)", "--circuit-out", str(circuit_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert (report["collective"], report["cphase"], report["single"]) == (0, 0, 0)
+    assert circuit_path.read_text(encoding="utf-8") == "qubits 1\n"
+
+
 def test_compile_rejects_conflicting_inputs(capsys):
     code, _, err = run(
         ["compile", "--backend", "collective", "--step", "--monomial", "(1.0) X0 X1"],
@@ -190,6 +201,22 @@ def test_matter_guard_exits_3(capsys):
     code, _, err = run(["matter", "--ratios", "0.5"], capsys)
     assert code == 3
     assert "guard" in err
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ("--ratios=1e-13", "ratio 1e-13 is too small"),  # the density terms fall under MERGE_TOL
+        ("--ratios=0.1,3e-12", "ratio 3e-12 is too small"),  # the hopping terms do
+        ("--hopping=1e-13", "hopping 1e-13 is too small"),  # the terms of V do
+    ],
+)
+def test_matter_refuses_terms_that_merge_away(option, message, capsys):
+    code, out, err = run(["matter", option], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical guard: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_covariance_report(capsys):
@@ -296,6 +323,15 @@ def test_default_figures_match_golden_outputs(figure, capsys):
                 assert got_value == want_value
             else:
                 assert abs(float(got_value) - float(want_value)) <= 1e-12, (column, got_line, want_line)
+
+
+@pytest.mark.parametrize("sites", [2, 3])
+def test_matter_matches_golden_outputs(sites, capsys):
+    """The default-ratio matter CSVs against the committed ones in tests/data,
+    byte for byte."""
+    code, out, _ = run(["matter", "--sites", str(sites)], capsys)
+    assert code == 0
+    assert out == (GOLDEN / f"matter{sites}.csv").read_text(encoding="utf-8")
 
 
 def test_config_file_defaults_and_precedence(tmp_path, capsys):

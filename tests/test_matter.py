@@ -245,15 +245,25 @@ def test_three_sites_deviation_shrinks_with_ratio():
 def test_sweep_builds_index_sets_once_and_density_norm_is_the_spectral_norm(n_sites, monkeypatch):
     cfg = mt.ChainConfig(n_sites=n_sites)
     ratios = [1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3]
-    builds = []
-    original = mt.faithful_indices
-    monkeypatch.setattr(mt, "faithful_indices", lambda c: builds.append(c) or original(c))
+    builds = {name: [] for name in ("faithful_indices", "v_operator", "_hopping_pattern", "_density_pattern")}
+    for name, calls in builds.items():
+        original = getattr(mt, name)
+        monkeypatch.setattr(mt, name, lambda c, original=original, calls=calls: calls.append(c) or original(c))
     rows = mt.compare_effective(cfg, ratios)
-    assert builds == [cfg]
-    p_idx = mt.penalty_free_indices(cfg, original(cfg))
+    assert builds == {name: [cfg] for name in builds}
+    monkeypatch.undo()
+    # each ratio's row equals, bitwise, the one built afresh for that penalty
+    p_idx = mt.penalty_free_indices(cfg)
     for ratio, row in zip(ratios, rows):
         scaled = replace(cfg, penalty=cfg.hopping / ratio)
         density = mt._block(mt.closed_form_density(scaled), p_idx, p_idx, cfg.n_modes)
         assert row.density_norm == float(np.linalg.norm(density, 2))
         brute = mt.effective_hamiltonian(scaled)
         assert row.deviation == mt.block_deviation(brute, mt.closed_form_block(scaled), cfg.hopping)
+
+
+def test_sweep_runs_just_above_the_merge_tolerance():
+    # the smallest closed-form coefficients are ratio / 8; ratios below 8e-12 exit 3 (test_cli)
+    (row,) = mt.compare_effective(mt.ChainConfig(), [1e-11])
+    assert row.deviation == pytest.approx(1e-11, rel=1e-6)
+    assert row.density_norm == pytest.approx(2e-11, rel=1e-6)

@@ -247,6 +247,47 @@ def test_zero_coefficient_rejected():
         PauliString(0.0, {0: "X"})
     with pytest.raises(ValueError):
         PauliString(1.0, {0: "I"})
+    with pytest.raises(ValueError):
+        PauliString(1.0, {0: "W"})
+    with pytest.raises(ValueError):
+        PauliString(1.0, {-1: "X"})
+    # derived strings skip the letter checks but not the coefficient check
+    with pytest.raises(ValueError):
+        PauliString(1, {0: "X"}) * 0
+    with pytest.raises(ValueError):
+        0 * PauliString(1, {0: "X"})
+    with pytest.raises(ValueError):
+        PauliString(1, {0: "X"}).with_coefficient(0)
+
+
+def assert_same_string(derived, validated):
+    assert derived.key() == validated.key()
+    assert derived.letters == validated.letters
+    assert derived.coefficient == validated.coefficient and type(derived.coefficient) is complex
+    assert hash(derived) == hash(validated) and derived == validated
+
+
+def test_derived_strings_equal_validated_ones():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        s = random_string(rng, 6)
+        c = s.coefficient
+        assert_same_string(s.with_coefficient(2.5), PauliString(2.5, s.letters))
+        assert_same_string(s.bare(), PauliString(1.0, s.letters))
+        assert_same_string(s.adjoint(), PauliString(c.conjugate(), s.letters))
+        assert_same_string(s * 0.5, PauliString(c * 0.5, s.letters))
+        assert_same_string(-3 * s, PauliString(-3 * c, s.letters))
+        assert_same_string(-s, PauliString(-c, s.letters))
+        (term,) = PauliSum([s]).terms
+        assert_same_string(term, PauliString(c, s.letters))
+
+
+def test_derived_letters_are_not_shared():
+    source = PauliString(1.0, {3: "Y", 0: "X"})
+    for derived in (source.bare(), source.adjoint(), 2 * source, -source, PauliSum([source]).terms[0]):
+        assert derived.letters is not source.letters
+        derived.letters[7] = "Z"
+        assert source.letters == {0: "X", 3: "Y"} and source.key() == ((0, "X"), (3, "Y"))
 
 
 def test_text_round_trip():
