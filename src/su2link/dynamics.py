@@ -36,14 +36,13 @@ preserves the norm to 1e-10; sweeps are evaluated in deterministic grid order.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .compiler import PLAQUETTE_NORM_READING, trotter_bound
-from .errors import GuardError
+from .errors import GuardError, check_memory
 from .linkmodel import (
     PlaquetteLayout,
     canonical_sector_state,
@@ -52,9 +51,8 @@ from .linkmodel import (
     plaquette_monomials,
     total_gauge_casimir,
 )
-from .pauli import PauliSum, columns, matvec, positions, reachable
+from .pauli import PauliSum, columns, matvec, pair_count, positions, reachable
 
-EVOLVE_QUBIT_LIMIT = 12
 NORM_TOL = 1e-10
 LANCZOS_BREAKDOWN = 1e-13
 DEVIATION_GUARD = 1e-12
@@ -98,9 +96,10 @@ class _Space(NamedTuple):
     rows: np.ndarray
 
 
-def _check_evolution(hamiltonian: PauliSum, n_qubits: int, kind: str) -> None:
-    if n_qubits > EVOLVE_QUBIT_LIMIT:
-        raise GuardError(f"{kind} evolution limited to {EVOLVE_QUBIT_LIMIT} qubits")
+def _check_evolution(hamiltonian: PauliSum, n: int, kind: str) -> None:
+    # per basis state: six complex vectors (the input, its rows, the output, and a matvec's
+    # result, product and gather), the matvec's pairs and reachable's five index words
+    check_memory(lambda: 2.0**n * (16 * 6 + 24 * pair_count(hamiltonian) + 40), f"{kind} evolution on {n} qubits")
     if not hamiltonian.is_hermitian():
         raise GuardError("Hamiltonian must be Hermitian")
 
@@ -382,6 +381,9 @@ def sweep(
         _check_steps(steps)
     n = layout.n_qubits
     casimir_op = total_gauge_casimir(layout)
+    # as in _check_evolution; per phi: each start's ideal and Trotter vectors, two digital blocks, four temporaries
+    per_phi = len(starts) * (1 + len(set(steps_list))) + 6
+    check_memory(lambda: 2.0**n * (16 * len(phis) * per_phi + 24 * pair_count(casimir_op) + 40), f"sweep on {n} qubits")
     table = gauge_sectors(layout)
     psi0 = [canonical_sector_state(table, start, casimir_op) for start in starts]
     hamiltonian = plaquette_hamiltonian(layout, coupling)
@@ -428,28 +430,15 @@ def sweep(
     return rows
 
 
-SWEEP_COLUMNS = ("N", "phi", "E", "overlap_I0", "fidelity_ID")
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
-    lines = [",".join(SWEEP_COLUMNS)]
+    lines = ["N,phi,E,overlap_I0,fidelity_ID"]
     for r in rows:
         lines.append(
             f"{r.steps},{_fmt(r.phi)},{_fmt(r.deviation)},{_fmt(r.overlap_initial)},{_fmt(r.fidelity)}"
         )
     return "\n".join(lines) + "\n"
 
-
-def sweep_json(rows: list[SweepRow]) -> str:
-    payload = {
-        "schema": 1,
-        "columns": list(SWEEP_COLUMNS),
-        "rows": [
-            [r.steps, r.phi, r.deviation, r.overlap_initial, r.fidelity] for r in rows
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

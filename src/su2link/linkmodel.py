@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pauli
-from .errors import GuardError, LayoutError
+from .errors import LayoutError, check_memory
 from .linalg import expi_hermitian
 from .pauli import PauliString, PauliSum, dense
 
 SECTOR_CLUSTER_TOL = 1e-8
-SECTOR_DIM_LIMIT = 12
 
 _AXES = {1: "X", 2: "Y", 3: "Z"}
 
@@ -62,7 +61,7 @@ class PlaquetteLayout:
         if len(set(ids)) != len(ids):
             raise LayoutError("link ids must be unique")
         by_id = {l.link_id: l for l in self.links}
-        for plaq in self.plaquettes:
+        for index, plaq in enumerate(self.plaquettes):
             if len(plaq) != 3:
                 raise LayoutError("plaquettes must contain exactly three links")
             try:
@@ -72,6 +71,8 @@ class PlaquetteLayout:
             for a, b in zip(loop, loop[1:] + loop[:1]):
                 if a.to != b.frm:
                     raise LayoutError(f"plaquette {plaq} is not a closed oriented loop")
+            if set(plaq) in map(set, self.plaquettes[:index]):
+                raise LayoutError(f"plaquette {plaq} repeats the links of an earlier plaquette")
         vertices = sorted({v for l in self.links for v in (l.frm, l.to)})
         object.__setattr__(self, "vertices", tuple(vertices))
 
@@ -279,11 +280,10 @@ def gauge_sectors(layout: PlaquetteLayout) -> GaugeSectorTable:
     configuration the generators at vertex v are the total spin of the k_v
     spins whose excitation sits at v, so the Casimir is sum_v j_v(j_v + 1)
     over the couplings of those spins.  Each qubit index that no link uses
-    doubles every degeneracy.
+    doubles every degeneracy.  The memory check counts one 2^n state; that bounds 2^links too.
     """
     n = layout.n_qubits
-    if n > SECTOR_DIM_LIMIT:
-        raise GuardError(f"sector analysis limited to {SECTOR_DIM_LIMIT} qubits, got {n}")
+    check_memory(lambda: 16 * 2.0**n, f"sector table on {n} qubits")
     counts = Counter()
     for config in range(2 ** len(layout.links)):
         index = sum(1 << link.pos_qubit for i, link in enumerate(layout.links) if (config >> i) & 1)

@@ -22,16 +22,14 @@ forms from ``pauli.columns``.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import pauli
-from .errors import GuardError
+from .errors import GuardError, check_memory
 from .pauli import PauliString, PauliSum, letter_matrix
 
-MODE_LIMIT = 20
 DEGENERACY_GUARD = 1e-9
 REACH_TOL = 1e-12
 
@@ -63,8 +61,8 @@ class ChainConfig:
             raise ValueError("a chain needs at least two sites")
         if self.penalty <= 0:
             raise ValueError("penalty scale must be positive")
-        if self.n_modes > MODE_LIMIT:
-            raise GuardError(f"chain needs {self.n_modes} modes, limit is {MODE_LIMIT}")
+        # per basis state: faithful_indices' index, mask and three bit-test temporaries
+        check_memory(lambda: 33 * 2.0**self.n_modes, f"matter chain of {self.n_modes} modes")
         if not 0 <= self.matter_number <= 2 * self.n_sites:
             raise ValueError("matter_number out of range")
 
@@ -252,6 +250,9 @@ def _couplings(cfg: ChainConfig, p_idx: np.ndarray, faithful: np.ndarray) -> tup
     # p_idx[:0] keeps the concatenation defined when V has no terms (zero hopping)
     reached = np.concatenate([p_idx[:0]] + [targets for targets, _ in pauli.columns(v, p_idx, cfg.n_modes)])
     q_idx = np.setdiff1d(np.intersect1d(reached, faithful), p_idx)
+    # the block, its conjugate and weighted copy, and six P x P blocks of a ratio
+    p, q = len(p_idx), len(q_idx)
+    check_memory(lambda: 16.0 * p * (3 * q + 6 * p), f"matter coupling block of {q} x {p}")
     return q_idx, _block(v, q_idx, p_idx, cfg.n_modes)
 
 
@@ -267,7 +268,7 @@ class EffectiveBlock:
     basis_indices: np.ndarray
 
 
-def effective_hamiltonian(cfg: ChainConfig, energy_shift: float = 0.0, spaces: tuple | None = None) -> EffectiveBlock:
+def effective_hamiltonian(cfg: ChainConfig, energy_shift: float = 0.0) -> EffectiveBlock:
     """Second-order effective operator from the projector formula.
 
     With P the penalty-free subspace of the chosen sector at unperturbed
@@ -276,11 +277,10 @@ def effective_hamiltonian(cfg: ChainConfig, energy_shift: float = 0.0, spaces: t
     kill roundoff.  Raises if the hopping couples P to a complement state
     within 1e-9 * penalty of E0.  ``energy_shift`` adds a constant to the
     bare spectrum; the block cannot depend on it (E0 shifts along) and the
-    knob exists for consistency tests.  ``spaces`` passes the faithful and
-    penalty-free indices of ``cfg`` when the caller has built them.
+    knob exists for consistency tests.
     """
-    faithful = faithful_indices(cfg) if spaces is None else spaces[0]
-    p_idx = penalty_free_indices(cfg, faithful) if spaces is None else spaces[1]
+    faithful = faithful_indices(cfg)
+    p_idx = penalty_free_indices(cfg, faithful)
     return _second_order(cfg, p_idx, *_couplings(cfg, p_idx, faithful), energy_shift)
 
 
@@ -423,11 +423,3 @@ def comparison_csv(rows: list[ComparisonRow]) -> str:
         lines.append(f"{r.ratio!r},{r.deviation!r},{r.density_norm!r}")
     return "\n".join(lines) + "\n"
 
-
-def comparison_json(rows: list[ComparisonRow]) -> str:
-    payload = {
-        "schema": 1,
-        "columns": ["ratio", "deviation", "density_norm"],
-        "rows": [[r.ratio, r.deviation, r.density_norm] for r in rows],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

@@ -28,10 +28,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import check_memory
 
 MERGE_TOL = 1e-12
-DENSE_QUBIT_LIMIT = 12
 
 _LETTERS = ("I", "X", "Y", "Z")
 
@@ -290,6 +289,11 @@ def columns(op: PauliSum | PauliString, cols: np.ndarray, n_qubits: int) -> list
     return [(cols ^ xmask, values) for xmask, values in by_xmask.items()]
 
 
+def pair_count(op: PauliSum | PauliString) -> int:
+    """How many pairs ``columns`` gives ``op``: one per distinct X mask."""
+    return len({_xmask(term) for term in ([op] if isinstance(op, PauliString) else _as_sum(op).terms)})
+
+
 def positions(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Where each of ``targets`` sits in the sorted basis indices ``rows``;
     rows closed under an operator's X masks hold the ``columns`` targets of
@@ -353,8 +357,8 @@ def reachable(op: PauliSum | PauliString, indices: np.ndarray, n_qubits: int) ->
 def dense(op: PauliSum | PauliString, n_qubits: int) -> np.ndarray:
     """Dense matrix of ``op`` on ``n_qubits`` qubits, scattered from
     ``columns`` of every basis state."""
-    if n_qubits > DENSE_QUBIT_LIMIT:
-        raise GuardError(f"dense realization limited to {DENSE_QUBIT_LIMIT} qubits, got {n_qubits}")
+    # the matrix, and per basis state the column index, a term's sign temporaries and the pairs
+    check_memory(lambda: 2.0**n_qubits * (16 * 2.0**n_qubits + 64 + 24 * pair_count(op)), f"dense matrix on {n_qubits} qubits")
     cols = np.arange(2**n_qubits)
     pairs = columns(op, cols, n_qubits)  # n and the support are checked before allocating
     out = np.zeros((len(cols), len(cols)), dtype=complex)

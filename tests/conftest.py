@@ -1,8 +1,13 @@
-"""Shared layouts and dense oracles for the sector and dynamics tests."""
+"""Shared layouts, dense oracles and the memory-budget probe."""
+import re
+
 import numpy as np
 import pytest
 
+from su2link import dynamics as dyn
+from su2link import errors
 from su2link import linkmodel as lm
+from su2link.errors import GuardError
 from su2link.linkmodel import Link, PlaquetteLayout
 from su2link.pauli import dense
 
@@ -19,6 +24,13 @@ link 34 3 4 6 7
 link 42 4 2 8 9
 plaquette 12 23 31
 plaquette 23 34 42
+"""
+# the triangle with one spin qubit at index 5e9: a register no float can size
+HUGE_INDEX = """\
+link 12 1 2 0 1
+link 23 2 3 2 3
+link 31 3 1 4 5000000000
+plaquette 12 23 31
 """
 
 
@@ -79,3 +91,66 @@ def dense_canonical_state():
         raise AssertionError(f"no sector with eigenvalue {eigenvalue}")
 
     return state
+
+
+def _per_point_sweep(layout, coupling, steps_list, phis, start_sector):
+    """sweep() as a loop over grid points: one exact_evolve per phi, one
+    trotter_evolve and one plan per point, and the gauge values through
+    expectation()."""
+    psi0 = lm.canonical_sector_state(lm.gauge_sectors(layout), start_sector)
+    hamiltonian = lm.plaquette_hamiltonian(layout, coupling)
+    casimir = lm.total_gauge_casimir(layout)
+    ideal = {phi: dyn.exact_evolve(hamiltonian, psi0, phi / coupling) for phi in phis}
+    gauge_ideal = {phi: dyn.expectation(casimir, psi) for phi, psi in ideal.items()}
+    rows = []
+    for steps in steps_list:
+        for phi in phis:
+            psi_ideal, gauge_i = ideal[phi], gauge_ideal[phi]
+            _, plan = dyn.plaquette_plan(layout, coupling, steps, phi)
+            psi_digital = dyn.trotter_evolve(hamiltonian, plan, psi0, coupling)
+            gauge_d = dyn.expectation(casimir, psi_digital)
+            rows.append(
+                dyn.SweepRow(
+                    steps, float(phi), (gauge_i - gauge_d) / gauge_i, dyn.overlap(psi_ideal, psi0),
+                    dyn.overlap(psi_ideal, psi_digital), gauge_i, gauge_d,
+                )
+            )
+    return rows
+
+
+@pytest.fixture(scope="session")
+def per_point_sweep():
+    return _per_point_sweep
+
+
+@pytest.fixture(scope="session")
+def huge_index_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("layouts") / "huge_index.layout"
+    path.write_text(HUGE_INDEX, encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def memory_boundary(monkeypatch):
+    """Pins a call's memory guard at its boundary.  The budget starts at 0
+    and rises to each estimate a refusal names, until the call runs; that
+    last budget is the largest estimate the call checks.  One byte less must
+    refuse the call, naming that estimate.  Returns the estimate."""
+
+    def pin(call) -> int:
+        budget = 0
+        while True:
+            monkeypatch.setattr(errors, "MEMORY_BUDGET", budget)
+            try:
+                call()
+                break
+            except GuardError as err:
+                estimate = int(re.search(r"needs an estimated (\d+) bytes", str(err))[1])
+                assert estimate > budget
+                budget = estimate
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", budget - 1)
+        with pytest.raises(GuardError, match=f"needs an estimated {budget} bytes, over the memory budget of {budget - 1} bytes"):
+            call()
+        return budget
+
+    return pin

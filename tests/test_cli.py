@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,10 @@ import pytest
 from su2link import cli
 from su2link import dynamics as dyn
 from su2link import linkmodel as lm
-from su2link.pauli import dense
+from su2link.pauli import dense, matvec
+
+# three triangles in a strip, each sharing one link with the next: 7 links, 14 qubits
+STRIP3_PATH = Path(__file__).parent / "data" / "strip3.layout"
 
 
 def run(argv, capsys):
@@ -46,19 +50,38 @@ def test_sectors_malformed_layout_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
-def test_sectors_dimension_guard_exits_3(tmp_path, capsys):
-    lines = []
-    for t in range(3):  # three disjoint triangles: 18 qubits, over the limit
-        base_v, base_q = 10 * t, 6 * t
-        for k, (a, b) in enumerate([(1, 2), (2, 3), (3, 1)]):
-            lines.append(
-                f"link t{t}l{k} {base_v + a} {base_v + b} {base_q + 2 * k} {base_q + 2 * k + 1}"
-            )
-    path = tmp_path / "big.layout"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, _, err = run(["sectors", "--layout", str(path)], capsys)
-    assert code == 3
-    assert "guard" in err
+def test_sectors_dimension_guard_exits_3(huge_index_path, capsys):
+    code, out, err = run(["sectors", "--layout", str(huge_index_path)], capsys)
+    assert code == 3 and out == ""
+    assert err.splitlines() == [
+        "numerical guard: sector table on 5000000001 qubits needs an estimated inf bytes, "
+        "over the memory budget of 1073741824 bytes"
+    ]
+
+
+def test_strip3_sectors_count_the_register(capsys):
+    code, out, err = run(["sectors", "--layout", str(STRIP3_PATH)], capsys)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert sum(int(degeneracy) for _, degeneracy in rows) == 2**14
+    layout = cli._load_layout(str(STRIP3_PATH))
+    table = lm.gauge_sectors(layout)
+    casimir = lm.total_gauge_casimir(layout)
+    apply_casimir = matvec(casimir, layout.n_qubits)
+    for sector in table.sectors:
+        state = lm.canonical_sector_state(table, sector.eigenvalue, casimir)
+        assert np.linalg.norm(apply_casimir(state) - sector.eigenvalue * state) < 1e-10
+
+
+def test_strip3_fig3_matches_per_point_loop(per_point_sweep, capsys):
+    argv = ["figures", "fig3", "--steps", "1,2", "--phi-stop", "0.1", "--layout", str(STRIP3_PATH)]
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    rows = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[1:]])
+    expected = per_point_sweep(cli._load_layout(str(STRIP3_PATH)), 1.0, (1, 2), [0.05, 0.1], 0.75)
+    expected = np.array([[r.steps, r.phi, r.deviation, r.overlap_initial, r.fidelity] for r in expected])
+    assert rows.shape == expected.shape == (4, 5)
+    assert np.max(np.abs(rows - expected)) < 1e-12
 
 
 def test_repeated_runs_byte_identical(tmp_path):
@@ -254,17 +277,11 @@ def test_covariance_builds_no_matrix_larger_than_4x4(monkeypatch, two_plaquette_
     assert max(exponentiated) == 4 and max(diagonalised) == 4
 
 
-def test_covariance_runs_on_a_three_triangle_strip(tmp_path, capsys):
-    # triangles 123, 234 and 345, each sharing one link with the next: 7 links, 14 qubits
-    ends = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 2), (4, 5), (5, 3)]
-    lines = [f"link {a}{b} {a} {b} {2 * k} {2 * k + 1}" for k, (a, b) in enumerate(ends)]
-    lines += ["plaquette 12 23 31", "plaquette 23 34 42", "plaquette 34 45 53"]
-    path = tmp_path / "strip.layout"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, out, err = run(["covariance", "--sets", "2", "--layout", str(path)], capsys)
+def test_covariance_runs_on_a_three_triangle_strip(capsys):
+    code, out, err = run(["covariance", "--sets", "2", "--layout", str(STRIP3_PATH)], capsys)
     assert code == 0 and err == ""
     rows = [line.split(",") for line in out.splitlines()[1:]]
-    assert [row[1] for row in rows] == [f"{a}{b}" for a, b in ends] * 2
+    assert [row[1] for row in rows] == ["12", "23", "31", "34", "42", "45", "53"] * 2
     assert all(float(row[2]) < 1e-12 for row in rows)
 
 
@@ -286,10 +303,65 @@ def run_under_3gb(argv):
 
 
 def test_matter_five_sites_exits_3_before_allocating():
-    # 26 modes: the mode limit must answer before any 2^26 index array is built
+    # 26 modes: the budget must answer before any 2^26 index array is built
     result = run_under_3gb(["matter", "--sites", "5"])
     assert result.returncode == 3
-    assert result.stderr.splitlines() == ["numerical guard: chain needs 26 modes, limit is 20"]
+    assert result.stderr.splitlines() == [
+        "numerical guard: matter chain of 26 modes needs an estimated 2214592512 bytes, "
+        "over the memory budget of 1073741824 bytes"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["sectors"], "sector table"),
+        (["figures", "fig3"], "sweep"),
+        (["figures", "fig4"], "sweep"),
+        (["figures", "figS2"], "sweep"),
+        (["covariance", "--sets", "1"], None),
+        (["compile", "--backend", "collective"], None),
+        (["compile", "--backend", "cphase"], None),
+    ],
+)
+def test_huge_qubit_index_is_refused_only_where_a_register_is_built(huge_index_path, argv, refusal):
+    # no float holds the size of a 5e9-qubit register; covariance and compile build none
+    start = time.perf_counter()
+    result = run_under_3gb([*argv, "--layout", str(huge_index_path)])
+    assert time.perf_counter() - start < 20
+    if refusal is None:
+        assert result.returncode == 0 and result.stderr == "" and result.stdout
+    else:
+        assert result.returncode == 3 and result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"numerical guard: {refusal} on 5000000001 qubits needs an estimated inf bytes, "
+            "over the memory budget of 1073741824 bytes"
+        ]
+
+
+def test_four_triangle_strip_fig3_exits_3_before_allocating(tmp_path):
+    # 18 qubits: the default fig3 sweep would hold about 2 GB of full-register states
+    layout = STRIP3_PATH.read_text(encoding="utf-8") + "link 56 5 6 14 15\nlink 64 6 4 16 17\nplaquette 45 56 64\n"
+    path = tmp_path / "strip4.layout"
+    path.write_text(layout.replace("vertex 5\n", "vertex 5\nvertex 6\n"), encoding="utf-8")
+    result = run_under_3gb(["figures", "fig3", "--layout", str(path)])
+    assert result.returncode == 3
+    assert result.stderr.splitlines() == [
+        "numerical guard: sweep on 18 qubits needs an estimated 1988100096 bytes, "
+        "over the memory budget of 1073741824 bytes"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sectors"], ["figures", "fig3"], ["compile", "--backend", "collective"], ["covariance", "--sets", "1"]],
+)
+def test_repeated_plaquette_exits_2(argv, tmp_path, capsys):
+    # the rotation 23 31 12 closes the same loop as 12 23 31
+    path = tmp_path / "repeated.layout"
+    path.write_text(lm.format_layout(lm.triangle_layout()) + "plaquette 23 31 12\n", encoding="utf-8")
+    result = run([*argv, "--layout", str(path)], capsys)
+    assert_config_error(result, "plaquette ('23', '31', '12') repeats the links of an earlier plaquette")
 
 
 def test_covariance_sets_over_limit_exits_2_before_allocating(capsys):

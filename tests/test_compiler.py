@@ -94,12 +94,15 @@ def test_gate_outside_register_rejected():
             cp.circuit_unitary(Circuit(gates, 4), 3)
 
 
-def test_dense_guard_fires_before_allocation():
-    limit = cp.DENSE_QUBIT_LIMIT
-    with pytest.raises(GuardError):
-        cp.gate_unitary(rot("x", 0, 0.1), limit + 1)
-    with pytest.raises(GuardError):
-        cp.reduced_system_unitary(Circuit((rot("x", 0, 0.1),), limit + 2), 0, cp.ancilla_state(2))
+def test_dense_guard_fires_before_allocation(memory_boundary):
+    with pytest.raises(GuardError, match="^circuit unitary on 13 qubits needs"):
+        cp.gate_unitary(rot("x", 0, 0.1), 13)
+    with pytest.raises(GuardError, match="^reduced system unitary on 14 qubits needs"):
+        cp.reduced_system_unitary(Circuit((rot("x", 0, 0.1),), 14), 0, cp.ancilla_state(2))
+    assert cp.circuit_unitary(Circuit((), 12)).shape == (4096, 4096)  # 12 qubits fit the budget
+    memory_boundary(lambda: cp.circuit_unitary(Circuit((rot("x", 0, 0.1), coll((0, 1, 2), 0.2)), 3)))
+    circuit = cp.compile_cphase(PauliString(1.0, {0: "X", 1: "Y"}), 0.3)
+    memory_boundary(lambda: cp.reduced_system_unitary(circuit, 2, cp.ancilla_state(2)))
 
 
 def sandwiched_system_unitary(full, ancilla, prepared):

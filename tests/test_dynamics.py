@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from su2link import cli
+from su2link import cli, errors
 from su2link import dynamics as dyn
 from su2link import linkmodel as lm
 from su2link.errors import GuardError
@@ -37,13 +37,23 @@ def test_exact_evolve_eigenstate_phase():
     assert np.allclose(out, np.exp(-0.7j) * psi, atol=1e-12)
 
 
-def test_exact_evolve_guards():
+def test_exact_evolve_guards(memory_boundary):
     non_hermitian = PauliSum([PauliString(1j, {0: "Z"})])
     with pytest.raises(GuardError):
         dyn.exact_evolve(non_hermitian, dyn.basis_state(1, 0), 0.1)
-    h = PauliSum([PauliString(1.0, {0: "Z"})])
-    with pytest.raises(GuardError):
-        dyn.exact_evolve(h, dyn.basis_state(13, 0), 0.1)
+    h = PauliSum([PauliString(1.0, {0: "Z"}), PauliString(0.5, {1: "X"})])
+    memory_boundary(lambda: dyn.exact_evolve(h, dyn.basis_state(2, 0), 0.1))
+
+
+def test_trotter_evolve_and_sweep_guards(layout, hamiltonian, monkeypatch, memory_boundary):
+    plan = dyn.trotter_plan(hamiltonian, 2, 0.3)
+    memory_boundary(lambda: dyn.trotter_evolve(hamiltonian, plan, dyn.basis_state(6, 5)))
+    estimate = memory_boundary(lambda: dyn.sweep(layout, 1.0, [1, 2], [0.3, 0.6], 0.75))
+    # the sweep refuses before the sector table or any state is built
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", estimate - 1)
+    monkeypatch.setattr(dyn, "gauge_sectors", None)
+    with pytest.raises(GuardError, match="^sweep on 6 qubits needs"):
+        dyn.sweep(layout, 1.0, [1, 2], [0.3, 0.6], 0.75)
 
 
 def test_exact_evolution_conserves_casimir(hamiltonian, layout, sector_table):
@@ -188,7 +198,6 @@ def test_sweep_deterministic_and_serializable(layout):
     rows_a = dyn.sweep(layout, 1.0, [1, 2], [0.3, 0.6], 0.75)
     rows_b = dyn.sweep(layout, 1.0, [1, 2], [0.3, 0.6], 0.75)
     assert dyn.sweep_csv(rows_a) == dyn.sweep_csv(rows_b)
-    assert dyn.sweep_json(rows_a) == dyn.sweep_json(rows_b)
     header = dyn.sweep_csv(rows_a).splitlines()[0]
     assert header == "N,phi,E,overlap_I0,fidelity_ID"
     assert len(rows_a) == 4
@@ -227,31 +236,6 @@ def dense_trotter_reference(hamiltonian, plan, state, coupling=1.0):
     return out
 
 
-def per_point_sweep_reference(layout, coupling, steps_list, phis, start_sector):
-    """sweep() as a loop over grid points: one exact_evolve per phi, one
-    trotter_evolve and one plan per point, and the gauge values through
-    expectation()."""
-    psi0 = lm.canonical_sector_state(lm.gauge_sectors(layout), start_sector)
-    hamiltonian = lm.plaquette_hamiltonian(layout, coupling)
-    casimir = lm.total_gauge_casimir(layout)
-    ideal = {phi: dyn.exact_evolve(hamiltonian, psi0, phi / coupling) for phi in phis}
-    gauge_ideal = {phi: dyn.expectation(casimir, psi) for phi, psi in ideal.items()}
-    rows = []
-    for steps in steps_list:
-        for phi in phis:
-            psi_ideal, gauge_i = ideal[phi], gauge_ideal[phi]
-            _, plan = dyn.plaquette_plan(layout, coupling, steps, phi)
-            psi_digital = dyn.trotter_evolve(hamiltonian, plan, psi0, coupling)
-            gauge_d = dyn.expectation(casimir, psi_digital)
-            rows.append(
-                dyn.SweepRow(
-                    steps, float(phi), (gauge_i - gauge_d) / gauge_i, dyn.overlap(psi_ideal, psi0),
-                    dyn.overlap(psi_ideal, psi_digital), gauge_i, gauge_d,
-                )
-            )
-    return rows
-
-
 def test_trotter_kernel_matches_dense_loop_bitwise(hamiltonian, layout, sector_table):
     rng = np.random.default_rng(3)
     random_psi = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
@@ -271,11 +255,11 @@ def test_trotter_kernel_matches_dense_loop_bitwise(hamiltonian, layout, sector_t
     [((1, 2, 3, 4), 0.75), ((1, 2, 4, 8, 16, 32, 64), 0.75), ((1, 2, 4, 8, 16, 32, 64), 2.75)],
     ids=["fig3", "figS2-0.75", "figS2-2.75"],
 )
-def test_batched_sweep_matches_per_point_loop_bitwise(layout, steps_list, start_sector):
+def test_batched_sweep_matches_per_point_loop_bitwise(layout, steps_list, start_sector, per_point_sweep):
     phis = cli._phi_grid(0.05, 2.0, 0.05)  # the fig3 and figS2 default grid
     assert len(phis) == 40
     rows = dyn.sweep(layout, 1.0, list(steps_list), phis, start_sector)
-    assert repr(rows) == repr(per_point_sweep_reference(layout, 1.0, steps_list, phis, start_sector))
+    assert repr(rows) == repr(per_point_sweep(layout, 1.0, steps_list, phis, start_sector))
 
 
 def test_sweep_norm_guard_checks_every_row(layout, monkeypatch):

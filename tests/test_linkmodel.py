@@ -1,10 +1,11 @@
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from su2link import linkmodel as lm
-from su2link.errors import LayoutError
+from su2link.errors import GuardError, LayoutError
 from su2link.linkmodel import Link, PlaquetteLayout
 from su2link.linalg import expi_hermitian
 from su2link.pauli import PauliString, PauliSum, dense, letter_matrix
@@ -173,6 +174,12 @@ def test_duplicate_qubits_rejected():
         PlaquetteLayout(links=(Link("a", 1, 2, 0, 1), Link("b", 2, 1, 1, 2)), plaquettes=())
 
 
+@pytest.mark.parametrize("repeat", [("12", "23", "31"), ("23", "31", "12"), ("31", "12", "23")])
+def test_repeated_plaquette_rejected(layout, repeat):
+    with pytest.raises(LayoutError, match=re.escape(f"plaquette {repeat!r} repeats the links of an earlier plaquette")):
+        PlaquetteLayout(layout.links, (("12", "23", "31"), repeat))
+
+
 def sector_oracle():
     """Count states per total-Casimir value by enumerating which end of each
     link is occupied and coupling the spins that meet at a vertex.
@@ -194,6 +201,17 @@ def sector_oracle():
             counts[0 + 3 / 4] += 2  # singlet pair x lone spin
             counts[2 + 3 / 4] += 6  # triplet pair x lone spin
     return counts
+
+
+def test_gauge_sectors_guard(layout, memory_boundary):
+    assert memory_boundary(lambda: lm.gauge_sectors(layout)) == 16 * 2**6  # one complex state
+    # five disjoint triangles: 15 links, 30 qubits, refused before counting 2^15 configurations
+    links = tuple(
+        Link(f"{t}{k}", 10 * t + a, 10 * t + b, 6 * t + 2 * k, 6 * t + 2 * k + 1)
+        for t in range(5) for k, (a, b) in enumerate([(1, 2), (2, 3), (3, 1)])
+    )
+    with pytest.raises(GuardError, match="^sector table on 30 qubits needs an estimated 17179869184 bytes"):
+        lm.gauge_sectors(PlaquetteLayout(links, ()))
 
 
 def test_gauge_sectors(layout):

@@ -20,8 +20,8 @@ def test_config_validation():
         mt.ChainConfig(n_sites=1)
     with pytest.raises(ValueError):
         mt.ChainConfig(penalty=0.0)
-    with pytest.raises(GuardError):
-        mt.ChainConfig(n_sites=5)  # 26 modes, over the limit
+    with pytest.raises(GuardError, match="^matter chain of 26 modes needs"):
+        mt.ChainConfig(n_sites=5)  # 26 modes, over the budget
     cfg = mt.ChainConfig()
     assert cfg.n_modes == 8
     assert cfg.total_excitations == 2
@@ -140,7 +140,16 @@ def test_comparison_serialization(cfg):
     rows = mt.compare_effective(cfg, [1e-2])
     assert mt.comparison_csv(rows) == mt.comparison_csv(rows)
     assert mt.comparison_csv(rows).splitlines()[0] == "ratio,deviation,density_norm"
-    assert mt.comparison_json(rows).startswith('{"columns"')
+
+
+def test_memory_guards(cfg, memory_boundary):
+    faithful = mt.faithful_indices(cfg)
+    p_idx = mt.penalty_free_indices(cfg, faithful)
+    q_idx, _ = mt._couplings(cfg, p_idx, faithful)
+    # the coupling block is checked before _couplings builds it
+    block = 16 * len(p_idx) * (3 * len(q_idx) + 6 * len(p_idx))
+    assert memory_boundary(lambda: mt._couplings(cfg, p_idx, faithful)) == block
+    assert memory_boundary(lambda: mt.ChainConfig()) == 33 * 2**8  # the index arrays over 8 modes
 
 
 def test_degenerate_denominator_guard(cfg):

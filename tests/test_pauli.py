@@ -110,11 +110,16 @@ def test_dense_conventions():
     assert np.allclose(dense(zz, 2), np.diag([2, 0, 0, -2]))
 
 
-def test_dense_guards():
-    with pytest.raises(GuardError):
-        dense(PauliString(1, {0: "X"}), 15)
+def test_dense_guards(memory_boundary):
+    for n in (13, 15):
+        with pytest.raises(GuardError, match=f"^dense matrix on {n} qubits needs"):
+            dense(PauliString(1, {0: "X"}), n)
+    # 12 qubits fit the budget, so the support check answers, before allocating
+    with pytest.raises(ValueError, match="does not fit in 12 qubits"):
+        dense(PauliString(1, {12: "X"}), 12)
     with pytest.raises(ValueError):
         dense(PauliString(1, {3: "X"}), 2)
+    memory_boundary(lambda: dense(PauliSum([PauliString(1, {0: "X"}), PauliString(1, {1: "Z"})]), 3))
 
 
 def kron_dense_reference(op, n: int) -> np.ndarray:
