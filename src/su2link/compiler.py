@@ -132,6 +132,7 @@ def _apply_gates(gates: tuple[Gate, ...], block: np.ndarray) -> np.ndarray:
                 gathered *= (1j * math.sin(theta) * values[perm])[:, None]
                 block *= math.cos(theta)
                 block += gathered
+                del gathered  # before the next factor gathers its copy
             continue
         pending = diagonal if pending is None else pending * diagonal
     return block if pending is None else np.multiply(block, pending[:, None], out=block)
@@ -143,8 +144,8 @@ def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
 
 def circuit_unitary(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
     n = circuit.n_qubits if n_qubits is None else n_qubits
-    # the unitary, a factor's gather copy and the previous one's, and seven index or phase vectors
-    check_memory(lambda: 48 * 4.0**n + 112 * 2.0**n, f"circuit unitary on {n} qubits")
+    # the unitary and a factor's gather copy, and seven index or phase vectors
+    check_memory(lambda: 32 * 4.0**n + 112 * 2.0**n, f"circuit unitary on {n} qubits")
     return _apply_gates(circuit.gates, np.eye(2**n, dtype=complex))
 
 
@@ -279,8 +280,8 @@ def reduced_system_unitary(circuit: Circuit, ancilla: int, prepared: np.ndarray)
     """Action of the circuit on the system register with the ancilla prepared
     in (and projected back onto) the given single-qubit state."""
     n_total = circuit.n_qubits
-    # in units of 4^n bytes: the system identity (4), the prepared block and two gather copies (8 each)
-    check_memory(lambda: 28 * 4.0**n_total + 112 * 2.0**n_total, f"reduced system unitary on {n_total} qubits")
+    # in units of 4^n bytes: the system identity (4), the prepared block and its gather copy (8 each)
+    check_memory(lambda: 20 * 4.0**n_total + 112 * 2.0**n_total, f"reduced system unitary on {n_total} qubits")
     if not 0 <= ancilla < n_total:
         raise ValueError(f"ancilla {ancilla} is outside the {n_total}-qubit register")
     # a register index split into (bits above the ancilla, ancilla bit, bits below, column)

@@ -13,26 +13,29 @@ and the evolution time coincide.
 
 Every operator acts through the bit-mask kernel ``pauli.columns``, with no
 matrix: ``pauli.matvec`` for the Lanczos iteration and for expectation
-values, and a factor table of (coefficient, perm, values) for the Trotter
-product, where one factor maps psi to ``cos * psi - i sin * (values * psi)[..., perm]``.
+values, and a factor table of (coefficient, perm, phases) for the Trotter
+product, where one factor maps psi to ``cos * psi - i sin * phases * psi[..., perm]``.
 
 Every plaquette monomial flips all of its plaquette's position qubits, so an
 evolution never leaves the XOR cosets of the Hamiltonian's X masks that its
 start state touches (``pauli.reachable``; on the triangle 8 of 64 basis
 states for each sector representative).  Evolutions run on those rows only,
-with the restricted kernel, and go back to full 2^n vectors before any
-expectation value or overlap is taken; a state with full support reaches the
-whole register on the same path.  ``sweep`` evolves every (start, step count,
-phi) row as one ragged batch sorted by step count, where step s acts on the
-prefix of rows that take more than s steps.  Each row gets the same
-arithmetic as a ``trotter_evolve`` call, and likewise for the ideal states
-and ``exact_evolve``.
+with the restricted kernel; ``exact_evolve`` and ``trotter_evolve`` return
+full 2^n vectors, and a state with full support reaches the whole register
+on the same path.  ``sweep`` never leaves a start's rows: the Casimir's X
+masks lie in the span of the Hamiltonian's, so the start state is projected
+there, and the expectation values, overlaps and fidelities are taken there
+too.  Each start's (step count, phi) rows form one ragged batch sorted by
+step count, where step s acts on the prefix of rows that take more than s
+steps.  Each row gets the same arithmetic as a ``trotter_evolve`` call, and
+likewise for the ideal states and ``exact_evolve``.
 
 ``empirical_vs_bound`` compares the measured Trotter error with the
 step-count bound of ``compiler.trotter_bound``.
 
-States are plain complex numpy arrays of length 2^n.  Every evolution
-preserves the norm to 1e-10; sweeps are evaluated in deterministic grid order.
+The public functions take and return states as plain complex numpy arrays
+of length 2^n.  Every evolution preserves the norm to 1e-10; sweeps are
+evaluated in deterministic grid order.
 """
 from __future__ import annotations
 
@@ -44,14 +47,16 @@ import numpy as np
 from .compiler import PLAQUETTE_NORM_READING, trotter_bound
 from .errors import GuardError, check_memory
 from .linkmodel import (
+    GaugeSectorTable,
     PlaquetteLayout,
-    canonical_sector_state,
     gauge_sectors,
     plaquette_hamiltonian,
     plaquette_monomials,
+    sector_projection,
+    sector_seed,
     total_gauge_casimir,
 )
-from .pauli import PauliSum, columns, matvec, pair_count, positions, reachable
+from .pauli import PauliSum, columns, matvec, pair_count, positions, reachable, span_rank
 
 NORM_TOL = 1e-10
 LANCZOS_BREAKDOWN = 1e-13
@@ -84,6 +89,13 @@ def _expectations(apply_op, states: np.ndarray) -> np.ndarray:
     return np.sum(states.conj() * apply_op(states), axis=-1).real
 
 
+def _overlaps(states: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """|<psi|phi>|^2 of one pair of states, or row by row of two batches."""
+    inner = np.sum(states.conj() * others, axis=-1)
+    # products and a sum, not abs(): numpy's scalar and array abs round differently
+    return inner.real * inner.real + inner.imag * inner.imag
+
+
 def expectation(op: PauliSum, state: np.ndarray) -> float:
     return float(_expectations(matvec(op, _n_qubits_of(state)), state))
 
@@ -96,19 +108,23 @@ class _Space(NamedTuple):
     rows: np.ndarray
 
 
-def _check_evolution(hamiltonian: PauliSum, n: int, kind: str) -> None:
-    # per basis state: six complex vectors (the input, its rows, the output, and a matvec's
-    # result, product and gather), the matvec's pairs and reachable's five index words
-    check_memory(lambda: 2.0**n * (16 * 6 + 24 * pair_count(hamiltonian) + 40), f"{kind} evolution on {n} qubits")
+def _check_evolution(hamiltonian: PauliSum, nbytes, what: str) -> None:
+    check_memory(nbytes, what)
     if not hamiltonian.is_hermitian():
         raise GuardError("Hamiltonian must be Hermitian")
 
 
-def _reach(hamiltonian: PauliSum, states: np.ndarray, n_qubits: int) -> _Space:
+def _check_register_evolution(hamiltonian: PauliSum, n: int, kind: str) -> None:
+    # per basis state: six complex vectors (the input, its rows, the output, and a matvec's
+    # result, product and gather), the matvec's pairs and reachable's five index words
+    nbytes = lambda: 2.0**n * (16 * 6 + 24 * pair_count(hamiltonian) + 40)
+    _check_evolution(hamiltonian, nbytes, f"{kind} evolution on {n} qubits")
+
+
+def _reach(hamiltonian: PauliSum, state: np.ndarray, n_qubits: int) -> _Space:
     """The XOR cosets of the Hamiltonian's X masks that the support of
-    ``states`` (one state or a batch) touches."""
-    support = np.flatnonzero(np.any(np.reshape(states, (-1, 2**n_qubits)) != 0, axis=0))
-    return _Space(n_qubits, reachable(hamiltonian, support, n_qubits))
+    ``state`` touches."""
+    return _Space(n_qubits, reachable(hamiltonian, np.flatnonzero(state), n_qubits))
 
 
 def _local_matvec(op: PauliSum, space: _Space):
@@ -124,22 +140,18 @@ def _scatter(space: _Space, states: np.ndarray) -> np.ndarray:
     return out
 
 
-def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray):
-    """Eigenpairs of H on the Krylov space of ``state``, as (eigvals,
-    amplitudes, ritz, space): H ritz[k] = eigvals[k] ritz[k] and
-    state = sum_k amplitudes[k] ritz[k], with the Ritz vectors held on the
-    rows of ``space``, the cosets that the state reaches.
+def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray, space: _Space):
+    """Eigenpairs of H on the Krylov space of ``state``, given on the rows of
+    ``space`` (cosets closed under H), as (eigvals, amplitudes, ritz):
+    H ritz[k] = eigvals[k] ritz[k] and state = sum_k amplitudes[k] ritz[k],
+    with the Ritz vectors held on the same rows.
 
     Lanczos with two full reorthogonalisations per step runs until the next
     vector vanishes (or the space fills those rows), then the tridiagonal
     matrix T is diagonalised.  The residual ||H V - V T|| is guarded relative
     to the coefficient 1-norm of H, which bounds its operator norm.
     """
-    n = _n_qubits_of(state)
-    _check_evolution(hamiltonian, n, "exact")
     _check_norm(state)
-    space = _reach(hamiltonian, state, n)
-    state = state[space.rows]
     apply_h = _local_matvec(hamiltonian, space)
     scale = sum(abs(term.coefficient) for term in hamiltonian.terms)
     vectors, images, alphas, betas = [state / np.linalg.norm(state)], [], [], []
@@ -161,24 +173,28 @@ def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray):
     if residual > NORM_TOL * scale:
         raise GuardError(f"Lanczos residual {residual:.3g} exceeds 1e-10 of the Hamiltonian's norm")
     eigvals, eigvecs = np.linalg.eigh(tridiagonal)
-    return eigvals, np.linalg.norm(state) * eigvecs[0], eigvecs.T @ block, space
+    return eigvals, np.linalg.norm(state) * eigvecs[0], eigvecs.T @ block
 
 
 def _evolve_spectrum(spectrum, times: np.ndarray) -> np.ndarray:
-    """exp(-i H t) state for every t in ``times``, one full 2^n row each,
-    from a ``_krylov_spectrum``; each row gets the same arithmetic whatever
-    the number of times."""
-    eigvals, amplitudes, ritz, space = spectrum
+    """exp(-i H t) state for every t in ``times``, one row each on the rows
+    the spectrum is held on, from a ``_krylov_spectrum``; each row gets the
+    same arithmetic whatever the number of times."""
+    eigvals, amplitudes, ritz = spectrum
     weights = np.exp(-1j * eigvals * times[:, None]) * amplitudes
     out = np.zeros((len(times), ritz.shape[1]), dtype=complex)
     for k in range(len(eigvals)):
         out += weights[:, k, None] * ritz[k]
-    return _scatter(space, _check_norm(out))
+    return _check_norm(out)
 
 
 def exact_evolve(hamiltonian: PauliSum, state: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) applied by Lanczos reduction to the Krylov space of the state."""
-    return _evolve_spectrum(_krylov_spectrum(hamiltonian, state), np.array([t], dtype=float))[0]
+    n = _n_qubits_of(state)
+    _check_register_evolution(hamiltonian, n, "exact")
+    space = _reach(hamiltonian, state, n)
+    spectrum = _krylov_spectrum(hamiltonian, state[space.rows], space)
+    return _scatter(space, _evolve_spectrum(spectrum, np.array([t], dtype=float)))[0]
 
 
 def _check_steps(steps: int) -> None:
@@ -223,15 +239,18 @@ def _listing_order(layout: PlaquetteLayout, coupling: float, hamiltonian: PauliS
 def _trotter_factors(
     hamiltonian: PauliSum, order: tuple[int, ...], space: _Space
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Factor table on the rows of ``space``: (real weight c, perm, values) of
-    each unit string P in ``order``, from its one ``pauli.columns`` pair."""
+    """Factor table on the rows of ``space``: (real weight c, perm, phases) of
+    each unit string P in ``order``, from its one ``pauli.columns`` pair
+    (targets, values): P psi = phases * psi[..., perm] with perm the targets'
+    positions and phases = values[perm]."""
     terms = hamiltonian.terms
     if len(order) != len(terms):
         raise ValueError("plan order does not cover the Hamiltonian's terms")
     factors = []
     for k in order:
         ((targets, values),) = columns(terms[k].bare(), space.rows, space.n_qubits)
-        factors.append((terms[k].coefficient.real, positions(space.rows, targets), values))
+        perm = positions(space.rows, targets)
+        factors.append((terms[k].coefficient.real, perm, values[perm]))
     return factors
 
 
@@ -239,16 +258,21 @@ def _apply_factors(factors, dt, steps, states: np.ndarray) -> np.ndarray:
     """The factor table applied to a batch of states, one row each, with one
     time step ``dt`` and one step count ``steps`` per row, the rows sorted by
     step count, descending.  Step s acts on the prefix of rows whose count
-    exceeds s, so every row gets the arithmetic it would get alone."""
+    exceeds s, so every row gets the arithmetic it would get alone.  A factor
+    works in place on one gathered copy of the active rows."""
     dt = np.asarray(dt, dtype=float)[:, None]
     steps = np.asarray(steps)
-    trig = [(np.cos(c * dt), 1j * np.sin(c * dt), perm, values) for c, perm, values in factors]
+    trig = [(np.cos(c * dt), 1j * np.sin(c * dt), perm, phases) for c, perm, phases in factors]
     out = np.array(states, dtype=complex)
     for step in range(int(steps.max(initial=0))):
         active = int(np.count_nonzero(steps > step))
         block = out[:active]
-        for cos_a, isin_a, perm, values in trig:
-            block[...] = cos_a[:active] * block - isin_a[:active] * (values * block)[:, perm]
+        for cos_a, isin_a, perm, phases in trig:
+            flipped = block[:, perm]
+            flipped *= phases
+            flipped *= isin_a[:active]
+            block *= cos_a[:active]
+            block -= flipped
     return out
 
 
@@ -261,7 +285,7 @@ def trotter_evolve(
     for a unit-coefficient string P with real weight c.
     """
     n = _n_qubits_of(state)
-    _check_evolution(hamiltonian, n, "Trotter")
+    _check_register_evolution(hamiltonian, n, "Trotter")
     space = _reach(hamiltonian, state, n)
     factors = _trotter_factors(hamiltonian, plan.order, space)
     dt = plan.phi / coupling / plan.steps
@@ -273,7 +297,7 @@ def overlap(state: np.ndarray, other: np.ndarray) -> float:
     """Squared modulus of the inner product."""
     if state.shape != other.shape:
         raise ValueError("states must have equal dimension")
-    return float(abs(np.vdot(state, other)) ** 2)
+    return float(_overlaps(state, other))
 
 
 def relative_deviation(op: PauliSum, reference: np.ndarray, other: np.ndarray) -> float:
@@ -368,11 +392,10 @@ def sweep(
     The initial state is the canonical representative of the requested gauge
     sector; the digital state uses the listing-order Trotter plan.  Every
     step count must be at least 1, as in a TrotterPlan.  The Hamiltonian,
-    the Casimir, the sector table and the Trotter factor table are built
-    once per call, and each start's spectrum once.  The digital states of
-    every (step count, start, phi) form one ragged batch on the cosets the
-    starts reach, sorted by step count, and go back to full vectors one
-    (start, step count) block at a time.
+    the Casimir and the sector table are built once per call.  Each start is
+    held on the cosets its seed basis state reaches, from the projection
+    that makes it to the last overlap (``_start_observables``), so no state
+    of a sweep has 2^n entries.
     """
     starts = [start_sector] if np.ndim(start_sector) == 0 else list(start_sector)
     if not steps_list or not phis or not starts:
@@ -380,54 +403,78 @@ def sweep(
     for steps in steps_list:
         _check_steps(steps)
     n = layout.n_qubits
-    casimir_op = total_gauge_casimir(layout)
-    # as in _check_evolution; per phi: each start's ideal and Trotter vectors, two digital blocks, four temporaries
-    per_phi = len(starts) * (1 + len(set(steps_list))) + 6
-    check_memory(lambda: 2.0**n * (16 * len(phis) * per_phi + 24 * pair_count(casimir_op) + 40), f"sweep on {n} qubits")
-    table = gauge_sectors(layout)
-    psi0 = [canonical_sector_state(table, start, casimir_op) for start in starts]
     hamiltonian = plaquette_hamiltonian(layout, coupling)
-    casimir = matvec(casimir_op, n)
+    casimir = total_gauge_casimir(layout)
+    step_counts = sorted(set(steps_list), reverse=True)
+    nbytes = lambda: _sweep_bytes(n, hamiltonian, casimir, len(phis), len(step_counts))
+    _check_evolution(hamiltonian, nbytes, f"sweep on {n} qubits")
+    table = gauge_sectors(layout)
+    order = _listing_order(layout, coupling, hamiltonian)
     times = np.asarray(phis, dtype=float) / coupling
-    ideal = [_evolve_spectrum(_krylov_spectrum(hamiltonian, psi), times) for psi in psi0]
-    gauge_ideal = [[float(g) for g in _expectations(casimir, states)] for states in ideal]
-    if any(abs(g) < DEVIATION_GUARD for values in gauge_ideal for g in values):
-        raise GuardError("ideal gauge expectation vanished")
-    overlap_initial = [[overlap(psi, start) for psi in states] for states, start in zip(ideal, psi0)]
-
-    space = _reach(hamiltonian, np.array(psi0), n)
-    factors = _trotter_factors(hamiltonian, _listing_order(layout, coupling, hamiltonian), space)
-    blocks = [(steps, s) for steps in sorted(set(steps_list), reverse=True) for s in range(len(starts))]
-    evolved = _check_norm(_apply_factors(
-        factors,
-        np.concatenate([times / steps for steps, _ in blocks]),
-        np.repeat([steps for steps, _ in blocks], len(phis)),
-        np.concatenate([np.broadcast_to(psi0[s][space.rows], (len(phis), len(space.rows))) for _, s in blocks]),
-    ))
-    digital = {block: evolved[i * len(phis):(i + 1) * len(phis)] for i, block in enumerate(blocks)}
-
-    made: dict[tuple[int, int], list[SweepRow]] = {}
     rows = []
-    for s in range(len(starts)):
+    for start in starts:
+        gauge_ideal, overlap_initial, gauge_digital, fidelity = _start_observables(
+            hamiltonian, casimir, order, table, start, times, step_counts
+        )
         for steps in steps_list:
-            if (steps, s) not in made:
-                states = _scatter(space, digital[steps, s])
-                gauge_digital = [float(g) for g in _expectations(casimir, states)]
-                points = zip(phis, ideal[s], gauge_ideal[s], overlap_initial[s], states, gauge_digital)
-                made[steps, s] = [
-                    SweepRow(
-                        steps=steps,
-                        phi=float(phi),
-                        deviation=(gauge_i - gauge_d) / gauge_i,
-                        overlap_initial=overlap_i,
-                        fidelity=overlap(psi_ideal, psi_digital),
-                        gauge_ideal=gauge_i,
-                        gauge_digital=gauge_d,
-                    )
-                    for phi, psi_ideal, gauge_i, overlap_i, psi_digital, gauge_d in points
-                ]
-            rows += made[steps, s]
+            k = step_counts.index(steps)
+            points = zip(phis, gauge_ideal.tolist(), overlap_initial.tolist(), gauge_digital[k].tolist(), fidelity[k].tolist())
+            rows += [
+                SweepRow(steps, float(phi), (gauge_i - gauge_d) / gauge_i, overlap_i, fidelity_i, gauge_i, gauge_d)
+                for phi, gauge_i, overlap_i, gauge_d, fidelity_i in points
+            ]
     return rows
+
+
+def _sweep_bytes(n: int, hamiltonian: PauliSum, casimir: PauliSum, n_phis: int, n_steps: int) -> float:
+    """The sweep's memory estimate: per basis state, reachable's five index
+    words; per row of a start's coset, of which there are d = 2^rank of H's X
+    masks: the Lanczos block at its largest (one vector per row, three copies
+    of d complex entries), the Casimir's pairs and the factor table, and per
+    phi the ideal state, each step count's Trotter row and six temporaries
+    (the kernel's gather, and an expectation's or a fidelity's conjugate,
+    matvec result, product, gather and sum)."""
+    register = 40 * 2.0**n  # overflows first, before a 2^n-bit X mask is eliminated
+    d = 2.0 ** span_rank(hamiltonian)
+    pairs = 24 * pair_count(casimir) + 40 * len(hamiltonian)
+    return register + d * (48 * d + pairs + 16 * n_phis * (n_steps + 7))
+
+
+def _start_observables(
+    hamiltonian: PauliSum,
+    casimir: PauliSum,
+    order: tuple[int, ...],
+    table: GaugeSectorTable,
+    start: float,
+    times: np.ndarray,
+    step_counts: list[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One start's sweep values, (gauge_ideal, overlap_initial) per time and
+    (gauge_digital, fidelity) per (step count, time), with every state on
+    the rows that the start's seed basis state reaches.
+
+    Those cosets of H's X masks are closed under the Casimir too, whose
+    masks lie in H's span (``pauli.positions`` raises if they do not), so
+    the seed is projected on them exactly.  The (step count, time) Trotter
+    rows are one ragged batch sorted by step count, descending."""
+    n = table.n_qubits
+    seed = sector_seed(table, start)
+    space = _Space(n, reachable(hamiltonian, [seed], n))
+    apply_casimir = _local_matvec(casimir, space)
+    psi0 = sector_projection(table, start, (space.rows == seed).astype(complex), apply_casimir)
+    ideal = _evolve_spectrum(_krylov_spectrum(hamiltonian, psi0, space), times)
+    gauge_ideal = _expectations(apply_casimir, ideal)
+    if np.any(abs(gauge_ideal) < DEVIATION_GUARD):
+        raise GuardError("ideal gauge expectation vanished")
+    digital = _check_norm(_apply_factors(
+        _trotter_factors(hamiltonian, order, space),
+        np.concatenate([times / steps for steps in step_counts]),
+        np.repeat(step_counts, len(times)),
+        np.broadcast_to(psi0, (len(step_counts) * len(times), len(psi0))),
+    )).reshape(len(step_counts), len(times), -1)
+    gauge_digital = np.array([_expectations(apply_casimir, block) for block in digital])
+    fidelity = np.array([_overlaps(ideal, block) for block in digital])
+    return gauge_ideal, _overlaps(ideal, psi0), gauge_digital, fidelity
 
 
 def _fmt(value: float) -> str:

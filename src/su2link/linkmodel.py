@@ -294,39 +294,53 @@ def gauge_sectors(layout: PlaquetteLayout) -> GaugeSectorTable:
     )
 
 
-def canonical_sector_state(
-    table: GaugeSectorTable, eigenvalue: float, casimir: PauliSum | None = None
-) -> np.ndarray:
-    """Deterministic representative of a sector: the normalized projection of
-    the lowest-index computational basis state with nonzero weight in it.
+def sector_seed(table: GaugeSectorTable, eigenvalue: float) -> int:
+    """The lowest-index computational basis state with nonzero weight in a
+    sector.
 
     A basis state whose spins at vertex v sum to m_v has weight in every total
     spin |m_v| <= j_v <= k_v / 2 there, so it has weight in the sector if some
-    such choice gives the eigenvalue.  The projection is the Lagrange
-    polynomial prod_{mu != lambda} (C - mu) / (lambda - mu) of the Casimir C
-    over the table's eigenvalues, applied through ``pauli.matvec``; a caller
-    that already holds ``total_gauge_casimir`` of the layout may pass it.
+    such choice gives the eigenvalue.  The search stops at the first hit.
     """
     sector = table.sector(eigenvalue)
-    layout = sector.layout
     target = round(4 * sector.eigenvalue)
     for index in range(2**table.n_qubits):
         options = []
-        for spins in _spins_at_vertices(layout, index):
+        for spins in _spins_at_vertices(sector.layout, index):
             m2 = abs(sum(1 - 2 * ((index >> q) & 1) for q in spins))  # 2 |m_v|
             options.append([(j2 * (j2 + 2), 1) for j2 in range(m2, len(spins) + 1, 2)])
         if _combine(options)[target]:
-            break
-    else:
-        raise RuntimeError("no basis state has weight in the sector")  # unreachable for a counted table
-    apply_casimir = pauli.matvec(total_gauge_casimir(layout) if casimir is None else casimir, table.n_qubits)
-    state = np.zeros(2**table.n_qubits, dtype=complex)
-    state[index] = 1.0
+            return index
+    raise RuntimeError("no basis state has weight in the sector")  # unreachable for a counted table
+
+
+def sector_projection(table: GaugeSectorTable, eigenvalue: float, state: np.ndarray, apply_casimir) -> np.ndarray:
+    """The normalized projection of ``state`` on a sector: the Lagrange
+    polynomial prod_{mu != lambda} (C - mu) / (lambda - mu) of the Casimir C
+    over the table's eigenvalues.  ``apply_casimir`` is C as a
+    ``pauli.matvec``, on all 2^n basis indices or on rows closed under C's
+    X masks that hold ``state``."""
+    sector = table.sector(eigenvalue)
     for mu in table.eigenvalues():
         if mu != sector.eigenvalue:
             state = (apply_casimir(state) - mu * state) / (sector.eigenvalue - mu)
     # adding 0.0 turns the -0.0 that a negative lambda - mu leaves into +0.0
     return state / np.linalg.norm(state) + 0.0
+
+
+def canonical_sector_state(
+    table: GaugeSectorTable, eigenvalue: float, casimir: PauliSum | None = None
+) -> np.ndarray:
+    """Deterministic representative of a sector on the full 2^n register: the
+    ``sector_projection`` of the basis state ``sector_seed``, through
+    ``pauli.matvec``; a caller that already holds ``total_gauge_casimir`` of
+    the layout may pass it.
+    """
+    layout = table.sector(eigenvalue).layout
+    state = np.zeros(2**table.n_qubits, dtype=complex)
+    state[sector_seed(table, eigenvalue)] = 1.0
+    apply_casimir = pauli.matvec(total_gauge_casimir(layout) if casimir is None else casimir, table.n_qubits)
+    return sector_projection(table, eigenvalue, state, apply_casimir)
 
 
 def gauge_covariance_check(

@@ -16,8 +16,10 @@ sign vector per term, with no matrix.  ``matvec`` applies an operator to
 states from those pairs, one gather per X mask, on all 2^n basis indices or
 on a set of rows closed under the X masks (``positions`` looks the targets
 up there); ``reachable`` finds the smallest such set that holds a given
-support, by GF(2) elimination of the masks.  ``dense`` scatters the pairs
-into a matrix, for the tests and the covariance check's 4x4 link matrices.
+support, by GF(2) elimination of the masks, and ``span_rank`` gives the
+size 2^rank of each of its cosets without building one.  ``dense`` scatters
+the pairs into a matrix, for the tests and the covariance check's 4x4 link
+matrices.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -327,6 +329,25 @@ def matvec(op: PauliSum | PauliString, n_qubits: int, rows: np.ndarray | None = 
     return apply
 
 
+def _pivots(op: PauliSum) -> dict[int, int]:
+    """GF(2) elimination of the terms' X masks: one mask per pivot bit, the
+    mask's highest set bit."""
+    basis: dict[int, int] = {}
+    for term in op.terms:
+        x = _xmask(term)
+        while x and (x.bit_length() - 1) in basis:
+            x ^= basis[x.bit_length() - 1]
+        if x:
+            basis[x.bit_length() - 1] = x
+    return basis
+
+
+def span_rank(op: PauliSum | PauliString) -> int:
+    """Rank of the GF(2) span of the terms' X masks: each XOR coset that
+    ``reachable`` collects holds 2^rank basis indices."""
+    return len(_pivots(_as_sum(op)))
+
+
 def reachable(op: PauliSum | PauliString, indices: np.ndarray, n_qubits: int) -> np.ndarray:
     """Sorted basis indices that ``op`` connects to ``indices``: every
     ``k ^ x`` with k in ``indices`` and x in the GF(2) span of the terms' X
@@ -341,13 +362,7 @@ def reachable(op: PauliSum | PauliString, indices: np.ndarray, n_qubits: int) ->
     op = _as_sum(op)
     if op.support and max(op.support) >= n_qubits:
         raise ValueError(f"support {op.support} does not fit in {n_qubits} qubits")
-    basis: dict[int, int] = {}
-    for term in op.terms:
-        x = _xmask(term)
-        while x and (x.bit_length() - 1) in basis:
-            x ^= basis[x.bit_length() - 1]
-        if x:
-            basis[x.bit_length() - 1] = x
+    basis = _pivots(op)
     representatives = np.arange(2**n_qubits)
     for pivot in sorted(basis, reverse=True):
         representatives = np.where((representatives >> pivot) & 1, representatives ^ basis[pivot], representatives)

@@ -1,5 +1,6 @@
 """Shared layouts, dense oracles and the memory-budget probe."""
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from su2link import errors
 from su2link import linkmodel as lm
 from su2link.errors import GuardError
 from su2link.linkmodel import Link, PlaquetteLayout
-from su2link.pauli import dense
+from su2link.pauli import dense, matvec, reachable
 
 # two triangles sharing link 23: 1 -> 2 -> 3 -> 1 and 2 -> 3 -> 4 -> 2, qubits 0-9
 TWO_PLAQUETTE = """\
@@ -63,6 +64,12 @@ def two_plaquette(layouts) -> PlaquetteLayout:
 
 
 @pytest.fixture(scope="session")
+def strip3() -> PlaquetteLayout:
+    """Three triangles, each sharing one link with the next: 14 qubits."""
+    return lm.parse_layout((Path(__file__).parent / "data" / "strip3.layout").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="session")
 def two_plaquette_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("layouts") / "two_plaquette.layout"
     path.write_text(TWO_PLAQUETTE, encoding="utf-8")
@@ -93,29 +100,45 @@ def dense_canonical_state():
     return state
 
 
-def _per_point_sweep(layout, coupling, steps_list, phis, start_sector):
-    """sweep() as a loop over grid points: one exact_evolve per phi, one
-    trotter_evolve and one plan per point, and the gauge values through
-    expectation()."""
-    psi0 = lm.canonical_sector_state(lm.gauge_sectors(layout), start_sector)
+def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_register=False):
+    """sweep() as a loop over grid points: one exact_evolve per phi and one
+    trotter_evolve and one plan per point, on full 2^n vectors.
+
+    By default the start state and the observables are taken as sweep()
+    takes them, on the rows that the sector's seed basis state reaches, so
+    that each row must match sweep() bitwise.  With ``full_register`` the
+    start is ``canonical_sector_state`` and every expectation value and
+    overlap runs on all 2^n amplitudes: an oracle for the rows path."""
+    n = layout.n_qubits
+    table = lm.gauge_sectors(layout)
     hamiltonian = lm.plaquette_hamiltonian(layout, coupling)
     casimir = lm.total_gauge_casimir(layout)
-    ideal = {phi: dyn.exact_evolve(hamiltonian, psi0, phi / coupling) for phi in phis}
-    gauge_ideal = {phi: dyn.expectation(casimir, psi) for phi, psi in ideal.items()}
-    rows = []
+    if full_register:
+        rows = np.arange(2**n)
+        start = lm.canonical_sector_state(table, start_sector, casimir)
+    else:
+        seed = lm.sector_seed(table, start_sector)
+        rows = reachable(hamiltonian, [seed], n)
+        start = lm.sector_projection(table, start_sector, (rows == seed).astype(complex), matvec(casimir, n, rows))
+    psi0 = np.zeros(2**n, dtype=complex)
+    psi0[rows] = start
+    apply_casimir = matvec(casimir, n, rows)
+    ideal = {phi: dyn.exact_evolve(hamiltonian, psi0, phi / coupling)[rows] for phi in phis}
+    gauge_ideal = {phi: float(dyn._expectations(apply_casimir, psi)) for phi, psi in ideal.items()}
+    out = []
     for steps in steps_list:
         for phi in phis:
             psi_ideal, gauge_i = ideal[phi], gauge_ideal[phi]
             _, plan = dyn.plaquette_plan(layout, coupling, steps, phi)
-            psi_digital = dyn.trotter_evolve(hamiltonian, plan, psi0, coupling)
-            gauge_d = dyn.expectation(casimir, psi_digital)
-            rows.append(
+            psi_digital = dyn.trotter_evolve(hamiltonian, plan, psi0, coupling)[rows]
+            gauge_d = float(dyn._expectations(apply_casimir, psi_digital))
+            out.append(
                 dyn.SweepRow(
-                    steps, float(phi), (gauge_i - gauge_d) / gauge_i, dyn.overlap(psi_ideal, psi0),
+                    steps, float(phi), (gauge_i - gauge_d) / gauge_i, dyn.overlap(psi_ideal, start),
                     dyn.overlap(psi_ideal, psi_digital), gauge_i, gauge_d,
                 )
             )
-    return rows
+    return out
 
 
 @pytest.fixture(scope="session")

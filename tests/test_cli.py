@@ -8,13 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from su2link import cli
+from su2link import cli, errors
 from su2link import dynamics as dyn
 from su2link import linkmodel as lm
-from su2link.pauli import dense, matvec
+from su2link.pauli import dense, matvec, span_rank
 
-# three triangles in a strip, each sharing one link with the next: 7 links, 14 qubits
+# strips of three, four and five triangles, each sharing one link with the
+# next: 14, 18 and 22 qubits
 STRIP3_PATH = Path(__file__).parent / "data" / "strip3.layout"
+STRIP4_PATH = Path(__file__).parent / "data" / "strip4.layout"
+STRIP5_PATH = Path(__file__).parent / "data" / "strip5.layout"
 
 
 def run(argv, capsys):
@@ -339,17 +342,26 @@ def test_huge_qubit_index_is_refused_only_where_a_register_is_built(huge_index_p
         ]
 
 
-def test_four_triangle_strip_fig3_exits_3_before_allocating(tmp_path):
-    # 18 qubits: the default fig3 sweep would hold about 2 GB of full-register states
-    layout = STRIP3_PATH.read_text(encoding="utf-8") + "link 56 5 6 14 15\nlink 64 6 4 16 17\nplaquette 45 56 64\n"
-    path = tmp_path / "strip4.layout"
-    path.write_text(layout.replace("vertex 5\n", "vertex 5\nvertex 6\n"), encoding="utf-8")
-    result = run_under_3gb(["figures", "fig3", "--layout", str(path)])
-    assert result.returncode == 3
+def test_five_triangle_strip_fig3_exits_3_before_allocating():
+    # 22 qubits: the Lanczos block on a start's 2^15 rows alone could take 51.5 GB
+    start = time.perf_counter()
+    result = run_under_3gb(["figures", "fig3", "--layout", str(STRIP5_PATH)])
+    assert time.perf_counter() - start < 20
+    assert result.returncode == 3 and result.stdout == ""
     assert result.stderr.splitlines() == [
-        "numerical guard: sweep on 18 qubits needs an estimated 1988100096 bytes, "
+        "numerical guard: sweep on 22 qubits needs an estimated 52064157696 bytes, "
         "over the memory budget of 1073741824 bytes"
     ]
+
+
+def test_four_triangle_strip_fig3_fits_the_budget():
+    # 18 qubits: each start keeps to 2^12 of the 2^18 basis states
+    layout = cli._load_layout(str(STRIP4_PATH))
+    hamiltonian = lm.plaquette_hamiltonian(layout, 1.0)
+    assert span_rank(hamiltonian) == 12
+    phis = cli._phi_grid(0.05, 2.0, 0.05)
+    estimate = dyn._sweep_bytes(layout.n_qubits, hamiltonian, lm.total_gauge_casimir(layout), len(phis), 4)
+    assert 0.8e9 < estimate < 0.9e9 < errors.MEMORY_BUDGET
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -103,6 +104,17 @@ def test_dense_guard_fires_before_allocation(memory_boundary):
     memory_boundary(lambda: cp.circuit_unitary(Circuit((rot("x", 0, 0.1), coll((0, 1, 2), 0.2)), 3)))
     circuit = cp.compile_cphase(PauliString(1.0, {0: "X", 1: "Y"}), 0.3)
     memory_boundary(lambda: cp.reduced_system_unitary(circuit, 2, cp.ancilla_state(2)))
+
+
+def test_circuit_unitary_holds_one_gather_copy():
+    # the unitary and one factor's gather copy: the estimate's 32N^2, not 48N^2
+    n = 9
+    gates = (rot("x", 0, 0.1), coll((0, 1, 2), 0.2), rot("y", 4, 0.3), coll((3, 8), 0.4))
+    tracemalloc.start()
+    cp.circuit_unitary(Circuit(gates, n))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert 2 * 16 * 4**n < peak < 2.5 * 16 * 4**n
 
 
 def sandwiched_system_unitary(full, ancilla, prepared):

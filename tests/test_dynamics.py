@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,51 @@ def test_batched_sweep_matches_per_point_loop_bitwise(layout, steps_list, start_
     assert len(phis) == 40
     rows = dyn.sweep(layout, 1.0, list(steps_list), phis, start_sector)
     assert repr(rows) == repr(per_point_sweep(layout, 1.0, steps_list, phis, start_sector))
+
+
+# each figure's default step counts and start sectors, on its default phi
+# grid; figS2 on two phases only
+FIGURES = {
+    "fig3": ((1, 2, 3, 4), (0.75,), cli._phi_grid(*cli._PHI_DEFAULTS["fig3"])),
+    "fig4": ((2, 3), (2.25,), cli._phi_grid(*cli._PHI_DEFAULTS["fig4"])),
+    "figS2": ((1, 2, 4, 8, 16, 32, 64), (0.75, 2.75), [0.5, 2.0]),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURES))
+@pytest.mark.parametrize("name", ["two_plaquette", "strip3"])
+def test_rows_path_matches_full_register_oracle(layouts, strip3, name, figure, per_point_sweep):
+    layout = strip3 if name == "strip3" else layouts[name]
+    steps_list, starts, phis = FIGURES[figure]
+    rows = dyn.sweep(layout, 1.0, list(steps_list), phis, starts)
+    expected = [
+        row for start in starts for row in per_point_sweep(layout, 1.0, steps_list, phis, start, full_register=True)
+    ]
+    assert [(r.steps, r.phi) for r in rows] == [(r.steps, r.phi) for r in expected]
+    difference = np.array([astuple(r) for r in rows]) - np.array([astuple(r) for r in expected])
+    assert np.max(np.abs(difference)) < 1e-12
+
+
+def test_each_start_evolves_on_its_own_coset(layout, monkeypatch):
+    # the figS2 starts 0.75 and 2.75 reach disjoint 8-state cosets of the triangle
+    widths = []
+    original = dyn._apply_factors
+
+    def recording(factors, dt, steps, states):
+        widths.append(np.shape(states))
+        return original(factors, dt, steps, states)
+
+    monkeypatch.setattr(dyn, "_apply_factors", recording)
+    dyn.sweep(layout, 1.0, [1, 2, 4], [0.3, 0.6], [0.75, 2.75])
+    assert widths == [(6, 8), (6, 8)]
+
+
+def test_start_rows_must_be_closed_under_the_casimir(layout, hamiltonian, sector_table):
+    # an X mask outside the span of H's masks would carry the start off its rows
+    stray = PauliSum([PauliString(1.0, {1: "X"})])
+    order = tuple(range(len(hamiltonian)))
+    with pytest.raises(ValueError, match="not closed"):
+        dyn._start_observables(hamiltonian, stray, order, sector_table, 0.75, np.array([0.3]), [1])
 
 
 def test_sweep_norm_guard_checks_every_row(layout, monkeypatch):

@@ -8,7 +8,7 @@ from su2link import linkmodel as lm
 from su2link.errors import GuardError, LayoutError
 from su2link.linkmodel import Link, PlaquetteLayout
 from su2link.linalg import expi_hermitian
-from su2link.pauli import PauliString, PauliSum, dense, letter_matrix
+from su2link.pauli import PauliString, PauliSum, dense, letter_matrix, matvec, reachable
 
 EPSILON = {(1, 2, 3): 1, (1, 3, 2): -1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1}
 
@@ -295,6 +295,25 @@ def test_canonical_sector_state_matches_dense_basis(layouts, dense_canonical_sta
     for eigenvalue in table.eigenvalues():
         expected = dense_canonical_state(layout, eigenvalue)
         assert np.max(np.abs(lm.canonical_sector_state(table, eigenvalue) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["triangle", "two_plaquette", "disjoint_triangles", "unused_qubit"])
+def test_sector_projection_stays_on_the_seeds_cosets(layouts, name):
+    # the Casimir's X masks lie in the span of H's, so projecting on the rows
+    # that H reaches from the seed is exact
+    layout = layouts[name]
+    n = layout.n_qubits
+    table = lm.gauge_sectors(layout)
+    casimir = lm.total_gauge_casimir(layout)
+    hamiltonian = lm.plaquette_hamiltonian(layout, 1.0)
+    for eigenvalue in table.eigenvalues():
+        full = lm.canonical_sector_state(table, eigenvalue, casimir)
+        seed = lm.sector_seed(table, eigenvalue)
+        assert np.flatnonzero(abs(full) > 1e-12)[0] == seed  # no weight on a lower basis state
+        rows = reachable(hamiltonian, [seed], n)
+        on_rows = lm.sector_projection(table, eigenvalue, (rows == seed).astype(complex), matvec(casimir, n, rows))
+        assert np.max(np.abs(on_rows - full[rows])) < 1e-15
+        assert not np.delete(full, rows).any()
 
 
 def test_covariance_identity_angles(layout):

@@ -17,6 +17,7 @@ from su2link.pauli import (
     parse_sum,
     positions,
     reachable,
+    span_rank,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -347,6 +348,7 @@ def test_reachable_is_the_closure_of_the_support(n):
             support = sorted(rng.choice(2**n, size=size, replace=False).tolist())
             rows = reachable(op, support, n)
             assert rows.tolist() == coset_closure(op, support, n)
+        assert len(reachable(op, support[:1], n)) == 2 ** span_rank(op)
         assert reachable(op, np.arange(2**n), n).tolist() == list(range(2**n))
 
 
@@ -365,6 +367,7 @@ def test_reachable_on_the_layouts(layouts):
             for x in masks:
                 assert np.array_equal(np.sort(rows ^ x), rows), name
             assert rows.tolist() == coset_closure(hamiltonian, support, n), name
+        assert len(reachable(hamiltonian, [0], n)) == 2 ** span_rank(hamiltonian), name
         assert np.array_equal(reachable(hamiltonian, np.arange(2**n), n), np.arange(2**n)), name
 
 
