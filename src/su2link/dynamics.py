@@ -22,13 +22,17 @@ start state touches (``pauli.reachable``; on the triangle 8 of 64 basis
 states for each sector representative).  Evolutions run on those rows only,
 with the restricted kernel; ``exact_evolve`` and ``trotter_evolve`` return
 full 2^n vectors, and a state with full support reaches the whole register
-on the same path.  ``sweep`` never leaves a start's rows: the Casimir's X
-masks lie in the span of the Hamiltonian's, so the start state is projected
-there, and the expectation values, overlaps and fidelities are taken there
-too.  Each start's (step count, phi) rows form one ragged batch sorted by
-step count, where step s acts on the prefix of rows that take more than s
-steps.  Each row gets the same arithmetic as a ``trotter_evolve`` call, and
-likewise for the ideal states and ``exact_evolve``.
+on the same path.  ``sweep`` never leaves a start's rows, the cosets of the
+Hamiltonian's and the Casimir's X masks together that its seed basis state
+reaches: the start state is projected there, and the expectation values,
+overlaps and fidelities are taken there too.  Where the Casimir's masks lie
+in the span of the Hamiltonian's (the triangle, the two-plaquette layout,
+every strip) these are the Hamiltonian's own cosets; where they do not (two
+plaquettes that share only a vertex, a link in no plaquette) they join
+several of them.  Each start's (step count, phi) rows form one ragged batch
+sorted by step count, where step s acts on the prefix of rows that take
+more than s steps.  Each row gets the same arithmetic as a ``trotter_evolve``
+call, and likewise for the ideal states and ``exact_evolve``.
 
 ``empirical_vs_bound`` compares the measured Trotter error with the
 step-count bound of ``compiler.trotter_bound``.
@@ -56,7 +60,7 @@ from .linkmodel import (
     sector_seed,
     total_gauge_casimir,
 )
-from .pauli import PauliSum, columns, matvec, pair_count, positions, reachable, span_rank
+from .pauli import PauliString, PauliSum, columns, matvec, pair_count, positions, reachable, span_rank
 
 NORM_TOL = 1e-10
 LANCZOS_BREAKDOWN = 1e-13
@@ -127,6 +131,14 @@ def _reach(hamiltonian: PauliSum, state: np.ndarray, n_qubits: int) -> _Space:
     return _Space(n_qubits, reachable(hamiltonian, np.flatnonzero(state), n_qubits))
 
 
+def _start_masks(hamiltonian: PauliSum, casimir: PauliSum) -> PauliSum:
+    """An operator with the X masks that a sweep's start rows are closed
+    under, the Hamiltonian's and the Casimir's: one unit X string per
+    distinct mask, so that no two cancel."""
+    masks = {tuple(q for q, letter in term.key() if letter in "XY") for term in hamiltonian.terms + casimir.terms}
+    return PauliSum(PauliString(1.0, {q: "X" for q in mask}) for mask in masks)
+
+
 def _local_matvec(op: PauliSum, space: _Space):
     """``op`` as a ``pauli.matvec`` on the rows of ``space``."""
     return matvec(op, space.n_qubits, space.rows)
@@ -149,31 +161,48 @@ def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray, space: _Space):
     Lanczos with two full reorthogonalisations per step runs until the next
     vector vanishes (or the space fills those rows), then the tridiagonal
     matrix T is diagonalised.  The residual ||H V - V T|| is guarded relative
-    to the coefficient 1-norm of H, which bounds its operator norm.
+    to the coefficient 1-norm of H, which bounds its operator norm; its row j
+    is H v_j less the three-term recurrence, which is known as soon as v_j+1
+    is, so no image H v_j is kept.  The m Lanczos vectors fill one block of
+    d = len(state) columns, grown by doubling, and at most three m x d blocks
+    are held at once: the block while it grows (1.5 of them), or the block,
+    the Ritz vectors and the complex eigenvectors of T as they are formed.
     """
     _check_norm(state)
     apply_h = _local_matvec(hamiltonian, space)
     scale = sum(abs(term.coefficient) for term in hamiltonian.terms)
-    vectors, images, alphas, betas = [state / np.linalg.norm(state)], [], [], []
+    d = len(state)
+    block = np.empty((min(d, 16), d), dtype=complex)
+    block[0] = state / np.linalg.norm(state)
+    alphas, betas, residual_sq, m = [], [], 0.0, 1
     while True:
-        images.append(apply_h(vectors[-1]))
-        alphas.append(np.vdot(vectors[-1], images[-1]).real)
-        rest = images[-1] - alphas[-1] * vectors[-1] - (betas[-1] * vectors[-2] if betas else 0)
-        block = np.array(vectors)
+        image = apply_h(block[m - 1])
+        alphas.append(np.vdot(block[m - 1], image).real)
+        recurrence = image - alphas[-1] * block[m - 1] - (betas[-1] * block[m - 2] if betas else 0)
+        rest = recurrence
         for _ in range(2):
-            rest = rest - (block.conj() @ rest) @ block
+            # conj(V rest*) = V* rest, without a conjugate copy of V
+            rest = rest - (block[:m] @ rest.conj()).conj() @ block[:m]
         beta = np.linalg.norm(rest)
-        if beta <= LANCZOS_BREAKDOWN * scale or len(vectors) == len(state):
+        if beta <= LANCZOS_BREAKDOWN * scale or m == d:
+            residual_sq += np.vdot(recurrence, recurrence).real
             break
+        residual_sq += np.vdot(recurrence - rest, recurrence - rest).real
         betas.append(beta)
-        vectors.append(rest / beta)
-    tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-    block = np.array(vectors)
-    residual = np.linalg.norm(np.array(images) - tridiagonal @ block)
+        if m == len(block):
+            grown = np.empty((min(2 * m, d), d), dtype=complex)
+            grown[:m] = block
+            block = grown
+        block[m] = rest / beta
+        m += 1
+    residual = np.sqrt(residual_sq)
     if residual > NORM_TOL * scale:
         raise GuardError(f"Lanczos residual {residual:.3g} exceeds 1e-10 of the Hamiltonian's norm")
-    eigvals, eigvecs = np.linalg.eigh(tridiagonal)
-    return eigvals, np.linalg.norm(state) * eigvecs[0], eigvecs.T @ block
+    eigvals, eigvecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+    amplitudes = np.linalg.norm(state) * eigvecs[0]
+    coefficients = eigvecs.T.astype(complex)
+    del eigvecs  # not held beside the block, its complex copy and the Ritz vectors
+    return eigvals, amplitudes, coefficients @ block[:m]
 
 
 def _evolve_spectrum(spectrum, times: np.ndarray) -> np.ndarray:
@@ -393,9 +422,10 @@ def sweep(
     sector; the digital state uses the listing-order Trotter plan.  Every
     step count must be at least 1, as in a TrotterPlan.  The Hamiltonian,
     the Casimir and the sector table are built once per call.  Each start is
-    held on the cosets its seed basis state reaches, from the projection
-    that makes it to the last overlap (``_start_observables``), so no state
-    of a sweep has 2^n entries.
+    held on the cosets of the Hamiltonian's and the Casimir's X masks that
+    its seed basis state reaches, from the projection that makes it to the
+    last overlap (``_start_observables``), so no state of a sweep has 2^n
+    entries.
     """
     starts = [start_sector] if np.ndim(start_sector) == 0 else list(start_sector)
     if not steps_list or not phis or not starts:
@@ -406,7 +436,8 @@ def sweep(
     hamiltonian = plaquette_hamiltonian(layout, coupling)
     casimir = total_gauge_casimir(layout)
     step_counts = sorted(set(steps_list), reverse=True)
-    nbytes = lambda: _sweep_bytes(n, hamiltonian, casimir, len(phis), len(step_counts))
+    masks = _start_masks(hamiltonian, casimir)
+    nbytes = lambda: _sweep_bytes(n, hamiltonian, casimir, masks, len(phis), len(step_counts))
     _check_evolution(hamiltonian, nbytes, f"sweep on {n} qubits")
     table = gauge_sectors(layout)
     order = _listing_order(layout, coupling, hamiltonian)
@@ -414,7 +445,7 @@ def sweep(
     rows = []
     for start in starts:
         gauge_ideal, overlap_initial, gauge_digital, fidelity = _start_observables(
-            hamiltonian, casimir, order, table, start, times, step_counts
+            hamiltonian, casimir, masks, order, table, start, times, step_counts
         )
         for steps in steps_list:
             k = step_counts.index(steps)
@@ -426,16 +457,19 @@ def sweep(
     return rows
 
 
-def _sweep_bytes(n: int, hamiltonian: PauliSum, casimir: PauliSum, n_phis: int, n_steps: int) -> float:
+def _sweep_bytes(
+    n: int, hamiltonian: PauliSum, casimir: PauliSum, masks: PauliSum, n_phis: int, n_steps: int
+) -> float:
     """The sweep's memory estimate: per basis state, reachable's five index
-    words; per row of a start's coset, of which there are d = 2^rank of H's X
-    masks: the Lanczos block at its largest (one vector per row, three copies
-    of d complex entries), the Casimir's pairs and the factor table, and per
+    words; per row of a start's coset, of which there are d = 2^rank of
+    ``masks`` (``_start_masks``): the Lanczos stage at its largest (at most
+    three blocks of d vectors of d complex entries, see
+    ``_krylov_spectrum``), the Casimir's pairs and the factor table, and per
     phi the ideal state, each step count's Trotter row and six temporaries
     (the kernel's gather, and an expectation's or a fidelity's conjugate,
     matvec result, product, gather and sum)."""
     register = 40 * 2.0**n  # overflows first, before a 2^n-bit X mask is eliminated
-    d = 2.0 ** span_rank(hamiltonian)
+    d = 2.0 ** span_rank(masks)
     pairs = 24 * pair_count(casimir) + 40 * len(hamiltonian)
     return register + d * (48 * d + pairs + 16 * n_phis * (n_steps + 7))
 
@@ -443,6 +477,7 @@ def _sweep_bytes(n: int, hamiltonian: PauliSum, casimir: PauliSum, n_phis: int, 
 def _start_observables(
     hamiltonian: PauliSum,
     casimir: PauliSum,
+    masks: PauliSum,
     order: tuple[int, ...],
     table: GaugeSectorTable,
     start: float,
@@ -451,15 +486,15 @@ def _start_observables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One start's sweep values, (gauge_ideal, overlap_initial) per time and
     (gauge_digital, fidelity) per (step count, time), with every state on
-    the rows that the start's seed basis state reaches.
+    the rows that the start's seed basis state reaches under ``masks``, the
+    ``_start_masks`` of H and the Casimir.
 
-    Those cosets of H's X masks are closed under the Casimir too, whose
-    masks lie in H's span (``pauli.positions`` raises if they do not), so
-    the seed is projected on them exactly.  The (step count, time) Trotter
-    rows are one ragged batch sorted by step count, descending."""
+    Those rows are closed under both, so the seed is projected on them
+    exactly and every later state stays there.  The (step count, time)
+    Trotter rows are one ragged batch sorted by step count, descending."""
     n = table.n_qubits
     seed = sector_seed(table, start)
-    space = _Space(n, reachable(hamiltonian, [seed], n))
+    space = _Space(n, reachable(masks, [seed], n))
     apply_casimir = _local_matvec(casimir, space)
     psi0 = sector_projection(table, start, (space.rows == seed).astype(complex), apply_casimir)
     ideal = _evolve_spectrum(_krylov_spectrum(hamiltonian, psi0, space), times)

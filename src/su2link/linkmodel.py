@@ -328,18 +328,14 @@ def sector_projection(table: GaugeSectorTable, eigenvalue: float, state: np.ndar
     return state / np.linalg.norm(state) + 0.0
 
 
-def canonical_sector_state(
-    table: GaugeSectorTable, eigenvalue: float, casimir: PauliSum | None = None
-) -> np.ndarray:
+def canonical_sector_state(table: GaugeSectorTable, eigenvalue: float) -> np.ndarray:
     """Deterministic representative of a sector on the full 2^n register: the
     ``sector_projection`` of the basis state ``sector_seed``, through
-    ``pauli.matvec``; a caller that already holds ``total_gauge_casimir`` of
-    the layout may pass it.
+    ``pauli.matvec``.
     """
-    layout = table.sector(eigenvalue).layout
     state = np.zeros(2**table.n_qubits, dtype=complex)
     state[sector_seed(table, eigenvalue)] = 1.0
-    apply_casimir = pauli.matvec(total_gauge_casimir(layout) if casimir is None else casimir, table.n_qubits)
+    apply_casimir = pauli.matvec(total_gauge_casimir(table.sector(eigenvalue).layout), table.n_qubits)
     return sector_projection(table, eigenvalue, state, apply_casimir)
 
 

@@ -70,6 +70,18 @@ def strip3() -> PlaquetteLayout:
 
 
 @pytest.fixture(scope="session")
+def off_span_layouts() -> dict[str, PlaquetteLayout]:
+    """Layouts where the Casimir has X masks outside the span of the
+    Hamiltonian's: two triangles that share only a vertex (12 qubits), and
+    the triangle with a link in no plaquette (8 qubits)."""
+    data = Path(__file__).parent / "data"
+    return {
+        name: lm.parse_layout((data / f"{name}.layout").read_text(encoding="utf-8"))
+        for name in ("bowtie", "dangling_link")
+    }
+
+
+@pytest.fixture(scope="session")
 def two_plaquette_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("layouts") / "two_plaquette.layout"
     path.write_text(TWO_PLAQUETTE, encoding="utf-8")
@@ -105,8 +117,9 @@ def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_regi
     trotter_evolve and one plan per point, on full 2^n vectors.
 
     By default the start state and the observables are taken as sweep()
-    takes them, on the rows that the sector's seed basis state reaches, so
-    that each row must match sweep() bitwise.  With ``full_register`` the
+    takes them, on the rows that the sector's seed basis state reaches under
+    the Hamiltonian and the Casimir, so that each row must match sweep()
+    bitwise.  With ``full_register`` the
     start is ``canonical_sector_state`` and every expectation value and
     overlap runs on all 2^n amplitudes: an oracle for the rows path."""
     n = layout.n_qubits
@@ -115,10 +128,10 @@ def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_regi
     casimir = lm.total_gauge_casimir(layout)
     if full_register:
         rows = np.arange(2**n)
-        start = lm.canonical_sector_state(table, start_sector, casimir)
+        start = lm.canonical_sector_state(table, start_sector)
     else:
         seed = lm.sector_seed(table, start_sector)
-        rows = reachable(hamiltonian, [seed], n)
+        rows = reachable(dyn._start_masks(hamiltonian, casimir), [seed], n)
         start = lm.sector_projection(table, start_sector, (rows == seed).astype(complex), matvec(casimir, n, rows))
     psi0 = np.zeros(2**n, dtype=complex)
     psi0[rows] = start

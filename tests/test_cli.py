@@ -69,10 +69,9 @@ def test_strip3_sectors_count_the_register(capsys):
     assert sum(int(degeneracy) for _, degeneracy in rows) == 2**14
     layout = cli._load_layout(str(STRIP3_PATH))
     table = lm.gauge_sectors(layout)
-    casimir = lm.total_gauge_casimir(layout)
-    apply_casimir = matvec(casimir, layout.n_qubits)
+    apply_casimir = matvec(lm.total_gauge_casimir(layout), layout.n_qubits)
     for sector in table.sectors:
-        state = lm.canonical_sector_state(table, sector.eigenvalue, casimir)
+        state = lm.canonical_sector_state(table, sector.eigenvalue)
         assert np.linalg.norm(apply_casimir(state) - sector.eigenvalue * state) < 1e-10
 
 
@@ -360,7 +359,10 @@ def test_four_triangle_strip_fig3_fits_the_budget():
     hamiltonian = lm.plaquette_hamiltonian(layout, 1.0)
     assert span_rank(hamiltonian) == 12
     phis = cli._phi_grid(0.05, 2.0, 0.05)
-    estimate = dyn._sweep_bytes(layout.n_qubits, hamiltonian, lm.total_gauge_casimir(layout), len(phis), 4)
+    casimir = lm.total_gauge_casimir(layout)
+    masks = dyn._start_masks(hamiltonian, casimir)
+    assert span_rank(masks) == 12  # the Casimir's masks lie in H's span
+    estimate = dyn._sweep_bytes(layout.n_qubits, hamiltonian, casimir, masks, len(phis), 4)
     assert 0.8e9 < estimate < 0.9e9 < errors.MEMORY_BUDGET
 
 

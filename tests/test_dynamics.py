@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -8,7 +9,7 @@ from su2link import dynamics as dyn
 from su2link import linkmodel as lm
 from su2link.errors import GuardError
 from su2link.linalg import expi_hermitian
-from su2link.pauli import PauliString, PauliSum, dense, matvec, reachable
+from su2link.pauli import PauliString, PauliSum, dense, matvec, pair_count, reachable, span_rank
 
 
 @pytest.fixture(scope="module")
@@ -271,13 +272,17 @@ FIGURES = {
     "fig4": ((2, 3), (2.25,), cli._phi_grid(*cli._PHI_DEFAULTS["fig4"])),
     "figS2": ((1, 2, 4, 8, 16, 32, 64), (0.75, 2.75), [0.5, 2.0]),
 }
+# sectors that the layouts without a 0.75, 2.25 or 2.75 sector do have
+OFF_SPAN_STARTS = {"fig3": (1.5,), "fig4": (3.5,), "figS2": (1.5, 3.5)}
 
 
 @pytest.mark.parametrize("figure", sorted(FIGURES))
-@pytest.mark.parametrize("name", ["two_plaquette", "strip3"])
-def test_rows_path_matches_full_register_oracle(layouts, strip3, name, figure, per_point_sweep):
-    layout = strip3 if name == "strip3" else layouts[name]
+@pytest.mark.parametrize("name", ["two_plaquette", "strip3", "bowtie", "dangling_link"])
+def test_rows_path_matches_full_register_oracle(layouts, strip3, off_span_layouts, name, figure, per_point_sweep):
+    layout = {**layouts, **off_span_layouts, "strip3": strip3}[name]
     steps_list, starts, phis = FIGURES[figure]
+    if name in off_span_layouts:
+        starts = OFF_SPAN_STARTS[figure]
     rows = dyn.sweep(layout, 1.0, list(steps_list), phis, starts)
     expected = [
         row for start in starts for row in per_point_sweep(layout, 1.0, steps_list, phis, start, full_register=True)
@@ -301,12 +306,24 @@ def test_each_start_evolves_on_its_own_coset(layout, monkeypatch):
     assert widths == [(6, 8), (6, 8)]
 
 
-def test_start_rows_must_be_closed_under_the_casimir(layout, hamiltonian, sector_table):
-    # an X mask outside the span of H's masks would carry the start off its rows
-    stray = PauliSum([PauliString(1.0, {1: "X"})])
-    order = tuple(range(len(hamiltonian)))
-    with pytest.raises(ValueError, match="not closed"):
-        dyn._start_observables(hamiltonian, stray, order, sector_table, 0.75, np.array([0.3]), [1])
+@pytest.mark.parametrize("name", ["bowtie", "dangling_link"])
+def test_start_rows_close_under_the_casimir_too(off_span_layouts, name, monkeypatch):
+    # the Casimir pairs the spin qubits of links that meet at a vertex, which
+    # no plaquette term does here, so a start's rows join several of H's cosets
+    layout = off_span_layouts[name]
+    hamiltonian = lm.plaquette_hamiltonian(layout, 1.0)
+    masks = dyn._start_masks(hamiltonian, lm.total_gauge_casimir(layout))
+    assert span_rank(masks) > span_rank(hamiltonian)
+    widths = []
+    original = dyn._apply_factors
+
+    def recording(factors, dt, steps, states):
+        widths.append(np.shape(states)[1])
+        return original(factors, dt, steps, states)
+
+    monkeypatch.setattr(dyn, "_apply_factors", recording)
+    dyn.sweep(layout, 1.0, [1, 2], [0.3], [1.5, 3.5])
+    assert widths == [2 ** span_rank(masks)] * 2
 
 
 def test_sweep_norm_guard_checks_every_row(layout, monkeypatch):
@@ -363,6 +380,26 @@ def test_lanczos_exact_evolve_matches_eigh_on_random_pauli_sum():
     psi /= np.linalg.norm(psi)
     expected = (eigvecs * np.exp(-0.9j * eigvals)) @ (eigvecs.conj().T @ psi)
     assert np.max(np.abs(dyn.exact_evolve(h, psi, 0.9) - expected)) < 1e-12
+
+
+def test_lanczos_holds_at_most_three_blocks():
+    # a Krylov space that fills all d rows, the case that the sweep's 48 d^2
+    # bytes for the Lanczos stage are sized for, beside H's matvec pairs and
+    # the last step's few d-entry vectors
+    rng = np.random.default_rng(2)
+    n, d = 9, 2**9
+    h = PauliSum(
+        PauliString(rng.normal(), {int(q): "XYZ"[rng.integers(3)] for q in rng.choice(n, size=3, replace=False)})
+        for _ in range(60)
+    )
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    tracemalloc.start()
+    eigvals, _, _ = dyn._krylov_spectrum(h, psi, dyn._Space(n, np.arange(d)))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(eigvals) == d
+    assert peak < 48 * d**2 + (24 * pair_count(h) + 16 * 4) * d + 2**16
 
 
 def test_lanczos_residual_guard(hamiltonian, sector_table, monkeypatch):

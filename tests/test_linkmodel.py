@@ -299,15 +299,15 @@ def test_canonical_sector_state_matches_dense_basis(layouts, dense_canonical_sta
 
 @pytest.mark.parametrize("name", ["triangle", "two_plaquette", "disjoint_triangles", "unused_qubit"])
 def test_sector_projection_stays_on_the_seeds_cosets(layouts, name):
-    # the Casimir's X masks lie in the span of H's, so projecting on the rows
-    # that H reaches from the seed is exact
+    # on these layouts the Casimir's X masks lie in the span of H's, so
+    # projecting on the rows that H reaches from the seed is exact
     layout = layouts[name]
     n = layout.n_qubits
     table = lm.gauge_sectors(layout)
     casimir = lm.total_gauge_casimir(layout)
     hamiltonian = lm.plaquette_hamiltonian(layout, 1.0)
     for eigenvalue in table.eigenvalues():
-        full = lm.canonical_sector_state(table, eigenvalue, casimir)
+        full = lm.canonical_sector_state(table, eigenvalue)
         seed = lm.sector_seed(table, eigenvalue)
         assert np.flatnonzero(abs(full) > 1e-12)[0] == seed  # no weight on a lower basis state
         rows = reachable(hamiltonian, [seed], n)
