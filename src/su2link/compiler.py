@@ -138,10 +138,6 @@ def _apply_gates(gates: tuple[Gate, ...], block: np.ndarray) -> np.ndarray:
     return block if pending is None else np.multiply(block, pending[:, None], out=block)
 
 
-def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
-    return circuit_unitary(Circuit((gate,), n_qubits))
-
-
 def circuit_unitary(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
     n = circuit.n_qubits if n_qubits is None else n_qubits
     # the unitary and a factor's gather copy, and seven index or phase vectors
@@ -256,7 +252,7 @@ def compile_cphase(monomial: PauliString, phi: float, ancilla: int | None = None
     return Circuit(tuple(gates), max(ancilla, max(support)) + 1)
 
 
-def compile_step(monomials: list[PauliString], phi: float, backend: str, ancilla: int | None = None) -> Circuit:
+def compile_step(monomials: list[PauliString], phi: float, backend: str) -> Circuit:
     """Concatenation of the per-monomial circuits of one digitized step.
 
     For the cphase backend the shared ancilla is re-prepared between monomials
@@ -267,9 +263,8 @@ def compile_step(monomials: list[PauliString], phi: float, backend: str, ancilla
     if backend == "collective":
         parts = [compile_collective(m, phi) for m in monomials]
     elif backend == "cphase":
-        if ancilla is None:
-            # identity monomials have no support; they compile to a global phase
-            ancilla = 1 + max((q for m in monomials for q in m.support), default=-1)
+        # identity monomials have no support; they compile to a global phase
+        ancilla = 1 + max((q for m in monomials for q in m.support), default=-1)
         parts = [compile_cphase(m, phi, ancilla) for m in monomials]
     else:
         raise ValueError(f"unknown backend {backend!r}")
@@ -404,29 +399,6 @@ def format_circuit(circuit: Circuit) -> str:
         else:
             lines.append(f"{g.kind} {qubits} {g.angle!r}")
     return "\n".join(lines) + "\n"
-
-
-def parse_circuit(text: str) -> Circuit:
-    gates: list[Gate] = []
-    n_qubits = 0
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "qubits":
-            n_qubits = int(fields[1])
-        elif fields[0] == "rot":
-            gates.append(rot(fields[1], int(fields[2]), float(fields[3])))
-        elif fields[0] in ("coll", "cphase"):
-            qubits = tuple(int(q) for q in fields[1].split(","))
-            angle = float(fields[2])
-            gates.append(coll(qubits, angle) if fields[0] == "coll" else cphase(*qubits, angle))
-        else:
-            raise ValueError(f"unknown circuit directive {fields[0]!r}")
-    if n_qubits == 0:
-        n_qubits = 1 + max((q for g in gates for q in g.qubits), default=-1)
-    return Circuit(tuple(gates), n_qubits)
 
 
 def resource_report(circuit: Circuit, noise: NoiseModel = NoiseModel(), backend: str | None = None) -> dict:

@@ -44,7 +44,7 @@ evaluated in deterministic grid order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,12 +65,6 @@ from .pauli import PauliString, PauliSum, columns, matvec, pair_count, positions
 NORM_TOL = 1e-10
 LANCZOS_BREAKDOWN = 1e-13
 DEVIATION_GUARD = 1e-12
-
-
-def basis_state(n_qubits: int, index: int) -> np.ndarray:
-    state = np.zeros(2**n_qubits, dtype=complex)
-    state[index] = 1.0
-    return state
 
 
 def _n_qubits_of(state: np.ndarray) -> int:
@@ -100,18 +94,6 @@ def _overlaps(states: np.ndarray, others: np.ndarray) -> np.ndarray:
     return inner.real * inner.real + inner.imag * inner.imag
 
 
-def expectation(op: PauliSum, state: np.ndarray) -> float:
-    return float(_expectations(matvec(op, _n_qubits_of(state)), state))
-
-
-class _Space(NamedTuple):
-    """The sorted basis indices ``rows`` of an ``n_qubits`` register that an
-    evolution stays on."""
-
-    n_qubits: int
-    rows: np.ndarray
-
-
 def _check_evolution(hamiltonian: PauliSum, nbytes, what: str) -> None:
     check_memory(nbytes, what)
     if not hamiltonian.is_hermitian():
@@ -125,12 +107,6 @@ def _check_register_evolution(hamiltonian: PauliSum, n: int, kind: str) -> None:
     _check_evolution(hamiltonian, nbytes, f"{kind} evolution on {n} qubits")
 
 
-def _reach(hamiltonian: PauliSum, state: np.ndarray, n_qubits: int) -> _Space:
-    """The XOR cosets of the Hamiltonian's X masks that the support of
-    ``state`` touches."""
-    return _Space(n_qubits, reachable(hamiltonian, np.flatnonzero(state), n_qubits))
-
-
 def _start_masks(hamiltonian: PauliSum, casimir: PauliSum) -> PauliSum:
     """An operator with the X masks that a sweep's start rows are closed
     under, the Hamiltonian's and the Casimir's: one unit X string per
@@ -139,22 +115,18 @@ def _start_masks(hamiltonian: PauliSum, casimir: PauliSum) -> PauliSum:
     return PauliSum(PauliString(1.0, {q: "X" for q in mask}) for mask in masks)
 
 
-def _local_matvec(op: PauliSum, space: _Space):
-    """``op`` as a ``pauli.matvec`` on the rows of ``space``."""
-    return matvec(op, space.n_qubits, space.rows)
-
-
-def _scatter(space: _Space, states: np.ndarray) -> np.ndarray:
-    """States held on the rows of ``space`` (one, or a batch) as full 2^n
-    vectors, zero off those rows."""
-    out = np.zeros(np.shape(states)[:-1] + (2**space.n_qubits,), dtype=complex)
-    out[..., space.rows] = states
+def _scatter(n: int, rows: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """States held on ``rows`` (one, or a batch) as full 2^n vectors, zero
+    off those rows."""
+    out = np.zeros(np.shape(states)[:-1] + (2**n,), dtype=complex)
+    out[..., rows] = states
     return out
 
 
-def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray, space: _Space):
-    """Eigenpairs of H on the Krylov space of ``state``, given on the rows of
-    ``space`` (cosets closed under H), as (eigvals, amplitudes, ritz):
+def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray, n: int, rows: np.ndarray):
+    """Eigenpairs of H on the Krylov space of ``state``, given on the sorted
+    basis indices ``rows`` of an n-qubit register (cosets closed under H), as
+    (eigvals, amplitudes, ritz):
     H ritz[k] = eigvals[k] ritz[k] and state = sum_k amplitudes[k] ritz[k],
     with the Ritz vectors held on the same rows.
 
@@ -169,7 +141,7 @@ def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray, space: _Space):
     the Ritz vectors and the complex eigenvectors of T as they are formed.
     """
     _check_norm(state)
-    apply_h = _local_matvec(hamiltonian, space)
+    apply_h = matvec(hamiltonian, n, rows)
     scale = sum(abs(term.coefficient) for term in hamiltonian.terms)
     d = len(state)
     block = np.empty((min(d, 16), d), dtype=complex)
@@ -221,9 +193,9 @@ def exact_evolve(hamiltonian: PauliSum, state: np.ndarray, t: float) -> np.ndarr
     """exp(-i H t) applied by Lanczos reduction to the Krylov space of the state."""
     n = _n_qubits_of(state)
     _check_register_evolution(hamiltonian, n, "exact")
-    space = _reach(hamiltonian, state, n)
-    spectrum = _krylov_spectrum(hamiltonian, state[space.rows], space)
-    return _scatter(space, _evolve_spectrum(spectrum, np.array([t], dtype=float)))[0]
+    rows = reachable(hamiltonian, np.flatnonzero(state), n)
+    spectrum = _krylov_spectrum(hamiltonian, state[rows], n, rows)
+    return _scatter(n, rows, _evolve_spectrum(spectrum, np.array([t], dtype=float)))[0]
 
 
 def _check_steps(steps: int) -> None:
@@ -246,11 +218,6 @@ class TrotterPlan:
             raise ValueError("order must be a permutation of the term indices")
 
 
-def trotter_plan(hamiltonian: PauliSum, steps: int, phi: float) -> TrotterPlan:
-    """Plan using the Hamiltonian's canonical term order."""
-    return TrotterPlan(tuple(range(len(hamiltonian))), steps, phi)
-
-
 def plaquette_plan(
     layout: PlaquetteLayout, coupling: float, steps: int, phi: float
 ) -> tuple[PauliSum, TrotterPlan]:
@@ -266,19 +233,19 @@ def _listing_order(layout: PlaquetteLayout, coupling: float, hamiltonian: PauliS
 
 
 def _trotter_factors(
-    hamiltonian: PauliSum, order: tuple[int, ...], space: _Space
+    hamiltonian: PauliSum, order: tuple[int, ...], n: int, rows: np.ndarray
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Factor table on the rows of ``space``: (real weight c, perm, phases) of
-    each unit string P in ``order``, from its one ``pauli.columns`` pair
-    (targets, values): P psi = phases * psi[..., perm] with perm the targets'
-    positions and phases = values[perm]."""
+    """Factor table on ``rows`` of an n-qubit register: (real weight c, perm,
+    phases) of each unit string P in ``order``, from its one ``pauli.columns``
+    pair (targets, values): P psi = phases * psi[..., perm] with perm the
+    targets' positions and phases = values[perm]."""
     terms = hamiltonian.terms
     if len(order) != len(terms):
         raise ValueError("plan order does not cover the Hamiltonian's terms")
     factors = []
     for k in order:
-        ((targets, values),) = columns(terms[k].bare(), space.rows, space.n_qubits)
-        perm = positions(space.rows, targets)
+        ((targets, values),) = columns(terms[k].bare(), rows, n)
+        perm = positions(rows, targets)
         factors.append((terms[k].coefficient.real, perm, values[perm]))
     return factors
 
@@ -315,11 +282,11 @@ def trotter_evolve(
     """
     n = _n_qubits_of(state)
     _check_register_evolution(hamiltonian, n, "Trotter")
-    space = _reach(hamiltonian, state, n)
-    factors = _trotter_factors(hamiltonian, plan.order, space)
+    rows = reachable(hamiltonian, np.flatnonzero(state), n)
+    factors = _trotter_factors(hamiltonian, plan.order, n, rows)
     dt = plan.phi / coupling / plan.steps
-    evolved = _apply_factors(factors, [dt], [plan.steps], state[None, space.rows])
-    return _scatter(space, _check_norm(evolved))[0]
+    evolved = _apply_factors(factors, [dt], [plan.steps], state[None, rows])
+    return _scatter(n, rows, _check_norm(evolved))[0]
 
 
 def overlap(state: np.ndarray, other: np.ndarray) -> float:
@@ -494,15 +461,15 @@ def _start_observables(
     Trotter rows are one ragged batch sorted by step count, descending."""
     n = table.n_qubits
     seed = sector_seed(table, start)
-    space = _Space(n, reachable(masks, [seed], n))
-    apply_casimir = _local_matvec(casimir, space)
-    psi0 = sector_projection(table, start, (space.rows == seed).astype(complex), apply_casimir)
-    ideal = _evolve_spectrum(_krylov_spectrum(hamiltonian, psi0, space), times)
+    rows = reachable(masks, [seed], n)
+    apply_casimir = matvec(casimir, n, rows)
+    psi0 = sector_projection(table, start, (rows == seed).astype(complex), apply_casimir)
+    ideal = _evolve_spectrum(_krylov_spectrum(hamiltonian, psi0, n, rows), times)
     gauge_ideal = _expectations(apply_casimir, ideal)
     if np.any(abs(gauge_ideal) < DEVIATION_GUARD):
         raise GuardError("ideal gauge expectation vanished")
     digital = _check_norm(_apply_factors(
-        _trotter_factors(hamiltonian, order, space),
+        _trotter_factors(hamiltonian, order, n, rows),
         np.concatenate([times / steps for steps in step_counts]),
         np.repeat(step_counts, len(times)),
         np.broadcast_to(psi0, (len(step_counts) * len(times), len(psi0))),

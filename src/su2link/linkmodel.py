@@ -24,8 +24,6 @@ from .errors import LayoutError, check_memory
 from .linalg import expi_hermitian
 from .pauli import PauliString, PauliSum, dense
 
-SECTOR_CLUSTER_TOL = 1e-8
-
 _AXES = {1: "X", 2: "Y", 3: "Z"}
 
 
@@ -64,6 +62,8 @@ class PlaquetteLayout:
         for index, plaq in enumerate(self.plaquettes):
             if len(plaq) != 3:
                 raise LayoutError("plaquettes must contain exactly three links")
+            if len(set(plaq)) != 3:
+                raise LayoutError(f"plaquette {plaq} lists a link more than once")
             try:
                 loop = [by_id[i] for i in plaq]
             except KeyError as err:
@@ -210,29 +210,23 @@ def plaquette_hamiltonian(layout: PlaquetteLayout, coupling: float) -> PauliSum:
 class GaugeSector:
     eigenvalue: float
     degeneracy: int
-    layout: PlaquetteLayout = field(repr=False, compare=False)
-
-    @property
-    def basis(self) -> np.ndarray:
-        """Dense oracle for tests: an orthonormal eigenbasis of the sector,
-        shape (2^n, degeneracy), from ``eigh`` of the dense Casimir on every
-        access."""
-        n = self.layout.n_qubits
-        eigvals, eigvecs = np.linalg.eigh(dense(total_gauge_casimir(self.layout), n))
-        return eigvecs[:, np.abs(eigvals - self.eigenvalue) <= SECTOR_CLUSTER_TOL]
 
 
 @dataclass(frozen=True)
 class GaugeSectorTable:
-    n_qubits: int
+    layout: PlaquetteLayout
     sectors: tuple[GaugeSector, ...]
+
+    @property
+    def n_qubits(self) -> int:
+        return self.layout.n_qubits
 
     def eigenvalues(self) -> list[float]:
         return [s.eigenvalue for s in self.sectors]
 
-    def sector(self, eigenvalue: float, tol: float = 1e-6) -> GaugeSector:
+    def sector(self, eigenvalue: float) -> GaugeSector:
         for s in self.sectors:
-            if abs(s.eigenvalue - eigenvalue) <= tol:
+            if abs(s.eigenvalue - eigenvalue) <= 1e-6:
                 return s
         available = ", ".join(repr(round(s.eigenvalue, 10)) for s in self.sectors)
         raise LayoutError(f"no sector with eigenvalue {eigenvalue!r}; available: {available}")
@@ -289,9 +283,7 @@ def gauge_sectors(layout: PlaquetteLayout) -> GaugeSectorTable:
         index = sum(1 << link.pos_qubit for i, link in enumerate(layout.links) if (config >> i) & 1)
         counts.update(_combine(_multiplets(len(spins)) for spins in _spins_at_vertices(layout, index)))
     unused = 2 ** (n - 2 * len(layout.links))
-    return GaugeSectorTable(
-        n, tuple(GaugeSector(q / 4, count * unused, layout) for q, count in sorted(counts.items()))
-    )
+    return GaugeSectorTable(layout, tuple(GaugeSector(q / 4, count * unused) for q, count in sorted(counts.items())))
 
 
 def sector_seed(table: GaugeSectorTable, eigenvalue: float) -> int:
@@ -306,7 +298,7 @@ def sector_seed(table: GaugeSectorTable, eigenvalue: float) -> int:
     target = round(4 * sector.eigenvalue)
     for index in range(2**table.n_qubits):
         options = []
-        for spins in _spins_at_vertices(sector.layout, index):
+        for spins in _spins_at_vertices(table.layout, index):
             m2 = abs(sum(1 - 2 * ((index >> q) & 1) for q in spins))  # 2 |m_v|
             options.append([(j2 * (j2 + 2), 1) for j2 in range(m2, len(spins) + 1, 2)])
         if _combine(options)[target]:
@@ -335,7 +327,7 @@ def canonical_sector_state(table: GaugeSectorTable, eigenvalue: float) -> np.nda
     """
     state = np.zeros(2**table.n_qubits, dtype=complex)
     state[sector_seed(table, eigenvalue)] = 1.0
-    apply_casimir = pauli.matvec(total_gauge_casimir(table.sector(eigenvalue).layout), table.n_qubits)
+    apply_casimir = pauli.matvec(total_gauge_casimir(table.layout), table.n_qubits)
     return sector_projection(table, eigenvalue, state, apply_casimir)
 
 
@@ -400,16 +392,6 @@ def _link_covariance(link: Link, matrices, angles) -> float:
 
 # ---------------------------------------------------------------------------
 # plain-text layout files
-
-def format_layout(layout: PlaquetteLayout) -> str:
-    lines = [f"vertex {v}" for v in layout.vertices]
-    lines += [
-        f"link {l.link_id} {l.frm} {l.to} {l.pos_qubit} {l.spin_qubit}"
-        for l in layout.links
-    ]
-    lines += ["plaquette " + " ".join(p) for p in layout.plaquettes]
-    return "\n".join(lines) + "\n"
-
 
 def parse_layout(text: str) -> PlaquetteLayout:
     links: list[Link] = []

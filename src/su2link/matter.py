@@ -61,10 +61,12 @@ class ChainConfig:
             raise ValueError("a chain needs at least two sites")
         if self.penalty <= 0:
             raise ValueError("penalty scale must be positive")
-        # per basis state: faithful_indices' index, mask and three bit-test temporaries
-        check_memory(lambda: 33 * 2.0**self.n_modes, f"matter chain of {self.n_modes} modes")
         if not 0 <= self.matter_number <= 2 * self.n_sites:
             raise ValueError("matter_number out of range")
+        if not 0 <= self.n0 <= 2:
+            raise ValueError("n0 out of range: a link has two color cells of at most one excitation each")
+        # per basis state: faithful_indices' index, mask and three bit-test temporaries
+        check_memory(lambda: 33 * 2.0**self.n_modes, f"matter chain of {self.n_modes} modes")
 
     @property
     def n_links(self) -> int:
@@ -102,34 +104,10 @@ def number(mode: int) -> PauliSum:
     return PauliSum([PauliString(0.5), PauliString(-0.5, {mode: "Z"})])
 
 
-def link_charge(cfg: ChainConfig, link: int) -> PauliSum:
-    total = PauliSum()
-    for mode in _link_modes(cfg, link):
-        total = total + number(mode)
-    return total
-
-
-def total_number(cfg: ChainConfig) -> PauliSum:
-    total = PauliSum()
-    for mode in range(cfg.n_modes):
-        total = total + number(mode)
-    return total
-
-
-def h0_operator(cfg: ChainConfig) -> PauliSum:
-    """Mode frequencies plus the quadratic link-occupation penalty (diagonal)."""
-    identity = PauliSum([PauliString(1.0)])
-    total = cfg.omega * total_number(cfg)
-    for link in range(cfg.n_links):
-        excess = link_charge(cfg, link) - cfg.n0 * identity
-        total = total + cfg.penalty * (excess * excess)
-    return total
-
-
 def unperturbed_energies(cfg: ChainConfig, indices: np.ndarray) -> np.ndarray:
-    """The diagonal of ``h0_operator`` on the basis states ``indices``, from
-    occupation counts: omega times the total occupation plus the penalty
-    times each link's squared excess over n0."""
+    """H0 (diagonal) on the basis states ``indices``, from occupation counts:
+    omega times the total occupation plus the penalty times each link's
+    squared excess over n0."""
     energies = cfg.omega * _occupation(indices, range(cfg.n_modes))
     for link in range(cfg.n_links):
         energies = energies + cfg.penalty * (_occupation(indices, _link_modes(cfg, link)) - cfg.n0) ** 2
@@ -170,26 +148,6 @@ def v_operator(cfg: ChainConfig) -> PauliSum:
     return total + total.adjoint()
 
 
-def su2_generator(cfg: ChainConfig, site: int, a: int) -> PauliSum:
-    """Color generator at a site: link right-end part (incoming link), the
-    matter spin, and link left-end part (outgoing link)."""
-    sigma = letter_matrix({1: "X", 2: "Y", 3: "Z"}[a])
-    total = PauliSum()
-    pieces = []
-    if site > 0:
-        pieces.append([cfg.c_mode(site - 1, RIGHT, s) for s in (UP, DOWN)])
-    pieces.append([cfg.b_mode(site, s) for s in (UP, DOWN)])
-    if site < cfg.n_links:
-        pieces.append([cfg.c_mode(site, LEFT, s) for s in (UP, DOWN)])
-    for modes in pieces:
-        for alpha in (UP, DOWN):
-            for beta in (UP, DOWN):
-                coeff = sigma[alpha, beta] / 2.0
-                if coeff != 0:
-                    total = total + coeff * (raising(modes[alpha]) * lowering(modes[beta]))
-    return total
-
-
 def color_cells(cfg: ChainConfig) -> list[tuple[int, int]]:
     """Mode pairs forming one color doublet each: every matter site and every
     link end."""
@@ -219,10 +177,9 @@ def faithful_indices(cfg: ChainConfig) -> np.ndarray:
     return indices[keep]
 
 
-def penalty_free_indices(cfg: ChainConfig, faithful: np.ndarray | None = None) -> np.ndarray:
-    """Model-space states of the fixed total-excitation sector with exactly
-    n0 excitations on every link, taken from ``faithful`` when given."""
-    faithful = faithful_indices(cfg) if faithful is None else faithful
+def penalty_free_indices(cfg: ChainConfig, faithful: np.ndarray) -> np.ndarray:
+    """The states of ``faithful`` (the model space) in the fixed
+    total-excitation sector with exactly n0 excitations on every link."""
     keep = _occupation(faithful, range(cfg.n_modes)) == cfg.total_excitations
     for link in range(cfg.n_links):
         keep &= _occupation(faithful, _link_modes(cfg, link)) == cfg.n0
@@ -268,30 +225,26 @@ class EffectiveBlock:
     basis_indices: np.ndarray
 
 
-def effective_hamiltonian(cfg: ChainConfig, energy_shift: float = 0.0) -> EffectiveBlock:
+def effective_hamiltonian(cfg: ChainConfig) -> EffectiveBlock:
     """Second-order effective operator from the projector formula.
 
     With P the penalty-free subspace of the chosen sector at unperturbed
     energy E0 and Q the model-space states outside P that the hopping
     reaches from it, the block is P V Q (E0 - H0)^(-1) Q V P, symmetrized to
     kill roundoff.  Raises if the hopping couples P to a complement state
-    within 1e-9 * penalty of E0.  ``energy_shift`` adds a constant to the
-    bare spectrum; the block cannot depend on it (E0 shifts along) and the
-    knob exists for consistency tests.
+    within 1e-9 * penalty of E0.
     """
     faithful = faithful_indices(cfg)
     p_idx = penalty_free_indices(cfg, faithful)
-    return _second_order(cfg, p_idx, *_couplings(cfg, p_idx, faithful), energy_shift)
+    return _second_order(cfg, p_idx, *_couplings(cfg, p_idx, faithful))
 
 
-def _second_order(
-    cfg: ChainConfig, p_idx: np.ndarray, q_idx: np.ndarray, couplings: np.ndarray, energy_shift: float = 0.0
-) -> EffectiveBlock:
+def _second_order(cfg: ChainConfig, p_idx: np.ndarray, q_idx: np.ndarray, couplings: np.ndarray) -> EffectiveBlock:
     """The penalty-dependent part of ``effective_hamiltonian``: the gaps,
     their guard and the weighted product of the couplings ``<Q| V |P>``."""
     # H0 depends only on the total and the link occupations, which P fixes
-    e0 = float(unperturbed_energies(cfg, p_idx[:1])[0]) + energy_shift
-    gaps = e0 - (unperturbed_energies(cfg, q_idx) + energy_shift)
+    e0 = float(unperturbed_energies(cfg, p_idx[:1])[0])
+    gaps = e0 - unperturbed_energies(cfg, q_idx)
     near = np.abs(gaps) < DEGENERACY_GUARD * cfg.penalty
     reachable = np.max(np.abs(couplings), axis=1) > REACH_TOL
     if np.any(near & reachable):
@@ -361,12 +314,6 @@ def _density_pattern(cfg: ChainConfig) -> PauliSum:
                 ends = ends + number(cfg.c_mode(site, LEFT, spin))
         total = total + matter * ends
     return total
-
-
-def closed_form_block(cfg: ChainConfig, p_idx: np.ndarray | None = None) -> EffectiveBlock:
-    p_idx = penalty_free_indices(cfg) if p_idx is None else p_idx
-    op = closed_form_hopping(cfg) + closed_form_density(cfg)
-    return EffectiveBlock(_block(op, p_idx, p_idx, cfg.n_modes), p_idx)
 
 
 def block_deviation(brute: EffectiveBlock, closed: EffectiveBlock, hopping: float) -> float:

@@ -108,9 +108,6 @@ class PauliString:
     def weight(self) -> int:
         return len(self._key)
 
-    def with_coefficient(self, coefficient: complex) -> PauliString:
-        return PauliString._derived(coefficient, self._key)
-
     def bare(self) -> PauliString:
         """The same letter pattern with unit coefficient."""
         return PauliString._derived(1.0, self._key)
@@ -118,9 +115,6 @@ class PauliString:
     def adjoint(self) -> PauliString:
         # every letter is Hermitian, so only the coefficient conjugates
         return PauliString._derived(self.coefficient.conjugate(), self._key)
-
-    def is_hermitian(self, tol: float = MERGE_TOL) -> bool:
-        return abs(self.coefficient.imag) <= tol
 
     def __mul__(self, other):
         if isinstance(other, PauliString):
@@ -191,9 +185,6 @@ class PauliSum:
             qubits.update(q for q, _ in key)
         return tuple(sorted(qubits))
 
-    def coefficient_of(self, pattern: PauliString) -> complex:
-        return self._terms.get(pattern.key(), 0j)
-
     def __len__(self):
         return len(self._terms)
 
@@ -230,9 +221,9 @@ class PauliSum:
     def adjoint(self) -> PauliSum:
         return PauliSum([t.adjoint() for t in self.terms])
 
-    def is_hermitian(self, tol: float = MERGE_TOL) -> bool:
+    def is_hermitian(self) -> bool:
         """Checked termwise: the sum must equal its own adjoint."""
-        return all(abs(c - c.conjugate()) <= tol for c in self._terms.values())
+        return all(abs(c - c.conjugate()) <= MERGE_TOL for c in self._terms.values())
 
     def __repr__(self):
         return f"PauliSum({format_sum(self)!r})"

@@ -26,6 +26,8 @@ link 42 4 2 8 9
 plaquette 12 23 31
 plaquette 23 34 42
 """
+# eigenvalues of the dense Casimir within this distance belong to one sector
+SECTOR_CLUSTER_TOL = 1e-8
 # the triangle with one spin qubit at index 5e9: a register no float can size
 HUGE_INDEX = """\
 link 12 1 2 0 1
@@ -89,6 +91,19 @@ def two_plaquette_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def sector_basis():
+    """Dense oracle for a sector of a ``GaugeSectorTable``: an orthonormal
+    eigenbasis, shape (2^n, degeneracy), from ``eigh`` of the dense Casimir
+    on every call."""
+
+    def basis(table: lm.GaugeSectorTable, eigenvalue: float) -> np.ndarray:
+        eigvals, eigvecs = np.linalg.eigh(dense(lm.total_gauge_casimir(table.layout), table.n_qubits))
+        return eigvecs[:, np.abs(eigvals - eigenvalue) <= SECTOR_CLUSTER_TOL]
+
+    return basis
+
+
+@pytest.fixture(scope="session")
 def dense_canonical_state():
     """Sector representatives from a dense eigenbasis of the Casimir: the
     normalized projection of the lowest-index basis state with weight in the
@@ -101,7 +116,7 @@ def dense_canonical_state():
             assert not casimir.imag.any()  # real symmetric, so eigh of the real part suffices
             cache[layout] = np.linalg.eigh(casimir.real)
         eigvals, eigvecs = cache[layout]
-        basis = eigvecs[:, np.abs(eigvals - eigenvalue) <= 1e-8]
+        basis = eigvecs[:, np.abs(eigvals - eigenvalue) <= SECTOR_CLUSTER_TOL]
         for index in range(len(basis)):
             component = basis @ basis[index].conj()
             norm = np.linalg.norm(component)

@@ -99,16 +99,17 @@ def test_criterion_02_hamiltonian_census(layout):
             assert census == {3: 1, 5: 9, 6: 6}
 
 
-def test_criterion_03_sector_spectrum(layout, table, hamiltonian):
+def test_criterion_03_sector_spectrum(layout, table, hamiltonian, sector_basis):
     with criterion("03 sector spectrum", budget=5.0):
         got = {round(s.eigenvalue, 8): s.degeneracy for s in table.sectors}
         assert got == {0.75: 12, 2.25: 16, 2.75: 36}
         assert sum(s.degeneracy for s in table.sectors) == 64
         hd = dense(hamiltonian, layout.n_qubits)
-        for i, si in enumerate(table.sectors):
-            for j, sj in enumerate(table.sectors):
+        bases = [sector_basis(table, s.eigenvalue) for s in table.sectors]
+        for i, bi in enumerate(bases):
+            for j, bj in enumerate(bases):
                 if i != j:
-                    assert np.max(np.abs(si.basis.conj().T @ hd @ sj.basis)) < 1e-9
+                    assert np.max(np.abs(bi.conj().T @ hd @ bj)) < 1e-9
 
 
 def test_criterion_04_digitization_convergence(layout, hamiltonian, table):

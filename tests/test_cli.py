@@ -13,6 +13,7 @@ from su2link import dynamics as dyn
 from su2link import linkmodel as lm
 from su2link.pauli import dense, matvec, span_rank
 
+TRIANGLE_PATH = Path(__file__).parent / "data" / "triangle.layout"  # README's layout file
 # strips of three, four and five triangles, each sharing one link with the
 # next: 14, 18 and 22 qubits
 STRIP3_PATH = Path(__file__).parent / "data" / "strip3.layout"
@@ -37,10 +38,8 @@ def test_sectors_table(capsys):
     ]
 
 
-def test_sectors_layout_file_round_trip(tmp_path, capsys):
-    path = tmp_path / "triangle.layout"
-    path.write_text(lm.format_layout(lm.triangle_layout()), encoding="utf-8")
-    code, out, _ = run(["sectors", "--layout", str(path)], capsys)
+def test_sectors_layout_file_round_trip(capsys):
+    code, out, _ = run(["sectors", "--layout", str(TRIANGLE_PATH)], capsys)
     assert code == 0
     assert "0.75,12" in out
 
@@ -176,9 +175,7 @@ def test_compile_single_monomial(tmp_path, capsys):
     assert report["collective"] == 2
     text = circuit_path.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "qubits 2"
-    from su2link.compiler import parse_circuit
-
-    assert parse_circuit(text).counts.collective == 2
+    assert sum(line.startswith("coll ") for line in text.splitlines()) == 2
 
 
 @pytest.mark.parametrize("backend", ["collective", "cphase"])
@@ -373,9 +370,34 @@ def test_four_triangle_strip_fig3_fits_the_budget():
 def test_repeated_plaquette_exits_2(argv, tmp_path, capsys):
     # the rotation 23 31 12 closes the same loop as 12 23 31
     path = tmp_path / "repeated.layout"
-    path.write_text(lm.format_layout(lm.triangle_layout()) + "plaquette 23 31 12\n", encoding="utf-8")
+    path.write_text(TRIANGLE_PATH.read_text(encoding="utf-8") + "plaquette 23 31 12\n", encoding="utf-8")
     result = run([*argv, "--layout", str(path)], capsys)
     assert_config_error(result, "plaquette ('23', '31', '12') repeats the links of an earlier plaquette")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sectors"],
+        ["covariance"],
+        ["figures", "fig3"],
+        ["compile", "--backend", "collective"],
+        ["compile", "--backend", "cphase"],
+    ],
+)
+def test_plaquette_that_lists_a_link_twice_exits_2(argv, tmp_path, capsys):
+    # a self-loop closes the orientation check on its own
+    path = tmp_path / "self_loop.layout"
+    path.write_text("link a 1 1 0 1\nplaquette a a a\n", encoding="utf-8")
+    result = run([*argv, "--layout", str(path)], capsys)
+    assert_config_error(result, "plaquette ('a', 'a', 'a') lists a link more than once")
+
+
+@pytest.mark.parametrize("n0", [-1, 3])
+def test_matter_rejects_an_impossible_n0(n0, capsys):
+    # a link has two color cells of at most one excitation each: n0 is 0..2
+    result = run(["matter", f"--n0={n0}"], capsys)
+    assert_config_error(result, "n0 out of range: a link has two color cells of at most one excitation each")
 
 
 def test_covariance_sets_over_limit_exits_2_before_allocating(capsys):
@@ -707,7 +729,8 @@ def test_two_plaquette_fig3_matches_dense_oracle(two_plaquette, two_plaquette_pa
 @pytest.mark.parametrize("backend", ["collective", "cphase"])
 def test_compile_rejects_a_layout_without_plaquettes(backend, tmp_path, capsys):
     path = tmp_path / "open.layout"
-    path.write_text(lm.format_layout(lm.PlaquetteLayout(lm.triangle_layout().links, ())), encoding="utf-8")
+    lines = TRIANGLE_PATH.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("plaquette")), encoding="utf-8")
     result = run(["compile", "--backend", backend, "--layout", str(path)], capsys)
     assert_config_error(result, "layout contains no plaquettes")
 

@@ -37,14 +37,14 @@ def test_gate_validation():
 
 def test_cphase_gate_matrix():
     gate = cphase(0, 1, 0.4)
-    matrix = cp.gate_unitary(gate, 2)
+    matrix = cp.circuit_unitary(Circuit((gate,), 2))
     assert np.allclose(matrix, np.diag([1, 1, 1, np.exp(-0.8j)]), atol=1e-12)
 
 
 def test_collective_gate_matches_pair_sum():
     gate = coll((0, 2), 0.3)
     want = expi_hermitian(dense(PauliString(1.0, {0: "X", 2: "X"}), 3), scale=0.3)
-    assert np.allclose(cp.gate_unitary(gate, 3), want, atol=1e-12)
+    assert np.allclose(cp.circuit_unitary(Circuit((gate,), 3)), want, atol=1e-12)
 
 
 ORACLE_TOL = 1e-12
@@ -65,12 +65,12 @@ def test_closed_form_gates_match_spectral_exponential(n):
         qubit = int(rng.integers(n))
         for axis in "xyz":
             want = generator_unitary(PauliString(1.0, {qubit: axis.upper()}), -angle / 2, n)
-            assert np.max(np.abs(cp.gate_unitary(rot(axis, qubit, angle), n) - want)) < ORACLE_TOL
+            assert np.max(np.abs(cp.circuit_unitary(Circuit((rot(axis, qubit, angle),), n)) - want)) < ORACLE_TOL
         for size in range(2, min(n, 6) + 1):
             qubits = tuple(int(q) for q in rng.permutation(n)[:size])  # any order
             pairs = PauliSum([PauliString(1.0, {a: "X", b: "X"}) for a, b in combinations(qubits, 2)])
             want = generator_unitary(pairs, angle, n)
-            assert np.max(np.abs(cp.gate_unitary(coll(qubits, angle), n) - want)) < ORACLE_TOL
+            assert np.max(np.abs(cp.circuit_unitary(Circuit((coll(qubits, angle),), n)) - want)) < ORACLE_TOL
         a, b = (int(q) for q in rng.permutation(n)[:2])
         # projector onto bits a and b both set: (1 - Z_a - Z_b + Z_a Z_b) / 4
         both = PauliSum(
@@ -78,13 +78,13 @@ def test_closed_form_gates_match_spectral_exponential(n):
              PauliString(0.25, {a: "Z", b: "Z"})]
         )
         want = generator_unitary(both, -2 * angle, n)
-        assert np.max(np.abs(cp.gate_unitary(cphase(a, b, angle), n) - want)) < ORACLE_TOL
+        assert np.max(np.abs(cp.circuit_unitary(Circuit((cphase(a, b, angle),), n)) - want)) < ORACLE_TOL
 
 
 def test_gate_outside_register_rejected():
     for gate in (rot("y", 3, 0.2), rot("z", 3, 0.2), coll((0, 3), 0.2), cphase(3, 1, 0.2)):
         with pytest.raises(ValueError):
-            cp.gate_unitary(gate, 3)
+            cp.circuit_unitary(Circuit((gate,), 3))
         with pytest.raises(ValueError):
             cp.circuit_unitary(Circuit((gate,), 4), 3)
     # a gate outside the register inside a run of diagonal gates, with the
@@ -97,7 +97,7 @@ def test_gate_outside_register_rejected():
 
 def test_dense_guard_fires_before_allocation(memory_boundary):
     with pytest.raises(GuardError, match="^circuit unitary on 13 qubits needs"):
-        cp.gate_unitary(rot("x", 0, 0.1), 13)
+        cp.circuit_unitary(Circuit((rot("x", 0, 0.1),), 13))
     with pytest.raises(GuardError, match="^reduced system unitary on 14 qubits needs"):
         cp.reduced_system_unitary(Circuit((rot("x", 0, 0.1),), 14), 0, cp.ancilla_state(2))
     assert cp.circuit_unitary(Circuit((), 12)).shape == (4096, 4096)  # 12 qubits fit the budget
@@ -398,16 +398,6 @@ def test_empirical_vs_bound(monomials):
     psi[0] = 1.0
     report = empirical_vs_bound(single, psi, 0.5, [1, 2], [0.5])
     assert all(err < 1e-12 for _, err in report.measured)
-
-
-def test_circuit_serialization_round_trip(monomials):
-    circuit = cp.compile_cphase(monomials[3], 0.23, ancilla=6)
-    text = cp.format_circuit(circuit)
-    back = cp.parse_circuit(text)
-    assert back == circuit
-    assert cp.format_circuit(back) == text
-    with pytest.raises(ValueError):
-        cp.parse_circuit("wiggle 0 1\n")
 
 
 def test_resource_report(monomials):

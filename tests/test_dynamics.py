@@ -12,6 +12,17 @@ from su2link.linalg import expi_hermitian
 from su2link.pauli import PauliString, PauliSum, dense, matvec, pair_count, reachable, span_rank
 
 
+def basis_state(n_qubits, index):
+    state = np.zeros(2**n_qubits, dtype=complex)
+    state[index] = 1.0
+    return state
+
+
+def expectation(op, state):
+    """<psi|op|psi> of a Hermitian op on a full 2^n state."""
+    return float(dyn._expectations(matvec(op, dyn._n_qubits_of(state)), state))
+
+
 @pytest.fixture(scope="module")
 def layout():
     return lm.triangle_layout()
@@ -28,14 +39,14 @@ def sector_table(layout):
 
 
 def test_exact_evolve_identity_at_zero_time(hamiltonian, layout):
-    psi = dyn.basis_state(layout.n_qubits, 5)
+    psi = basis_state(layout.n_qubits, 5)
     out = dyn.exact_evolve(hamiltonian, psi, 0.0)
     assert np.allclose(out, psi, atol=1e-12)
 
 
 def test_exact_evolve_eigenstate_phase():
     h = PauliSum([PauliString(1.0, {0: "Z"})])
-    psi = dyn.basis_state(1, 0)
+    psi = basis_state(1, 0)
     out = dyn.exact_evolve(h, psi, 0.7)
     assert np.allclose(out, np.exp(-0.7j) * psi, atol=1e-12)
 
@@ -43,14 +54,14 @@ def test_exact_evolve_eigenstate_phase():
 def test_exact_evolve_guards(memory_boundary):
     non_hermitian = PauliSum([PauliString(1j, {0: "Z"})])
     with pytest.raises(GuardError):
-        dyn.exact_evolve(non_hermitian, dyn.basis_state(1, 0), 0.1)
+        dyn.exact_evolve(non_hermitian, basis_state(1, 0), 0.1)
     h = PauliSum([PauliString(1.0, {0: "Z"}), PauliString(0.5, {1: "X"})])
-    memory_boundary(lambda: dyn.exact_evolve(h, dyn.basis_state(2, 0), 0.1))
+    memory_boundary(lambda: dyn.exact_evolve(h, basis_state(2, 0), 0.1))
 
 
 def test_trotter_evolve_and_sweep_guards(layout, hamiltonian, monkeypatch, memory_boundary):
-    plan = dyn.trotter_plan(hamiltonian, 2, 0.3)
-    memory_boundary(lambda: dyn.trotter_evolve(hamiltonian, plan, dyn.basis_state(6, 5)))
+    plan = dyn.TrotterPlan(tuple(range(len(hamiltonian))), 2, 0.3)
+    memory_boundary(lambda: dyn.trotter_evolve(hamiltonian, plan, basis_state(6, 5)))
     estimate = memory_boundary(lambda: dyn.sweep(layout, 1.0, [1, 2], [0.3, 0.6], 0.75))
     # the sweep refuses before the sector table or any state is built
     monkeypatch.setattr(errors, "MEMORY_BUDGET", estimate - 1)
@@ -62,17 +73,17 @@ def test_trotter_evolve_and_sweep_guards(layout, hamiltonian, monkeypatch, memor
 def test_exact_evolution_conserves_casimir(hamiltonian, layout, sector_table):
     casimir = lm.total_gauge_casimir(layout)
     psi0 = lm.canonical_sector_state(sector_table, 0.75)
-    before = dyn.expectation(casimir, psi0)
-    after = dyn.expectation(casimir, dyn.exact_evolve(hamiltonian, psi0, 1.3))
+    before = expectation(casimir, psi0)
+    after = expectation(casimir, dyn.exact_evolve(hamiltonian, psi0, 1.3))
     assert abs(before - after) < 1e-10
 
 
-def test_evolution_commutes_with_sector_projection(hamiltonian, layout, sector_table):
+def test_evolution_commutes_with_sector_projection(hamiltonian, layout, sector_table, sector_basis):
     rng = np.random.default_rng(2)
     psi = rng.normal(size=64) + 1j * rng.normal(size=64)
     psi /= np.linalg.norm(psi)
-    sector = sector_table.sector(2.75)
-    projector = sector.basis @ sector.basis.conj().T
+    basis = sector_basis(sector_table, 2.75)
+    projector = basis @ basis.conj().T
     project_then_evolve = dyn.exact_evolve(hamiltonian, projector @ psi / np.linalg.norm(projector @ psi), 0.9)
     evolve_then_project = projector @ dyn.exact_evolve(hamiltonian, psi, 0.9)
     evolve_then_project /= np.linalg.norm(evolve_then_project)
@@ -82,15 +93,15 @@ def test_evolution_commutes_with_sector_projection(hamiltonian, layout, sector_t
 
 def test_trotter_single_term_is_exact():
     h = PauliSum([PauliString(0.8, {0: "X", 1: "X"})])
-    psi = dyn.basis_state(2, 1)
-    plan = dyn.trotter_plan(h, 1, 0.9)
+    psi = basis_state(2, 1)
+    plan = dyn.TrotterPlan((0,), 1, 0.9)
     assert np.allclose(
         dyn.trotter_evolve(h, plan, psi), dyn.exact_evolve(h, psi, 0.9), atol=1e-12
     )
 
 
 def test_trotter_zero_phase_identity(hamiltonian, layout):
-    psi = dyn.basis_state(layout.n_qubits, 7)
+    psi = basis_state(layout.n_qubits, 7)
     _, plan = dyn.plaquette_plan(layout, 1.0, 3, 0.0)
     assert np.allclose(dyn.trotter_evolve(hamiltonian, plan, psi), psi, atol=1e-12)
 
@@ -101,7 +112,7 @@ def test_trotter_plan_validation(hamiltonian):
     with pytest.raises(ValueError):
         dyn.TrotterPlan((0, 0, 1), 2, 1.0)
     with pytest.raises(ValueError):
-        dyn.trotter_evolve(hamiltonian, dyn.TrotterPlan((0, 1), 2, 1.0), dyn.basis_state(6, 0))
+        dyn.trotter_evolve(hamiltonian, dyn.TrotterPlan((0, 1), 2, 1.0), basis_state(6, 0))
 
 
 def test_trotter_error_decreases_and_scales(hamiltonian, layout, sector_table):
@@ -118,7 +129,7 @@ def test_trotter_error_decreases_and_scales(hamiltonian, layout, sector_table):
 
 
 def test_unitarity_preserved(hamiltonian, layout):
-    psi = dyn.basis_state(layout.n_qubits, 3)
+    psi = basis_state(layout.n_qubits, 3)
     _, plan = dyn.plaquette_plan(layout, 1.0, 5, 1.7)
     out = dyn.trotter_evolve(hamiltonian, plan, psi)
     assert abs(np.linalg.norm(out) - 1) < 1e-10
@@ -127,12 +138,12 @@ def test_unitarity_preserved(hamiltonian, layout):
 
 
 def test_overlap_basics():
-    a = dyn.basis_state(2, 0)
-    b = dyn.basis_state(2, 2)
+    a = basis_state(2, 0)
+    b = basis_state(2, 2)
     assert dyn.overlap(a, a) == pytest.approx(1.0)
     assert dyn.overlap(a, b) == pytest.approx(0.0)
     with pytest.raises(ValueError):
-        dyn.overlap(a, dyn.basis_state(3, 0))
+        dyn.overlap(a, basis_state(3, 0))
 
 
 def test_relative_deviation_guard():
@@ -360,7 +371,7 @@ def test_lanczos_exact_evolve_matches_eigh(layouts, dense_spectra, name):
     rng = np.random.default_rng(5)
     random_psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     table = lm.gauge_sectors(layout)
-    states = [random_psi / np.linalg.norm(random_psi), dyn.basis_state(n, 0), dyn.basis_state(n, 2**n - 3)]
+    states = [random_psi / np.linalg.norm(random_psi), basis_state(n, 0), basis_state(n, 2**n - 3)]
     states += [lm.canonical_sector_state(table, ev) for ev in table.eigenvalues()]
     for psi in states:
         for t in (0.0, 0.37, 1.3, -2.0, 7.5):
@@ -395,7 +406,7 @@ def test_lanczos_holds_at_most_three_blocks():
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi /= np.linalg.norm(psi)
     tracemalloc.start()
-    eigvals, _, _ = dyn._krylov_spectrum(h, psi, dyn._Space(n, np.arange(d)))
+    eigvals, _, _ = dyn._krylov_spectrum(h, psi, n, np.arange(d))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert len(eigvals) == d
@@ -410,14 +421,14 @@ def test_lanczos_residual_guard(hamiltonian, sector_table, monkeypatch):
         with pytest.raises(GuardError, match="Lanczos residual"):
             dyn.exact_evolve(hamiltonian, psi0, 0.5)
     # an operator that is not the same linear map at every call breaks H V = V T
-    original = dyn._local_matvec
+    original = dyn.matvec
     rng = np.random.default_rng(0)
 
-    def noisy_matvec(op, n):
-        apply = original(op, n)
+    def noisy_matvec(op, n, rows=None):
+        apply = original(op, n, rows)
         return lambda states: apply(states) + 1e-6 * rng.normal(size=np.shape(states))
 
-    monkeypatch.setattr(dyn, "_local_matvec", noisy_matvec)
+    monkeypatch.setattr(dyn, "matvec", noisy_matvec)
     with pytest.raises(GuardError, match="Lanczos residual"):
         dyn.exact_evolve(hamiltonian, psi0, 0.5)
 
@@ -432,7 +443,7 @@ def test_expectations_match_dense(layout, hamiltonian):
     for op in (casimir, hamiltonian, PauliSum([PauliString(0.3, {1: "Y", 4: "X"}), PauliString(-1.1, {2: "Z"})])):
         matrix = dense(op, 6)
         values = [float((psi.conj() @ matrix @ psi).real) for psi in states]
-        assert abs(dyn.expectation(op, states[0]) - values[0]) < 1e-12
+        assert abs(expectation(op, states[0]) - values[0]) < 1e-12
         expected = (values[0] - values[1]) / values[0]
         assert abs(dyn.relative_deviation(op, states[0], states[1]) - expected) < 1e-12
     matrix = dense(casimir, 6)
@@ -495,7 +506,7 @@ def test_restricted_evolution_matches_dense_on_random_pauli_sums(n):
         h = random_coset_sum(rng, n)
         matrix = dense(h, n)
         for psi in sparse_starts(rng, h, n):
-            assert len(dyn._reach(h, psi, n).rows) < 2**n
+            assert len(reachable(h, np.flatnonzero(psi), n)) < 2**n
             for t in (0.4, -1.3):
                 expected = expi_hermitian(matrix, scale=-t) @ psi
                 assert np.max(np.abs(dyn.exact_evolve(h, psi, t) - expected)) < 1e-12
@@ -539,10 +550,10 @@ def test_restricted_evolution_matches_full_register_on_layouts(layouts, name):
     table = lm.gauge_sectors(layout)
     low, high = table.eigenvalues()[0], table.eigenvalues()[-1]
     mixed = lm.canonical_sector_state(table, low) + lm.canonical_sector_state(table, high)
-    states = [lm.canonical_sector_state(table, low), mixed / np.linalg.norm(mixed), dyn.basis_state(n, 2**n - 1)]
+    states = [lm.canonical_sector_state(table, low), mixed / np.linalg.norm(mixed), basis_state(n, 2**n - 1)]
     _, plan = dyn.plaquette_plan(layout, 1.0, 3, 0.8)
     for psi in states:
-        assert len(dyn._reach(hamiltonian, psi, n).rows) < 2**n
+        assert len(reachable(hamiltonian, np.flatnonzero(psi), n)) < 2**n
         assert np.max(np.abs(dyn.exact_evolve(hamiltonian, psi, 0.7) - taylor_evolve(hamiltonian, psi, 0.7))) < 1e-12
         expected = full_register_trotter(hamiltonian, plan, psi)
         assert np.max(np.abs(dyn.trotter_evolve(hamiltonian, plan, psi) - expected)) < 1e-12

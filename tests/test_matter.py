@@ -5,9 +5,57 @@ import pytest
 
 from su2link import matter as mt
 from su2link.errors import GuardError
-from su2link.pauli import dense
+from su2link.pauli import PauliString, PauliSum, dense, letter_matrix
 
 RATIOS = [1e-1, 1e-2, 1e-3]
+
+
+# ---------------------------------------------------------------------------
+# dense oracles: H0 and the color generators as Pauli sums on every mode
+
+
+def link_charge(cfg, link):
+    total = PauliSum()
+    for mode in mt._link_modes(cfg, link):
+        total = total + mt.number(mode)
+    return total
+
+
+def total_number(cfg):
+    total = PauliSum()
+    for mode in range(cfg.n_modes):
+        total = total + mt.number(mode)
+    return total
+
+
+def h0_operator(cfg):
+    """Mode frequencies plus the quadratic link-occupation penalty (diagonal)."""
+    identity = PauliSum([PauliString(1.0)])
+    total = cfg.omega * total_number(cfg)
+    for link in range(cfg.n_links):
+        excess = link_charge(cfg, link) - cfg.n0 * identity
+        total = total + cfg.penalty * (excess * excess)
+    return total
+
+
+def su2_generator(cfg, site, a):
+    """Color generator at a site: link right-end part (incoming link), the
+    matter spin, and link left-end part (outgoing link)."""
+    sigma = letter_matrix({1: "X", 2: "Y", 3: "Z"}[a])
+    total = PauliSum()
+    pieces = []
+    if site > 0:
+        pieces.append([cfg.c_mode(site - 1, mt.RIGHT, s) for s in (mt.UP, mt.DOWN)])
+    pieces.append([cfg.b_mode(site, s) for s in (mt.UP, mt.DOWN)])
+    if site < cfg.n_links:
+        pieces.append([cfg.c_mode(site, mt.LEFT, s) for s in (mt.UP, mt.DOWN)])
+    for modes in pieces:
+        for alpha in (mt.UP, mt.DOWN):
+            for beta in (mt.UP, mt.DOWN):
+                coeff = sigma[alpha, beta] / 2.0
+                if coeff != 0:
+                    total = total + coeff * (mt.raising(modes[alpha]) * mt.lowering(modes[beta]))
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +68,11 @@ def test_config_validation():
         mt.ChainConfig(n_sites=1)
     with pytest.raises(ValueError):
         mt.ChainConfig(penalty=0.0)
+    for n0 in (-1, 3):
+        with pytest.raises(ValueError, match="^n0 out of range"):
+            mt.ChainConfig(n0=n0)
+    with pytest.raises(ValueError, match="^n0 out of range"):
+        mt.ChainConfig(n_sites=5, n0=3)  # ranges are checked before the memory budget
     with pytest.raises(GuardError, match="^matter chain of 26 modes needs"):
         mt.ChainConfig(n_sites=5)  # 26 modes, over the budget
     cfg = mt.ChainConfig()
@@ -36,7 +89,7 @@ def test_mode_operators():
 
 
 def test_h0_is_diagonal_with_expected_values(cfg):
-    h0 = dense(mt.h0_operator(cfg), cfg.n_modes)
+    h0 = dense(h0_operator(cfg), cfg.n_modes)
     assert np.max(np.abs(h0 - np.diag(np.diag(h0)))) == 0
     diag = np.real(np.diag(h0))
     # empty chain: penalty n0^2 per link, no frequency part
@@ -50,18 +103,18 @@ def test_h0_is_diagonal_with_expected_values(cfg):
 def test_v_hermitian_and_moves_one_link_quantum(cfg):
     v = dense(mt.v_operator(cfg), cfg.n_modes)
     assert np.max(np.abs(v - v.conj().T)) < 1e-12
-    charge = np.real(np.diag(dense(mt.link_charge(cfg, 0), cfg.n_modes)))
+    charge = np.real(np.diag(dense(link_charge(cfg, 0), cfg.n_modes)))
     rows, cols = np.nonzero(np.abs(v) > 1e-12)
     assert len(rows) > 0
     assert all(abs(charge[r] - charge[c]) == 1 for r, c in zip(rows, cols))
 
 
 def test_h0_plus_v_color_invariance_on_model_space(cfg):
-    total = dense(mt.h0_operator(cfg) + mt.v_operator(cfg), cfg.n_modes)
+    total = dense(h0_operator(cfg) + mt.v_operator(cfg), cfg.n_modes)
     keep = mt.faithful_indices(cfg)
     for site in range(cfg.n_sites):
         for a in (1, 2, 3):
-            gen = dense(mt.su2_generator(cfg, site, a), cfg.n_modes)
+            gen = dense(su2_generator(cfg, site, a), cfg.n_modes)
             comm = total @ gen - gen @ total
             assert np.max(np.abs(comm[np.ix_(keep, keep)])) < 1e-10
 
@@ -69,17 +122,17 @@ def test_h0_plus_v_color_invariance_on_model_space(cfg):
 def test_su2_generator_algebra(cfg):
     epsilon = {(1, 2, 3): 1, (1, 3, 2): -1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1}
     for site in range(cfg.n_sites):
-        gens = [dense(mt.su2_generator(cfg, site, a), cfg.n_modes) for a in (1, 2, 3)]
+        gens = [dense(su2_generator(cfg, site, a), cfg.n_modes) for a in (1, 2, 3)]
         for (a, b, c), sign in epsilon.items():
             comm = gens[a - 1] @ gens[b - 1] - gens[b - 1] @ gens[a - 1]
             assert np.allclose(comm, 1j * sign * gens[c - 1], atol=1e-12)
 
 
 def test_penalty_free_subspace(cfg):
-    p_idx = mt.penalty_free_indices(cfg)
+    p_idx = mt.penalty_free_indices(cfg, mt.faithful_indices(cfg))
     # one matter particle on 4 slots times one link excitation on 4 slots
     assert len(p_idx) == 16
-    diag = np.real(np.diag(dense(mt.h0_operator(cfg), cfg.n_modes)))
+    diag = np.real(np.diag(dense(h0_operator(cfg), cfg.n_modes)))
     assert np.allclose(diag[p_idx], cfg.omega * cfg.total_excitations)
 
 
@@ -105,16 +158,10 @@ def test_effective_block_invariances(cfg):
     p = block.basis_indices
     for site in range(cfg.n_sites):
         for a in (1, 2, 3):
-            gen = dense(mt.su2_generator(cfg, site, a), cfg.n_modes)[np.ix_(p, p)]
+            gen = dense(su2_generator(cfg, site, a), cfg.n_modes)[np.ix_(p, p)]
             assert np.max(np.abs(block.matrix @ gen - gen @ block.matrix)) < 1e-9
-    charge = dense(mt.link_charge(cfg, 0), cfg.n_modes)[np.ix_(p, p)]
+    charge = dense(link_charge(cfg, 0), cfg.n_modes)[np.ix_(p, p)]
     assert np.max(np.abs(block.matrix @ charge - charge @ block.matrix)) < 1e-9
-
-
-def test_effective_invariant_under_energy_shift(cfg):
-    plain = mt.effective_hamiltonian(cfg)
-    shifted = mt.effective_hamiltonian(cfg, energy_shift=17.3)
-    assert np.max(np.abs(plain.matrix - shifted.matrix)) < 1e-12
 
 
 def test_density_term_block_diagonal_in_matter_occupation(cfg):
@@ -190,7 +237,7 @@ def test_index_sets_match_predicates(name):
     cfg = CONFIGS[name]
     faithful, penalty_free = predicate_sets(cfg)
     assert mt.faithful_indices(cfg).tolist() == faithful
-    assert mt.penalty_free_indices(cfg).tolist() == penalty_free
+    assert mt.penalty_free_indices(cfg, mt.faithful_indices(cfg)).tolist() == penalty_free
     assert len(penalty_free) > 0
 
 
@@ -198,7 +245,7 @@ def test_index_sets_match_predicates(name):
 def test_unperturbed_energies_match_dense_diagonal(name):
     cfg = CONFIGS[name]
     everything = np.arange(2**cfg.n_modes)
-    diagonal = np.diag(dense(mt.h0_operator(cfg), cfg.n_modes))
+    diagonal = np.diag(dense(h0_operator(cfg), cfg.n_modes))
     energies = mt.unperturbed_energies(cfg, everything)
     assert np.max(np.abs(energies - diagonal)) <= 1e-12 * cfg.penalty
     if name == "default":  # integer coefficients: exact
@@ -208,7 +255,7 @@ def test_unperturbed_energies_match_dense_diagonal(name):
 @pytest.mark.parametrize("name", CONFIGS)
 def test_couplings_match_dense_hopping(name):
     cfg = CONFIGS[name]
-    p_idx = mt.penalty_free_indices(cfg)
+    p_idx = mt.penalty_free_indices(cfg, mt.faithful_indices(cfg))
     q_idx, couplings = mt._couplings(cfg, p_idx, mt.faithful_indices(cfg))
     v = dense(mt.v_operator(cfg), cfg.n_modes)
     assert np.array_equal(couplings, v[np.ix_(q_idx, p_idx)])
@@ -222,7 +269,7 @@ def test_couplings_match_dense_hopping(name):
 def dense_effective_block(cfg):
     """The projector formula on dense matrices, with Q every model-space
     state outside P."""
-    h0 = np.real(np.diag(dense(mt.h0_operator(cfg), cfg.n_modes)))
+    h0 = np.real(np.diag(dense(h0_operator(cfg), cfg.n_modes)))
     v = dense(mt.v_operator(cfg), cfg.n_modes)
     faithful, p_idx = predicate_sets(cfg)
     q_idx = np.setdiff1d(faithful, p_idx)
@@ -234,12 +281,11 @@ def dense_effective_block(cfg):
 @pytest.mark.parametrize("name", CONFIGS)
 def test_blocks_match_dense_path(name):
     cfg = CONFIGS[name]
-    p_idx = mt.penalty_free_indices(cfg)
+    p_idx = mt.penalty_free_indices(cfg, mt.faithful_indices(cfg))
     assert np.max(np.abs(mt.effective_hamiltonian(cfg).matrix - dense_effective_block(cfg))) <= 1e-12
     closed = dense(mt.closed_form_hopping(cfg) + mt.closed_form_density(cfg), cfg.n_modes)[np.ix_(p_idx, p_idx)]
-    block = mt.closed_form_block(cfg)
-    assert np.array_equal(block.basis_indices, p_idx)
-    assert np.max(np.abs(block.matrix - closed)) <= 1e-12
+    block = mt._block(mt.closed_form_hopping(cfg) + mt.closed_form_density(cfg), p_idx, p_idx, cfg.n_modes)
+    assert np.max(np.abs(block - closed)) <= 1e-12
 
 
 def test_three_sites_deviation_shrinks_with_ratio():
@@ -262,13 +308,15 @@ def test_sweep_builds_index_sets_once_and_density_norm_is_the_spectral_norm(n_si
     assert builds == {name: [cfg] for name in builds}
     monkeypatch.undo()
     # each ratio's row equals, bitwise, the one built afresh for that penalty
-    p_idx = mt.penalty_free_indices(cfg)
+    p_idx = mt.penalty_free_indices(cfg, mt.faithful_indices(cfg))
     for ratio, row in zip(ratios, rows):
         scaled = replace(cfg, penalty=cfg.hopping / ratio)
         density = mt._block(mt.closed_form_density(scaled), p_idx, p_idx, cfg.n_modes)
         assert row.density_norm == float(np.linalg.norm(density, 2))
         brute = mt.effective_hamiltonian(scaled)
-        assert row.deviation == mt.block_deviation(brute, mt.closed_form_block(scaled), cfg.hopping)
+        closed_op = mt.closed_form_hopping(scaled) + mt.closed_form_density(scaled)
+        closed = mt.EffectiveBlock(mt._block(closed_op, p_idx, p_idx, cfg.n_modes), p_idx)
+        assert row.deviation == mt.block_deviation(brute, closed, cfg.hopping)
 
 
 def test_sweep_runs_just_above_the_merge_tolerance():

@@ -232,7 +232,7 @@ def test_dense_scatter_matches_kron_reference_bitwise():
 
 def test_sum_merges_like_terms():
     a = PauliString(1.0, {0: "X"})
-    s = PauliSum([a, a.with_coefficient(2.0), a.with_coefficient(-3.0)])
+    s = PauliSum([a, 2.0 * a, -3.0 * a])
     assert len(s) == 0
     s2 = PauliSum([a, PauliString(1e-13, {1: "Y"})])
     assert len(s2) == 1
@@ -262,8 +262,6 @@ def test_zero_coefficient_rejected():
         PauliString(1, {0: "X"}) * 0
     with pytest.raises(ValueError):
         0 * PauliString(1, {0: "X"})
-    with pytest.raises(ValueError):
-        PauliString(1, {0: "X"}).with_coefficient(0)
 
 
 def assert_same_string(derived, validated):
@@ -278,7 +276,6 @@ def test_derived_strings_equal_validated_ones():
     for _ in range(50):
         s = random_string(rng, 6)
         c = s.coefficient
-        assert_same_string(s.with_coefficient(2.5), PauliString(2.5, s.letters))
         assert_same_string(s.bare(), PauliString(1.0, s.letters))
         assert_same_string(s.adjoint(), PauliString(c.conjugate(), s.letters))
         assert_same_string(s * 0.5, PauliString(c * 0.5, s.letters))
