@@ -17,7 +17,7 @@ from .compiler import (
     fidelity_cap,
     trotter_bound,
 )
-from .dynamics import TrotterPlan, exact_evolve, gauge_deviation, overlap, sweep, trotter_evolve
+from .dynamics import exact_evolve, gauge_deviation, overlap, sweep, trotter_evolve
 from .errors import GuardError, LayoutError
 from .linkmodel import (
     GaugeSectorTable,
@@ -45,7 +45,6 @@ __all__ = [
     "PauliString",
     "PauliSum",
     "PlaquetteLayout",
-    "TrotterPlan",
     "canonical_sector_state",
     "commutator",
     "compare_effective",

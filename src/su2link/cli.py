@@ -65,7 +65,7 @@ def _check_coupling(coupling: float) -> None:
 
 
 def run_sectors(args: argparse.Namespace) -> str:
-    table = lm.gauge_sectors(_load_layout(args.layout_path))
+    table = lm.gauge_sectors(_load_layout(args.layout))
     lines = ["eigenvalue,degeneracy"]
     for sector in table.sectors:
         lines.append(f"{round(sector.eigenvalue, 10)!r},{sector.degeneracy}")
@@ -80,24 +80,22 @@ def _step_counts(layout: lm.PlaquetteLayout) -> dict[str, cp.GateCounts]:
     }
 
 
-def _fidelity_bands(
-    counts: dict[str, cp.GateCounts], n_steps: int, noise: cp.NoiseModel
-) -> tuple[tuple[float, float], tuple[float, float]]:
+def _fidelity_bands(counts: dict[str, cp.GateCounts], n_steps: int) -> tuple[tuple[float, float], tuple[float, float]]:
     """(collective, cphase) fidelity caps of ``n_steps`` full steps."""
     return tuple(
-        cp.fidelity_cap(cp.GateCounts(c.collective * n_steps, c.cphase * n_steps, c.single * n_steps), noise)
+        cp.fidelity_cap(cp.GateCounts(c.collective * n_steps, c.cphase * n_steps, c.single * n_steps))
         for c in (counts["collective"], counts["cphase"])
     )
 
 
 def run_figures(args: argparse.Namespace) -> str:
-    _check_coupling(args.coupling)
-    if abs(args.coupling) / 2 <= MERGE_TOL:
+    _check_coupling(args.J)
+    if abs(args.J) / 2 <= MERGE_TOL:
         # the monomial coefficients -J/2 would merge away from the Hamiltonian
-        raise LayoutError(f"--J must exceed {2 * MERGE_TOL!r} in magnitude, got {args.coupling!r}")
+        raise LayoutError(f"--J must exceed {2 * MERGE_TOL!r} in magnitude, got {args.J!r}")
     if any(n_steps > PHI_GRID_LIMIT for n_steps in args.steps):
         raise LayoutError(f"--steps must be at most {PHI_GRID_LIMIT}, got {max(args.steps)}")
-    layout = _load_layout(args.layout_path)
+    layout = _load_layout(args.layout)
     start, stop, step = _PHI_DEFAULTS[args.figure]
     phis = _phi_grid(
         start if args.phi_start is None else args.phi_start,
@@ -115,12 +113,12 @@ def _figure_csv(args: argparse.Namespace, layout: lm.PlaquetteLayout, phis: list
     if args.figure == "fig3":
         steps = args.steps or (1, 2, 3, 4)
         start = args.start_sector if args.start_sector is not None else 0.75
-        rows = dyn.sweep(layout, args.coupling, list(steps), phis, start)
+        rows = dyn.sweep(layout, args.J, list(steps), phis, start)
         return dyn.sweep_csv(rows)
     if args.figure == "figS2":
         steps = args.steps or (1, 2, 4, 8, 16, 32, 64)
         starts = (args.start_sector,) if args.start_sector is not None else (0.75, 2.75)
-        rows = dyn.sweep(layout, args.coupling, list(steps), phis, starts)
+        rows = dyn.sweep(layout, args.J, list(steps), phis, starts)
         per_start = len(rows) // len(starts)
         lines = ["start,N,phi,gauge_I,gauge_D,overlap_I0"]
         for index, row in enumerate(rows):
@@ -131,13 +129,13 @@ def _figure_csv(args: argparse.Namespace, layout: lm.PlaquetteLayout, phis: list
         return "\n".join(lines) + "\n"
     steps = args.steps or (2, 3)
     start = args.start_sector if args.start_sector is not None else 2.25
-    rows = dyn.sweep(layout, args.coupling, list(steps), phis, start)
+    rows = dyn.sweep(layout, args.J, list(steps), phis, start)
     counts = _step_counts(layout)
     lines = [
         "N,phi,overlap_I0,fidelity_ID,"
         "cap_collective_low,cap_collective_high,cap_cphase_low,cap_cphase_high"
     ]
-    bands = {n_steps: _fidelity_bands(counts, n_steps, cp.NoiseModel()) for n_steps in set(steps)}
+    bands = {n_steps: _fidelity_bands(counts, n_steps) for n_steps in set(steps)}
     for row in rows:
         coll_band, cph_band = bands[row.steps]
         lines.append(
@@ -158,14 +156,14 @@ def run_compile(args: argparse.Namespace) -> str:
     written there once every check has passed."""
     if args.monomial and args.step:
         raise LayoutError("--step and --monomial are mutually exclusive")
-    _check_coupling(args.coupling)
-    layout = _load_layout(args.layout_path)
+    _check_coupling(args.J)
+    layout = _load_layout(args.layout)
     if args.monomial is not None:
         monomials = [parse_string(args.monomial)]
     else:
-        monomials = lm.plaquette_monomials(layout, args.coupling)
+        monomials = lm.plaquette_monomials(layout, args.J)
     circuit = cp.compile_step(monomials, args.phi, args.backend)
-    report = cp.resource_report(circuit, cp.NoiseModel(), backend=args.backend)
+    report = cp.resource_report(circuit, backend=args.backend)
     report["single_bound"] = _single_gate_bound([m.weight for m in monomials], args.backend)
     report["backend"] = args.backend
     report["monomials"] = len(monomials)
@@ -177,27 +175,27 @@ def run_compile(args: argparse.Namespace) -> str:
 
 
 def run_bounds(args: argparse.Namespace) -> str:
-    if not (math.isfinite(args.jt) and args.jt >= 0):
-        raise LayoutError(f"--Jt must be finite and non-negative, got {args.jt!r}")
+    if not (math.isfinite(args.Jt) and args.Jt >= 0):
+        raise LayoutError(f"--Jt must be finite and non-negative, got {args.Jt!r}")
     if not (math.isfinite(args.eps) and args.eps > 0):
         raise LayoutError(f"--eps must be finite and positive, got {args.eps!r}")
     if args.plaquettes < 1:
         raise LayoutError(f"--plaquettes must be at least 1, got {args.plaquettes}")
     try:
-        generic = cp.plaquette_steps_bound(args.plaquettes, args.jt, args.eps, args.fractal_degree)
-        printed = cp.printed_steps_bound(args.plaquettes, args.jt, args.eps)
+        generic = cp.plaquette_steps_bound(args.plaquettes, args.Jt, args.eps, args.k)
+        printed = cp.printed_steps_bound(args.plaquettes, args.Jt, args.eps)
     except OverflowError:
         raise LayoutError("the step bound overflows a float for these inputs") from None
     report = {
         "schema": 1,
         "plaquettes": args.plaquettes,
-        "Jt": args.jt,
+        "Jt": args.Jt,
         "eps": args.eps,
-        "k": args.fractal_degree,
+        "k": args.k,
         "steps_generic": generic,
         "steps_printed_constant": int(np.ceil(printed)),
         "steps_printed_constant_raw": printed,
-        "constant_generic": cp.plaquette_bound_constant(args.fractal_degree),
+        "constant_generic": cp.plaquette_bound_constant(args.k),
         "constant_printed": cp.PRINTED_BOUND_CONSTANT,
         "norm_reading": "per-plaquette norm bound |J|/8 (reproduces the printed "
         "constant); the termwise triangle inequality gives 8|J| instead",
@@ -234,7 +232,7 @@ def run_covariance(args: argparse.Namespace) -> str:
         raise LayoutError(f"--sets must be at most {PHI_GRID_LIMIT}, got {args.sets}")
     if args.seed < 0:
         raise LayoutError(f"--seed must be non-negative, got {args.seed}")
-    layout = _load_layout(args.layout_path)
+    layout = _load_layout(args.layout)
     rng = np.random.default_rng(args.seed)
     lines = ["set,link,max_deviation"]
     angle_sets = [{v: tuple(rng.uniform(-np.pi, np.pi, 3)) for v in layout.vertices} for _ in range(args.sets)]
@@ -294,7 +292,7 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_layout(p):
-        p.add_argument("--layout", dest="layout_path", help="plaquette layout file (default: built-in triangle)")
+        p.add_argument("--layout", help="plaquette layout file (default: built-in triangle)")
 
     p = sub.add_parser("sectors", parents=[common], help="gauge sector eigenvalues and degeneracies (CSV)")
     add_layout(p)
@@ -302,7 +300,7 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
     p = sub.add_parser("figures", parents=[common], help="tabulated data products for the named figures")
     p.add_argument("figure", choices=["fig3", "fig4", "figS2"])
     add_layout(p)
-    p.add_argument("--J", dest="coupling", type=float, default=1.0)
+    p.add_argument("--J", type=float, default=1.0)
     p.add_argument("--steps", type=_int_list, default=(), help="comma-separated step counts")
     p.add_argument("--phi-start", type=float, default=None)
     p.add_argument("--phi-stop", type=float, default=None)
@@ -315,14 +313,14 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
     p.add_argument("--step", action="store_true", help="compile the full 16-monomial step (default)")
     p.add_argument("--monomial", help="single Pauli string, e.g. '(1.0) X0 Y1'")
     p.add_argument("--phi", type=float, default=0.1)
-    p.add_argument("--J", dest="coupling", type=float, default=1.0)
+    p.add_argument("--J", type=float, default=1.0)
     p.add_argument("--circuit-out", help="also write the gate list to this file")
 
     p = sub.add_parser("bounds", parents=[common], help="digitization step-count bounds (JSON report)")
     p.add_argument("--plaquettes", type=int, default=1)
-    p.add_argument("--Jt", dest="jt", type=float, default=1.0)
+    p.add_argument("--Jt", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--k", dest="fractal_degree", type=int, default=1)
+    p.add_argument("--k", type=int, default=1)
 
     p = sub.add_parser("matter", parents=[common], help="matter-chain effective-interaction deviation sweep (CSV)")
     p.add_argument("--sites", type=int, default=2)
@@ -345,8 +343,8 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
 
 def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
     """The ``key=value`` lines of ``args.config`` as option defaults: keys
-    are the chosen command's option destinations, as ``args`` lists them; a
-    switch is on for 1/true/yes."""
+    are the chosen command's option names, dashes as underscores, as
+    ``args`` lists them; a switch is on for 1/true/yes."""
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             text = handle.read()

@@ -5,11 +5,11 @@ state by Lanczos iteration (Park & Light, J. Chem. Phys. 85, 5870 (1986)),
 run until that space is invariant, so the reduction is exact rather than an
 approximation: the plaquette Hamiltonian has few distinct eigenvalues and the
 space closes after a handful of vectors.  The small tridiagonal matrix is
-diagonalised once and serves every time of a sweep.  Trotterized evolution
-applies the closed-form exponential of one monomial at a time
-(cos * 1 - i sin * P) in a fixed term order, repeated for the chosen number
-of steps.  The simulated phase is phi = J * t, so at unit coupling the phase
-and the evolution time coincide.
+diagonalised once and serves every time of a sweep.  A Trotter step is an
+ordered list of monomials: Trotterized evolution applies the closed-form
+exponential of one monomial at a time (cos * 1 - i sin * P) in the order
+given, repeated for the chosen number of steps.  The simulated phase is
+phi = J * t, so the evolution time of a phase is t = phi / J.
 
 Every operator acts through the bit-mask kernel ``pauli.columns``, with no
 matrix: ``pauli.matvec`` for the Lanczos iteration and for expectation
@@ -54,7 +54,6 @@ from .linkmodel import (
     GaugeSectorTable,
     PlaquetteLayout,
     gauge_sectors,
-    plaquette_hamiltonian,
     plaquette_monomials,
     sector_projection,
     sector_seed,
@@ -203,50 +202,18 @@ def _check_steps(steps: int) -> None:
         raise ValueError("step count must be at least 1")
 
 
-@dataclass(frozen=True)
-class TrotterPlan:
-    """Term order (a permutation of the Hamiltonian's canonical term list),
-    step count N >= 1 and simulated phase phi = J t."""
-
-    order: tuple[int, ...]
-    steps: int
-    phi: float
-
-    def __post_init__(self):
-        _check_steps(self.steps)
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError("order must be a permutation of the term indices")
-
-
-def plaquette_plan(
-    layout: PlaquetteLayout, coupling: float, steps: int, phi: float
-) -> tuple[PauliSum, TrotterPlan]:
-    """Hamiltonian plus the plan that walks its monomials in listing order
-    (all-position term, antisymmetric color triples, mixed terms)."""
-    hamiltonian = plaquette_hamiltonian(layout, coupling)
-    return hamiltonian, TrotterPlan(_listing_order(layout, coupling, hamiltonian), steps, phi)
-
-
-def _listing_order(layout: PlaquetteLayout, coupling: float, hamiltonian: PauliSum) -> tuple[int, ...]:
-    index_of = {term.key(): i for i, term in enumerate(hamiltonian.terms)}
-    return tuple(index_of[m.key()] for m in plaquette_monomials(layout, coupling))
-
-
 def _trotter_factors(
-    hamiltonian: PauliSum, order: tuple[int, ...], n: int, rows: np.ndarray
+    monomials: Sequence[PauliString], n: int, rows: np.ndarray
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Factor table on ``rows`` of an n-qubit register: (real weight c, perm,
-    phases) of each unit string P in ``order``, from its one ``pauli.columns``
-    pair (targets, values): P psi = phases * psi[..., perm] with perm the
-    targets' positions and phases = values[perm]."""
-    terms = hamiltonian.terms
-    if len(order) != len(terms):
-        raise ValueError("plan order does not cover the Hamiltonian's terms")
+    phases) of each monomial c P in the order given, from the unit string's
+    one ``pauli.columns`` pair (targets, values): P psi = phases * psi[..., perm]
+    with perm the targets' positions and phases = values[perm]."""
     factors = []
-    for k in order:
-        ((targets, values),) = columns(terms[k].bare(), rows, n)
+    for monomial in monomials:
+        ((targets, values),) = columns(monomial.bare(), rows, n)
         perm = positions(rows, targets)
-        factors.append((terms[k].coefficient.real, perm, values[perm]))
+        factors.append((monomial.coefficient.real, perm, values[perm]))
     return factors
 
 
@@ -272,20 +239,22 @@ def _apply_factors(factors, dt, steps, states: np.ndarray) -> np.ndarray:
     return out
 
 
-def trotter_evolve(
-    hamiltonian: PauliSum, plan: TrotterPlan, state: np.ndarray, coupling: float = 1.0
-) -> np.ndarray:
-    """Sequential monomial exponentials in plan order, repeated plan.steps times.
+def trotter_evolve(monomials: Sequence[PauliString], state: np.ndarray, t: float, steps: int) -> np.ndarray:
+    """The monomials' exponentials in the order given, repeated ``steps``
+    times with the time step t / steps.
 
     Each factor is computed in closed form: exp(-i c P dt) = cos(c dt) - i sin(c dt) P
     for a unit-coefficient string P with real weight c.
     """
+    _check_steps(steps)
     n = _n_qubits_of(state)
-    _check_register_evolution(hamiltonian, n, "Trotter")
-    rows = reachable(hamiltonian, np.flatnonzero(state), n)
-    factors = _trotter_factors(hamiltonian, plan.order, n, rows)
-    dt = plan.phi / coupling / plan.steps
-    evolved = _apply_factors(factors, [dt], [plan.steps], state[None, rows])
+    # unit strings, so that no two monomials cancel out of the reached rows
+    strings = PauliSum(m.bare() for m in monomials)
+    _check_register_evolution(strings, n, "Trotter")
+    if any(m.coefficient.imag != 0 for m in monomials):
+        raise GuardError("Trotter monomials must have real coefficients")
+    rows = reachable(strings, np.flatnonzero(state), n)
+    evolved = _apply_factors(_trotter_factors(monomials, n, rows), [t / steps], [steps], state[None, rows])
     return _scatter(n, rows, _check_norm(evolved))[0]
 
 
@@ -332,33 +301,23 @@ class BoundReport:
 
 
 def empirical_vs_bound(
-    hamiltonian: PauliSum,
-    psi0: np.ndarray,
-    t: float,
-    steps_list: list[int],
-    eps_list: list[float],
-    norm_bound: float = PLAQUETTE_NORM_READING,
-    coupling: float = 1.0,
-    order: tuple[int, ...] | None = None,
+    monomials: Sequence[PauliString], psi0: np.ndarray, t: float, steps_list: list[int], eps_list: list[float]
 ) -> BoundReport:
-    """Measured digital state error versus the step-count bound.
+    """Measured digital state error of the monomials' product formula versus
+    the step-count bound.
 
     For each requested accuracy the bound's step count is run and the achieved
     error compared against it (the bound is loose, so the margin is large).
-    ``order`` overrides the canonical term order of the digitized product.
     """
-    psi_ideal = exact_evolve(hamiltonian, psi0, t)
-    if order is None:
-        order = tuple(range(len(hamiltonian)))
+    psi_ideal = exact_evolve(PauliSum(monomials), psi0, t)
 
     def error_at(steps: int) -> float:
-        plan = TrotterPlan(order, steps, t * coupling)
-        return float(np.linalg.norm(trotter_evolve(hamiltonian, plan, psi0, coupling) - psi_ideal))
+        return float(np.linalg.norm(trotter_evolve(monomials, psi0, t, steps) - psi_ideal))
 
     measured = tuple((steps, error_at(steps)) for steps in steps_list)
     checks = []
     for eps in eps_list:
-        steps = trotter_bound(len(hamiltonian), norm_bound, t, eps)
+        steps = trotter_bound(len(monomials), PLAQUETTE_NORM_READING, t, eps)
         err = error_at(steps)
         checks.append(BoundCheck(eps, steps, err, err <= eps))
     return BoundReport(measured, tuple(checks))
@@ -386,13 +345,13 @@ def sweep(
     order, for one start sector eigenvalue or a sequence of them.
 
     The initial state is the canonical representative of the requested gauge
-    sector; the digital state uses the listing-order Trotter plan.  Every
-    step count must be at least 1, as in a TrotterPlan.  The Hamiltonian,
-    the Casimir and the sector table are built once per call.  Each start is
-    held on the cosets of the Hamiltonian's and the Casimir's X masks that
-    its seed basis state reaches, from the projection that makes it to the
-    last overlap (``_start_observables``), so no state of a sweep has 2^n
-    entries.
+    sector; the digital state applies the ``plaquette_monomials`` in listing
+    order, as ``trotter_evolve`` does.  Every step count must be at least 1.
+    The monomials, their Hamiltonian, the Casimir and the sector table are
+    built once per call.  Each start is held on the cosets of the
+    Hamiltonian's and the Casimir's X masks that its seed basis state
+    reaches, from the projection that makes it to the last overlap
+    (``_start_observables``), so no state of a sweep has 2^n entries.
     """
     starts = [start_sector] if np.ndim(start_sector) == 0 else list(start_sector)
     if not steps_list or not phis or not starts:
@@ -400,19 +359,19 @@ def sweep(
     for steps in steps_list:
         _check_steps(steps)
     n = layout.n_qubits
-    hamiltonian = plaquette_hamiltonian(layout, coupling)
+    monomials = plaquette_monomials(layout, coupling)
+    hamiltonian = PauliSum(monomials)
     casimir = total_gauge_casimir(layout)
     step_counts = sorted(set(steps_list), reverse=True)
     masks = _start_masks(hamiltonian, casimir)
     nbytes = lambda: _sweep_bytes(n, hamiltonian, casimir, masks, len(phis), len(step_counts))
     _check_evolution(hamiltonian, nbytes, f"sweep on {n} qubits")
     table = gauge_sectors(layout)
-    order = _listing_order(layout, coupling, hamiltonian)
     times = np.asarray(phis, dtype=float) / coupling
     rows = []
     for start in starts:
         gauge_ideal, overlap_initial, gauge_digital, fidelity = _start_observables(
-            hamiltonian, casimir, masks, order, table, start, times, step_counts
+            hamiltonian, casimir, masks, monomials, table, start, times, step_counts
         )
         for steps in steps_list:
             k = step_counts.index(steps)
@@ -445,7 +404,7 @@ def _start_observables(
     hamiltonian: PauliSum,
     casimir: PauliSum,
     masks: PauliSum,
-    order: tuple[int, ...],
+    monomials: list[PauliString],
     table: GaugeSectorTable,
     start: float,
     times: np.ndarray,
@@ -469,7 +428,7 @@ def _start_observables(
     if np.any(abs(gauge_ideal) < DEVIATION_GUARD):
         raise GuardError("ideal gauge expectation vanished")
     digital = _check_norm(_apply_factors(
-        _trotter_factors(hamiltonian, order, n, rows),
+        _trotter_factors(monomials, n, rows),
         np.concatenate([times / steps for steps in step_counts]),
         np.repeat(step_counts, len(times)),
         np.broadcast_to(psi0, (len(step_counts) * len(times), len(psi0))),

@@ -405,6 +405,8 @@ def parse_layout(text: str) -> PlaquetteLayout:
         kind = fields[0]
         try:
             if kind == "vertex":
+                if len(fields) != 2:
+                    raise ValueError("expected: vertex <id>")
                 declared.add(int(fields[1]))
             elif kind == "link":
                 if len(fields) != 6:
@@ -416,7 +418,7 @@ def parse_layout(text: str) -> PlaquetteLayout:
                 plaquettes.append((fields[1], fields[2], fields[3]))
             else:
                 raise ValueError(f"unknown directive {kind!r}")
-        except (ValueError, IndexError) as err:
+        except ValueError as err:
             raise LayoutError(f"line {lineno}: {err}") from None
     if not links:
         raise LayoutError("layout declares no links")

@@ -129,7 +129,7 @@ def dense_canonical_state():
 
 def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_register=False):
     """sweep() as a loop over grid points: one exact_evolve per phi and one
-    trotter_evolve and one plan per point, on full 2^n vectors.
+    trotter_evolve per point, on full 2^n vectors.
 
     By default the start state and the observables are taken as sweep()
     takes them, on the rows that the sector's seed basis state reaches under
@@ -139,6 +139,7 @@ def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_regi
     overlap runs on all 2^n amplitudes: an oracle for the rows path."""
     n = layout.n_qubits
     table = lm.gauge_sectors(layout)
+    monomials = lm.plaquette_monomials(layout, coupling)
     hamiltonian = lm.plaquette_hamiltonian(layout, coupling)
     casimir = lm.total_gauge_casimir(layout)
     if full_register:
@@ -157,8 +158,7 @@ def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_regi
     for steps in steps_list:
         for phi in phis:
             psi_ideal, gauge_i = ideal[phi], gauge_ideal[phi]
-            _, plan = dyn.plaquette_plan(layout, coupling, steps, phi)
-            psi_digital = dyn.trotter_evolve(hamiltonian, plan, psi0, coupling)[rows]
+            psi_digital = dyn.trotter_evolve(monomials, psi0, phi / coupling, steps)[rows]
             gauge_d = float(dyn._expectations(apply_casimir, psi_digital))
             out.append(
                 dyn.SweepRow(

@@ -46,6 +46,11 @@ def hamiltonian(layout):
 
 
 @pytest.fixture(scope="module")
+def monomials(layout):
+    return lm.plaquette_monomials(layout, 1.0)
+
+
+@pytest.fixture(scope="module")
 def table(layout):
     return lm.gauge_sectors(layout)
 
@@ -112,7 +117,7 @@ def test_criterion_03_sector_spectrum(layout, table, hamiltonian, sector_basis):
                     assert np.max(np.abs(bi.conj().T @ hd @ bj)) < 1e-9
 
 
-def test_criterion_04_digitization_convergence(layout, hamiltonian, table):
+def test_criterion_04_digitization_convergence(layout, hamiltonian, monomials, table):
     with criterion("04 digitization convergence", budget=60.0):
         steps = [1, 2, 4, 8, 16, 32, 64]
         phis = [0.25, 0.5, 1.0]
@@ -122,8 +127,7 @@ def test_criterion_04_digitization_convergence(layout, hamiltonian, table):
                 psi_ideal = dyn.exact_evolve(hamiltonian, psi0, phi)
                 errors = []
                 for n_steps in steps:
-                    _, plan = dyn.plaquette_plan(layout, 1.0, n_steps, phi)
-                    psi_digital = dyn.trotter_evolve(hamiltonian, plan, psi0)
+                    psi_digital = dyn.trotter_evolve(monomials, psi0, phi, n_steps)
                     errors.append(np.linalg.norm(psi_digital - psi_ideal))
                 assert all(b < a for a, b in zip(errors, errors[1:]))
                 slope = -np.polyfit(np.log(steps[2:]), np.log(errors[2:]), 1)[0]
@@ -135,15 +139,13 @@ def test_criterion_04_digitization_convergence(layout, hamiltonian, table):
                 psi_ideal = dyn.exact_evolve(hamiltonian, psi0, phi)
                 values = {}
                 for n_steps in (1, 4):
-                    _, plan = dyn.plaquette_plan(layout, 1.0, n_steps, phi)
-                    psi_digital = dyn.trotter_evolve(hamiltonian, plan, psi0)
+                    psi_digital = dyn.trotter_evolve(monomials, psi0, phi, n_steps)
                     values[n_steps] = abs(dyn.gauge_deviation(psi_ideal, psi_digital, layout))
                 assert values[4] < values[1]
         psi0 = lm.canonical_sector_state(table, 2.25)
         for phi in phis:
             psi_ideal = dyn.exact_evolve(hamiltonian, psi0, phi)
-            _, plan = dyn.plaquette_plan(layout, 1.0, 1, phi)
-            psi_digital = dyn.trotter_evolve(hamiltonian, plan, psi0)
+            psi_digital = dyn.trotter_evolve(monomials, psi0, phi, 1)
             assert abs(dyn.gauge_deviation(psi_ideal, psi_digital, layout)) < 1e-12
 
 
@@ -229,15 +231,12 @@ def test_criterion_08_noise_model(layout):
         assert real_low >= low  # achieved singles never exceed the bound
 
 
-def test_criterion_09_bound_consistency(layout, hamiltonian, table):
+def test_criterion_09_bound_consistency(monomials, table):
     with criterion("09 bound consistency"):
         constant = cp.plaquette_bound_constant()
         assert abs(constant - cp.PRINTED_BOUND_CONSTANT) / cp.PRINTED_BOUND_CONSTANT < 0.03
         psi0 = lm.canonical_sector_state(table, 0.75)
-        _, plan = dyn.plaquette_plan(layout, 1.0, 1, 0.25)
-        report = dyn.empirical_vs_bound(
-            hamiltonian, psi0, 0.25, [1, 4, 16], [0.1, 0.05], order=plan.order
-        )
+        report = dyn.empirical_vs_bound(monomials, psi0, 0.25, [1, 4, 16], [0.1, 0.05])
         assert report.all_satisfied
         for check in report.checks:
             assert check.measured_error <= check.eps

@@ -393,6 +393,13 @@ def test_plaquette_that_lists_a_link_twice_exits_2(argv, tmp_path, capsys):
     assert_config_error(result, "plaquette ('a', 'a', 'a') lists a link more than once")
 
 
+@pytest.mark.parametrize("line", ["vertex", "vertex 1 junk"])
+def test_vertex_line_takes_one_id(line, tmp_path, capsys):
+    path = tmp_path / "vertex.layout"
+    path.write_text(f"{line}\n" + TRIANGLE_PATH.read_text(encoding="utf-8"), encoding="utf-8")
+    assert_config_error(run(["sectors", "--layout", str(path)], capsys), "line 1: expected: vertex <id>")
+
+
 @pytest.mark.parametrize("n0", [-1, 3])
 def test_matter_rejects_an_impossible_n0(n0, capsys):
     # a link has two color cells of at most one excitation each: n0 is 0..2
@@ -486,6 +493,27 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code, _, err = run(["bounds", "--config", str(config)], capsys)
     assert code == 2
     assert "unknown option" in err
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        # no output depends on J at a given phi = J t, but J = 0 is refused
+        (["figures", "fig3", "--phi-stop", "0.1"], "J", "0"),
+        (["compile", "--backend", "collective"], "J", "0"),
+        (["sectors"], "layout", str(STRIP3_PATH)),
+        (["covariance", "--sets", "1"], "layout", str(STRIP3_PATH)),
+        (["bounds"], "Jt", "2"),
+        (["bounds"], "k", "2"),
+    ],
+)
+def test_config_file_keys_are_the_option_names(argv, key, value, tmp_path, capsys):
+    # README: keys are the option names without the leading dashes
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key}={value}\n", encoding="utf-8")
+    from_file = run([*argv, "--config", str(config)], capsys)
+    assert from_file == run([*argv, f"--{key}", value], capsys)
+    assert from_file != run(argv, capsys)  # the key took effect
 
 
 def test_compile_single_bound_violation_exits_3(monkeypatch, capsys):
@@ -718,8 +746,7 @@ def test_two_plaquette_fig3_matches_dense_oracle(two_plaquette, two_plaquette_pa
     expected = []
     for steps, phi in rows[:, :2]:
         ideal = eigvecs @ (np.exp(-1j * eigvals * phi) * (eigvecs.T @ psi0))
-        _, plan = dyn.plaquette_plan(two_plaquette, 1.0, int(steps), phi)
-        digital = dyn.trotter_evolve(hamiltonian, plan, psi0)
+        digital = dyn.trotter_evolve(lm.plaquette_monomials(two_plaquette, 1.0), psi0, phi, int(steps))
         gauge_i, gauge_d = (float((psi.conj() @ casimir @ psi).real) for psi in (ideal, digital))
         overlaps = [abs(np.vdot(ideal, other)) ** 2 for other in (psi0, digital)]
         expected.append([steps, phi, (gauge_i - gauge_d) / gauge_i, *overlaps])

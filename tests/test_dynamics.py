@@ -34,6 +34,11 @@ def hamiltonian(layout):
 
 
 @pytest.fixture(scope="module")
+def monomials(layout):
+    return lm.plaquette_monomials(layout, 1.0)
+
+
+@pytest.fixture(scope="module")
 def sector_table(layout):
     return lm.gauge_sectors(layout)
 
@@ -59,9 +64,8 @@ def test_exact_evolve_guards(memory_boundary):
     memory_boundary(lambda: dyn.exact_evolve(h, basis_state(2, 0), 0.1))
 
 
-def test_trotter_evolve_and_sweep_guards(layout, hamiltonian, monkeypatch, memory_boundary):
-    plan = dyn.TrotterPlan(tuple(range(len(hamiltonian))), 2, 0.3)
-    memory_boundary(lambda: dyn.trotter_evolve(hamiltonian, plan, basis_state(6, 5)))
+def test_trotter_evolve_and_sweep_guards(layout, monomials, monkeypatch, memory_boundary):
+    memory_boundary(lambda: dyn.trotter_evolve(monomials, basis_state(6, 5), 0.3, 2))
     estimate = memory_boundary(lambda: dyn.sweep(layout, 1.0, [1, 2], [0.3, 0.6], 0.75))
     # the sweep refuses before the sector table or any state is built
     monkeypatch.setattr(errors, "MEMORY_BUDGET", estimate - 1)
@@ -94,44 +98,46 @@ def test_evolution_commutes_with_sector_projection(hamiltonian, layout, sector_t
 def test_trotter_single_term_is_exact():
     h = PauliSum([PauliString(0.8, {0: "X", 1: "X"})])
     psi = basis_state(2, 1)
-    plan = dyn.TrotterPlan((0,), 1, 0.9)
     assert np.allclose(
-        dyn.trotter_evolve(h, plan, psi), dyn.exact_evolve(h, psi, 0.9), atol=1e-12
+        dyn.trotter_evolve(h.terms, psi, 0.9, 1), dyn.exact_evolve(h, psi, 0.9), atol=1e-12
     )
 
 
-def test_trotter_zero_phase_identity(hamiltonian, layout):
+def test_trotter_zero_phase_identity(monomials, layout):
     psi = basis_state(layout.n_qubits, 7)
-    _, plan = dyn.plaquette_plan(layout, 1.0, 3, 0.0)
-    assert np.allclose(dyn.trotter_evolve(hamiltonian, plan, psi), psi, atol=1e-12)
+    assert np.allclose(dyn.trotter_evolve(monomials, psi, 0.0, 3), psi, atol=1e-12)
 
 
-def test_trotter_plan_validation(hamiltonian):
-    with pytest.raises(ValueError):
-        dyn.TrotterPlan((0, 1), 0, 1.0)
-    with pytest.raises(ValueError):
-        dyn.TrotterPlan((0, 0, 1), 2, 1.0)
-    with pytest.raises(ValueError):
-        dyn.trotter_evolve(hamiltonian, dyn.TrotterPlan((0, 1), 2, 1.0), basis_state(6, 0))
+def test_trotter_evolve_rejects_step_count_below_one(monomials):
+    for steps in (0, -1):
+        with pytest.raises(ValueError, match="step count must be at least 1"):
+            dyn.trotter_evolve(monomials, basis_state(6, 0), 1.0, steps)
 
 
-def test_trotter_error_decreases_and_scales(hamiltonian, layout, sector_table):
+@pytest.mark.parametrize("coefficient", [0.5j, 0.5 + 1e-3j])
+def test_trotter_evolve_rejects_non_real_monomial(monomials, coefficient):
+    imaginary = PauliString(coefficient, {0: "X", 2: "X", 4: "X"})
+    for listed in ([*monomials, imaginary], [imaginary, *monomials, -imaginary]):
+        # the last list's sum is the real plaquette Hamiltonian, which is Hermitian
+        with pytest.raises(GuardError, match="^Trotter monomials must have real coefficients$"):
+            dyn.trotter_evolve(listed, basis_state(6, 0), 1.0, 2)
+
+
+def test_trotter_error_decreases_and_scales(hamiltonian, monomials, sector_table):
     psi0 = lm.canonical_sector_state(sector_table, 0.75)
     psi_ideal = dyn.exact_evolve(hamiltonian, psi0, 0.5)
     steps = [1, 2, 4, 8, 16, 32, 64]
     errors = []
     for n_steps in steps:
-        _, plan = dyn.plaquette_plan(layout, 1.0, n_steps, 0.5)
-        errors.append(np.linalg.norm(dyn.trotter_evolve(hamiltonian, plan, psi0) - psi_ideal))
+        errors.append(np.linalg.norm(dyn.trotter_evolve(monomials, psi0, 0.5, n_steps) - psi_ideal))
     assert all(b < a for a, b in zip(errors, errors[1:]))
     slope = np.polyfit(np.log(steps[2:]), np.log(errors[2:]), 1)[0]
     assert 0.8 <= -slope <= 1.2
 
 
-def test_unitarity_preserved(hamiltonian, layout):
+def test_unitarity_preserved(hamiltonian, monomials, layout):
     psi = basis_state(layout.n_qubits, 3)
-    _, plan = dyn.plaquette_plan(layout, 1.0, 5, 1.7)
-    out = dyn.trotter_evolve(hamiltonian, plan, psi)
+    out = dyn.trotter_evolve(monomials, psi, 1.7, 5)
     assert abs(np.linalg.norm(out) - 1) < 1e-10
     out = dyn.exact_evolve(hamiltonian, psi, 1.7)
     assert abs(np.linalg.norm(out) - 1) < 1e-10
@@ -153,35 +159,32 @@ def test_relative_deviation_guard():
         dyn.relative_deviation(op, plus, plus)
 
 
-def test_gauge_deviation_trivial_cases(hamiltonian, layout, sector_table):
+def test_gauge_deviation_trivial_cases(hamiltonian, monomials, layout, sector_table):
     psi0 = lm.canonical_sector_state(sector_table, 0.75)
     assert dyn.gauge_deviation(psi0, psi0, layout) == pytest.approx(0.0, abs=1e-12)
     psi_ideal = dyn.exact_evolve(hamiltonian, psi0, 0.8)
-    _, plan = dyn.plaquette_plan(layout, 1.0, 2, 0.8)
-    psi_digital = dyn.trotter_evolve(hamiltonian, plan, psi0)
+    psi_digital = dyn.trotter_evolve(monomials, psi0, 0.8, 2)
     assert abs(dyn.gauge_deviation(psi_ideal, psi_digital, layout)) > 1e-6
 
 
-def test_gauge_deviation_shrinks_with_steps(hamiltonian, layout, sector_table):
+def test_gauge_deviation_shrinks_with_steps(hamiltonian, monomials, layout, sector_table):
     psi0 = lm.canonical_sector_state(sector_table, 0.75)
     for phi in (0.25, 0.5, 1.0):
         psi_ideal = dyn.exact_evolve(hamiltonian, psi0, phi)
         values = []
         for n_steps in (1, 4):
-            _, plan = dyn.plaquette_plan(layout, 1.0, n_steps, phi)
-            psi_digital = dyn.trotter_evolve(hamiltonian, plan, psi0)
+            psi_digital = dyn.trotter_evolve(monomials, psi0, phi, n_steps)
             values.append(abs(dyn.gauge_deviation(psi_ideal, psi_digital, layout)))
         assert values[1] < values[0]
 
 
-def test_deviation_vanishes_at_small_phase(hamiltonian, layout, sector_table):
+def test_deviation_vanishes_at_small_phase(hamiltonian, monomials, layout, sector_table):
     psi0 = lm.canonical_sector_state(sector_table, 0.75)
     for n_steps in (1, 2, 5):
         last = None
         for phi in (0.4, 0.2, 0.1, 0.05):
             psi_ideal = dyn.exact_evolve(hamiltonian, psi0, phi)
-            _, plan = dyn.plaquette_plan(layout, 1.0, n_steps, phi)
-            value = abs(dyn.gauge_deviation(psi_ideal, dyn.trotter_evolve(hamiltonian, plan, psi0), layout))
+            value = abs(dyn.gauge_deviation(psi_ideal, dyn.trotter_evolve(monomials, psi0, phi, n_steps), layout))
             if last is not None:
                 assert value < last
             last = value
@@ -233,35 +236,39 @@ def test_sweep_fidelity_ordering(layout):
     assert all(r3.fidelity > r2.fidelity for r2, r3 in zip(rows2, rows3))
 
 
-def dense_trotter_reference(hamiltonian, plan, state, coupling=1.0):
+def dense_trotter_reference(monomials, state, t, steps):
     """The Trotter loop as it was before the bit-mask kernel: one dense matrix
     per monomial, applied by matrix-vector products."""
     n = int(np.log2(len(state)))
-    dt = plan.phi / coupling / plan.steps
+    dt = t / steps
     factors = []
-    for k in plan.order:
-        term = hamiltonian.terms[k]
+    for term in monomials:
         angle = term.coefficient.real * dt
         factors.append((np.cos(angle), np.sin(angle), dense(term.bare(), n)))
     out = state
-    for _ in range(plan.steps):
+    for _ in range(steps):
         for cos_a, sin_a, matrix in factors:
             out = cos_a * out - 1j * sin_a * (matrix @ out)
     return out
 
 
-def test_trotter_kernel_matches_dense_loop_bitwise(hamiltonian, layout, sector_table):
+def test_trotter_kernel_matches_dense_loop_bitwise(monomials, sector_table):
     rng = np.random.default_rng(3)
     random_psi = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
     states = [lm.canonical_sector_state(sector_table, 0.75), random_psi / np.linalg.norm(random_psi)]
     for psi in states:
         for steps, phi in [(1, 0.05), (3, 0.7), (8, 2.0)]:
-            _, plan = dyn.plaquette_plan(layout, 1.0, steps, phi)
-            expected = dense_trotter_reference(hamiltonian, plan, psi)
-            assert dyn.trotter_evolve(hamiltonian, plan, psi).tobytes() == expected.tobytes()
-    shuffled = dyn.TrotterPlan(tuple(rng.permutation(len(hamiltonian)).tolist()), 2, 1.3)
-    expected = dense_trotter_reference(hamiltonian, shuffled, states[1], coupling=0.7)
-    assert dyn.trotter_evolve(hamiltonian, shuffled, states[1], coupling=0.7).tobytes() == expected.tobytes()
+            expected = dense_trotter_reference(monomials, psi, phi, steps)
+            assert dyn.trotter_evolve(monomials, psi, phi, steps).tobytes() == expected.tobytes()
+    shuffled = [monomials[k] for k in rng.permutation(len(monomials))]
+    repeated = [monomials[5], *monomials, monomials[5], monomials[0]]
+    # X1 lies outside the span of the plaquette's X masks, and the pair cancels in a sum
+    cancelling = [*monomials, PauliString(0.3, {1: "X"}), PauliString(-0.3, {1: "X"})]
+    for listed in (shuffled, repeated, cancelling):
+        for psi in states:
+            # phi = 1.3 at J = 0.7
+            expected = dense_trotter_reference(listed, psi, 1.3 / 0.7, 2)
+            assert dyn.trotter_evolve(listed, psi, 1.3 / 0.7, 2).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -510,19 +517,18 @@ def test_restricted_evolution_matches_dense_on_random_pauli_sums(n):
             for t in (0.4, -1.3):
                 expected = expi_hermitian(matrix, scale=-t) @ psi
                 assert np.max(np.abs(dyn.exact_evolve(h, psi, t) - expected)) < 1e-12
-            plan = dyn.TrotterPlan(tuple(rng.permutation(len(h)).tolist()), 3, 0.9)
-            expected = dense_trotter_reference(h, plan, psi)
-            assert np.max(np.abs(dyn.trotter_evolve(h, plan, psi) - expected)) < 1e-12
+            shuffled = [h.terms[k] for k in rng.permutation(len(h))]
+            expected = dense_trotter_reference(shuffled, psi, 0.9, 3)
+            assert np.max(np.abs(dyn.trotter_evolve(shuffled, psi, 0.9, 3) - expected)) < 1e-12
 
 
-def full_register_trotter(hamiltonian, plan, state):
+def full_register_trotter(monomials, state, t, steps):
     """The Trotter product on all 2^n amplitudes with the unrestricted kernel."""
     n = int(np.log2(len(state)))
-    dt = plan.phi / plan.steps
+    dt = t / steps
     out = state
-    for _ in range(plan.steps):
-        for k in plan.order:
-            term = hamiltonian.terms[k]
+    for _ in range(steps):
+        for term in monomials:
             angle = term.coefficient.real * dt
             out = np.cos(angle) * out - 1j * np.sin(angle) * matvec(term.bare(), n)(out)
     return out
@@ -551,12 +557,12 @@ def test_restricted_evolution_matches_full_register_on_layouts(layouts, name):
     low, high = table.eigenvalues()[0], table.eigenvalues()[-1]
     mixed = lm.canonical_sector_state(table, low) + lm.canonical_sector_state(table, high)
     states = [lm.canonical_sector_state(table, low), mixed / np.linalg.norm(mixed), basis_state(n, 2**n - 1)]
-    _, plan = dyn.plaquette_plan(layout, 1.0, 3, 0.8)
+    monomials = lm.plaquette_monomials(layout, 1.0)
     for psi in states:
         assert len(reachable(hamiltonian, np.flatnonzero(psi), n)) < 2**n
         assert np.max(np.abs(dyn.exact_evolve(hamiltonian, psi, 0.7) - taylor_evolve(hamiltonian, psi, 0.7))) < 1e-12
-        expected = full_register_trotter(hamiltonian, plan, psi)
-        assert np.max(np.abs(dyn.trotter_evolve(hamiltonian, plan, psi) - expected)) < 1e-12
+        expected = full_register_trotter(monomials, psi, 0.8, 3)
+        assert np.max(np.abs(dyn.trotter_evolve(monomials, psi, 0.8, 3) - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["triangle", "two_plaquette", "disjoint_triangles", "unused_qubit"])

@@ -154,7 +154,7 @@ def test_hamiltonian_hermitian_traceless(layout, hamiltonian_dense):
     assert abs(np.trace(hamiltonian_dense)) < 1e-12
 
 
-def test_monomial_listing_order(layout):
+def test_plaquette_monomials_order(layout):
     monomials = lm.plaquette_monomials(layout, 1.0)
     assert len(monomials) == 16
     assert PauliSum(monomials) == lm.plaquette_hamiltonian(layout, 1.0)
