@@ -7,10 +7,14 @@ the string's support, plus at most 2N basis-change rotations.  Backend two
 shared ancilla (one C-phase plus two local Z rotations each) and needs the
 ancilla prepared in a fixed axis eigenstate.
 
-Gate conventions, applied in closed form to a block of state columns with no
-matrix exponential: one gather per X/Y rotation or XX pair, from its
-``pauli.columns`` pair, and one multiply by a phase vector per run of Z
-rotations and C-phases:
+Gate conventions, applied in closed form and in place to a block of state
+columns with no matrix exponential.  Each X/Y rotation and each XX pair of a
+collective gate is a factor cos t + i sin t P whose P flips one or two qubits:
+on a view of the block with one length-2 axis per such qubit, its copy is
+those axes reversed, times i sin t (and, for Y, the one-qubit phase pair that
+``pauli.columns`` gives, taken once at import).  A run of Z rotations and
+C-phases is one phase vector, built from a per-call table of each row's
+qubit bits and multiplied in once:
   rot(axis, q, angle)   = exp(-i angle/2 sigma_axis(q)) = cos(angle/2) - i sin(angle/2) sigma_axis(q)
   coll(qubits, angle)   = exp(+i angle sum_{i<j} X_i X_j) = prod_{i<j} (cos angle + i sin angle X_i X_j)
   cphase((a, b), angle) = diag(1, 1, 1, exp(-2i angle)): rows with bits a and b set gain exp(-2i angle)
@@ -55,6 +59,8 @@ class Gate:
     def __post_init__(self):
         if not math.isfinite(self.angle):
             raise ValueError("gate angle must be finite")
+        if min(self.qubits, default=0) < 0:
+            raise ValueError(f"gate qubit indices must be non-negative, got {self.qubits}")
         if self.kind == "rot":
             if len(self.qubits) != 1 or self.axis not in ("x", "y", "z"):
                 raise ValueError("single-qubit rotation needs one qubit and an axis")
@@ -106,33 +112,52 @@ class Circuit:
         )
 
 
+# the amplitudes <1-b| sigma |b> of X and Y on one qubit, from sources b = 0, 1
+_PHASES = {axis: columns(PauliString(1.0, {0: axis.upper()}), np.arange(2), 1)[0][1] for axis in "xy"}
+
+
+def _qubit_axes(block: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """``block`` viewed with one length-2 axis per qubit, highest qubit first,
+    each after the axis of the bits above it; the last axis holds the bits
+    below the lowest qubit and the columns.  The gates update this view in
+    place, so a reshape that would copy raises ValueError."""
+    shape, top = [], len(block).bit_length() - 1
+    for qubit in sorted(qubits, reverse=True):
+        shape += [2 ** (top - 1 - qubit), 2]
+        top = qubit
+    return block.reshape(*shape, -1, copy=False)
+
+
 def _apply_gates(gates: tuple[Gate, ...], block: np.ndarray) -> np.ndarray:
     """The gates, in order, applied in place to the columns of ``block``; a
     run of diagonal gates is fused into one phase vector, applied once."""
     n = len(block).bit_length() - 1
-    rows, pending = np.arange(len(block)), None
+    bits, pending = np.arange(len(block)) >> np.arange(n)[:, None], None
+    bits &= 1  # bits[q] is qubit q's bit of each row
     for gate in gates:
         if max(gate.qubits) >= n:
             raise ValueError(f"gate acts outside the {n}-qubit register")
         if gate.kind == "cphase":
-            diagonal = np.where((rows >> gate.qubits[0]) & (rows >> gate.qubits[1]) & 1, np.exp(-2j * gate.angle), 1.0)
+            diagonal = np.where(bits[gate.qubits[0]] & bits[gate.qubits[1]], np.exp(-2j * gate.angle), 1.0)
         elif gate.axis == "z":
-            diagonal = np.where((rows >> gate.qubits[0]) & 1, np.exp(0.5j * gate.angle), np.exp(-0.5j * gate.angle))
+            diagonal = np.where(bits[gate.qubits[0]], np.exp(0.5j * gate.angle), np.exp(-0.5j * gate.angle))
         else:
             if pending is not None:
                 block *= pending[:, None]
                 pending = None
-            if gate.kind == "rot":  # factors (P, theta) of exp(i theta P)
-                factors = [(PauliString(1.0, {gate.qubits[0]: gate.axis.upper()}), -gate.angle / 2.0)]
-            else:
-                factors = [(PauliString(1.0, {a: "X", b: "X"}), gate.angle) for a, b in combinations(gate.qubits, 2)]
-            for string, theta in factors:
-                ((perm, values),) = columns(string, rows, n)
-                gathered = block[perm]
-                gathered *= (1j * math.sin(theta) * values[perm])[:, None]
-                block *= math.cos(theta)
-                block += gathered
-                del gathered  # before the next factor gathers its copy
+            # factors exp(i theta P) = cos theta + i sin theta P, each P a flip of one or two qubit axes
+            if gate.kind == "rot":
+                flips, theta, phases = [gate.qubits], -gate.angle / 2.0, _PHASES[gate.axis]
+            else:  # an XX pair's elements are all 1, as are X's: X's pair serves on the lower axis
+                flips, theta, phases = combinations(gate.qubits, 2), gate.angle, _PHASES["x"]
+            # row b of a flipped axis gathers from source 1 - b
+            factor = (1j * math.sin(theta) * phases[::-1])[:, None]
+            for qubits in flips:
+                view = _qubit_axes(block, qubits)
+                gathered = view[(slice(None), slice(None, None, -1)) * len(qubits)] * factor
+                view *= math.cos(theta)
+                view += gathered
+                del gathered  # before the next factor makes its copy
             continue
         pending = diagonal if pending is None else pending * diagonal
     return block if pending is None else np.multiply(block, pending[:, None], out=block)
@@ -140,8 +165,8 @@ def _apply_gates(gates: tuple[Gate, ...], block: np.ndarray) -> np.ndarray:
 
 def circuit_unitary(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
     n = circuit.n_qubits if n_qubits is None else n_qubits
-    # the unitary and a factor's gather copy, and seven index or phase vectors
-    check_memory(lambda: 32 * 4.0**n + 112 * 2.0**n, f"circuit unitary on {n} qubits")
+    # the unitary and a factor's flipped copy; per basis state the bit table and three phase vectors
+    check_memory(lambda: 32 * 4.0**n + (8 * n + 48) * 2.0**n, f"circuit unitary on {n} qubits")
     return _apply_gates(circuit.gates, np.eye(2**n, dtype=complex))
 
 
@@ -275,14 +300,16 @@ def reduced_system_unitary(circuit: Circuit, ancilla: int, prepared: np.ndarray)
     """Action of the circuit on the system register with the ancilla prepared
     in (and projected back onto) the given single-qubit state."""
     n_total = circuit.n_qubits
-    # in units of 4^n bytes: the system identity (4), the prepared block and its gather copy (8 each)
-    check_memory(lambda: 20 * 4.0**n_total + 112 * 2.0**n_total, f"reduced system unitary on {n_total} qubits")
+    # in units of 4^n bytes, the projection: the prepared block and tensordot's transposed copy
+    # (8 each) and the result (4); per basis state the bit table and three phase vectors
+    check_memory(lambda: 20 * 4.0**n_total + (8 * n_total + 48) * 2.0**n_total, f"reduced system unitary on {n_total} qubits")
     if not 0 <= ancilla < n_total:
         raise ValueError(f"ancilla {ancilla} is outside the {n_total}-qubit register")
     # a register index split into (bits above the ancilla, ancilla bit, bits below, column)
     shape = (2 ** (n_total - 1 - ancilla), 2, 2**ancilla, -1)
-    system = np.eye(2 ** (n_total - 1), dtype=complex).reshape(shape[0], 1, shape[2], -1)
-    out = _apply_gates(circuit.gates, (prepared[:, None, None] * system).reshape(2**n_total, -1))
+    # the system identity is a temporary, freed before the gates run
+    block = prepared[:, None, None] * np.eye(2 ** (n_total - 1), dtype=complex).reshape(shape[0], 1, shape[2], -1)
+    out = _apply_gates(circuit.gates, block.reshape(2**n_total, -1))
     return np.tensordot(out.reshape(shape), np.conj(prepared), axes=(1, 0)).reshape(len(out) // 2, -1)
 
 

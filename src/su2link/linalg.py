@@ -18,6 +18,8 @@ def expi_hermitian(matrix: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
 def unitary_distance_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     """Max elementwise deviation between ``a`` and ``b`` after aligning global phase."""
-    overlap = np.trace(a.conj().T @ b)
+    if a.shape != b.shape:
+        raise ValueError(f"cannot compare unitaries of shapes {a.shape} and {b.shape}")
+    overlap = np.vdot(a, b)  # trace(a^dag b)
     phase = overlap / abs(overlap) if abs(overlap) > 1e-14 else 1.0
     return float(np.max(np.abs(a * phase - b)))

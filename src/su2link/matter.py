@@ -261,12 +261,6 @@ def _closed_form_term(cfg: ChainConfig, pattern: PauliSum) -> PauliSum:
     return _scaled(pattern, -2.0 * cfg.hopping**2 / cfg.penalty, f"ratio {cfg.ratio:.3g}")
 
 
-def closed_form_hopping(cfg: ChainConfig) -> PauliSum:
-    """The expected effective hopping: matter moves across a link while the
-    link excitation swaps ends, in both color channels."""
-    return _hopping_form(cfg, _hopping_pattern(cfg))
-
-
 def _hopping_form(cfg: ChainConfig, pattern: PauliSum) -> PauliSum:
     scaled = _closed_form_term(cfg, pattern)
     return scaled + scaled.adjoint()
@@ -274,7 +268,8 @@ def _hopping_form(cfg: ChainConfig, pattern: PauliSum) -> PauliSum:
 
 def _hopping_pattern(cfg: ChainConfig) -> PauliSum:
     """The penalty-free part of the closed-form hopping, before scaling and
-    adding the adjoint."""
+    adding the adjoint: matter moves across a link while the link excitation
+    swaps ends, in both color channels."""
     total = PauliSum()
     for link in range(cfg.n_links):
         site, nxt = link, link + 1
@@ -292,14 +287,9 @@ def _hopping_pattern(cfg: ChainConfig) -> PauliSum:
     return total
 
 
-def closed_form_density(cfg: ChainConfig) -> PauliSum:
-    """The density-density companion term: matter density times the density of
-    the adjacent link ends."""
-    return _closed_form_term(cfg, _density_pattern(cfg))
-
-
 def _density_pattern(cfg: ChainConfig) -> PauliSum:
-    """The penalty-free part of the closed-form density term."""
+    """The penalty-free part of the closed-form density term: matter density
+    times the density of the adjacent link ends."""
     total = PauliSum()
     for site in range(cfg.n_sites):
         matter = PauliSum()

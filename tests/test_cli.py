@@ -440,6 +440,23 @@ def test_default_figures_match_golden_outputs(figure, capsys):
                 assert abs(float(got_value) - float(want_value)) <= 1e-12, (column, got_line, want_line)
 
 
+@pytest.mark.parametrize("coupling", ["0.7", "-1.3"])
+def test_figures_do_not_depend_on_the_coupling(coupling, capsys):
+    """The sweep evolves to t = phi / J under a Hamiltonian proportional to
+    J, so J cancels: default fig3 at any J is the J = 1 table up to roundoff
+    (9.8e-15 at most for these two)."""
+    tables = []
+    for argv in (["figures", "fig3"], ["figures", "fig3", f"--J={coupling}"]):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        tables.append(out.splitlines())
+    want, got = tables
+    assert got[0] == want[0] and len(got) == len(want)
+    values = [np.array([[float(x) for x in line.split(",")] for line in table[1:]]) for table in (want, got)]
+    assert np.array_equal(values[0][:, :2], values[1][:, :2])  # N and phi
+    assert np.max(np.abs(values[0] - values[1])) <= 1e-13
+
+
 @pytest.mark.parametrize("sites", [2, 3])
 def test_matter_matches_golden_outputs(sites, capsys):
     """The default-ratio matter CSVs against the committed ones in tests/data,

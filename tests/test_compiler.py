@@ -10,7 +10,7 @@ from su2link import linkmodel as lm
 from su2link.compiler import Circuit, GateCounts, NoiseModel, coll, cphase, rot
 from su2link.errors import GuardError
 from su2link.linalg import expi_hermitian, unitary_distance_up_to_phase
-from su2link.pauli import PauliString, PauliSum, dense
+from su2link.pauli import PauliString, PauliSum, columns, dense
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +33,38 @@ def test_gate_validation():
         rot("x", 0, math.inf)
     with pytest.raises(ValueError):
         Circuit((rot("x", 3, 0.1),), 2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: rot("x", -1, 0.3), lambda: rot("y", -1, 0.3), lambda: rot("z", -1, 0.3),
+     lambda: coll((0, -1), 0.3), lambda: coll((2, 0, -3), 0.3), lambda: cphase(-1, 0, 0.3), lambda: cphase(0, -2, 0.3)],
+)
+def test_negative_qubit_index_rejected(make):
+    with pytest.raises(ValueError, match="^gate qubit indices must be non-negative"):
+        make()
+
+
+def test_compile_cphase_rejects_negative_ancilla():
+    with pytest.raises(ValueError, match="^gate qubit indices must be non-negative"):
+        cp.compile_cphase(PauliString(1.0, {0: "X", 1: "Y"}), 0.3, ancilla=-1)
+
+
+def test_unitary_distance_overlap_is_the_trace_form():
+    rng = np.random.default_rng(3)
+    for n in (1, 4, 16, 64):
+        a, b = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0] for _ in range(2))
+        for other in (b, a * np.exp(0.4j) + 1e-9 * b):
+            overlap = np.trace(a.conj().T @ other)
+            want = float(np.max(np.abs(a * (overlap / abs(overlap)) - other)))
+            assert abs(unitary_distance_up_to_phase(a, other) - want) <= 1e-15
+
+
+def test_unitary_distance_rejects_unequal_shapes():
+    with pytest.raises(ValueError, match=r"^cannot compare unitaries of shapes \(1, 4\) and \(4, 1\)$"):
+        unitary_distance_up_to_phase(np.ones((1, 4)), np.ones((4, 1)))
+    with pytest.raises(ValueError, match="shapes"):
+        unitary_distance_up_to_phase(np.eye(4), np.eye(2))
 
 
 def test_cphase_gate_matrix():
@@ -117,6 +149,20 @@ def test_circuit_unitary_holds_one_gather_copy():
     assert 2 * 16 * 4**n < peak < 2.5 * 16 * 4**n
 
 
+def test_reduced_system_unitary_peak_stays_under_its_estimate():
+    # the projection holds the block and tensordot's transposed copy (8 * 4^n
+    # bytes each) and the result (4 * 4^n); with the system identity still
+    # held the peak would be 24 * 4^n
+    n = 10
+    gates = (rot("z", 0, 0.1), cphase(0, 1, 0.2), rot("x", 0, 0.1), coll((0, 1, 2), 0.2), rot("y", 4, 0.3))
+    tracemalloc.start()
+    cp.reduced_system_unitary(Circuit(gates, n), 3, cp.ancilla_state(2))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    estimate = 20 * 4**n + (8 * n + 48) * 2**n
+    assert 0.95 * estimate < peak <= estimate
+
+
 def sandwiched_system_unitary(full, ancilla, prepared):
     """Reduced action the long way: embed^dag . U . embed with the full U."""
     n = len(full).bit_length() - 1
@@ -176,6 +222,72 @@ def test_fused_circuits_match_per_gate_product(n):
         prepared /= np.linalg.norm(prepared)
         got = cp.reduced_system_unitary(circuit, ancilla, prepared)
         assert np.max(np.abs(got - sandwiched_system_unitary(want, ancilla, prepared))) < ORACLE_TOL
+
+
+def per_pair_gates(gates, block):
+    """The kernel before qubit-axis flips, as an oracle: one ``pauli.columns``
+    gather per X/Y rotation or XX pair, and each diagonal gate's phases from
+    shifted row indices, fused as the kernel fuses them."""
+    n = len(block).bit_length() - 1
+    rows, pending = np.arange(len(block)), None
+    for gate in gates:
+        assert max(gate.qubits) < n
+        if gate.kind == "cphase":
+            diagonal = np.where((rows >> gate.qubits[0]) & (rows >> gate.qubits[1]) & 1, np.exp(-2j * gate.angle), 1.0)
+        elif gate.axis == "z":
+            diagonal = np.where((rows >> gate.qubits[0]) & 1, np.exp(0.5j * gate.angle), np.exp(-0.5j * gate.angle))
+        else:
+            if pending is not None:
+                block *= pending[:, None]
+                pending = None
+            if gate.kind == "rot":
+                factors = [(PauliString(1.0, {gate.qubits[0]: gate.axis.upper()}), -gate.angle / 2.0)]
+            else:
+                factors = [(PauliString(1.0, {a: "X", b: "X"}), gate.angle) for a, b in combinations(gate.qubits, 2)]
+            for string, theta in factors:
+                ((perm, values),) = columns(string, rows, n)
+                gathered = block[perm]
+                gathered *= (1j * math.sin(theta) * values[perm])[:, None]
+                block *= math.cos(theta)
+                block += gathered
+            continue
+        pending = diagonal if pending is None else pending * diagonal
+    return block if pending is None else np.multiply(block, pending[:, None], out=block)
+
+
+def assert_bitwise_as_per_pair(circuit, monkeypatch, ancilla=None, prepared=None):
+    """circuit_unitary, and with an ancilla reduced_system_unitary, equal
+    their values on the per-pair oracle kernel exactly."""
+    calls = [lambda: cp.circuit_unitary(circuit)]
+    if ancilla is not None:
+        calls.append(lambda: cp.reduced_system_unitary(circuit, ancilla, prepared))
+    for call in calls:
+        got = call()
+        with monkeypatch.context() as patch:
+            patch.setattr(cp, "_apply_gates", per_pair_gates)
+            want = call()
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("phi", [0.7, -1.3, 2.9])
+def test_triangle_unitaries_equal_the_per_pair_kernel_bitwise(monomials, phi, monkeypatch):
+    for monomial in monomials:
+        assert_bitwise_as_per_pair(Circuit(cp.compile_collective(monomial, phi).gates, 6), monkeypatch)
+        circuit = Circuit(cp.compile_cphase(monomial, phi, ancilla=6).gates, 7)
+        assert_bitwise_as_per_pair(circuit, monkeypatch, 6, cp.ancilla_state(monomial.weight))
+    assert_bitwise_as_per_pair(cp.compile_step(monomials, phi, "collective"), monkeypatch)
+    assert_bitwise_as_per_pair(cp.compile_step(monomials, phi, "cphase"), monkeypatch, 6, cp.ancilla_state(6))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_random_unitaries_equal_the_per_pair_kernel_bitwise(n, monkeypatch):
+    rng = np.random.default_rng(500 + n)
+    for ends_diagonal in (False, True):
+        circuit = random_circuit(rng, n, ends_diagonal)
+        assert {g.axis or g.kind for g in circuit.gates} == {"x", "y", "z", "coll", "cphase"}
+        ancilla = int(rng.integers(n - 1))  # never the last qubit
+        prepared = rng.normal(size=2) + 1j * rng.normal(size=2)
+        assert_bitwise_as_per_pair(circuit, monkeypatch, ancilla, prepared / np.linalg.norm(prepared))
 
 
 @pytest.mark.parametrize("ancilla", [0, 3, 6])

@@ -58,6 +58,16 @@ def su2_generator(cfg, site, a):
     return total
 
 
+def closed_form_hopping(cfg):
+    """The expected effective hopping, as ``compare_effective`` builds it."""
+    return mt._hopping_form(cfg, mt._hopping_pattern(cfg))
+
+
+def closed_form_density(cfg):
+    """The density-density companion term, as ``compare_effective`` builds it."""
+    return mt._closed_form_term(cfg, mt._density_pattern(cfg))
+
+
 @pytest.fixture(scope="module")
 def cfg():
     return mt.ChainConfig()
@@ -165,7 +175,7 @@ def test_effective_block_invariances(cfg):
 
 
 def test_density_term_block_diagonal_in_matter_occupation(cfg):
-    density = dense(mt.closed_form_density(cfg), cfg.n_modes)
+    density = dense(closed_form_density(cfg), cfg.n_modes)
     assert np.max(np.abs(density - np.diag(np.diag(density)))) == 0
     matter_modes = [cfg.b_mode(s, a) for s in range(cfg.n_sites) for a in (mt.UP, mt.DOWN)]
     for mode in matter_modes:
@@ -283,8 +293,8 @@ def test_blocks_match_dense_path(name):
     cfg = CONFIGS[name]
     p_idx = mt.penalty_free_indices(cfg, mt.faithful_indices(cfg))
     assert np.max(np.abs(mt.effective_hamiltonian(cfg).matrix - dense_effective_block(cfg))) <= 1e-12
-    closed = dense(mt.closed_form_hopping(cfg) + mt.closed_form_density(cfg), cfg.n_modes)[np.ix_(p_idx, p_idx)]
-    block = mt._block(mt.closed_form_hopping(cfg) + mt.closed_form_density(cfg), p_idx, p_idx, cfg.n_modes)
+    closed = dense(closed_form_hopping(cfg) + closed_form_density(cfg), cfg.n_modes)[np.ix_(p_idx, p_idx)]
+    block = mt._block(closed_form_hopping(cfg) + closed_form_density(cfg), p_idx, p_idx, cfg.n_modes)
     assert np.max(np.abs(block - closed)) <= 1e-12
 
 
@@ -311,10 +321,10 @@ def test_sweep_builds_index_sets_once_and_density_norm_is_the_spectral_norm(n_si
     p_idx = mt.penalty_free_indices(cfg, mt.faithful_indices(cfg))
     for ratio, row in zip(ratios, rows):
         scaled = replace(cfg, penalty=cfg.hopping / ratio)
-        density = mt._block(mt.closed_form_density(scaled), p_idx, p_idx, cfg.n_modes)
+        density = mt._block(closed_form_density(scaled), p_idx, p_idx, cfg.n_modes)
         assert row.density_norm == float(np.linalg.norm(density, 2))
         brute = mt.effective_hamiltonian(scaled)
-        closed_op = mt.closed_form_hopping(scaled) + mt.closed_form_density(scaled)
+        closed_op = closed_form_hopping(scaled) + closed_form_density(scaled)
         closed = mt.EffectiveBlock(mt._block(closed_op, p_idx, p_idx, cfg.n_modes), p_idx)
         assert row.deviation == mt.block_deviation(brute, closed, cfg.hopping)
 
