@@ -165,6 +165,8 @@ def _apply_gates(gates: tuple[Gate, ...], block: np.ndarray) -> np.ndarray:
 
 def circuit_unitary(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
     n = circuit.n_qubits if n_qubits is None else n_qubits
+    if n < 0:
+        raise ValueError(f"n_qubits must be non-negative, got {n}")
     # the unitary and a factor's flipped copy; per basis state the bit table and three phase vectors
     check_memory(lambda: 32 * 4.0**n + (8 * n + 48) * 2.0**n, f"circuit unitary on {n} qubits")
     return _apply_gates(circuit.gates, np.eye(2**n, dtype=complex))
@@ -305,6 +307,8 @@ def reduced_system_unitary(circuit: Circuit, ancilla: int, prepared: np.ndarray)
     check_memory(lambda: 20 * 4.0**n_total + (8 * n_total + 48) * 2.0**n_total, f"reduced system unitary on {n_total} qubits")
     if not 0 <= ancilla < n_total:
         raise ValueError(f"ancilla {ancilla} is outside the {n_total}-qubit register")
+    if np.shape(prepared) != (2,):
+        raise ValueError(f"prepared must be a single-qubit state of 2 amplitudes, got shape {np.shape(prepared)}")
     # a register index split into (bits above the ancilla, ancilla bit, bits below, column)
     shape = (2 ** (n_total - 1 - ancilla), 2, 2**ancilla, -1)
     # the system identity is a temporary, freed before the gates run

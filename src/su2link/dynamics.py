@@ -17,22 +17,21 @@ values, and a factor table of (coefficient, perm, phases) for the Trotter
 product, where one factor maps psi to ``cos * psi - i sin * phases * psi[..., perm]``.
 
 Every plaquette monomial flips all of its plaquette's position qubits, so an
-evolution never leaves the XOR cosets of the Hamiltonian's X masks that its
-start state touches (``pauli.reachable``; on the triangle 8 of 64 basis
-states for each sector representative).  Evolutions run on those rows only,
-with the restricted kernel; ``exact_evolve`` and ``trotter_evolve`` return
-full 2^n vectors, and a state with full support reaches the whole register
-on the same path.  ``sweep`` never leaves a start's rows, the cosets of the
-Hamiltonian's and the Casimir's X masks together that its seed basis state
-reaches: the start state is projected there, and the expectation values,
-overlaps and fidelities are taken there too.  Where the Casimir's masks lie
-in the span of the Hamiltonian's (the triangle, the two-plaquette layout,
-every strip) these are the Hamiltonian's own cosets; where they do not (two
-plaquettes that share only a vertex, a link in no plaquette) they join
-several of them.  Each start's (step count, phi) rows form one ragged batch
-sorted by step count, where step s acts on the prefix of rows that take
-more than s steps.  Each row gets the same arithmetic as a ``trotter_evolve``
-call, and likewise for the ideal states and ``exact_evolve``.
+evolution never leaves the XOR coset of the ``pauli.span`` of the X masks
+that holds its start state (on the triangle 8 of 64 basis states for each
+sector representative).  It runs there on one virtual qubit per basis mask,
+through the full-register code, with every operator ``pauli.restrict``-ed.
+``exact_evolve`` and ``trotter_evolve`` gather the state from the rows
+(``pauli.coset``) of the one coset that holds its support, evolve it and
+scatter it back.  ``sweep`` holds each start on its seed basis state's coset
+of the span of the Hamiltonian's and the Casimir's masks: the Hamiltonian's
+own span on the triangle, the two-plaquette layout and every strip, a larger
+one where the Casimir's masks lie outside it (two plaquettes that share only
+a vertex, a link in no plaquette).  Each start's (step count, phi) rows form
+one ragged batch sorted by step count, where step s acts on the prefix of
+rows that take more than s steps.  Each row gets the same arithmetic as a
+``trotter_evolve`` call, and likewise for the ideal states and
+``exact_evolve``.
 
 ``empirical_vs_bound`` compares the measured Trotter error with the
 step-count bound of ``compiler.trotter_bound``.
@@ -59,7 +58,7 @@ from .linkmodel import (
     sector_seed,
     total_gauge_casimir,
 )
-from .pauli import PauliString, PauliSum, columns, matvec, pair_count, positions, reachable, span_rank
+from .pauli import PauliString, PauliSum, columns, coset, matvec, pair_count, restrict, span
 
 NORM_TOL = 1e-10
 LANCZOS_BREAKDOWN = 1e-13
@@ -99,38 +98,35 @@ def _check_evolution(hamiltonian: PauliSum, nbytes, what: str) -> None:
         raise GuardError("Hamiltonian must be Hermitian")
 
 
-def _check_register_evolution(hamiltonian: PauliSum, n: int, kind: str) -> None:
-    # per basis state: six complex vectors (the input, its rows, the output, and a matvec's
-    # result, product and gather), the matvec's pairs and reachable's five index words
-    nbytes = lambda: 2.0**n * (16 * 6 + 24 * pair_count(hamiltonian) + 40)
+def _check_register_evolution(hamiltonian: PauliSum, state: np.ndarray, kind: str) -> None:
+    n = _n_qubits_of(state)
+    # per basis state: six complex vectors (the input, its gathered rows, the output, and a matvec's
+    # result, product and gather), the matvec's pairs, and the support's, rows' and columns' indices
+    nbytes = lambda: 2.0**n * (16 * 6 + 24 * pair_count(hamiltonian) + 24)
     _check_evolution(hamiltonian, nbytes, f"{kind} evolution on {n} qubits")
 
 
-def _start_masks(hamiltonian: PauliSum, casimir: PauliSum) -> PauliSum:
-    """An operator with the X masks that a sweep's start rows are closed
-    under, the Hamiltonian's and the Casimir's: one unit X string per
-    distinct mask, so that no two cancel."""
-    masks = {tuple(q for q, letter in term.key() if letter in "XY") for term in hamiltonian.terms + casimir.terms}
-    return PauliSum(PauliString(1.0, {q: "X" for q in mask}) for mask in masks)
-
-
-def _scatter(n: int, rows: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """States held on ``rows`` (one, or a batch) as full 2^n vectors, zero
-    off those rows."""
-    out = np.zeros(np.shape(states)[:-1] + (2**n,), dtype=complex)
-    out[..., rows] = states
+def _on_support(ops: Sequence[PauliSum | PauliString], state: np.ndarray, evolve) -> np.ndarray:
+    """``evolve(restricted ops, gathered state, rank)`` on the coset of
+    ``pauli.span(ops, support)`` that holds the state, scattered back."""
+    n = _n_qubits_of(state)
+    if any(op.support and max(op.support) >= n for op in ops):
+        raise ValueError(f"the operator does not fit in {n} qubits")
+    support = np.flatnonzero(_check_norm(state))
+    basis = span(ops, support)
+    rows = coset(basis, support[0])
+    out = np.zeros(2**n, dtype=complex)
+    out[rows] = evolve([restrict(op, basis, int(rows[0])) for op in ops], state[rows], len(basis))
     return out
 
 
-def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray, n: int, rows: np.ndarray):
-    """Eigenpairs of H on the Krylov space of ``state``, given on the sorted
-    basis indices ``rows`` of an n-qubit register (cosets closed under H), as
-    (eigvals, amplitudes, ritz):
-    H ritz[k] = eigvals[k] ritz[k] and state = sum_k amplitudes[k] ritz[k],
-    with the Ritz vectors held on the same rows.
+def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray):
+    """Eigenpairs of H on the Krylov space of ``state``, both on the full
+    register of log2(len(state)) qubits, as (eigvals, amplitudes, ritz):
+    H ritz[k] = eigvals[k] ritz[k] and state = sum_k amplitudes[k] ritz[k].
 
     Lanczos with two full reorthogonalisations per step runs until the next
-    vector vanishes (or the space fills those rows), then the tridiagonal
+    vector vanishes (or the space fills the register), then the tridiagonal
     matrix T is diagonalised.  The residual ||H V - V T|| is guarded relative
     to the coefficient 1-norm of H, which bounds its operator norm; its row j
     is H v_j less the three-term recurrence, which is known as soon as v_j+1
@@ -140,7 +136,7 @@ def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray, n: int, rows: np.
     the Ritz vectors and the complex eigenvectors of T as they are formed.
     """
     _check_norm(state)
-    apply_h = matvec(hamiltonian, n, rows)
+    apply_h = matvec(hamiltonian, _n_qubits_of(state))
     scale = sum(abs(term.coefficient) for term in hamiltonian.terms)
     d = len(state)
     block = np.empty((min(d, 16), d), dtype=complex)
@@ -177,9 +173,9 @@ def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray, n: int, rows: np.
 
 
 def _evolve_spectrum(spectrum, times: np.ndarray) -> np.ndarray:
-    """exp(-i H t) state for every t in ``times``, one row each on the rows
-    the spectrum is held on, from a ``_krylov_spectrum``; each row gets the
-    same arithmetic whatever the number of times."""
+    """exp(-i H t) state for every t in ``times``, one row each, from a
+    ``_krylov_spectrum``; each row gets the same arithmetic whatever the
+    number of times."""
     eigvals, amplitudes, ritz = spectrum
     weights = np.exp(-1j * eigvals * times[:, None]) * amplitudes
     out = np.zeros((len(times), ritz.shape[1]), dtype=complex)
@@ -190,11 +186,9 @@ def _evolve_spectrum(spectrum, times: np.ndarray) -> np.ndarray:
 
 def exact_evolve(hamiltonian: PauliSum, state: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) applied by Lanczos reduction to the Krylov space of the state."""
-    n = _n_qubits_of(state)
-    _check_register_evolution(hamiltonian, n, "exact")
-    rows = reachable(hamiltonian, np.flatnonzero(state), n)
-    spectrum = _krylov_spectrum(hamiltonian, state[rows], n, rows)
-    return _scatter(n, rows, _evolve_spectrum(spectrum, np.array([t], dtype=float)))[0]
+    _check_register_evolution(hamiltonian, state, "exact")
+    times = np.array([t], dtype=float)
+    return _on_support([hamiltonian], state, lambda ops, psi, _: _evolve_spectrum(_krylov_spectrum(*ops, psi), times)[0])
 
 
 def _check_steps(steps: int) -> None:
@@ -202,17 +196,14 @@ def _check_steps(steps: int) -> None:
         raise ValueError("step count must be at least 1")
 
 
-def _trotter_factors(
-    monomials: Sequence[PauliString], n: int, rows: np.ndarray
-) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Factor table on ``rows`` of an n-qubit register: (real weight c, perm,
-    phases) of each monomial c P in the order given, from the unit string's
-    one ``pauli.columns`` pair (targets, values): P psi = phases * psi[..., perm]
-    with perm the targets' positions and phases = values[perm]."""
+def _trotter_factors(monomials: Sequence[PauliString], n: int) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Factor table on an n-qubit register: (real weight c, perm, phases) of
+    each monomial c P in the order given, from the unit string's one
+    ``pauli.columns`` pair (perm, values) on every basis state:
+    P psi = phases * psi[..., perm] with phases = values[perm]."""
     factors = []
     for monomial in monomials:
-        ((targets, values),) = columns(monomial.bare(), rows, n)
-        perm = positions(rows, targets)
+        ((perm, values),) = columns(monomial.bare(), np.arange(2**n), n)
         factors.append((monomial.coefficient.real, perm, values[perm]))
     return factors
 
@@ -247,15 +238,11 @@ def trotter_evolve(monomials: Sequence[PauliString], state: np.ndarray, t: float
     for a unit-coefficient string P with real weight c.
     """
     _check_steps(steps)
-    n = _n_qubits_of(state)
-    # unit strings, so that no two monomials cancel out of the reached rows
-    strings = PauliSum(m.bare() for m in monomials)
-    _check_register_evolution(strings, n, "Trotter")
+    _check_register_evolution(PauliSum(m.bare() for m in monomials), state, "Trotter")
     if any(m.coefficient.imag != 0 for m in monomials):
         raise GuardError("Trotter monomials must have real coefficients")
-    rows = reachable(strings, np.flatnonzero(state), n)
-    evolved = _apply_factors(_trotter_factors(monomials, n, rows), [t / steps], [steps], state[None, rows])
-    return _scatter(n, rows, _check_norm(evolved))[0]
+    evolve = lambda ops, psi, rank: _apply_factors(_trotter_factors(ops, rank), [t / steps], [steps], psi[None])[0]
+    return _check_norm(_on_support(monomials, state, evolve))
 
 
 def overlap(state: np.ndarray, other: np.ndarray) -> float:
@@ -348,10 +335,10 @@ def sweep(
     sector; the digital state applies the ``plaquette_monomials`` in listing
     order, as ``trotter_evolve`` does.  Every step count must be at least 1.
     The monomials, their Hamiltonian, the Casimir and the sector table are
-    built once per call.  Each start is held on the cosets of the
-    Hamiltonian's and the Casimir's X masks that its seed basis state
-    reaches, from the projection that makes it to the last overlap
-    (``_start_observables``), so no state of a sweep has 2^n entries.
+    built once per call, and so is the span of their X masks.  Each start is
+    held on the coset of that span that its seed basis state lies in, from
+    the projection that makes it to the last overlap (``_start_observables``),
+    so no array of a sweep has 2^n entries.
     """
     starts = [start_sector] if np.ndim(start_sector) == 0 else list(start_sector)
     if not steps_list or not phis or not starts:
@@ -363,15 +350,16 @@ def sweep(
     hamiltonian = PauliSum(monomials)
     casimir = total_gauge_casimir(layout)
     step_counts = sorted(set(steps_list), reverse=True)
-    masks = _start_masks(hamiltonian, casimir)
-    nbytes = lambda: _sweep_bytes(n, hamiltonian, casimir, masks, len(phis), len(step_counts))
-    _check_evolution(hamiltonian, nbytes, f"sweep on {n} qubits")
+    # span holds an X mask of n bits per term of H and the Casimir; then d = 2^rank rows per start
+    _check_evolution(hamiltonian, lambda: (len(hamiltonian) + len(casimir)) * n / 8, f"sweep on {n} qubits")
+    basis = span([hamiltonian, casimir])
+    check_memory(lambda: _sweep_bytes(len(basis), hamiltonian, casimir, len(phis), len(step_counts)), f"sweep on {n} qubits")
     table = gauge_sectors(layout)
     times = np.asarray(phis, dtype=float) / coupling
     rows = []
     for start in starts:
         gauge_ideal, overlap_initial, gauge_digital, fidelity = _start_observables(
-            hamiltonian, casimir, masks, monomials, table, start, times, step_counts
+            hamiltonian, casimir, basis, monomials, table, start, times, step_counts
         )
         for steps in steps_list:
             k = step_counts.index(steps)
@@ -383,27 +371,22 @@ def sweep(
     return rows
 
 
-def _sweep_bytes(
-    n: int, hamiltonian: PauliSum, casimir: PauliSum, masks: PauliSum, n_phis: int, n_steps: int
-) -> float:
-    """The sweep's memory estimate: per basis state, reachable's five index
-    words; per row of a start's coset, of which there are d = 2^rank of
-    ``masks`` (``_start_masks``): the Lanczos stage at its largest (at most
-    three blocks of d vectors of d complex entries, see
-    ``_krylov_spectrum``), the Casimir's pairs and the factor table, and per
-    phi the ideal state, each step count's Trotter row and six temporaries
-    (the kernel's gather, and an expectation's or a fidelity's conjugate,
-    matvec result, product, gather and sum)."""
-    register = 40 * 2.0**n  # overflows first, before a 2^n-bit X mask is eliminated
-    d = 2.0 ** span_rank(masks)
+def _sweep_bytes(rank: int, hamiltonian: PauliSum, casimir: PauliSum, n_phis: int, n_steps: int) -> float:
+    """The sweep's memory estimate per row of a start's coset, d = 2^rank
+    rows: the Lanczos stage at its largest (at most three blocks of d vectors
+    of d entries, see ``_krylov_spectrum``), the Casimir's pairs and the
+    factor table, and per phi the ideal state, each step count's Trotter row
+    and six temporaries (the kernel's gather, and an expectation's or a
+    fidelity's conjugate, matvec result, product, gather and sum)."""
+    d = 2.0**rank
     pairs = 24 * pair_count(casimir) + 40 * len(hamiltonian)
-    return register + d * (48 * d + pairs + 16 * n_phis * (n_steps + 7))
+    return d * (48 * d + pairs + 16 * n_phis * (n_steps + 7))
 
 
 def _start_observables(
     hamiltonian: PauliSum,
     casimir: PauliSum,
-    masks: PauliSum,
+    basis: list[int],
     monomials: list[PauliString],
     table: GaugeSectorTable,
     start: float,
@@ -411,24 +394,22 @@ def _start_observables(
     step_counts: list[int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One start's sweep values, (gauge_ideal, overlap_initial) per time and
-    (gauge_digital, fidelity) per (step count, time), with every state on
-    the rows that the start's seed basis state reaches under ``masks``, the
-    ``_start_masks`` of H and the Casimir.
-
-    Those rows are closed under both, so the seed is projected on them
-    exactly and every later state stays there.  The (step count, time)
-    Trotter rows are one ragged batch sorted by step count, descending."""
-    n = table.n_qubits
+    (gauge_digital, fidelity) per (step count, time), with H, the Casimir
+    and the monomials restricted to the coset of ``basis`` (their X masks'
+    ``pauli.span``) that holds the seed basis state, where the seed's
+    projection is exact.  The (step count, time) Trotter rows are one ragged
+    batch sorted by step count, descending."""
     seed = sector_seed(table, start)
-    rows = reachable(masks, [seed], n)
-    apply_casimir = matvec(casimir, n, rows)
+    rows = coset(basis, seed)
+    rep = int(rows[0])
+    apply_casimir = matvec(restrict(casimir, basis, rep), len(basis))
     psi0 = sector_projection(table, start, (rows == seed).astype(complex), apply_casimir)
-    ideal = _evolve_spectrum(_krylov_spectrum(hamiltonian, psi0, n, rows), times)
+    ideal = _evolve_spectrum(_krylov_spectrum(restrict(hamiltonian, basis, rep), psi0), times)
     gauge_ideal = _expectations(apply_casimir, ideal)
     if np.any(abs(gauge_ideal) < DEVIATION_GUARD):
         raise GuardError("ideal gauge expectation vanished")
     digital = _check_norm(_apply_factors(
-        _trotter_factors(monomials, n, rows),
+        _trotter_factors([restrict(m, basis, rep) for m in monomials], len(basis)),
         np.concatenate([times / steps for steps in step_counts]),
         np.repeat(step_counts, len(times)),
         np.broadcast_to(psi0, (len(step_counts) * len(times), len(psi0))),

@@ -310,8 +310,8 @@ def sector_projection(table: GaugeSectorTable, eigenvalue: float, state: np.ndar
     """The normalized projection of ``state`` on a sector: the Lagrange
     polynomial prod_{mu != lambda} (C - mu) / (lambda - mu) of the Casimir C
     over the table's eigenvalues.  ``apply_casimir`` is C as a
-    ``pauli.matvec``, on all 2^n basis indices or on rows closed under C's
-    X masks that hold ``state``."""
+    ``pauli.matvec`` on the register that ``state`` is given on: all n
+    qubits, or a coset that C keeps, with C ``pauli.restrict``-ed to it."""
     sector = table.sector(eigenvalue)
     for mu in table.eigenvalues():
         if mu != sector.eigenvalue:

@@ -13,13 +13,13 @@ Y contributes a factor i (Y = i X Z).  A string then maps basis state ``k``
 to ``k ^ xmask`` with the amplitude ``c i^#Y (-1)^popcount(k & zmask)``, so
 the elements out of chosen basis columns take one XOR per X mask and one
 sign vector per term, with no matrix.  ``matvec`` applies an operator to
-states from those pairs, one gather per X mask, on all 2^n basis indices or
-on a set of rows closed under the X masks (``positions`` looks the targets
-up there); ``reachable`` finds the smallest such set that holds a given
-support, by GF(2) elimination of the masks, and ``span_rank`` gives the
-size 2^rank of each of its cosets without building one.  ``dense`` scatters
-the pairs into a matrix, for the tests and the covariance check's 4x4 link
-matrices.
+states from those pairs, one gather per X mask, and ``dense`` scatters them
+into a matrix, for the tests and the covariance check's 4x4 link matrices.
+
+An operator maps each XOR coset of the GF(2) ``span`` of its X masks, listed
+by ``coset``, to itself, and the Z strings that fix a coset are the Z2
+symmetries that qubit tapering removes (Bravyi, Gambetta, Mezzacapo & Temme,
+arXiv:1701.08213): ``restrict`` writes it there on one qubit per basis mask.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -287,77 +287,91 @@ def pair_count(op: PauliSum | PauliString) -> int:
     return len({_xmask(term) for term in ([op] if isinstance(op, PauliString) else _as_sum(op).terms)})
 
 
-def positions(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Where each of ``targets`` sits in the sorted basis indices ``rows``;
-    rows closed under an operator's X masks hold the ``columns`` targets of
-    every row."""
-    perm = np.searchsorted(rows, targets)
-    if len(rows) and not np.array_equal(rows[np.minimum(perm, len(rows) - 1)], targets):
-        raise ValueError("rows are not closed under the operator's X masks")
-    return perm
-
-
-def matvec(op: PauliSum | PauliString, n_qubits: int, rows: np.ndarray | None = None):
+def matvec(op: PauliSum | PauliString, n_qubits: int):
     """``op`` as a matrix-free map built from ``columns``: the returned
-    function applies it to one state or to every row of a batch of states,
-    given on all 2^n basis indices or, with ``rows`` (sorted, closed under
-    the X masks), on those rows only.  Each X mask is one multiply and one
-    gather, ``out += (values * states)[..., perm]`` with ``perm`` the
-    targets' positions, since flipping the same bits maps every target back
-    to its column; each row gets the same arithmetic whatever the batch size."""
-    cols = np.arange(2**n_qubits) if rows is None else rows
-    pairs = [
-        (targets if rows is None else positions(rows, targets), values)
-        for targets, values in columns(op, cols, n_qubits)
-    ]
+    function applies it to one state or to every row of a batch of states on
+    all 2^n basis indices.  Each X mask is one multiply and one gather,
+    ``out += (values * states)[..., targets]``, since flipping the same bits
+    maps every target back to its column; each row gets the same arithmetic
+    whatever the batch size."""
+    pairs = columns(op, np.arange(2**n_qubits), n_qubits)
 
     def apply(states: np.ndarray) -> np.ndarray:
         out = np.zeros(np.shape(states), dtype=complex)
-        for perm, values in pairs:
-            out += (values * states)[..., perm]
+        for targets, values in pairs:
+            out += (values * states)[..., targets]
         return out
 
     return apply
 
 
-def _pivots(op: PauliSum) -> dict[int, int]:
-    """GF(2) elimination of the terms' X masks: one mask per pivot bit, the
-    mask's highest set bit."""
+def span(ops: Iterable[PauliSum | PauliString], indices: np.ndarray = ()) -> list[int]:
+    """The reduced echelon basis of the GF(2) span of the terms' X masks and
+    of the differences of the basis indices ``indices``: one mask per pivot,
+    its highest set bit, ascending by pivot, with each pivot bit cleared from
+    every other mask.  The basis of a span is unique, whatever spans it."""
+    masks = list({_xmask(term) for op in ops for term in _as_sum(op).terms})
+    rest = np.asarray(indices, dtype=np.int64)
+    rest = rest[1:] ^ rest[:1]  # kept clear of every pivot bit, so rest[0] is a new mask
     basis: dict[int, int] = {}
-    for term in op.terms:
-        x = _xmask(term)
-        while x and (x.bit_length() - 1) in basis:
-            x ^= basis[x.bit_length() - 1]
+    while masks or len(rest := rest[rest != 0]):
+        x = masks.pop() if masks else int(rest[0])
+        for pivot, mask in basis.items():
+            x ^= mask * ((x >> pivot) & 1)
         if x:
-            basis[x.bit_length() - 1] = x
-    return basis
+            pivot = x.bit_length() - 1
+            for p, mask in basis.items():
+                basis[p] = mask ^ x * ((mask >> pivot) & 1)
+            basis[pivot] = x
+            if len(rest):
+                rest = np.where((rest >> pivot) & 1, rest ^ x, rest)
+    return [basis[pivot] for pivot in sorted(basis)]
 
 
-def span_rank(op: PauliSum | PauliString) -> int:
-    """Rank of the GF(2) span of the terms' X masks: each XOR coset that
-    ``reachable`` collects holds 2^rank basis indices."""
-    return len(_pivots(_as_sum(op)))
+def coset(basis: list[int], index: int) -> np.ndarray:
+    """The sorted rows of the coset of a ``span`` basis that holds ``index``,
+    with no 2^n array: row k is ``rep ^ sum_i c_i basis[i]``, c_i = bit i of
+    k and ``rep`` the member with no pivot bit set.  Each pivot is its mask's
+    highest bit and no other mask's, so k orders the rows."""
+    rep = int(index)
+    for mask in basis:
+        rep ^= mask * ((rep >> (mask.bit_length() - 1)) & 1)
+    rows = np.array([rep])
+    for mask in basis:
+        rows = np.concatenate([rows, rows ^ mask])
+    return rows
 
 
-def reachable(op: PauliSum | PauliString, indices: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Sorted basis indices that ``op`` connects to ``indices``: every
-    ``k ^ x`` with k in ``indices`` and x in the GF(2) span of the terms' X
-    masks.  These XOR cosets are closed under every term, so a state
-    supported on ``indices`` stays on them under any function of ``op``.
+def restrict(op: PauliSum | PauliString, basis: list[int], rep: int) -> PauliSum | PauliString:
+    """``op`` on the coset of a ``span`` basis whose row 0 (``coset``) is
+    ``rep``, as the same operator on ``len(basis)`` qubits whose basis state k
+    is row k.  A term's X part there is its X mask's bits at the pivots, its
+    Z part ``parity(basis[i] & zmask)`` on qubit i, and its coefficient gains
+    the exact ``i^(#Y - #Y') (-1)^parity(rep & zmask)``.  A term that flips
+    bits outside the span raises ValueError."""
+    def virtual(term: PauliString) -> PauliString:
+        xmask = zmask = turns = 0  # turns: #Y - #Y' + 2 parity(rep & zmask), quarter turns of c
+        for q, letter in term.key():
+            if letter != "Z":
+                xmask |= 1 << q
+            if letter != "X":
+                zmask |= 1 << q
+                turns += letter == "Y"
+        key, flipped = [], 0
+        for i, mask in enumerate(basis):
+            x, z = (xmask >> (mask.bit_length() - 1)) & 1, (mask & zmask).bit_count() & 1
+            if x or z:
+                key.append((i, "IXZY"[x + 2 * z]))
+                flipped ^= mask * x
+                turns -= x & z
+        if flipped != xmask:
+            raise ValueError(f"{format_string(term)} flips bits outside the span")
+        coefficient = term.coefficient
+        for _ in range((turns + 2 * (int(rep) & zmask).bit_count()) % 4):
+            coefficient = complex(-coefficient.imag, coefficient.real)  # times i, exactly
+        return PauliString._derived(coefficient, tuple(key))
 
-    Elimination keeps one mask per pivot bit, the mask's highest set bit.
-    Clearing the pivot bits of an index, highest first, maps it to the same
-    representative as every other index of its coset, so an index is
-    reachable when its representative is one of those of ``indices``.
-    """
-    op = _as_sum(op)
-    if op.support and max(op.support) >= n_qubits:
-        raise ValueError(f"support {op.support} does not fit in {n_qubits} qubits")
-    basis = _pivots(op)
-    representatives = np.arange(2**n_qubits)
-    for pivot in sorted(basis, reverse=True):
-        representatives = np.where((representatives >> pivot) & 1, representatives ^ basis[pivot], representatives)
-    return np.flatnonzero(np.isin(representatives, representatives[np.asarray(indices, dtype=int)]))
+    return virtual(op) if isinstance(op, PauliString) else PauliSum(virtual(term) for term in op.terms)
 
 
 def dense(op: PauliSum | PauliString, n_qubits: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from su2link import errors
 from su2link import linkmodel as lm
 from su2link.errors import GuardError
 from su2link.linkmodel import Link, PlaquetteLayout
-from su2link.pauli import dense, matvec, reachable
+from su2link.pauli import coset, dense, matvec, restrict, span
 
 # two triangles sharing link 23: 1 -> 2 -> 3 -> 1 and 2 -> 3 -> 4 -> 2, qubits 0-9
 TWO_PLAQUETTE = """\
@@ -132,11 +132,12 @@ def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_regi
     trotter_evolve per point, on full 2^n vectors.
 
     By default the start state and the observables are taken as sweep()
-    takes them, on the rows that the sector's seed basis state reaches under
-    the Hamiltonian and the Casimir, so that each row must match sweep()
-    bitwise.  With ``full_register`` the
-    start is ``canonical_sector_state`` and every expectation value and
-    overlap runs on all 2^n amplitudes: an oracle for the rows path."""
+    takes them, on the coset of the Hamiltonian's and the Casimir's X masks
+    that holds the sector's seed basis state, with the Casimir restricted
+    there, so that each row must match sweep() bitwise.  With
+    ``full_register`` the start is ``canonical_sector_state`` and every
+    expectation value and overlap runs on all 2^n amplitudes: an oracle for
+    the tapered path."""
     n = layout.n_qubits
     table = lm.gauge_sectors(layout)
     monomials = lm.plaquette_monomials(layout, coupling)
@@ -144,14 +145,16 @@ def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_regi
     casimir = lm.total_gauge_casimir(layout)
     if full_register:
         rows = np.arange(2**n)
+        apply_casimir = matvec(casimir, n)
         start = lm.canonical_sector_state(table, start_sector)
     else:
         seed = lm.sector_seed(table, start_sector)
-        rows = reachable(dyn._start_masks(hamiltonian, casimir), [seed], n)
-        start = lm.sector_projection(table, start_sector, (rows == seed).astype(complex), matvec(casimir, n, rows))
+        basis = span([hamiltonian, casimir])
+        rows = coset(basis, seed)
+        apply_casimir = matvec(restrict(casimir, basis, int(rows[0])), len(basis))
+        start = lm.sector_projection(table, start_sector, (rows == seed).astype(complex), apply_casimir)
     psi0 = np.zeros(2**n, dtype=complex)
     psi0[rows] = start
-    apply_casimir = matvec(casimir, n, rows)
     ideal = {phi: dyn.exact_evolve(hamiltonian, psi0, phi / coupling)[rows] for phi in phis}
     gauge_ideal = {phi: float(dyn._expectations(apply_casimir, psi)) for phi, psi in ideal.items()}
     out = []

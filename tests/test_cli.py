@@ -11,7 +11,7 @@ import pytest
 from su2link import cli, errors
 from su2link import dynamics as dyn
 from su2link import linkmodel as lm
-from su2link.pauli import dense, matvec, span_rank
+from su2link.pauli import dense, matvec, span
 
 TRIANGLE_PATH = Path(__file__).parent / "data" / "triangle.layout"  # README's layout file
 # strips of three, four and five triangles, each sharing one link with the
@@ -332,10 +332,21 @@ def test_huge_qubit_index_is_refused_only_where_a_register_is_built(huge_index_p
         assert result.returncode == 0 and result.stderr == "" and result.stdout
     else:
         assert result.returncode == 3 and result.stdout == ""
+        # a sweep counts the 53 X masks of H and the Casimir, 625 MB each, before span builds one
+        estimate = {"sector table": "inf", "sweep": "33125000007"}[refusal]
         assert result.stderr.splitlines() == [
-            f"numerical guard: {refusal} on 5000000001 qubits needs an estimated inf bytes, "
+            f"numerical guard: {refusal} on 5000000001 qubits needs an estimated {estimate} bytes, "
             "over the memory budget of 1073741824 bytes"
         ]
+
+
+def test_sweep_on_101_qubits_is_refused_by_its_sector_table(tmp_path, capsys):
+    # the sweep's masks and cosets fit, but its rows would not fit in int64
+    path = tmp_path / "index100.layout"
+    path.write_text("link 12 1 2 0 1\nlink 23 2 3 2 3\nlink 31 3 1 4 100\nplaquette 12 23 31\n", encoding="utf-8")
+    code, out, err = run(["figures", "fig3", "--layout", str(path)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical guard: sector table on 101 qubits needs an estimated ")
 
 
 def test_five_triangle_strip_fig3_exits_3_before_allocating():
@@ -345,7 +356,7 @@ def test_five_triangle_strip_fig3_exits_3_before_allocating():
     assert time.perf_counter() - start < 20
     assert result.returncode == 3 and result.stdout == ""
     assert result.stderr.splitlines() == [
-        "numerical guard: sweep on 22 qubits needs an estimated 52064157696 bytes, "
+        "numerical guard: sweep on 22 qubits needs an estimated 51896385536 bytes, "
         "over the memory budget of 1073741824 bytes"
     ]
 
@@ -354,12 +365,11 @@ def test_four_triangle_strip_fig3_fits_the_budget():
     # 18 qubits: each start keeps to 2^12 of the 2^18 basis states
     layout = cli._load_layout(str(STRIP4_PATH))
     hamiltonian = lm.plaquette_hamiltonian(layout, 1.0)
-    assert span_rank(hamiltonian) == 12
+    assert len(span([hamiltonian])) == 12
     phis = cli._phi_grid(0.05, 2.0, 0.05)
     casimir = lm.total_gauge_casimir(layout)
-    masks = dyn._start_masks(hamiltonian, casimir)
-    assert span_rank(masks) == 12  # the Casimir's masks lie in H's span
-    estimate = dyn._sweep_bytes(layout.n_qubits, hamiltonian, casimir, masks, len(phis), 4)
+    assert span([hamiltonian, casimir]) == span([hamiltonian])  # the Casimir's masks lie in H's span
+    estimate = dyn._sweep_bytes(12, hamiltonian, casimir, len(phis), 4)
     assert 0.8e9 < estimate < 0.9e9 < errors.MEMORY_BUDGET
 
 

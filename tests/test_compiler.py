@@ -127,6 +127,15 @@ def test_gate_outside_register_rejected():
             cp.circuit_unitary(Circuit(gates, 4), 3)
 
 
+def test_unitaries_reject_a_bad_register_or_ancilla_state():
+    with pytest.raises(ValueError, match="n_qubits must be non-negative, got -1"):
+        cp.circuit_unitary(Circuit((), 0), n_qubits=-1)
+    circuit = cp.compile_cphase(PauliString(1.0, {0: "X", 1: "Y"}), 0.3)
+    for prepared in (np.ones(1), np.ones(3) / np.sqrt(3), np.ones(4) / 2, np.eye(2)):
+        with pytest.raises(ValueError, match=r"prepared must be a single-qubit state of 2 amplitudes, got shape \("):
+            cp.reduced_system_unitary(circuit, 2, prepared)
+
+
 def test_dense_guard_fires_before_allocation(memory_boundary):
     with pytest.raises(GuardError, match="^circuit unitary on 13 qubits needs"):
         cp.circuit_unitary(Circuit((rot("x", 0, 0.1),), 13))

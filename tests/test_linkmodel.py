@@ -9,7 +9,7 @@ from su2link import linkmodel as lm
 from su2link.errors import GuardError, LayoutError
 from su2link.linkmodel import Link, PlaquetteLayout
 from su2link.linalg import expi_hermitian
-from su2link.pauli import PauliString, PauliSum, dense, letter_matrix, matvec, reachable
+from su2link.pauli import PauliString, PauliSum, coset, dense, letter_matrix, matvec, restrict, span
 
 TRIANGLE_PATH = Path(__file__).parent / "data" / "triangle.layout"
 EPSILON = {(1, 2, 3): 1, (1, 3, 2): -1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1}
@@ -303,7 +303,7 @@ def test_canonical_sector_state_matches_dense_basis(layouts, dense_canonical_sta
 @pytest.mark.parametrize("name", ["triangle", "two_plaquette", "disjoint_triangles", "unused_qubit"])
 def test_sector_projection_stays_on_the_seeds_cosets(layouts, name):
     # on these layouts the Casimir's X masks lie in the span of H's, so
-    # projecting on the rows that H reaches from the seed is exact
+    # projecting on the seed's coset of that span is exact
     layout = layouts[name]
     n = layout.n_qubits
     table = lm.gauge_sectors(layout)
@@ -313,8 +313,10 @@ def test_sector_projection_stays_on_the_seeds_cosets(layouts, name):
         full = lm.canonical_sector_state(table, eigenvalue)
         seed = lm.sector_seed(table, eigenvalue)
         assert np.flatnonzero(abs(full) > 1e-12)[0] == seed  # no weight on a lower basis state
-        rows = reachable(hamiltonian, [seed], n)
-        on_rows = lm.sector_projection(table, eigenvalue, (rows == seed).astype(complex), matvec(casimir, n, rows))
+        basis = span([hamiltonian])
+        rows = coset(basis, seed)
+        apply_casimir = matvec(restrict(casimir, basis, int(rows[0])), len(basis))
+        on_rows = lm.sector_projection(table, eigenvalue, (rows == seed).astype(complex), apply_casimir)
         assert np.max(np.abs(on_rows - full[rows])) < 1e-15
         assert not np.delete(full, rows).any()
 

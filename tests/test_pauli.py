@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from su2link.pauli import (
     PauliSum,
     columns,
     commutator,
+    coset,
     dense,
     format_string,
     format_sum,
@@ -15,9 +19,8 @@ from su2link.pauli import (
     multiply,
     parse_string,
     parse_sum,
-    positions,
-    reachable,
-    span_rank,
+    restrict,
+    span,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -328,12 +331,39 @@ def coset_closure(op, indices, n) -> list[int]:
     return sorted(seen)
 
 
+def reachable(op, indices, n) -> np.ndarray:
+    """Sorted basis indices that ``op`` connects to ``indices``, by reducing
+    all 2^n indices: elimination keeps one X mask per pivot bit, the mask's
+    highest set bit, and clearing the pivot bits of an index, highest first,
+    maps it to the same representative as every other index of its coset.
+    An index is reachable when its representative is one of those of
+    ``indices``."""
+    basis: dict[int, int] = {}
+    for term in op.terms:
+        x = sum(1 << q for q, letter in term.letters.items() if letter != "Z")
+        while x and (x.bit_length() - 1) in basis:
+            x ^= basis[x.bit_length() - 1]
+        if x:
+            basis[x.bit_length() - 1] = x
+    representatives = np.arange(2**n)
+    for pivot in sorted(basis, reverse=True):
+        representatives = np.where((representatives >> pivot) & 1, representatives ^ basis[pivot], representatives)
+    return np.flatnonzero(np.isin(representatives, representatives[np.asarray(indices, dtype=int)]))
+
+
 def random_sparse_sum(rng, n, n_terms) -> PauliSum:
     """A Hermitian sum whose X masks leave at least two XOR cosets."""
     while True:
         op = PauliSum([PauliString(rng.normal(), full_letters(rng, n) or {0: "Z"}) for _ in range(n_terms)])
         if len(reachable(op, [0], n)) < 2**n:
             return op
+
+
+def assert_reduced_echelon(basis):
+    pivots = [mask.bit_length() - 1 for mask in basis]
+    assert pivots == sorted(set(pivots))
+    for mask in basis:
+        assert [(mask >> pivot) & 1 for pivot in pivots] == [int(other == mask) for other in basis]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -345,27 +375,61 @@ def test_reachable_is_the_closure_of_the_support(n):
             support = sorted(rng.choice(2**n, size=size, replace=False).tolist())
             rows = reachable(op, support, n)
             assert rows.tolist() == coset_closure(op, support, n)
-        assert len(reachable(op, support[:1], n)) == 2 ** span_rank(op)
-        assert reachable(op, np.arange(2**n), n).tolist() == list(range(2**n))
+            # the differences of the support join its cosets into one
+            differences = PauliSum(PauliString(1, {q: "X" for q in range(n) if (k ^ support[0]) >> q & 1}) for k in support)
+            rows = coset(span([op], support), support[0])
+            assert rows.tolist() == coset_closure(op + differences, support[:1], n)
+        assert len(coset(span([op]), support[0])) == 2 ** len(span([op]))
+        assert coset(span([op], np.arange(2**n)), 0).tolist() == list(range(2**n))
 
 
-def test_reachable_on_the_layouts(layouts):
+@pytest.mark.parametrize("n", range(1, 9))
+def test_coset_matches_the_reduction_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(8):
+        op = random_sparse_sum(rng, n, int(rng.integers(1, 6)))
+        basis = span([op])
+        assert_reduced_echelon(basis)
+        index = int(rng.integers(2**n))
+        rows = coset(basis, index)
+        assert rows.dtype == np.int64 and np.array_equal(rows, reachable(op, [index], n))
+        # a support that touches two cosets lies on one coset of the larger span
+        other = int(rng.choice(np.setdiff1d(np.arange(2**n), rows)))
+        basis = span([op], [other, index])
+        assert_reduced_echelon(basis)
+        assert np.array_equal(coset(basis, index), reachable(op, [index, other], n))
+        assert np.array_equal(coset(basis, other), coset(basis, index))
+        assert span([op], [index, other, index, other]) == basis
+
+
+def test_reachable_on_the_layouts(layouts, strip3, off_span_layouts):
     from su2link import linkmodel as lm
 
     rng = np.random.default_rng(9)
-    for name, layout in layouts.items():
+    for name, layout in {**layouts, "strip3": strip3, **off_span_layouts}.items():
         n = layout.n_qubits
-        hamiltonian = lm.plaquette_hamiltonian(layout, 1.0)
-        masks = [int(targets[0]) for targets, _ in columns(hamiltonian, [0], n)]
-        supports = [[0], sorted(rng.choice(2**n, size=3, replace=False).tolist())]
-        for support in supports:
-            rows = reachable(hamiltonian, support, n)
-            assert set(support) <= set(rows.tolist()), name
-            for x in masks:
-                assert np.array_equal(np.sort(rows ^ x), rows), name
-            assert rows.tolist() == coset_closure(hamiltonian, support, n), name
-        assert len(reachable(hamiltonian, [0], n)) == 2 ** span_rank(hamiltonian), name
-        assert np.array_equal(reachable(hamiltonian, np.arange(2**n), n), np.arange(2**n)), name
+        hamiltonian, casimir = lm.plaquette_hamiltonian(layout, 1.0), lm.total_gauge_casimir(layout)
+        ops = hamiltonian + casimir  # the oracle's one operator
+        basis = span([hamiltonian, casimir])
+        rows = coset(basis, 0)
+        assert np.array_equal(rows, reachable(ops, [0], n)), name
+        assert len(rows) == 2 ** len(basis), name
+        index = int(rng.choice(np.setdiff1d(np.arange(2**n), rows)))
+        assert np.array_equal(coset(span([hamiltonian, casimir], [0, index]), 0), reachable(ops, [0, index], n)), name
+
+
+def test_coset_of_the_22_qubit_strip_builds_no_register():
+    from su2link import linkmodel as lm
+
+    layout = lm.parse_layout((Path(__file__).parent / "data" / "strip5.layout").read_text(encoding="utf-8"))
+    seed = lm.sector_seed(lm.gauge_sectors(layout), 0.75)
+    hamiltonian, casimir = lm.plaquette_hamiltonian(layout, 1.0), lm.total_gauge_casimir(layout)
+    tracemalloc.start()
+    rows = coset(span([hamiltonian, casimir]), seed)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(rows) == 32768 and seed in rows
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -373,22 +437,56 @@ def test_restricted_action_and_matvec_are_the_full_ones_on_the_rows(n):
     rng = np.random.default_rng(60 + n)
     for _ in range(10):
         op = random_sparse_sum(rng, n, 3)
-        rows = reachable(op, rng.choice(2**n, size=2, replace=False), n)
-        psi = np.zeros(2**n, dtype=complex)
-        psi[rows] = random_state(rng, n)[: len(rows)]
-        assert matvec(op, n, rows)(psi[rows]).tobytes() == matvec(op, n)(psi)[rows].tobytes()
+        support = rng.choice(2**n, size=2, replace=False)
+        basis = span([op], support)
+        rows = coset(basis, support[0])
+        rank, rep = len(basis), int(rows[0])
+        psi = random_state(rng, n)
+        expected = matvec(op, n)(psi)[rows]
+        np.testing.assert_allclose(matvec(restrict(op, basis, rep), rank)(psi[rows]), expected, rtol=0, atol=1e-14)
         for term in op.terms:
-            ((targets, values),) = columns(term, rows, n)
-            ((full_targets, full_values),) = columns(term, np.arange(2**n), n)
-            assert np.array_equal(rows[positions(rows, targets)], full_targets[rows])
-            assert values.tobytes() == full_values[rows].tobytes()
+            ((targets, values),) = columns(restrict(term, basis, rep), np.arange(len(rows)), rank)
+            ((full_targets, full_values),) = columns(term, rows, n)
+            assert np.array_equal(rows[targets], full_targets)
+            assert values.tobytes() == full_values.tobytes()
 
 
 def test_restricted_action_rejects_rows_that_are_not_closed():
-    with pytest.raises(ValueError, match="not closed"):
-        matvec(PauliString(1, {1: "X"}), 2, np.array([0, 1]))
-    with pytest.raises(ValueError):
-        reachable(PauliString(1, {3: "X"}), [0], 2)
+    basis = span([PauliString(1, {0: "X"})])
+    assert restrict(PauliString(2, {0: "Y", 1: "Z"}), basis, np.int64(2)) == PauliString(-2, {0: "Y"})
+    with pytest.raises(ValueError, match="outside the span"):
+        restrict(PauliString(1, {1: "X"}), basis, 0)
+    with pytest.raises(ValueError, match="outside the span"):
+        restrict(PauliSum([PauliString(1, {0: "X"}), PauliString(1, {0: "Z", 1: "Y"})]), basis, 0)
+
+
+@pytest.mark.parametrize(
+    "name", ["triangle", "two_plaquette", "strip3", "bowtie", "dangling_link", "disjoint_triangles", "unused_qubit"]
+)
+def test_restrict_reproduces_columns_on_every_sector_coset(layouts, strip3, off_span_layouts, name):
+    from su2link import linkmodel as lm
+
+    layout = {**layouts, "strip3": strip3, **off_span_layouts}[name]
+    n = layout.n_qubits
+    hamiltonian, casimir = lm.plaquette_hamiltonian(layout, 1.0), lm.total_gauge_casimir(layout)
+    monomials = lm.plaquette_monomials(layout, 1.0)
+    basis = span([hamiltonian, casimir])
+    rank = len(basis)
+    table = lm.gauge_sectors(layout)
+    for eigenvalue in table.eigenvalues():
+        rows = coset(basis, lm.sector_seed(table, eigenvalue))
+        rep = int(rows[0])
+        for op in (hamiltonian, casimir):
+            restricted = restrict(op, basis, rep)
+            assert restricted.is_hermitian()
+            assert all(term.coefficient.imag == 0 for term in restricted.terms)
+        for term in hamiltonian.terms + casimir.terms + monomials:
+            restricted = restrict(term, basis, rep)
+            assert restricted.coefficient.imag == 0
+            ((targets, values),) = columns(restricted, np.arange(2**rank), rank)
+            ((full_targets, full_values),) = columns(term, rows, n)
+            assert np.array_equal(rows[targets], full_targets)
+            assert values.tobytes() == full_values.tobytes(), (eigenvalue, format_string(term))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
