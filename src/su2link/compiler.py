@@ -223,9 +223,9 @@ def compile_collective(monomial: PauliString, phi: float) -> Circuit:
 
     pre: list[Gate] = []
     post: list[Gate] = []
-    for i, qubit in enumerate(support):
+    for i, (qubit, letter) in enumerate(monomial.key()):
         canonical = canonical_first if i == 0 else "x"
-        p, q = _basis_change(canonical, monomial.letters[qubit].lower(), qubit)
+        p, q = _basis_change(canonical, letter.lower(), qubit)
         pre += p
         post += q
     center = rot("z", first, 2.0 * sandwich_sign * angle)
@@ -268,8 +268,8 @@ def compile_cphase(monomial: PauliString, phi: float, ancilla: int | None = None
 
     pre: list[Gate] = []
     post: list[Gate] = []
-    for qubit in support:
-        p, q = _basis_change("z", monomial.letters[qubit].lower(), qubit)
+    for qubit, letter in monomial.key():
+        p, q = _basis_change("z", letter.lower(), qubit)
         pre += p
         post += q
     forward = [g for qubit in support for g in _zz_half_turn(ancilla, qubit, +1)]

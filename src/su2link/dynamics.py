@@ -16,22 +16,23 @@ matrix: ``pauli.matvec`` for the Lanczos iteration and for expectation
 values, and a factor table of (coefficient, perm, phases) for the Trotter
 product, where one factor maps psi to ``cos * psi - i sin * phases * psi[..., perm]``.
 
-Every plaquette monomial flips all of its plaquette's position qubits, so an
-evolution never leaves the XOR coset of the ``pauli.span`` of the X masks
-that holds its start state (on the triangle 8 of 64 basis states for each
-sector representative).  It runs there on one virtual qubit per basis mask,
-through the full-register code, with every operator ``pauli.restrict``-ed.
-``exact_evolve`` and ``trotter_evolve`` gather the state from the rows
-(``pauli.coset``) of the one coset that holds its support, evolve it and
-scatter it back.  ``sweep`` holds each start on its seed basis state's coset
-of the span of the Hamiltonian's and the Casimir's masks: the Hamiltonian's
-own span on the triangle, the two-plaquette layout and every strip, a larger
-one where the Casimir's masks lie outside it (two plaquettes that share only
-a vertex, a link in no plaquette).  Each start's (step count, phi) rows form
-one ragged batch sorted by step count, where step s acts on the prefix of
-rows that take more than s steps.  Each row gets the same arithmetic as a
-``trotter_evolve`` call, and likewise for the ideal states and
-``exact_evolve``.
+An operator never moves a state off the XOR coset of the ``pauli.span`` of
+its X masks that holds it (on the triangle 8 of 64 basis states for each
+sector representative), so every operator acts here on a coset register:
+``pauli.restrict``-ed to one virtual qubit per basis mask.
+``exact_evolve``, ``trotter_evolve`` and ``relative_deviation`` work on the
+rows (``pauli.coset``) of the one coset of ``span(ops, support)`` that holds
+the joint support of their states: the evolutions gather the state there,
+evolve it and scatter it back, and ``relative_deviation`` takes both
+expectations on the gathered rows.  ``sweep`` holds each start on its seed
+basis state's coset of the span of the Hamiltonian's and the Casimir's
+masks: the Hamiltonian's own span on the triangle, the two-plaquette layout
+and every strip, a larger one where the Casimir's masks lie outside it (two
+plaquettes that share only a vertex, a link in no plaquette).  Each start's
+(step count, phi) rows form one ragged batch sorted by step count, where
+step s acts on the prefix of rows that take more than s steps.  Each row
+gets the same arithmetic as a ``trotter_evolve`` call, and likewise for the
+ideal states and ``exact_evolve``.
 
 ``empirical_vs_bound`` compares the measured Trotter error with the
 step-count bound of ``compiler.trotter_bound``.
@@ -92,36 +93,30 @@ def _overlaps(states: np.ndarray, others: np.ndarray) -> np.ndarray:
     return inner.real * inner.real + inner.imag * inner.imag
 
 
-def _check_evolution(hamiltonian: PauliSum, nbytes, what: str) -> None:
-    check_memory(nbytes, what)
+def _check_hermitian(hamiltonian: PauliSum) -> None:
     if not hamiltonian.is_hermitian():
         raise GuardError("Hamiltonian must be Hermitian")
 
 
-def _check_register_evolution(hamiltonian: PauliSum, state: np.ndarray, kind: str) -> None:
-    n = _n_qubits_of(state)
+def _on_support(ops: Sequence[PauliSum | PauliString], states: Sequence[np.ndarray], what: str):
+    """(rows, the ops ``pauli.restrict``-ed there, rank): the ``pauli.coset``
+    rows of ``pauli.span(ops, support)`` that hold the joint support of the
+    2^n states, where each op acts on ``rank`` virtual qubits.  States with no
+    support get the coset of basis state 0."""
+    n = _n_qubits_of(states[0])
     # per basis state: six complex vectors (the input, its gathered rows, the output, and a matvec's
     # result, product and gather), the matvec's pairs, and the support's, rows' and columns' indices
-    nbytes = lambda: 2.0**n * (16 * 6 + 24 * pair_count(hamiltonian) + 24)
-    _check_evolution(hamiltonian, nbytes, f"{kind} evolution on {n} qubits")
-
-
-def _on_support(ops: Sequence[PauliSum | PauliString], state: np.ndarray, evolve) -> np.ndarray:
-    """``evolve(restricted ops, gathered state, rank)`` on the coset of
-    ``pauli.span(ops, support)`` that holds the state, scattered back."""
-    n = _n_qubits_of(state)
+    check_memory(lambda: 2.0**n * (16 * 6 + 24 * pair_count(*ops) + 24), f"{what} on {n} qubits")
     if any(op.support and max(op.support) >= n for op in ops):
         raise ValueError(f"the operator does not fit in {n} qubits")
-    support = np.flatnonzero(_check_norm(state))
+    support = np.flatnonzero(np.logical_or.reduce([state != 0 for state in states]))
     basis = span(ops, support)
-    rows = coset(basis, support[0])
-    out = np.zeros(2**n, dtype=complex)
-    out[rows] = evolve([restrict(op, basis, int(rows[0])) for op in ops], state[rows], len(basis))
-    return out
+    rows = coset(basis, support[0] if len(support) else 0)
+    return rows, [restrict(op, basis, int(rows[0])) for op in ops], len(basis)
 
 
 def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray):
-    """Eigenpairs of H on the Krylov space of ``state``, both on the full
+    """Eigenpairs of H on the Krylov space of ``state``, both on the coset
     register of log2(len(state)) qubits, as (eigvals, amplitudes, ritz):
     H ritz[k] = eigvals[k] ritz[k] and state = sum_k amplitudes[k] ritz[k].
 
@@ -134,6 +129,8 @@ def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray):
     d = len(state) columns, grown by doubling, and at most three m x d blocks
     are held at once: the block while it grows (1.5 of them), or the block,
     the Ritz vectors and the complex eigenvectors of T as they are formed.
+    Before each growth, those three blocks at the new size are checked
+    against the memory budget.
     """
     _check_norm(state)
     apply_h = matvec(hamiltonian, _n_qubits_of(state))
@@ -157,7 +154,10 @@ def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray):
         residual_sq += np.vdot(recurrence - rest, recurrence - rest).real
         betas.append(beta)
         if m == len(block):
-            grown = np.empty((min(2 * m, d), d), dtype=complex)
+            size = min(2 * m, d)
+            # the three blocks of the Lanczos stage at this size, as _sweep_bytes counts them
+            check_memory(lambda: 48.0 * size * d, f"Lanczos block of {size} vectors of {d} entries")
+            grown = np.empty((size, d), dtype=complex)
             grown[:m] = block
             block = grown
         block[m] = rest / beta
@@ -186,9 +186,11 @@ def _evolve_spectrum(spectrum, times: np.ndarray) -> np.ndarray:
 
 def exact_evolve(hamiltonian: PauliSum, state: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) applied by Lanczos reduction to the Krylov space of the state."""
-    _check_register_evolution(hamiltonian, state, "exact")
-    times = np.array([t], dtype=float)
-    return _on_support([hamiltonian], state, lambda ops, psi, _: _evolve_spectrum(_krylov_spectrum(*ops, psi), times)[0])
+    _check_hermitian(hamiltonian)
+    rows, (restricted,), _ = _on_support([hamiltonian], [_check_norm(state)], "exact evolution")
+    out = np.zeros(len(state), dtype=complex)
+    out[rows] = _evolve_spectrum(_krylov_spectrum(restricted, state[rows]), np.array([t], dtype=float))[0]
+    return out
 
 
 def _check_steps(steps: int) -> None:
@@ -238,11 +240,12 @@ def trotter_evolve(monomials: Sequence[PauliString], state: np.ndarray, t: float
     for a unit-coefficient string P with real weight c.
     """
     _check_steps(steps)
-    _check_register_evolution(PauliSum(m.bare() for m in monomials), state, "Trotter")
     if any(m.coefficient.imag != 0 for m in monomials):
         raise GuardError("Trotter monomials must have real coefficients")
-    evolve = lambda ops, psi, rank: _apply_factors(_trotter_factors(ops, rank), [t / steps], [steps], psi[None])[0]
-    return _check_norm(_on_support(monomials, state, evolve))
+    rows, restricted, rank = _on_support(monomials, [_check_norm(state)], "Trotter evolution")
+    out = np.zeros(len(state), dtype=complex)
+    out[rows] = _apply_factors(_trotter_factors(restricted, rank), [t / steps], [steps], state[rows][None])[0]
+    return _check_norm(out)
 
 
 def overlap(state: np.ndarray, other: np.ndarray) -> float:
@@ -253,11 +256,14 @@ def overlap(state: np.ndarray, other: np.ndarray) -> float:
 
 
 def relative_deviation(op: PauliSum, reference: np.ndarray, other: np.ndarray) -> float:
-    """(<op>_ref - <op>_other) / <op>_ref, guarded against a vanishing reference."""
+    """(<op>_ref - <op>_other) / <op>_ref, guarded against a vanishing
+    reference, with both expectations taken on the coset rows that hold the
+    states' joint support."""
     if reference.shape != other.shape:
         raise ValueError("states must have equal dimension")
-    apply_op = matvec(op, _n_qubits_of(reference))
-    ref_value, other_value = (float(_expectations(apply_op, s)) for s in (reference, other))
+    rows, (restricted,), rank = _on_support([op], [reference, other], "relative deviation")
+    apply_op = matvec(restricted, rank)
+    ref_value, other_value = (float(_expectations(apply_op, s[rows])) for s in (reference, other))
     if abs(ref_value) < DEVIATION_GUARD:
         raise GuardError("reference expectation value too small for a relative deviation")
     return (ref_value - other_value) / ref_value
@@ -351,7 +357,8 @@ def sweep(
     casimir = total_gauge_casimir(layout)
     step_counts = sorted(set(steps_list), reverse=True)
     # span holds an X mask of n bits per term of H and the Casimir; then d = 2^rank rows per start
-    _check_evolution(hamiltonian, lambda: (len(hamiltonian) + len(casimir)) * n / 8, f"sweep on {n} qubits")
+    check_memory(lambda: (len(hamiltonian) + len(casimir)) * n / 8, f"sweep on {n} qubits")
+    _check_hermitian(hamiltonian)
     basis = span([hamiltonian, casimir])
     check_memory(lambda: _sweep_bytes(len(basis), hamiltonian, casimir, len(phis), len(step_counts)), f"sweep on {n} qubits")
     table = gauge_sectors(layout)

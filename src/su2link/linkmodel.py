@@ -309,9 +309,9 @@ def sector_seed(table: GaugeSectorTable, eigenvalue: float) -> int:
 def sector_projection(table: GaugeSectorTable, eigenvalue: float, state: np.ndarray, apply_casimir) -> np.ndarray:
     """The normalized projection of ``state`` on a sector: the Lagrange
     polynomial prod_{mu != lambda} (C - mu) / (lambda - mu) of the Casimir C
-    over the table's eigenvalues.  ``apply_casimir`` is C as a
-    ``pauli.matvec`` on the register that ``state`` is given on: all n
-    qubits, or a coset that C keeps, with C ``pauli.restrict``-ed to it."""
+    over the table's eigenvalues.  ``state`` is given on the rows of a
+    ``pauli.coset`` that C keeps, and ``apply_casimir`` is the ``pauli.matvec``
+    of C ``pauli.restrict``-ed to that coset."""
     sector = table.sector(eigenvalue)
     for mu in table.eigenvalues():
         if mu != sector.eigenvalue:
@@ -322,13 +322,20 @@ def sector_projection(table: GaugeSectorTable, eigenvalue: float, state: np.ndar
 
 def canonical_sector_state(table: GaugeSectorTable, eigenvalue: float) -> np.ndarray:
     """Deterministic representative of a sector on the full 2^n register: the
-    ``sector_projection`` of the basis state ``sector_seed``, through
-    ``pauli.matvec``.
+    ``sector_projection`` of the basis state ``sector_seed`` on its coset of
+    the ``pauli.span`` of the Casimir's X masks, scattered into the returned
+    state.  Those masks lie on spin qubits only, so the coset has at most
+    2^links rows, and the returned state is the only 2^n array, the one that
+    ``gauge_sectors`` counts.
     """
+    casimir = total_gauge_casimir(table.layout)
+    seed = sector_seed(table, eigenvalue)
+    basis = pauli.span([casimir])
+    rows = pauli.coset(basis, seed)
+    apply_casimir = pauli.matvec(pauli.restrict(casimir, basis, int(rows[0])), len(basis))
     state = np.zeros(2**table.n_qubits, dtype=complex)
-    state[sector_seed(table, eigenvalue)] = 1.0
-    apply_casimir = pauli.matvec(total_gauge_casimir(table.layout), table.n_qubits)
-    return sector_projection(table, eigenvalue, state, apply_casimir)
+    state[rows] = sector_projection(table, eigenvalue, (rows == seed).astype(complex), apply_casimir)
+    return state
 
 
 def gauge_covariance_check(
@@ -370,7 +377,7 @@ def _link_matrices(layout: PlaquetteLayout, link: Link) -> tuple[np.ndarray, np.
     local = {link.pos_qubit: 0, link.spin_qubit: 1}
 
     def on_link(op: PauliSum) -> np.ndarray:
-        return dense(PauliSum([PauliString(t.coefficient, {local[q]: l for q, l in t.letters.items()}) for t in op.terms]), 2)
+        return dense(PauliSum([PauliString(t.coefficient, {local[q]: l for q, l in t.key()}) for t in op.terms]), 2)
 
     left, right = left_right_generators(layout, link.link_id)
     u = [[on_link(op) for op in row] for row in link_operator(layout, link.link_id)]

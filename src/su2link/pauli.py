@@ -20,12 +20,15 @@ An operator maps each XOR coset of the GF(2) ``span`` of its X masks, listed
 by ``coset``, to itself, and the Z strings that fix a coset are the Z2
 symmetries that qubit tapering removes (Bravyi, Gambetta, Mezzacapo & Temme,
 arXiv:1701.08213): ``restrict`` writes it there on one qubit per basis mask.
+The library applies an operator to a state only there, as the ``matvec`` of
+the restricted operator on the coset's rows.
 
 Values are immutable after construction and safe to share between threads.
 """
 from __future__ import annotations
 
 import re
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -59,12 +62,13 @@ def letter_matrix(letter: str) -> np.ndarray:
 class PauliString:
     """A signed, weighted tensor product of Pauli letters on indexed qubits.
 
-    ``letters`` maps qubit index to one of X, Y, Z; identity entries are never
-    stored, so the support is exactly ``letters.keys()``.  The coefficient must
-    be nonzero.
+    The letter pattern is stored once, as the sorted ``key()``; ``letters``
+    is a read-only view of it mapping qubit index to one of X, Y, Z.  Identity
+    entries are never stored, so the support is exactly ``letters.keys()``.
+    The coefficient must be nonzero.
     """
 
-    __slots__ = ("coefficient", "letters", "_key")
+    __slots__ = ("coefficient", "_key")
 
     def __init__(self, coefficient: complex, letters: Mapping[int, str] | Iterable[tuple[int, str]] = ()):
         coefficient = complex(coefficient)
@@ -79,22 +83,23 @@ class PauliString:
             if q < 0:
                 raise ValueError("qubit indices must be non-negative")
         self.coefficient = coefficient
-        self.letters = items
         self._key = tuple(sorted(items.items()))
 
     @classmethod
     def _derived(cls, coefficient: complex, key: tuple[tuple[int, str], ...]) -> PauliString:
         """A string on the letter pattern ``key`` of an already validated
-        string: only the coefficient is checked, and ``letters`` is a fresh
-        dict."""
+        string: only the coefficient is checked."""
         coefficient = complex(coefficient)
         if coefficient == 0:
             raise ValueError("zero-coefficient Pauli strings are not representable")
         out = cls.__new__(cls)
         out.coefficient = coefficient
-        out.letters = dict(key)
         out._key = key
         return out
+
+    @property
+    def letters(self) -> Mapping[int, str]:
+        return MappingProxyType(dict(self._key))
 
     def key(self) -> tuple[tuple[int, str], ...]:
         """Canonical letter pattern, sorted by qubit index."""
@@ -142,8 +147,8 @@ class PauliString:
 def multiply(a: PauliString, b: PauliString) -> PauliString:
     """Operator product of two Pauli strings, phase tracked exactly."""
     coefficient = a.coefficient * b.coefficient
-    letters = dict(a.letters)
-    for q, letter in b.letters.items():
+    letters = dict(a.key())
+    for q, letter in b.key():
         if q not in letters:
             letters[q] = letter
             continue
@@ -249,14 +254,14 @@ _I_POWERS = (1, 1j, -1, -1j)
 
 def _xmask(term: PauliString) -> int:
     """The bits that ``term`` flips: one per X or Y letter."""
-    return sum(1 << q for q, letter in term.letters.items() if letter != "Z")
+    return sum(1 << q for q, letter in term.key() if letter != "Z")
 
 
 def _phases(term: PauliString, sources: np.ndarray) -> np.ndarray:
     """The amplitude ``c i^#Y (-1)^popcount(source & zmask)`` that ``term``
     carries from each basis state in ``sources`` to ``source ^ xmask``."""
-    n_y = sum(1 for letter in term.letters.values() if letter == "Y")
-    zmask = sum(1 << q for q, letter in term.letters.items() if letter != "X")
+    n_y = sum(1 for _, letter in term.key() if letter == "Y")
+    zmask = sum(1 << q for q, letter in term.key() if letter != "X")
     signs = 1 - 2 * (np.bitwise_count(sources & zmask) & 1).astype(sources.dtype)
     return (term.coefficient * _I_POWERS[n_y % 4]) * signs
 
@@ -282,9 +287,10 @@ def columns(op: PauliSum | PauliString, cols: np.ndarray, n_qubits: int) -> list
     return [(cols ^ xmask, values) for xmask, values in by_xmask.items()]
 
 
-def pair_count(op: PauliSum | PauliString) -> int:
-    """How many pairs ``columns`` gives ``op``: one per distinct X mask."""
-    return len({_xmask(term) for term in ([op] if isinstance(op, PauliString) else _as_sum(op).terms)})
+def pair_count(*ops: PauliSum | PauliString) -> int:
+    """How many pairs ``columns`` gives the terms of all the ``ops``
+    together: one per distinct X mask."""
+    return len({_xmask(term) for op in ops for term in ([op] if isinstance(op, PauliString) else _as_sum(op).terms)})
 
 
 def matvec(op: PauliSum | PauliString, n_qubits: int):

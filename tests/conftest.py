@@ -72,6 +72,12 @@ def strip3() -> PlaquetteLayout:
 
 
 @pytest.fixture(scope="session")
+def strip4() -> PlaquetteLayout:
+    """Four triangles, each sharing one link with the next: 18 qubits."""
+    return lm.parse_layout((Path(__file__).parent / "data" / "strip4.layout").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="session")
 def off_span_layouts() -> dict[str, PlaquetteLayout]:
     """Layouts where the Casimir has X masks outside the span of the
     Hamiltonian's: two triangles that share only a vertex (12 qubits), and
@@ -127,6 +133,31 @@ def dense_canonical_state():
     return state
 
 
+def _full_register_sector_state(table: lm.GaugeSectorTable, eigenvalue: float) -> np.ndarray:
+    """``canonical_sector_state`` on all 2^n amplitudes: the seed basis state
+    projected with the unrestricted Casimir's ``matvec``."""
+    state = np.zeros(2**table.n_qubits, dtype=complex)
+    state[lm.sector_seed(table, eigenvalue)] = 1.0
+    apply_casimir = matvec(lm.total_gauge_casimir(table.layout), table.n_qubits)
+    return lm.sector_projection(table, eigenvalue, state, apply_casimir)
+
+
+def _full_register_expectation(op, state: np.ndarray) -> float:
+    """<psi|op|psi> of a Hermitian op on all 2^n amplitudes, through the
+    unrestricted ``matvec``."""
+    return float(dyn._expectations(matvec(op, dyn._n_qubits_of(state)), state))
+
+
+@pytest.fixture(scope="session")
+def full_register_sector_state():
+    return _full_register_sector_state
+
+
+@pytest.fixture(scope="session")
+def full_register_expectation():
+    return _full_register_expectation
+
+
 def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_register=False):
     """sweep() as a loop over grid points: one exact_evolve per phi and one
     trotter_evolve per point, on full 2^n vectors.
@@ -135,9 +166,10 @@ def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_regi
     takes them, on the coset of the Hamiltonian's and the Casimir's X masks
     that holds the sector's seed basis state, with the Casimir restricted
     there, so that each row must match sweep() bitwise.  With
-    ``full_register`` the start is ``canonical_sector_state`` and every
+    ``full_register`` the start is ``_full_register_sector_state`` and every
     expectation value and overlap runs on all 2^n amplitudes: an oracle for
-    the tapered path."""
+    the tapered path, whose start and observables use neither ``coset``
+    nor ``restrict``."""
     n = layout.n_qubits
     table = lm.gauge_sectors(layout)
     monomials = lm.plaquette_monomials(layout, coupling)
@@ -146,7 +178,7 @@ def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_regi
     if full_register:
         rows = np.arange(2**n)
         apply_casimir = matvec(casimir, n)
-        start = lm.canonical_sector_state(table, start_sector)
+        start = _full_register_sector_state(table, start_sector)
     else:
         seed = lm.sector_seed(table, start_sector)
         basis = span([hamiltonian, casimir])

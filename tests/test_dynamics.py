@@ -18,11 +18,6 @@ def basis_state(n_qubits, index):
     return state
 
 
-def expectation(op, state):
-    """<psi|op|psi> of a Hermitian op on a full 2^n state."""
-    return float(dyn._expectations(matvec(op, dyn._n_qubits_of(state)), state))
-
-
 @pytest.fixture(scope="module")
 def layout():
     return lm.triangle_layout()
@@ -83,11 +78,11 @@ def test_trotter_evolve_and_sweep_guards(layout, monomials, monkeypatch, memory_
         dyn.sweep(layout, 1.0, [1, 2], [0.3, 0.6], 0.75)
 
 
-def test_exact_evolution_conserves_casimir(hamiltonian, layout, sector_table):
+def test_exact_evolution_conserves_casimir(hamiltonian, layout, sector_table, full_register_expectation):
     casimir = lm.total_gauge_casimir(layout)
     psi0 = lm.canonical_sector_state(sector_table, 0.75)
-    before = expectation(casimir, psi0)
-    after = expectation(casimir, dyn.exact_evolve(hamiltonian, psi0, 1.3))
+    before = full_register_expectation(casimir, psi0)
+    after = full_register_expectation(casimir, dyn.exact_evolve(hamiltonian, psi0, 1.3))
     assert abs(before - after) < 1e-10
 
 
@@ -161,11 +156,52 @@ def test_overlap_basics():
         dyn.overlap(a, basis_state(3, 0))
 
 
-def test_relative_deviation_guard():
+def test_relative_deviation_guard(memory_boundary):
     op = PauliSum([PauliString(1.0, {0: "Z"})])
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match="reference expectation value too small"):
         dyn.relative_deviation(op, plus, plus)
+    # two zero states have no support, and a vanishing reference
+    zero = np.zeros(8, dtype=complex)
+    with pytest.raises(GuardError, match="reference expectation value too small"):
+        dyn.relative_deviation(PauliSum([PauliString(1.0, {0: "X", 2: "Z"})]), zero, zero)
+    # six complex vectors, the matvec's pairs and three indices per basis state
+    op = PauliSum([PauliString(1.0, {0: "X", 1: "Y"}), PauliString(0.5, {1: "X"}), PauliString(0.3, {2: "Z"})])
+    states = [basis_state(3, 1), basis_state(3, 3)]
+    assert memory_boundary(lambda: dyn.relative_deviation(op, *states)) == 2**3 * (16 * 6 + 24 * 3 + 24)
+
+
+def test_relative_deviation_matches_full_register_oracle(layouts, strip3, full_register_expectation):
+    rng = np.random.default_rng(12)
+    for name, layout in (*layouts.items(), ("strip3", strip3)):
+        n = layout.n_qubits
+        table = lm.gauge_sectors(layout)
+        low, high = table.eigenvalues()[0], table.eigenvalues()[-1]
+        sector = [lm.canonical_sector_state(table, ev) for ev in (low, high)]
+        mixed = sector[0] + sector[1]
+        states = [*sector, mixed / np.linalg.norm(mixed)]
+        for _ in range(2):
+            psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            states.append(psi / np.linalg.norm(psi))
+        casimir = lm.total_gauge_casimir(layout)
+        probe = PauliSum([PauliString(0.3, {1: "Y", 4: "X"}), PauliString(-1.1, {2: "Z"}), PauliString(0.7, {})])
+        for op in (casimir, lm.plaquette_hamiltonian(layout, 1.0) + PauliString(2.0, {}), probe):
+            for reference, other in zip(states, states[1:] + states[:1]):
+                values = [full_register_expectation(op, psi) for psi in (reference, other)]
+                expected = (values[0] - values[1]) / values[0]
+                assert abs(dyn.relative_deviation(op, reference, other) - expected) < 1e-12, name
+
+
+def test_gauge_deviation_of_sector_states_builds_no_register(strip4):
+    # on the 18-qubit strip two 24- and 12-entry sector states are compared on their joint coset
+    table = lm.gauge_sectors(strip4)
+    states = [lm.canonical_sector_state(table, ev) for ev in (0.75, 2.75)]
+    tracemalloc.start()
+    deviation = dyn.gauge_deviation(*states, strip4)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert deviation == pytest.approx(1 - 2.75 / 0.75, abs=1e-12)
 
 
 def test_gauge_deviation_trivial_cases(hamiltonian, monomials, layout, sector_table):
@@ -429,6 +465,23 @@ def test_lanczos_holds_at_most_three_blocks():
     assert peak < 48 * d**2 + (24 * pair_count(h) + 16 * 4) * d + 2**16
 
 
+def test_lanczos_checks_each_growth_of_its_block(memory_boundary):
+    # a Krylov space that fills all d = 512 rows: each doubling of the block is
+    # checked before it is allocated, the last one at the three full blocks
+    rng = np.random.default_rng(2)
+    n, d = 9, 2**9
+    h = PauliSum(
+        PauliString(rng.normal(), {int(q): "XYZ"[rng.integers(3)] for q in rng.choice(n, size=3, replace=False)})
+        for _ in range(60)
+    )
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    assert len(span([h])) == n
+    assert memory_boundary(lambda: dyn.exact_evolve(h, psi, 0.4)) == 48 * d * d
+    with pytest.raises(GuardError, match=f"^Lanczos block of {d} vectors of {d} entries needs"):
+        dyn.exact_evolve(h, psi, 0.4)
+
+
 def test_lanczos_residual_guard(hamiltonian, sector_table, monkeypatch):
     psi0 = lm.canonical_sector_state(sector_table, 0.75)
     # stopping before the Krylov space closes leaves the last beta in the residual
@@ -449,7 +502,7 @@ def test_lanczos_residual_guard(hamiltonian, sector_table, monkeypatch):
         dyn.exact_evolve(hamiltonian, psi0, 0.5)
 
 
-def test_expectations_match_dense(layout, hamiltonian):
+def test_expectations_match_dense(layout, hamiltonian, full_register_expectation):
     rng = np.random.default_rng(8)
     states = []
     for _ in range(2):
@@ -459,7 +512,7 @@ def test_expectations_match_dense(layout, hamiltonian):
     for op in (casimir, hamiltonian, PauliSum([PauliString(0.3, {1: "Y", 4: "X"}), PauliString(-1.1, {2: "Z"})])):
         matrix = dense(op, 6)
         values = [float((psi.conj() @ matrix @ psi).real) for psi in states]
-        assert abs(expectation(op, states[0]) - values[0]) < 1e-12
+        assert abs(full_register_expectation(op, states[0]) - values[0]) < 1e-12
         expected = (values[0] - values[1]) / values[0]
         assert abs(dyn.relative_deviation(op, states[0], states[1]) - expected) < 1e-12
     matrix = dense(casimir, 6)

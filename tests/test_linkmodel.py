@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -298,6 +299,28 @@ def test_canonical_sector_state_matches_dense_basis(layouts, dense_canonical_sta
     for eigenvalue in table.eigenvalues():
         expected = dense_canonical_state(layout, eigenvalue)
         assert np.max(np.abs(lm.canonical_sector_state(table, eigenvalue) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["triangle", "two_plaquette", "strip3", "bowtie", "dangling_link"])
+def test_canonical_sector_state_matches_full_register_oracle(
+    layouts, strip3, off_span_layouts, full_register_sector_state, name
+):
+    layout = {**layouts, **off_span_layouts, "strip3": strip3}[name]
+    table = lm.gauge_sectors(layout)
+    for eigenvalue in table.eigenvalues():
+        expected = full_register_sector_state(table, eigenvalue)
+        assert np.max(np.abs(lm.canonical_sector_state(table, eigenvalue) - expected)) < 1e-12
+
+
+def test_canonical_sector_state_holds_only_its_output(strip4):
+    # the 18-qubit output is 4 MiB; the projection runs on a coset of at most 2^9 rows
+    table = lm.gauge_sectors(strip4)
+    tracemalloc.start()
+    psi = lm.canonical_sector_state(table, 0.75)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert np.count_nonzero(psi) == 24 and abs(np.linalg.norm(psi) - 1) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["triangle", "two_plaquette", "disjoint_triangles", "unused_qubit"])
