@@ -10,11 +10,10 @@ ancilla prepared in a fixed axis eigenstate.
 Gate conventions, applied in closed form and in place to a block of state
 columns with no matrix exponential.  Each X/Y rotation and each XX pair of a
 collective gate is a factor cos t + i sin t P whose P flips one or two qubits:
-on a view of the block with one length-2 axis per such qubit, its copy is
-those axes reversed, times i sin t (and, for Y, the one-qubit phase pair that
-``pauli.columns`` gives, taken once at import).  A run of Z rotations and
-C-phases is one phase vector, built from a per-call table of each row's
-qubit bits and multiplied in once:
+its copy is the block's ``pauli.axis_flip`` of those qubits, times i sin t
+(and, for Y, the one-qubit phase pair that ``pauli.columns`` gives, taken
+once at import).  A run of Z rotations and C-phases is one phase vector,
+built from a per-call table of each row's qubit bits and multiplied in once:
   rot(axis, q, angle)   = exp(-i angle/2 sigma_axis(q)) = cos(angle/2) - i sin(angle/2) sigma_axis(q)
   coll(qubits, angle)   = exp(+i angle sum_{i<j} X_i X_j) = prod_{i<j} (cos angle + i sin angle X_i X_j)
   cphase((a, b), angle) = diag(1, 1, 1, exp(-2i angle)): rows with bits a and b set gain exp(-2i angle)
@@ -42,7 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import check_memory
-from .pauli import PauliString, columns
+from .pauli import PauliString, axis_flip, columns
 
 COLLECTIVE_WINDOW = (1e-4, 5e-4)
 CPHASE_WINDOW = (1e-5, 5e-5)
@@ -116,18 +115,6 @@ class Circuit:
 _PHASES = {axis: columns(PauliString(1.0, {0: axis.upper()}), np.arange(2), 1)[0][1] for axis in "xy"}
 
 
-def _qubit_axes(block: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """``block`` viewed with one length-2 axis per qubit, highest qubit first,
-    each after the axis of the bits above it; the last axis holds the bits
-    below the lowest qubit and the columns.  The gates update this view in
-    place, so a reshape that would copy raises ValueError."""
-    shape, top = [], len(block).bit_length() - 1
-    for qubit in sorted(qubits, reverse=True):
-        shape += [2 ** (top - 1 - qubit), 2]
-        top = qubit
-    return block.reshape(*shape, -1, copy=False)
-
-
 def _apply_gates(gates: tuple[Gate, ...], block: np.ndarray) -> np.ndarray:
     """The gates, in order, applied in place to the columns of ``block``; a
     run of diagonal gates is fused into one phase vector, applied once."""
@@ -153,8 +140,9 @@ def _apply_gates(gates: tuple[Gate, ...], block: np.ndarray) -> np.ndarray:
             # row b of a flipped axis gathers from source 1 - b
             factor = (1j * math.sin(theta) * phases[::-1])[:, None]
             for qubits in flips:
-                view = _qubit_axes(block, qubits)
-                gathered = view[(slice(None), slice(None, None, -1)) * len(qubits)] * factor
+                shape, reverse = axis_flip(n, qubits)
+                view = block.reshape(*shape, -1, copy=False)  # the bits below the lowest qubit join the columns
+                gathered = view[reverse] * factor
                 view *= math.cos(theta)
                 view += gathered
                 del gathered  # before the next factor makes its copy

@@ -13,8 +13,8 @@ phi = J * t, so the evolution time of a phase is t = phi / J.
 
 Every operator acts through the bit-mask kernel ``pauli.columns``, with no
 matrix: ``pauli.matvec`` for the Lanczos iteration and for expectation
-values, and a factor table of (coefficient, perm, phases) for the Trotter
-product, where one factor maps psi to ``cos * psi - i sin * phases * psi[..., perm]``.
+values, and a phase vector per Trotter monomial c P, with which one factor
+maps psi to ``cos(c dt) psi - i sin(c dt) phases * flip(psi)`` (``pauli.axis_flip``).
 
 An operator never moves a state off the XOR coset of the ``pauli.span`` of
 its X masks that holds it (on the triangle 8 of 64 basis states for each
@@ -59,7 +59,7 @@ from .linkmodel import (
     sector_seed,
     total_gauge_casimir,
 )
-from .pauli import PauliString, PauliSum, columns, coset, matvec, pair_count, restrict, span
+from .pauli import PauliString, PauliSum, axis_flip, columns, coset, matvec, pair_count, restrict, span
 
 NORM_TOL = 1e-10
 LANCZOS_BREAKDOWN = 1e-13
@@ -198,38 +198,34 @@ def _check_steps(steps: int) -> None:
         raise ValueError("step count must be at least 1")
 
 
-def _trotter_factors(monomials: Sequence[PauliString], n: int) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Factor table on an n-qubit register: (real weight c, perm, phases) of
-    each monomial c P in the order given, from the unit string's one
-    ``pauli.columns`` pair (perm, values) on every basis state:
-    P psi = phases * psi[..., perm] with phases = values[perm]."""
+def _apply_factors(monomials: Sequence[PauliString], dt, steps, states: np.ndarray) -> np.ndarray:
+    """The monomials' exponentials exp(-i c P dt) (real c), in the order
+    given, on a batch of states, one row each, with one ``dt`` and one step
+    count ``steps`` per row, sorted by step count, descending.  Step s acts
+    on the prefix of rows whose count exceeds s, so every row gets the
+    arithmetic it would get alone.  The batch is held one column per row, in
+    the broadcast input's memory order, which the sweep's sums read; each
+    monomial's ``pauli.axis_flip`` view and phases are built once per call."""
+    dt = np.asarray(dt, dtype=float)
+    steps = np.asarray(steps)
+    out = np.array(states, dtype=complex, order="F").T
+    n = len(out).bit_length() - 1
     factors = []
     for monomial in monomials:
-        ((perm, values),) = columns(monomial.bare(), np.arange(2**n), n)
-        factors.append((monomial.coefficient.real, perm, values[perm]))
-    return factors
-
-
-def _apply_factors(factors, dt, steps, states: np.ndarray) -> np.ndarray:
-    """The factor table applied to a batch of states, one row each, with one
-    time step ``dt`` and one step count ``steps`` per row, the rows sorted by
-    step count, descending.  Step s acts on the prefix of rows whose count
-    exceeds s, so every row gets the arithmetic it would get alone.  A factor
-    works in place on one gathered copy of the active rows."""
-    dt = np.asarray(dt, dtype=float)[:, None]
-    steps = np.asarray(steps)
-    trig = [(np.cos(c * dt), 1j * np.sin(c * dt), perm, phases) for c, perm, phases in factors]
-    out = np.array(states, dtype=complex)
+        shape, reverse = axis_flip(n, [q for q, letter in monomial.key() if letter != "Z"])
+        ((_, values),) = columns(monomial.bare(), np.arange(len(out)), n)
+        angle = monomial.coefficient.real * dt
+        batch, phases = out.reshape(*shape, -1, len(dt)), values.reshape(*shape, -1, 1)[reverse]  # values[k ^ xmask]
+        factors.append((np.cos(angle), 1j * np.sin(angle), batch, reverse, phases))
     for step in range(int(steps.max(initial=0))):
         active = int(np.count_nonzero(steps > step))
-        block = out[:active]
-        for cos_a, isin_a, perm, phases in trig:
-            flipped = block[:, perm]
-            flipped *= phases
+        for cos_a, isin_a, batch, reverse, phases in factors:
+            view = batch[..., :active]
+            flipped = view[reverse] * phases
             flipped *= isin_a[:active]
-            block *= cos_a[:active]
-            block -= flipped
-    return out
+            view *= cos_a[:active]
+            view -= flipped
+    return out.T
 
 
 def trotter_evolve(monomials: Sequence[PauliString], state: np.ndarray, t: float, steps: int) -> np.ndarray:
@@ -242,9 +238,9 @@ def trotter_evolve(monomials: Sequence[PauliString], state: np.ndarray, t: float
     _check_steps(steps)
     if any(m.coefficient.imag != 0 for m in monomials):
         raise GuardError("Trotter monomials must have real coefficients")
-    rows, restricted, rank = _on_support(monomials, [_check_norm(state)], "Trotter evolution")
+    rows, restricted, _ = _on_support(monomials, [_check_norm(state)], "Trotter evolution")
     out = np.zeros(len(state), dtype=complex)
-    out[rows] = _apply_factors(_trotter_factors(restricted, rank), [t / steps], [steps], state[rows][None])[0]
+    out[rows] = _apply_factors(restricted, [t / steps], [steps], state[rows][None])[0]
     return _check_norm(out)
 
 
@@ -381,12 +377,13 @@ def sweep(
 def _sweep_bytes(rank: int, hamiltonian: PauliSum, casimir: PauliSum, n_phis: int, n_steps: int) -> float:
     """The sweep's memory estimate per row of a start's coset, d = 2^rank
     rows: the Lanczos stage at its largest (at most three blocks of d vectors
-    of d entries, see ``_krylov_spectrum``), the Casimir's pairs and the
-    factor table, and per phi the ideal state, each step count's Trotter row
-    and six temporaries (the kernel's gather, and an expectation's or a
-    fidelity's conjugate, matvec result, product, gather and sum)."""
+    of d entries, see ``_krylov_spectrum``), the Casimir's pairs, the Trotter
+    phases and the one ``columns`` pair alive while they are built, and per
+    phi the ideal state, each step count's Trotter row and six temporaries
+    (the kernel's flipped copy, and an expectation's or a fidelity's
+    conjugate, matvec result, product, gather and sum)."""
     d = 2.0**rank
-    pairs = 24 * pair_count(casimir) + 40 * len(hamiltonian)
+    pairs = 24 * pair_count(casimir) + 16 * len(hamiltonian) + 24
     return d * (48 * d + pairs + 16 * n_phis * (n_steps + 7))
 
 
@@ -416,7 +413,7 @@ def _start_observables(
     if np.any(abs(gauge_ideal) < DEVIATION_GUARD):
         raise GuardError("ideal gauge expectation vanished")
     digital = _check_norm(_apply_factors(
-        _trotter_factors([restrict(m, basis, rep) for m in monomials], len(basis)),
+        [restrict(m, basis, rep) for m in monomials],
         np.concatenate([times / steps for steps in step_counts]),
         np.repeat(step_counts, len(times)),
         np.broadcast_to(psi0, (len(step_counts) * len(times), len(psi0))),

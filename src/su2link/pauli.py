@@ -15,6 +15,8 @@ the elements out of chosen basis columns take one XOR per X mask and one
 sign vector per term, with no matrix.  ``matvec`` applies an operator to
 states from those pairs, one gather per X mask, and ``dense`` scatters them
 into a matrix, for the tests and the covariance check's 4x4 link matrices.
+A gate's or Trotter factor's rotation cos t - i sin t P flips P's X qubits on
+an ``axis_flip`` view; ``matvec``, a sum over X masks, keeps its gathers.
 
 An operator maps each XOR coset of the GF(2) ``span`` of its X masks, listed
 by ``coset``, to itself, and the Z strings that fix a coset are the Z2
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import re
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -299,7 +301,8 @@ def matvec(op: PauliSum | PauliString, n_qubits: int):
     all 2^n basis indices.  Each X mask is one multiply and one gather,
     ``out += (values * states)[..., targets]``, since flipping the same bits
     maps every target back to its column; each row gets the same arithmetic
-    whatever the batch size."""
+    whatever the batch size.  It keeps the gather: a batch holds the register
+    on its last axis, not axis 0, and on one vector ``axis_flip``s tied at 3 and 9 qubits."""
     pairs = columns(op, np.arange(2**n_qubits), n_qubits)
 
     def apply(states: np.ndarray) -> np.ndarray:
@@ -309,6 +312,18 @@ def matvec(op: PauliSum | PauliString, n_qubits: int):
         return out
 
     return apply
+
+
+def axis_flip(n_qubits: int, qubits: Collection[int]) -> tuple[list[int], tuple[slice, ...]]:
+    """``(shape, reverse)`` that flip ``qubits`` of an n-qubit register on axis
+    0 of an array: that axis reshaped to ``(*shape, -1)`` has one length-2 axis
+    per qubit, highest first, each after an axis for the bits above it, and -1
+    for the bits below the lowest; indexed by ``reverse`` it holds k ^ mask at k."""
+    shape, top = [], n_qubits
+    for qubit in sorted(qubits, reverse=True):
+        shape += [2 ** (top - 1 - qubit), 2]
+        top = qubit
+    return shape, (slice(None), slice(None, None, -1)) * len(qubits)
 
 
 def span(ops: Iterable[PauliSum | PauliString], indices: np.ndarray = ()) -> list[int]:

@@ -10,7 +10,7 @@ from su2link import errors
 from su2link import linkmodel as lm
 from su2link.errors import GuardError
 from su2link.linkmodel import Link, PlaquetteLayout
-from su2link.pauli import coset, dense, matvec, restrict, span
+from su2link.pauli import columns, coset, dense, matvec, restrict, span
 
 # two triangles sharing link 23: 1 -> 2 -> 3 -> 1 and 2 -> 3 -> 4 -> 2, qubits 0-9
 TWO_PLAQUETTE = """\
@@ -202,6 +202,37 @@ def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_regi
                 )
             )
     return out
+
+
+def _gather_trotter(monomials, dt, steps, states):
+    """``dynamics._apply_factors`` as a gather: each monomial c P becomes one
+    index table ``perm`` and its phases on every basis state, P psi =
+    phases * psi[..., perm], and each factor gathers the active rows of the
+    batch through it, which is held one state per row."""
+    n = np.shape(states)[1].bit_length() - 1
+    factors = []
+    for monomial in monomials:
+        ((perm, values),) = columns(monomial.bare(), np.arange(2**n), n)
+        factors.append((monomial.coefficient.real, perm, values[perm]))
+    dt = np.asarray(dt, dtype=float)[:, None]
+    steps = np.asarray(steps)
+    trig = [(np.cos(c * dt), 1j * np.sin(c * dt), perm, phases) for c, perm, phases in factors]
+    out = np.array(states, dtype=complex)
+    for step in range(int(steps.max(initial=0))):
+        active = int(np.count_nonzero(steps > step))
+        block = out[:active]
+        for cos_a, isin_a, perm, phases in trig:
+            flipped = block[:, perm]
+            flipped *= phases
+            flipped *= isin_a[:active]
+            block *= cos_a[:active]
+            block -= flipped
+    return out
+
+
+@pytest.fixture(scope="session")
+def gather_trotter():
+    return _gather_trotter
 
 
 @pytest.fixture(scope="session")

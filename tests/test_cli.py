@@ -356,7 +356,7 @@ def test_five_triangle_strip_fig3_exits_3_before_allocating():
     assert time.perf_counter() - start < 20
     assert result.returncode == 3 and result.stdout == ""
     assert result.stderr.splitlines() == [
-        "numerical guard: sweep on 22 qubits needs an estimated 51896385536 bytes, "
+        "numerical guard: sweep on 22 qubits needs an estimated 51834257408 bytes, "
         "over the memory budget of 1073741824 bytes"
     ]
 

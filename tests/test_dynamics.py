@@ -328,6 +328,31 @@ def test_batched_sweep_matches_per_point_loop_bitwise(layout, steps_list, start_
     assert repr(rows) == repr(per_point_sweep(layout, 1.0, steps_list, phis, start_sector))
 
 
+@pytest.mark.parametrize(
+    "name, starts",
+    [("triangle", [0.75]), ("two_plaquette", [0.75]), ("strip3", [0.75]), ("bowtie", [1.5, 3.5])],
+    ids=["triangle", "two_plaquette", "strip3", "bowtie"],
+)
+def test_flip_kernel_matches_the_gather_reference_bitwise(
+    layouts, strip3, off_span_layouts, name, starts, gather_trotter, monkeypatch
+):
+    layout = {**layouts, **off_span_layouts, "strip3": strip3}[name]
+    # the 40 default phis: from 32 phis up, strip3's sums read the batch's memory order
+    phis = cli._phi_grid(0.05, 2.0, 0.05)
+    rows = dyn.sweep(layout, 1.0, [3, 1], phis, starts)
+    monkeypatch.setattr(dyn, "_apply_factors", gather_trotter)
+    assert repr(rows) == repr(dyn.sweep(layout, 1.0, [3, 1], phis, starts))
+
+
+def test_trotter_evolve_matches_the_gather_reference_bitwise(monomials, gather_trotter, monkeypatch):
+    rng = np.random.default_rng(18)
+    psi = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
+    psi /= np.linalg.norm(psi)
+    out = dyn.trotter_evolve(monomials, psi, 1.1, 3)
+    monkeypatch.setattr(dyn, "_apply_factors", gather_trotter)
+    assert out.tobytes() == dyn.trotter_evolve(monomials, psi, 1.1, 3).tobytes()
+
+
 # each figure's default step counts and start sectors, on its default phi
 # grid; figS2 on two phases only
 FIGURES = {

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from su2link.pauli import (
     _phases,
     PauliString,
     PauliSum,
+    axis_flip,
     columns,
     commutator,
     coset,
@@ -508,3 +510,19 @@ def test_columns_are_the_dense_columns_bitwise(n):
         assert block.tobytes() == dense(op, n)[:, cols].tobytes()
     with pytest.raises(ValueError):
         columns(PauliString(1, {3: "X"}), np.array([0]), 2)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_axis_flip_is_the_xor_gather_as_a_view(n):
+    rng = np.random.default_rng(90 + n)
+    index = np.arange(2**n)
+    wide = rng.normal(size=(2**n, 5)) + 1j * rng.normal(size=(2**n, 5))
+    # a register, a contiguous block, and a column prefix of a wider block, as the Trotter kernel holds
+    blocks = [wide[:, 0].copy(), wide[:, :3].copy(), wide[:, :2]]
+    for qubits in (subset for k in range(n + 1) for subset in combinations(range(n), k)):
+        mask = sum(1 << q for q in qubits)
+        shape, reverse = axis_flip(n, qubits)
+        for block in blocks:
+            flipped = block.reshape(*shape, -1, *block.shape[1:], copy=False)[reverse]
+            assert np.shares_memory(flipped, block)
+            assert flipped.reshape(block.shape).tobytes() == block[index ^ mask].tobytes()
