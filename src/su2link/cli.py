@@ -1,12 +1,14 @@
 """Experiment harness: reproducible commands with CSV/JSON file outputs.
 
 Every command is a pure function of its resolved parameters; repeated runs
-produce byte-identical output.  Exit codes: 0 success, 2 configuration or
+produce byte-identical output, which this module alone formats from the
+values the library returns.  Exit codes: 0 success, 2 configuration or
 usage errors, 3 numerical guard failures.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
@@ -24,11 +26,20 @@ EXIT_GUARD = 3
 # phi grid points; also caps covariance --sets (built in full first) and each figures --steps value
 PHI_GRID_LIMIT = 10_000
 
-_PHI_DEFAULTS = {
-    "fig3": (0.05, 2.0, 0.05),
-    "figS2": (0.05, 2.0, 0.05),
-    "fig4": (0.01, 1.6, 0.01),
+# per figure: the default phi grid (start, stop, step), step counts and start sectors
+_FIGURES = {
+    "fig3": ((0.05, 2.0, 0.05), (1, 2, 3, 4), (0.75,)),
+    "fig4": ((0.01, 1.6, 0.01), (2, 3), (2.25,)),
+    "figS2": ((0.05, 2.0, 0.05), (1, 2, 4, 8, 16, 32, 64), (0.75, 2.75)),
 }
+
+
+def _csv(header: str, lines: list[str]) -> str:
+    return "\n".join([header, *lines]) + "\n"
+
+
+def _json(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def _phi_grid(start: float, stop: float, step: float) -> list[float]:
@@ -66,10 +77,7 @@ def _check_coupling(coupling: float) -> None:
 
 def run_sectors(args: argparse.Namespace) -> str:
     table = lm.gauge_sectors(_load_layout(args.layout))
-    lines = ["eigenvalue,degeneracy"]
-    for sector in table.sectors:
-        lines.append(f"{round(sector.eigenvalue, 10)!r},{sector.degeneracy}")
-    return "\n".join(lines) + "\n"
+    return _csv("eigenvalue,degeneracy", [f"{round(s.eigenvalue, 10)!r},{s.degeneracy}" for s in table.sectors])
 
 
 def _step_counts(layout: lm.PlaquetteLayout) -> dict[str, cp.GateCounts]:
@@ -96,53 +104,38 @@ def run_figures(args: argparse.Namespace) -> str:
     if any(n_steps > PHI_GRID_LIMIT for n_steps in args.steps):
         raise LayoutError(f"--steps must be at most {PHI_GRID_LIMIT}, got {max(args.steps)}")
     layout = _load_layout(args.layout)
-    start, stop, step = _PHI_DEFAULTS[args.figure]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _figure_csv(args, layout)
+    except FloatingPointError:
+        raise LayoutError("the plaquette energies overflow a float for these inputs") from None
+
+
+def _figure_csv(args: argparse.Namespace, layout: lm.PlaquetteLayout) -> str:
+    (start, stop, step), default_steps, default_starts = _FIGURES[args.figure]
     phis = _phi_grid(
         start if args.phi_start is None else args.phi_start,
         stop if args.phi_stop is None else args.phi_stop,
         step if args.phi_step is None else args.phi_step,
     )
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _figure_csv(args, layout, phis)
-    except FloatingPointError:
-        raise LayoutError("the plaquette energies overflow a float for these inputs") from None
-
-
-def _figure_csv(args: argparse.Namespace, layout: lm.PlaquetteLayout, phis: list[float]) -> str:
+    steps = list(args.steps or default_steps)
+    starts = default_starts if args.start_sector is None else (args.start_sector,)
+    rows = dyn.sweep(layout, args.J, steps, phis, starts)
     if args.figure == "fig3":
-        steps = args.steps or (1, 2, 3, 4)
-        start = args.start_sector if args.start_sector is not None else 0.75
-        rows = dyn.sweep(layout, args.J, list(steps), phis, start)
-        return dyn.sweep_csv(rows)
+        lines = [f"{r.steps},{r.phi!r},{r.deviation!r},{r.overlap_initial!r},{r.fidelity!r}" for r in rows]
+        return _csv("N,phi,E,overlap_I0,fidelity_ID", lines)
     if args.figure == "figS2":
-        steps = args.steps or (1, 2, 4, 8, 16, 32, 64)
-        starts = (args.start_sector,) if args.start_sector is not None else (0.75, 2.75)
-        rows = dyn.sweep(layout, args.J, list(steps), phis, starts)
         per_start = len(rows) // len(starts)
-        lines = ["start,N,phi,gauge_I,gauge_D,overlap_I0"]
-        for index, row in enumerate(rows):
-            lines.append(
-                f"{starts[index // per_start]!r},{row.steps},{row.phi!r},{row.gauge_ideal!r},"
-                f"{row.gauge_digital!r},{row.overlap_initial!r}"
-            )
-        return "\n".join(lines) + "\n"
-    steps = args.steps or (2, 3)
-    start = args.start_sector if args.start_sector is not None else 2.25
-    rows = dyn.sweep(layout, args.J, list(steps), phis, start)
+        lines = [
+            f"{starts[i // per_start]!r},{r.steps},{r.phi!r},{r.gauge_ideal!r},{r.gauge_digital!r},{r.overlap_initial!r}"
+            for i, r in enumerate(rows)
+        ]
+        return _csv("start,N,phi,gauge_I,gauge_D,overlap_I0", lines)
+    # each step count's four caps, formatted once
     counts = _step_counts(layout)
-    lines = [
-        "N,phi,overlap_I0,fidelity_ID,"
-        "cap_collective_low,cap_collective_high,cap_cphase_low,cap_cphase_high"
-    ]
-    bands = {n_steps: _fidelity_bands(counts, n_steps) for n_steps in set(steps)}
-    for row in rows:
-        coll_band, cph_band = bands[row.steps]
-        lines.append(
-            f"{row.steps},{row.phi!r},{row.overlap_initial!r},{row.fidelity!r},"
-            f"{coll_band[0]!r},{coll_band[1]!r},{cph_band[0]!r},{cph_band[1]!r}"
-        )
-    return "\n".join(lines) + "\n"
+    caps = {n: ",".join(repr(cap) for band in _fidelity_bands(counts, n) for cap in band) for n in set(steps)}
+    lines = [f"{r.steps},{r.phi!r},{r.overlap_initial!r},{r.fidelity!r},{caps[r.steps]}" for r in rows]
+    return _csv("N,phi,overlap_I0,fidelity_ID,cap_collective_low,cap_collective_high,cap_cphase_low,cap_cphase_high", lines)
 
 
 def _single_gate_bound(weights: list[int], backend: str) -> int:
@@ -163,15 +156,32 @@ def run_compile(args: argparse.Namespace) -> str:
     else:
         monomials = lm.plaquette_monomials(layout, args.J)
     circuit = cp.compile_step(monomials, args.phi, args.backend)
-    report = cp.resource_report(circuit, backend=args.backend)
-    report["single_bound"] = _single_gate_bound([m.weight for m in monomials], args.backend)
-    report["backend"] = args.backend
-    report["monomials"] = len(monomials)
-    if report["single"] > report["single_bound"]:
-        raise GuardError(f"{report['single']} single-qubit gates exceed the bound {report['single_bound']}")
+    counts = circuit.counts
+    low, high = cp.fidelity_cap(counts, backend=args.backend)
+    single_bound = _single_gate_bound([m.weight for m in monomials], args.backend)
+    if counts.single > single_bound:
+        raise GuardError(f"{counts.single} single-qubit gates exceed the bound {single_bound}")
     if args.circuit_out:
-        _write(args.circuit_out, cp.format_circuit(circuit))
-    return cp.report_json(report)
+        _write(args.circuit_out, format_circuit(circuit))
+    return _json({
+        "schema": 1,
+        "backend": args.backend,
+        "monomials": len(monomials),
+        "collective": counts.collective,
+        "cphase": counts.cphase,
+        "single": counts.single,
+        "single_bound": single_bound,
+        "fidelity_band": {"low": low, "high": high},
+    })
+
+
+def format_circuit(circuit: cp.Circuit) -> str:
+    """The gate list: ``qubits n``, then ``kind [axis] q1,q2,... angle`` per gate."""
+    lines = [f"qubits {circuit.n_qubits}"]
+    for g in circuit.gates:
+        kind = f"rot {g.axis}" if g.kind == "rot" else g.kind
+        lines.append(f"{kind} {','.join(str(q) for q in g.qubits)} {g.angle!r}")
+    return "\n".join(lines) + "\n"
 
 
 def run_bounds(args: argparse.Namespace) -> str:
@@ -200,7 +210,7 @@ def run_bounds(args: argparse.Namespace) -> str:
         "norm_reading": "per-plaquette norm bound |J|/8 (reproduces the printed "
         "constant); the termwise triangle inequality gives 8|J| instead",
     }
-    return cp.report_json(report)
+    return _json(report)
 
 
 def run_matter(args: argparse.Namespace) -> str:
@@ -222,7 +232,7 @@ def run_matter(args: argparse.Namespace) -> str:
             rows = mt.compare_effective(chain, list(args.ratios))
     except (OverflowError, FloatingPointError):
         raise LayoutError("the matter-chain energies overflow a float for these inputs") from None
-    return mt.comparison_csv(rows)
+    return _csv("ratio,deviation,density_norm", [f"{r.ratio!r},{r.deviation!r},{r.density_norm!r}" for r in rows])
 
 
 def run_covariance(args: argparse.Namespace) -> str:
@@ -234,12 +244,13 @@ def run_covariance(args: argparse.Namespace) -> str:
         raise LayoutError(f"--seed must be non-negative, got {args.seed}")
     layout = _load_layout(args.layout)
     rng = np.random.default_rng(args.seed)
-    lines = ["set,link,max_deviation"]
     angle_sets = [{v: tuple(rng.uniform(-np.pi, np.pi, 3)) for v in layout.vertices} for _ in range(args.sets)]
-    for index, deviations in enumerate(lm.gauge_covariance_deviations(layout, angle_sets)):
-        for link_id, deviation in deviations.items():
-            lines.append(f"{index},{link_id},{deviation!r}")
-    return "\n".join(lines) + "\n"
+    lines = [
+        f"{index},{link_id},{deviation!r}"
+        for index, deviations in enumerate(lm.gauge_covariance_deviations(layout, angle_sets))
+        for link_id, deviation in deviations.items()
+    ]
+    return _csv("set,link,max_deviation", lines)
 
 
 def _int_list(text: str) -> tuple[int, ...]:

@@ -32,7 +32,6 @@ identities are pinned by dense tests.
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -405,32 +404,3 @@ def printed_steps_bound(n_plaquettes: int, jt: float, eps: float) -> float:
         raise ValueError("eps must be positive")
     return PRINTED_BOUND_CONSTANT * n_plaquettes * (n_plaquettes * jt) ** 1.5 / math.sqrt(eps)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def format_circuit(circuit: Circuit) -> str:
-    lines = [f"qubits {circuit.n_qubits}"]
-    for g in circuit.gates:
-        qubits = ",".join(str(q) for q in g.qubits)
-        if g.kind == "rot":
-            lines.append(f"rot {g.axis} {qubits} {g.angle!r}")
-        else:
-            lines.append(f"{g.kind} {qubits} {g.angle!r}")
-    return "\n".join(lines) + "\n"
-
-
-def resource_report(circuit: Circuit, noise: NoiseModel = NoiseModel(), backend: str | None = None) -> dict:
-    counts = circuit.counts
-    low, high = fidelity_cap(counts, noise, backend)
-    return {
-        "schema": 1,
-        "collective": counts.collective,
-        "cphase": counts.cphase,
-        "single": counts.single,
-        "fidelity_band": {"low": low, "high": high},
-    }
-
-
-def report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -422,16 +422,3 @@ def _start_observables(
     fidelity = np.array([_overlaps(ideal, block) for block in digital])
     return gauge_ideal, _overlaps(ideal, psi0), gauge_digital, fidelity
 
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def sweep_csv(rows: list[SweepRow]) -> str:
-    lines = ["N,phi,E,overlap_I0,fidelity_ID"]
-    for r in rows:
-        lines.append(
-            f"{r.steps},{_fmt(r.phi)},{_fmt(r.deviation)},{_fmt(r.overlap_initial)},{_fmt(r.fidelity)}"
-        )
-    return "\n".join(lines) + "\n"
-

@@ -353,10 +353,3 @@ def compare_effective(cfg: ChainConfig, ratios: list[float]) -> list[ComparisonR
         )
     return rows
 
-
-def comparison_csv(rows: list[ComparisonRow]) -> str:
-    lines = ["ratio,deviation,density_norm"]
-    for r in rows:
-        lines.append(f"{r.ratio!r},{r.deviation!r},{r.density_norm!r}")
-    return "\n".join(lines) + "\n"
-

@@ -450,6 +450,47 @@ def test_default_figures_match_golden_outputs(figure, capsys):
                 assert abs(float(got_value) - float(want_value)) <= 1e-12, (column, got_line, want_line)
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["compile", "--step", "--backend", "collective"], "compile_collective.json"),
+        (["compile", "--step", "--backend", "cphase"], "compile_cphase.json"),
+        (["bounds"], "bounds.json"),
+        (["sectors", "--layout", str(STRIP3_PATH)], "strip3_sectors.csv"),
+    ],
+)
+def test_reports_match_golden_outputs(argv, golden, capsys):
+    """The step reports, the default bounds and the 14-qubit strip's sector
+    table against the committed ones in tests/data, byte for byte: none of
+    them comes from an eigensolver."""
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_circuit_out_matches_golden_gate_list(tmp_path, capsys):
+    path = tmp_path / "step.circuit"
+    code, _, _ = run(["compile", "--step", "--backend", "cphase", "--circuit-out", str(path)], capsys)
+    assert code == 0
+    assert path.read_text(encoding="utf-8") == (GOLDEN / "compile_cphase.circuit").read_text(encoding="utf-8")
+
+
+def test_default_covariance_matches_golden_output(capsys):
+    """The default covariance CSV against the committed one: the header and
+    the set and link columns exactly, max_deviation within 1e-12 (it comes
+    from eigh, so its last bits may move with the BLAS build)."""
+    code, out, _ = run(["covariance"], capsys)
+    assert code == 0
+    want = (GOLDEN / "covariance.csv").read_text(encoding="utf-8").splitlines()
+    got = out.splitlines()
+    assert got[0] == want[0] and len(got) == len(want)
+    for got_line, want_line in zip(got[1:], want[1:]):
+        got_set, got_link, got_value = got_line.split(",")
+        want_set, want_link, want_value = want_line.split(",")
+        assert (got_set, got_link) == (want_set, want_link)
+        assert abs(float(got_value) - float(want_value)) <= 1e-12, (got_line, want_line)
+
+
 @pytest.mark.parametrize("coupling", ["0.7", "-1.3"])
 def test_figures_do_not_depend_on_the_coupling(coupling, capsys):
     """The sweep evolves to t = phi / J under a Hamiltonian proportional to

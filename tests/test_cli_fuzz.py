@@ -1,12 +1,14 @@
 """Property-based fuzzing of the figures, compile, bounds, matter and
-covariance commands: every input ends in exit 0 with finite numbers, or in
-exit 2 or 3 with exactly one line on stderr."""
+covariance commands, and of layout files: every input ends in exit 0 with
+finite numbers, or in exit 2 or 3 with exactly one line on stderr."""
 import contextlib
 import io
 import json
 import math
 import warnings
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,8 +56,13 @@ def check_outcome(code, out, err):
         if out.startswith("{"):  # a JSON report: NaN and Infinity are its only non-finite numbers
             json.loads(out, parse_constant=reject_non_finite)
         else:
-            for line in out.splitlines()[1:]:
-                assert all(math.isfinite(float(field)) for field in line.split(",")), line
+            header, *lines = out.splitlines()
+            columns = header.split(",")
+            for line in lines:
+                fields = line.split(",")
+                assert len(fields) == len(columns), line
+                # covariance's link column holds the layout's link ids, which are names
+                assert all(math.isfinite(float(f)) for c, f in zip(columns, fields) if c != "link"), line
 
 
 def reject_non_finite(name):
@@ -151,3 +158,67 @@ def test_matter_fuzz(sites, omega, hopping, ratios, n0, matter_number, wild):
 def test_covariance_fuzz(two_plaquette_path, sets, seed, two_plaquette):
     layout = ["--layout", str(two_plaquette_path)] if two_plaquette else []
     check_outcome(*run_cli(["covariance", f"--sets={sets}", f"--seed={seed}", *layout]))
+
+
+STRIP3_LINES = [
+    line
+    for line in (Path(__file__).parent / "data" / "strip3.layout").read_text(encoding="utf-8").splitlines()
+    if line and not line.startswith("#")
+]
+MUTATIONS = ["duplicate", "drop", "swap", "shift", "reuse", "reverse", "self-loop", "junk"]
+
+
+@st.composite
+def mutated_layouts(draw):
+    """The lines of tests/data/strip3.layout after one or two mutations: a
+    line duplicated, dropped or swapped with another; a link's qubit shifted
+    or set to another link's; a link reversed or made a self-loop; or a
+    junk line inserted."""
+    lines = list(STRIP3_LINES)
+    for _ in range(draw(st.integers(1, 2))):
+        mutation = draw(st.sampled_from(MUTATIONS))
+        index = draw(st.integers(0, len(lines) - 1))
+        if mutation == "duplicate":
+            lines.insert(index, lines[index])
+        elif mutation == "drop":
+            del lines[index]
+        elif mutation == "swap":
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[index], lines[other] = lines[other], lines[index]
+        elif mutation == "junk":
+            lines.insert(index, draw(st.sampled_from(["link", "plaquette a b", "zzz"])))
+        else:
+            links = [i for i, line in enumerate(lines) if line.startswith("link ") and len(line.split()) == 6]
+            index = draw(st.sampled_from(links))
+            words = lines[index].split()  # link <id> <from> <to> <position qubit> <spin qubit>
+            if mutation == "shift":
+                slot = draw(st.sampled_from([4, 5]))
+                words[slot] = str(int(words[slot]) + draw(st.sampled_from([-14, -1, 1, 2, 1000])))
+            elif mutation == "reuse":
+                other = lines[draw(st.sampled_from(links))].split()
+                slot = draw(st.sampled_from([4, 5]))
+                words[slot] = other[draw(st.sampled_from([4, 5]))]
+            elif mutation == "reverse":
+                words[2], words[3] = words[3], words[2]
+            else:
+                words[3] = words[2]
+            lines[index] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzzed_layout_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzzed") / "mutated.layout"
+
+
+@settings(FUZZ, max_examples=100)
+@given(layout=mutated_layouts())
+def test_layout_file_fuzz(fuzzed_layout_path, layout):
+    fuzzed_layout_path.write_text(layout, encoding="utf-8")
+    for argv in (
+        ["sectors"],
+        ["figures", "fig3", "--steps=1", "--phi-stop=0.1"],
+        ["covariance", "--sets=1"],
+        ["compile", "--backend=cphase"],
+    ):
+        check_outcome(*run_cli([*argv, "--layout", str(fuzzed_layout_path)]))

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from itertools import combinations
@@ -5,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from su2link import cli
 from su2link import compiler as cp
 from su2link import linkmodel as lm
 from su2link.compiler import Circuit, GateCounts, NoiseModel, coll, cphase, rot
@@ -516,13 +518,17 @@ def test_empirical_vs_bound(monomials):
     assert all(err < 1e-12 for _, err in report.measured)
 
 
-def test_resource_report(monomials):
-    step = cp.compile_step(monomials, 0.3, "collective")
-    report = cp.resource_report(step)
+def test_resource_report(capsys):
+    """The JSON resource report of the triangle's step at phi 0.3, as the
+    compile command writes it, twice byte for byte."""
+    argv = ["compile", "--step", "--backend", "collective", "--phi", "0.3"]
+    texts = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    report = json.loads(texts[0])
+    assert set(report) == {"schema", "backend", "monomials", "collective", "cphase", "single", "single_bound", "fidelity_band"}
     assert report["schema"] == 1
-    assert report["collective"] == 32
-    assert report["cphase"] == 0
-    assert report["single"] == 132
+    assert (report["collective"], report["cphase"], report["single"]) == (32, 0, 132)
     assert 0 < report["fidelity_band"]["low"] < report["fidelity_band"]["high"] < 1
-    text = cp.report_json(report)
-    assert text == cp.report_json(report)

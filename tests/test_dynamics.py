@@ -256,14 +256,18 @@ def test_sweep_rejects_step_count_below_one(layout, steps_list):
         dyn.sweep(layout, 1.0, steps_list, [0.5], 0.75)
 
 
-def test_sweep_deterministic_and_serializable(layout):
+def test_sweep_deterministic_and_serializable(layout, capsys):
     rows_a = dyn.sweep(layout, 1.0, [1, 2], [0.3, 0.6], 0.75)
     rows_b = dyn.sweep(layout, 1.0, [1, 2], [0.3, 0.6], 0.75)
-    assert dyn.sweep_csv(rows_a) == dyn.sweep_csv(rows_b)
-    header = dyn.sweep_csv(rows_a).splitlines()[0]
-    assert header == "N,phi,E,overlap_I0,fidelity_ID"
+    assert rows_a == rows_b
     assert len(rows_a) == 4
     assert [(r.steps, r.phi) for r in rows_a] == [(1, 0.3), (1, 0.6), (2, 0.3), (2, 0.6)]
+    # fig3 on the same grid writes these rows, every value in repr
+    argv = ["figures", "fig3", "--steps=1,2", "--phi-start=0.3", "--phi-stop=0.6", "--phi-step=0.3"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "N,phi,E,overlap_I0,fidelity_ID"
+    assert lines[1:] == [f"{r.steps},{r.phi!r},{r.deviation!r},{r.overlap_initial!r},{r.fidelity!r}" for r in rows_a]
 
 
 def test_sweep_gauge_convergence(layout):
@@ -356,9 +360,8 @@ def test_trotter_evolve_matches_the_gather_reference_bitwise(monomials, gather_t
 # each figure's default step counts and start sectors, on its default phi
 # grid; figS2 on two phases only
 FIGURES = {
-    "fig3": ((1, 2, 3, 4), (0.75,), cli._phi_grid(*cli._PHI_DEFAULTS["fig3"])),
-    "fig4": ((2, 3), (2.25,), cli._phi_grid(*cli._PHI_DEFAULTS["fig4"])),
-    "figS2": ((1, 2, 4, 8, 16, 32, 64), (0.75, 2.75), [0.5, 2.0]),
+    figure: (steps, starts, [0.5, 2.0] if figure == "figS2" else cli._phi_grid(*grid))
+    for figure, (grid, steps, starts) in cli._FIGURES.items()
 }
 # sectors that the layouts without a 0.75, 2.25 or 2.75 sector do have
 OFF_SPAN_STARTS = {"fig3": (1.5,), "fig4": (3.5,), "figS2": (1.5, 3.5)}

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from su2link import cli
 from su2link import matter as mt
 from su2link.errors import GuardError
 from su2link.pauli import PauliString, PauliSum, dense, letter_matrix
@@ -193,10 +194,14 @@ def test_closed_form_matches_brute_force_at_small_ratio(cfg):
     assert deviations[2] / deviations[1] == pytest.approx(0.1, rel=0.15)
 
 
-def test_comparison_serialization(cfg):
-    rows = mt.compare_effective(cfg, [1e-2])
-    assert mt.comparison_csv(rows) == mt.comparison_csv(rows)
-    assert mt.comparison_csv(rows).splitlines()[0] == "ratio,deviation,density_norm"
+def test_comparison_serialization(capsys):
+    """The matter command's CSV of the default chain, twice byte for byte."""
+    texts = []
+    for _ in range(2):
+        assert cli.main(["matter", "--ratios", "1e-2"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].splitlines()[0] == "ratio,deviation,density_norm"
 
 
 def test_memory_guards(cfg, memory_boundary):
