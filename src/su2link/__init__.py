@@ -10,7 +10,6 @@ from .compiler import (
     Circuit,
     Gate,
     GateCounts,
-    NoiseModel,
     compile_cphase,
     compile_collective,
     compile_step,
@@ -41,7 +40,6 @@ __all__ = [
     "GaugeSectorTable",
     "GuardError",
     "LayoutError",
-    "NoiseModel",
     "PauliString",
     "PauliSum",
     "PlaquetteLayout",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -91,8 +92,8 @@ def _step_counts(layout: lm.PlaquetteLayout) -> dict[str, cp.GateCounts]:
 def _fidelity_bands(counts: dict[str, cp.GateCounts], n_steps: int) -> tuple[tuple[float, float], tuple[float, float]]:
     """(collective, cphase) fidelity caps of ``n_steps`` full steps."""
     return tuple(
-        cp.fidelity_cap(cp.GateCounts(c.collective * n_steps, c.cphase * n_steps, c.single * n_steps))
-        for c in (counts["collective"], counts["cphase"])
+        cp.fidelity_cap(cp.GateCounts(c.collective * n_steps, c.cphase * n_steps, c.single * n_steps), backend)
+        for backend, c in counts.items()
     )
 
 
@@ -157,7 +158,7 @@ def run_compile(args: argparse.Namespace) -> str:
         monomials = lm.plaquette_monomials(layout, args.J)
     circuit = cp.compile_step(monomials, args.phi, args.backend)
     counts = circuit.counts
-    low, high = cp.fidelity_cap(counts, backend=args.backend)
+    low, high = cp.fidelity_cap(counts, args.backend)
     single_bound = _single_gate_bound([m.weight for m in monomials], args.backend)
     if counts.single > single_bound:
         raise GuardError(f"{counts.single} single-qubit gates exceed the bound {single_bound}")
@@ -192,7 +193,7 @@ def run_bounds(args: argparse.Namespace) -> str:
     if args.plaquettes < 1:
         raise LayoutError(f"--plaquettes must be at least 1, got {args.plaquettes}")
     try:
-        generic = cp.plaquette_steps_bound(args.plaquettes, args.Jt, args.eps, args.k)
+        generic = cp.trotter_bound(cp.PLAQUETTE_TERMS * args.plaquettes, cp.PLAQUETTE_NORM_READING, args.Jt, args.eps, args.k)
         printed = cp.printed_steps_bound(args.plaquettes, args.Jt, args.eps)
     except OverflowError:
         raise LayoutError("the step bound overflows a float for these inputs") from None
@@ -377,7 +378,11 @@ def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _write(path: str | None, content: str) -> None:
-    if path is None:
+    try:  # stdout's own file (/dev/stdout, a redirect's target) opened anew would be written from its start
+        to_stdout = path is None or os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such file yet, or a stdout without a descriptor
+        to_stdout = False
+    if to_stdout:
         sys.stdout.write(content)
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:

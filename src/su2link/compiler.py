@@ -35,15 +35,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .errors import check_memory
-from .pauli import PauliString, axis_flip, columns
+from .pauli import PauliString, axis_flip, columns, multiply
 
-COLLECTIVE_WINDOW = (1e-4, 5e-4)
-CPHASE_WINDOW = (1e-5, 5e-5)
+# per-gate error windows (low, high) of each backend's entangling gate
+ERROR_WINDOWS = {"collective": (1e-4, 5e-4), "cphase": (1e-5, 5e-5)}
 SINGLE_QUBIT_FACTOR = 1.0 / 20.0
 
 
@@ -159,23 +159,29 @@ def circuit_unitary(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray
     return _apply_gates(circuit.gates, np.eye(2**n, dtype=complex))
 
 
-# basis-change rotations V with V sigma_canonical V^dag = sigma_target
-_CONJUGATION = {
-    ("x", "y"): ("z", np.pi / 2),
-    ("x", "z"): ("y", -np.pi / 2),
-    ("z", "x"): ("y", np.pi / 2),
-    ("z", "y"): ("x", -np.pi / 2),
-    ("y", "x"): ("z", -np.pi / 2),
-    ("y", "z"): ("x", np.pi / 2),
-}
+def _conjugation(canonical: str, target: str) -> tuple[str, float]:
+    """(axis, angle) of the basis change V = rot(axis, angle) with V sigma_canonical
+    V^dag = sigma_target: sigma_canonical sigma_target = +-i sigma_axis, and
+    the angle is +-pi/2 with the same sign."""
+    product = multiply(PauliString(1.0, {0: canonical.upper()}), PauliString(1.0, {0: target.upper()}))
+    ((_, axis),) = product.key()
+    return axis.lower(), product.coefficient.imag * np.pi / 2
 
 
-def _basis_change(canonical: str, target: str, qubit: int) -> tuple[list[Gate], list[Gate]]:
-    """(pre, post) rotations moving the canonical letter onto the target one."""
-    if canonical == target:
-        return [], []
-    axis, angle = _CONJUGATION[(canonical, target)]
-    return [rot(axis, qubit, -angle)], [rot(axis, qubit, angle)]
+_CONJUGATION = {pair: _conjugation(*pair) for pair in permutations("xyz", 2)}
+
+
+def _basis_changes(monomial: PauliString, canonical: str) -> tuple[list[Gate], list[Gate]]:
+    """(pre, post) rotations moving the i-th canonical letter onto the
+    monomial's i-th letter, on that letter's qubit."""
+    pre: list[Gate] = []
+    post: list[Gate] = []
+    for (qubit, letter), start in zip(monomial.key(), canonical):
+        if start != letter.lower():
+            axis, angle = _CONJUGATION[start, letter.lower()]
+            pre.append(rot(axis, qubit, -angle))
+            post.append(rot(axis, qubit, angle))
+    return pre, post
 
 
 def _folded_angle(monomial: PauliString, phi: float) -> float:
@@ -204,18 +210,10 @@ def compile_collective(monomial: PauliString, phi: float) -> Circuit:
     angle = _folded_angle(monomial, phi)
     support = monomial.support
     weight = monomial.weight
-    first = support[0]
     canonical_first = "z" if weight % 2 else "y"
     sandwich_sign = 1 if weight % 4 in (1, 2) else -1
-
-    pre: list[Gate] = []
-    post: list[Gate] = []
-    for i, (qubit, letter) in enumerate(monomial.key()):
-        canonical = canonical_first if i == 0 else "x"
-        p, q = _basis_change(canonical, letter.lower(), qubit)
-        pre += p
-        post += q
-    center = rot("z", first, 2.0 * sandwich_sign * angle)
+    pre, post = _basis_changes(monomial, canonical_first + "x" * (weight - 1))
+    center = rot("z", support[0], 2.0 * sandwich_sign * angle)
     gates = pre + [coll(support, -np.pi / 4), center, coll(support, np.pi / 4)] + post
     return Circuit(tuple(gates), max(support) + 1)
 
@@ -252,13 +250,7 @@ def compile_cphase(monomial: PauliString, phi: float, ancilla: int | None = None
     if ancilla in support:
         raise ValueError(f"ancilla {ancilla} collides with the monomial support")
     center_sign = 1 if weight % 4 in (0, 3) else -1
-
-    pre: list[Gate] = []
-    post: list[Gate] = []
-    for qubit, letter in monomial.key():
-        p, q = _basis_change("z", letter.lower(), qubit)
-        pre += p
-        post += q
+    pre, post = _basis_changes(monomial, "z" * weight)
     forward = [g for qubit in support for g in _zz_half_turn(ancilla, qubit, +1)]
     backward = [g for qubit in support for g in _zz_half_turn(ancilla, qubit, -1)]
     center = rot("x", ancilla, 2.0 * center_sign * angle)
@@ -307,57 +299,29 @@ def reduced_system_unitary(circuit: Circuit, ancilla: int, prepared: np.ndarray)
 # ---------------------------------------------------------------------------
 # additive error accumulation
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-gate error windows (low, high) for the two entangling gate classes
-    plus the single-qubit error as a fraction of the entangling error."""
+def fidelity_cap(counts: GateCounts, backend: str) -> tuple[float, float]:
+    """Fidelity band (low, high) of ``backend``'s gate counts from summing
+    per-gate errors over its ``ERROR_WINDOWS`` entry.
 
-    collective_window: tuple[float, float] = COLLECTIVE_WINDOW
-    cphase_window: tuple[float, float] = CPHASE_WINDOW
-    single_qubit_factor: float = SINGLE_QUBIT_FACTOR
-
-    def __post_init__(self):
-        for low, high in (self.collective_window, self.cphase_window):
-            if not (0 <= low <= high <= 1):
-                raise ValueError("error windows must satisfy 0 <= low <= high <= 1")
-        if not (0 <= self.single_qubit_factor <= 1):
-            raise ValueError("single-qubit factor must lie in [0, 1]")
-
-
-def fidelity_cap(
-    circuit: Circuit | GateCounts,
-    noise: NoiseModel = NoiseModel(),
-    backend: str | None = None,
-) -> tuple[float, float]:
-    """Fidelity band (low, high) from summing per-gate errors.
-
-    Each entangling gate carries its class error; each single-qubit gate
-    carries the class error times the single-qubit factor.  The backend is
-    inferred from the entangling gates present; a circuit mixing both classes
-    is rejected, and a rotation-only circuit needs an explicit backend.
+    Each entangling gate carries the backend's error; each single-qubit gate
+    carries that error times ``SINGLE_QUBIT_FACTOR``.  Counts that hold the
+    other backend's entangling gates are rejected.
     """
-    counts = circuit.counts if isinstance(circuit, Circuit) else circuit
-    if counts.collective and counts.cphase:
-        raise ValueError("circuit mixes both entangling gate classes")
-    if backend is None:
-        if counts.collective:
-            backend = "collective"
-        elif counts.cphase:
-            backend = "cphase"
-        else:
-            raise ValueError("backend is ambiguous for a rotation-only circuit")
     if backend == "collective":
-        window, entangling = noise.collective_window, counts.collective
+        entangling, other = counts.collective, counts.cphase
     elif backend == "cphase":
-        window, entangling = noise.cphase_window, counts.cphase
+        entangling, other = counts.cphase, counts.collective
     else:
         raise ValueError(f"unknown backend {backend!r}")
+    if other:
+        raise ValueError(f"{backend} counts hold the other backend's entangling gates")
 
     def cap(eps: float) -> float:
-        total = entangling * eps + counts.single * eps * noise.single_qubit_factor
+        total = entangling * eps + counts.single * eps * SINGLE_QUBIT_FACTOR
         return max(0.0, 1.0 - total)
 
-    return cap(window[1]), cap(window[0])
+    low, high = ERROR_WINDOWS[backend]
+    return cap(high), cap(low)
 
 
 # ---------------------------------------------------------------------------
@@ -377,25 +341,24 @@ def _fractal_factor(k: int) -> int:
     return 5 ** (2 * k)
 
 
+def _bound_value(m: int, norm_bound: float, t: float, eps: float, k: int) -> float:
+    """2 m 5^(2k) (m * norm_bound * t)^(1 + 1/2k) / eps^(1/2k)."""
+    return 2 * m * _fractal_factor(k) * (m * norm_bound * t) ** (1 + 1 / (2 * k)) / eps ** (1 / (2 * k))
+
+
 def trotter_bound(m: int, norm_bound: float, t: float, eps: float, k: int = 1) -> int:
-    """Ceiling of 2 m 5^(2k) (m * norm_bound * t)^(1 + 1/2k) / eps^(1/2k)."""
+    """Ceiling of the step bound for m terms of norm at most ``norm_bound``."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if k < 1:
         raise ValueError("fractal degree k must be at least 1")
-    value = 2 * m * _fractal_factor(k) * (m * norm_bound * t) ** (1 + 1 / (2 * k)) / eps ** (1 / (2 * k))
-    return math.ceil(value)
+    return math.ceil(_bound_value(m, norm_bound, t, eps, k))
 
 
 def plaquette_bound_constant(k: int = 1) -> float:
     """Coefficient of (Jt)^(1+1/2k) in the one-plaquette step bound under the
     norm reading that makes m * norm = 2|J| per plaquette."""
-    m = PLAQUETTE_TERMS
-    return 2 * m * _fractal_factor(k) * (m * PLAQUETTE_NORM_READING) ** (1 + 1 / (2 * k))
-
-
-def plaquette_steps_bound(n_plaquettes: int, jt: float, eps: float, k: int = 1) -> int:
-    return trotter_bound(PLAQUETTE_TERMS * n_plaquettes, PLAQUETTE_NORM_READING, jt, eps, k)
+    return _bound_value(PLAQUETTE_TERMS, PLAQUETTE_NORM_READING, 1.0, 1.0, k)
 
 
 def printed_steps_bound(n_plaquettes: int, jt: float, eps: float) -> float:

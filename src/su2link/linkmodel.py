@@ -418,6 +418,8 @@ def parse_layout(text: str) -> PlaquetteLayout:
             elif kind == "link":
                 if len(fields) != 6:
                     raise ValueError("expected: link <id> <from> <to> <pos-qubit> <spin-qubit>")
+                if "," in fields[1]:
+                    raise ValueError(f"link id {fields[1]!r} must not contain a comma")
                 links.append(Link(fields[1], int(fields[2]), int(fields[3]), int(fields[4]), int(fields[5])))
             elif kind == "plaquette":
                 if len(fields) != 4:

@@ -214,19 +214,18 @@ def test_criterion_07_stabilizer_identities():
 
 def test_criterion_08_noise_model(layout):
     with criterion("08 noise model"):
-        noise = cp.NoiseModel()
         counts = cp.GateCounts(collective=64, single=368)
-        low, _ = cp.fidelity_cap(counts, noise)
+        low, _ = cp.fidelity_cap(counts, "collective")
         closed_form = 1 - (64 * 5e-4 + 368 * 5e-4 / 20)
         assert abs(low - closed_form) < 1e-6
         # affine in the counts
         double = cp.GateCounts(collective=128, single=736)
-        low2, _ = cp.fidelity_cap(double, noise)
+        low2, _ = cp.fidelity_cap(double, "collective")
         assert abs((1 - low2) - 2 * (1 - low)) < 1e-12
         monomials = lm.plaquette_monomials(layout, 1.0)
         step = cp.compile_step(monomials, 0.1, "collective")
         real_low, _ = cp.fidelity_cap(
-            cp.GateCounts(step.counts.collective * 2, 0, step.counts.single * 2), noise
+            cp.GateCounts(step.counts.collective * 2, 0, step.counts.single * 2), "collective"
         )
         assert real_low >= low  # achieved singles never exceed the bound
 

@@ -410,6 +410,15 @@ def test_vertex_line_takes_one_id(line, tmp_path, capsys):
     assert_config_error(run(["sectors", "--layout", str(path)], capsys), "line 1: expected: vertex <id>")
 
 
+
+@pytest.mark.parametrize("argv", [["sectors"], ["covariance", "--sets", "1"], ["compile", "--backend", "cphase"]])
+def test_link_id_with_a_comma_exits_2(argv, tmp_path, capsys):
+    # covariance prints link ids as a CSV field
+    path = tmp_path / "comma.layout"
+    path.write_text(TRIANGLE_PATH.read_text(encoding="utf-8").replace("12", "1,2"), encoding="utf-8")
+    result = run([*argv, "--layout", str(path)], capsys)
+    assert_config_error(result, "line 4: link id '1,2' must not contain a comma")
+
 @pytest.mark.parametrize("n0", [-1, 3])
 def test_matter_rejects_an_impossible_n0(n0, capsys):
     # a link has two color cells of at most one excitation each: n0 is 0..2
@@ -474,6 +483,21 @@ def test_circuit_out_matches_golden_gate_list(tmp_path, capsys):
     assert code == 0
     assert path.read_text(encoding="utf-8") == (GOLDEN / "compile_cphase.circuit").read_text(encoding="utf-8")
 
+
+
+def test_circuit_out_to_redirected_stdout_matches_the_pipe(tmp_path):
+    """--circuit-out /dev/stdout writes the gate list, then the report, whether
+    stdout is a pipe or a file."""
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout")
+    argv = [sys.executable, "-m", "su2link.cli", "compile", "--step", "--backend", "cphase", "--circuit-out", "/dev/stdout"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    piped = subprocess.run(argv, capture_output=True, env=env, timeout=120, check=True).stdout
+    path = tmp_path / "redirected.txt"
+    with open(path, "wb") as handle:
+        subprocess.run(argv, stdout=handle, env=env, timeout=120, check=True)
+    assert path.read_bytes() == piped
+    assert piped.decode().startswith((GOLDEN / "compile_cphase.circuit").read_text(encoding="utf-8"))
 
 def test_default_covariance_matches_golden_output(capsys):
     """The default covariance CSV against the committed one: the header and

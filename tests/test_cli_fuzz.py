@@ -165,15 +165,15 @@ STRIP3_LINES = [
     for line in (Path(__file__).parent / "data" / "strip3.layout").read_text(encoding="utf-8").splitlines()
     if line and not line.startswith("#")
 ]
-MUTATIONS = ["duplicate", "drop", "swap", "shift", "reuse", "reverse", "self-loop", "junk"]
+MUTATIONS = ["duplicate", "drop", "swap", "shift", "reuse", "reverse", "self-loop", "comma", "junk"]
 
 
 @st.composite
 def mutated_layouts(draw):
     """The lines of tests/data/strip3.layout after one or two mutations: a
     line duplicated, dropped or swapped with another; a link's qubit shifted
-    or set to another link's; a link reversed or made a self-loop; or a
-    junk line inserted."""
+    or set to another link's; a link reversed or made a self-loop; a comma
+    put in a link's id; or a junk line inserted."""
     lines = list(STRIP3_LINES)
     for _ in range(draw(st.integers(1, 2))):
         mutation = draw(st.sampled_from(MUTATIONS))
@@ -200,6 +200,8 @@ def mutated_layouts(draw):
                 words[slot] = other[draw(st.sampled_from([4, 5]))]
             elif mutation == "reverse":
                 words[2], words[3] = words[3], words[2]
+            elif mutation == "comma":
+                words[1] += ",x"
             else:
                 words[3] = words[2]
             lines[index] = " ".join(words)

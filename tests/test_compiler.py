@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from su2link import cli
 from su2link import compiler as cp
 from su2link import linkmodel as lm
-from su2link.compiler import Circuit, GateCounts, NoiseModel, coll, cphase, rot
+from su2link.compiler import Circuit, GateCounts, coll, cphase, rot
 from su2link.errors import GuardError
 from su2link.linalg import expi_hermitian, unitary_distance_up_to_phase
 from su2link.pauli import PauliString, PauliSum, columns, dense
@@ -400,6 +400,23 @@ def test_cphase_reduced_equivalence(monomials):
             assert unitary_distance_up_to_phase(target_unitary(monomial, phi, 6), reduced) < 1e-9
 
 
+@pytest.mark.parametrize("phi", [0.7, -1.3])
+def test_every_basis_change_on_both_backends(phi):
+    """Every X/Y/Z string of weight 2-4 on qubits 0..w-1, so every entry of
+    the conjugation table, on each backend's canonical letters."""
+    worst = 0.0
+    for weight in (2, 3, 4):
+        for letters in product("XYZ", repeat=weight):
+            monomial = PauliString(1.0, dict(enumerate(letters)))
+            want = target_unitary(monomial, phi, weight)
+            collective = cp.circuit_unitary(cp.compile_collective(monomial, phi), weight)
+            reduced = cp.reduced_system_unitary(
+                cp.compile_cphase(monomial, phi, ancilla=weight), weight, cp.ancilla_state(weight)
+            )
+            worst = max(worst, *(unitary_distance_up_to_phase(want, got) for got in (collective, reduced)))
+    assert worst < 1e-10
+
+
 def test_cphase_ancilla_collision():
     monomial = PauliString(1.0, {0: "X", 1: "X"})
     with pytest.raises(ValueError):
@@ -440,43 +457,43 @@ def test_ancilla_sandwich_sign_table():
 
 
 def test_fidelity_cap_trivial_and_affine():
+    assert cp.fidelity_cap(GateCounts(), "collective") == (1.0, 1.0)
     counts = GateCounts(collective=10, single=40)
-    zero = NoiseModel(collective_window=(0.0, 0.0))
-    assert cp.fidelity_cap(counts, zero) == (1.0, 1.0)
-    point = NoiseModel(collective_window=(2e-4, 2e-4))
-    low, high = cp.fidelity_cap(counts, point)
-    assert low == high
-    expected = 1 - (10 * 2e-4 + 40 * 2e-4 / 20)
-    assert low == pytest.approx(expected, abs=1e-15)
+    low, high = cp.fidelity_cap(counts, "collective")
+    assert low == pytest.approx(1 - (10 * 5e-4 + 40 * 5e-4 / 20), abs=1e-15)
+    assert high == pytest.approx(1 - (10 * 1e-4 + 40 * 1e-4 / 20), abs=1e-15)
     # affine: doubling the counts doubles the loss
-    low2, _ = cp.fidelity_cap(GateCounts(collective=20, single=80), point)
+    low2, _ = cp.fidelity_cap(GateCounts(collective=20, single=80), "collective")
     assert (1 - low2) == pytest.approx(2 * (1 - low), abs=1e-15)
 
 
 def test_fidelity_cap_band_and_clamp():
     counts = GateCounts(collective=64, single=368)
-    low, high = cp.fidelity_cap(counts, NoiseModel())
+    low, high = cp.fidelity_cap(counts, "collective")
     assert low == pytest.approx(1 - (64 * 5e-4 + 368 * 2.5e-5), abs=1e-12)
     assert high == pytest.approx(1 - (64 * 1e-4 + 368 * 5e-6), abs=1e-12)
     assert low < high
     huge = GateCounts(cphase=10**7)
-    assert cp.fidelity_cap(huge, NoiseModel())[0] == 0.0
+    assert cp.fidelity_cap(huge, "cphase")[0] == 0.0
 
 
 def test_fidelity_cap_backend_handling():
-    with pytest.raises(ValueError):
-        cp.fidelity_cap(GateCounts(collective=1, cphase=1), NoiseModel())
-    with pytest.raises(ValueError):
-        cp.fidelity_cap(GateCounts(single=3), NoiseModel())
-    low, high = cp.fidelity_cap(GateCounts(single=3), NoiseModel(), backend="cphase")
+    with pytest.raises(ValueError, match="unknown backend"):
+        cp.fidelity_cap(GateCounts(single=3), "ion")
+    with pytest.raises(ValueError, match="other backend"):
+        cp.fidelity_cap(GateCounts(collective=1, cphase=1), "collective")
+    with pytest.raises(ValueError, match="other backend"):
+        cp.fidelity_cap(GateCounts(collective=1, cphase=1), "cphase")
+    with pytest.raises(ValueError, match="other backend"):
+        cp.fidelity_cap(GateCounts(cphase=2, single=3), "collective")
+    low, high = cp.fidelity_cap(GateCounts(single=3), "cphase")
     assert low == pytest.approx(1 - 3 * 5e-5 / 20, abs=1e-15)
 
 
 def test_fidelity_cap_order_independent(monomials):
-    noise = NoiseModel()
     step = cp.compile_step(monomials, 0.3, "collective")
     reverse = cp.compile_step(list(reversed(monomials)), 0.3, "collective")
-    assert cp.fidelity_cap(step, noise) == cp.fidelity_cap(reverse, noise)
+    assert cp.fidelity_cap(step.counts, "collective") == cp.fidelity_cap(reverse.counts, "collective")
 
 
 def test_trotter_bound_basics():
