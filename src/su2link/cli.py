@@ -150,6 +150,8 @@ def run_compile(args: argparse.Namespace) -> str:
     written there once every check has passed."""
     if args.monomial and args.step:
         raise LayoutError("--step and --monomial are mutually exclusive")
+    if args.out and args.circuit_out and _same_file(args.out, args.circuit_out):
+        raise LayoutError(f"--out and --circuit-out name one file: {args.circuit_out!r}")
     _check_coupling(args.J)
     layout = _load_layout(args.layout)
     if args.monomial is not None:
@@ -375,6 +377,13 @@ def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
             raise LayoutError(f"config file sets unknown option {key!r}")
         values[key] = value.lower() in ("1", "true", "yes") if isinstance(getattr(args, key), bool) else value
     return values
+
+
+def _same_file(path: str, other: str) -> bool:
+    try:
+        return os.path.samestat(os.stat(path), os.stat(other))
+    except OSError:  # a file not made yet is the other one only by the same resolved path
+        return os.path.realpath(path) == os.path.realpath(other)
 
 
 def _write(path: str | None, content: str) -> None:

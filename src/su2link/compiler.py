@@ -120,6 +120,7 @@ def _apply_gates(gates: tuple[Gate, ...], block: np.ndarray) -> np.ndarray:
     n = len(block).bit_length() - 1
     bits, pending = np.arange(len(block)) >> np.arange(n)[:, None], None
     bits &= 1  # bits[q] is qubit q's bit of each row
+    scratch = np.empty(block.size, dtype=complex)  # each factor's flipped copy in turn, allocated once
     for gate in gates:
         if max(gate.qubits) >= n:
             raise ValueError(f"gate acts outside the {n}-qubit register")
@@ -141,10 +142,9 @@ def _apply_gates(gates: tuple[Gate, ...], block: np.ndarray) -> np.ndarray:
             for qubits in flips:
                 shape, reverse = axis_flip(n, qubits)
                 view = block.reshape(*shape, -1, copy=False)  # the bits below the lowest qubit join the columns
-                gathered = view[reverse] * factor
+                gathered = np.multiply(view[reverse], factor, out=scratch.reshape(view.shape))
                 view *= math.cos(theta)
                 view += gathered
-                del gathered  # before the next factor makes its copy
             continue
         pending = diagonal if pending is None else pending * diagonal
     return block if pending is None else np.multiply(block, pending[:, None], out=block)

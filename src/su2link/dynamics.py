@@ -28,11 +28,14 @@ expectations on the gathered rows.  ``sweep`` holds each start on its seed
 basis state's coset of the span of the Hamiltonian's and the Casimir's
 masks: the Hamiltonian's own span on the triangle, the two-plaquette layout
 and every strip, a larger one where the Casimir's masks lie outside it (two
-plaquettes that share only a vertex, a link in no plaquette).  Each start's
-(step count, phi) rows form one ragged batch sorted by step count, where
-step s acts on the prefix of rows that take more than s steps.  Each row
-gets the same arithmetic as a ``trotter_evolve`` call, and likewise for the
-ideal states and ``exact_evolve``.
+plaquettes that share only a vertex, a link in no plaquette).  Every coset
+gives the restricted monomials the same strings, with weights that differ
+only by their signs, so the (step count, start, phi) rows of every start form
+one ragged batch sorted by step count, where step s acts on the prefix of
+rows that take more than s steps; each start brings its own initial state
+and its own signed angles.  Each row gets the same arithmetic as a
+``trotter_evolve`` call, and likewise for the ideal states and
+``exact_evolve``.
 
 ``empirical_vs_bound`` compares the measured Trotter error with the
 step-count bound of ``compiler.trotter_bound``.
@@ -198,24 +201,28 @@ def _check_steps(steps: int) -> None:
         raise ValueError("step count must be at least 1")
 
 
-def _apply_factors(monomials: Sequence[PauliString], dt, steps, states: np.ndarray) -> np.ndarray:
-    """The monomials' exponentials exp(-i c P dt) (real c), in the order
-    given, on a batch of states, one row each, with one ``dt`` and one step
-    count ``steps`` per row, sorted by step count, descending.  Step s acts
-    on the prefix of rows whose count exceeds s, so every row gets the
-    arithmetic it would get alone.  The batch is held one column per row, in
-    the broadcast input's memory order, which the sweep's sums read; each
-    monomial's ``pauli.axis_flip`` view and phases are built once per call."""
-    dt = np.asarray(dt, dtype=float)
+def _apply_factors(monomials: Sequence[PauliString], angles, steps, states: np.ndarray) -> np.ndarray:
+    """The exponentials exp(-i theta P) of the monomials' unit strings P, in
+    the order given, on a batch of states, one row each, with one angle theta
+    per (monomial, row) in ``angles`` (c dt for the monomial's weight c and
+    the row's time step; the monomials' own coefficients are not read) and
+    one step count ``steps`` per row, sorted by step count, descending.  Step
+    s acts on the prefix of rows whose count exceeds s, so every row gets the
+    arithmetic it would get alone.  Rows may start from different states and
+    carry different angles: a sweep's starts share one batch, where each
+    start's restricted weights differ from another's only by their signs.
+    The batch is held one column per row, in the broadcast input's memory
+    order, which the sweep's sums read; each monomial's ``pauli.axis_flip``
+    view and phases are built once per call."""
+    angles = np.asarray(angles, dtype=float)
     steps = np.asarray(steps)
     out = np.array(states, dtype=complex, order="F").T
     n = len(out).bit_length() - 1
     factors = []
-    for monomial in monomials:
+    for monomial, angle in zip(monomials, angles):
         shape, reverse = axis_flip(n, [q for q, letter in monomial.key() if letter != "Z"])
         ((_, values),) = columns(monomial.bare(), np.arange(len(out)), n)
-        angle = monomial.coefficient.real * dt
-        batch, phases = out.reshape(*shape, -1, len(dt)), values.reshape(*shape, -1, 1)[reverse]  # values[k ^ xmask]
+        batch, phases = out.reshape(*shape, -1, len(steps)), values.reshape(*shape, -1, 1)[reverse]  # values[k ^ xmask]
         factors.append((np.cos(angle), 1j * np.sin(angle), batch, reverse, phases))
     for step in range(int(steps.max(initial=0))):
         active = int(np.count_nonzero(steps > step))
@@ -240,7 +247,7 @@ def trotter_evolve(monomials: Sequence[PauliString], state: np.ndarray, t: float
         raise GuardError("Trotter monomials must have real coefficients")
     rows, restricted, _ = _on_support(monomials, [_check_norm(state)], "Trotter evolution")
     out = np.zeros(len(state), dtype=complex)
-    out[rows] = _apply_factors(restricted, [t / steps], [steps], state[rows][None])[0]
+    out[rows] = _apply_factors(restricted, [[m.coefficient.real * (t / steps)] for m in restricted], [steps], state[rows][None])[0]
     return _check_norm(out)
 
 
@@ -339,8 +346,11 @@ def sweep(
     The monomials, their Hamiltonian, the Casimir and the sector table are
     built once per call, and so is the span of their X masks.  Each start is
     held on the coset of that span that its seed basis state lies in, from
-    the projection that makes it to the last overlap (``_start_observables``),
-    so no array of a sweep has 2^n entries.
+    the projection that makes it (``_start_setup``) to the last overlap, so no
+    array of a sweep has 2^n entries.  Every start's (step count, phi) rows
+    are one Trotter batch, ordered by step count (descending), then start,
+    then phi; each start brings its own initial state and restricted
+    weights.
     """
     starts = [start_sector] if np.ndim(start_sector) == 0 else list(start_sector)
     if not steps_list or not phis or not starts:
@@ -356,14 +366,29 @@ def sweep(
     check_memory(lambda: (len(hamiltonian) + len(casimir)) * n / 8, f"sweep on {n} qubits")
     _check_hermitian(hamiltonian)
     basis = span([hamiltonian, casimir])
-    check_memory(lambda: _sweep_bytes(len(basis), hamiltonian, casimir, len(phis), len(step_counts)), f"sweep on {n} qubits")
+    check_memory(
+        lambda: _sweep_bytes(len(basis), hamiltonian, casimir, len(phis), len(step_counts), len(starts)), f"sweep on {n} qubits"
+    )
     table = gauge_sectors(layout)
     times = np.asarray(phis, dtype=float) / coupling
+    setups = [_start_setup(hamiltonian, casimir, basis, monomials, table, start, times) for start in starts]
+    # every start's restricted monomials have the same strings, so the first start's serve the batch,
+    # whose rows run by step count (descending), then start, then phi
+    weights = np.array([[m.coefficient.real for m in restricted] for *_, restricted in setups])  # (start, monomial)
+    dts = times / np.array(step_counts)[:, None]  # (step count, phi)
+    psi0s = np.array([psi0 for _, psi0, *_ in setups])
+    initial = np.broadcast_to(psi0s[:, None], (len(step_counts), len(starts), len(times), psi0s.shape[1]))
+    digital = _check_norm(_apply_factors(
+        setups[0][-1],
+        (weights.T[:, None, :, None] * dts[:, None]).reshape(len(monomials), -1),
+        np.repeat(step_counts, len(starts) * len(times)),
+        initial.reshape(-1, psi0s.shape[1]),  # a view for one start; several starts' rows are copied
+    )).reshape(initial.shape)
     rows = []
-    for start in starts:
-        gauge_ideal, overlap_initial, gauge_digital, fidelity = _start_observables(
-            hamiltonian, casimir, basis, monomials, table, start, times, step_counts
-        )
+    for (apply_casimir, psi0, ideal, gauge_ideal, _), blocks in zip(setups, digital.swapaxes(0, 1)):
+        overlap_initial = _overlaps(ideal, psi0)
+        gauge_digital = [_expectations(apply_casimir, block) for block in blocks]
+        fidelity = [_overlaps(ideal, block) for block in blocks]
         for steps in steps_list:
             k = step_counts.index(steps)
             points = zip(phis, gauge_ideal.tolist(), overlap_initial.tolist(), gauge_digital[k].tolist(), fidelity[k].tolist())
@@ -374,20 +399,23 @@ def sweep(
     return rows
 
 
-def _sweep_bytes(rank: int, hamiltonian: PauliSum, casimir: PauliSum, n_phis: int, n_steps: int) -> float:
+def _sweep_bytes(rank: int, hamiltonian: PauliSum, casimir: PauliSum, n_phis: int, n_steps: int, n_starts: int) -> float:
     """The sweep's memory estimate per row of a start's coset, d = 2^rank
     rows: the Lanczos stage at its largest (at most three blocks of d vectors
     of d entries, see ``_krylov_spectrum``), the Casimir's pairs, the Trotter
-    phases and the one ``columns`` pair alive while they are built, and per
-    phi the ideal state, each step count's Trotter row and six temporaries
+    phases and the one ``columns`` pair alive while they are built; per phi
+    and start the ideal state and each step count's Trotter row, which the
+    one batch holds together, and with several starts the batch's input,
+    which is then a copy, not a broadcast view; and per phi six temporaries
     (the kernel's flipped copy, and an expectation's or a fidelity's
     conjugate, matvec result, product, gather and sum)."""
     d = 2.0**rank
     pairs = 24 * pair_count(casimir) + 16 * len(hamiltonian) + 24
-    return d * (48 * d + pairs + 16 * n_phis * (n_steps + 7))
+    per_phi = n_starts * (n_steps + 1) + (n_starts > 1) * n_starts * n_steps + 6
+    return d * (48 * d + pairs + 16 * n_phis * per_phi)
 
 
-def _start_observables(
+def _start_setup(
     hamiltonian: PauliSum,
     casimir: PauliSum,
     basis: list[int],
@@ -395,14 +423,14 @@ def _start_observables(
     table: GaugeSectorTable,
     start: float,
     times: np.ndarray,
-    step_counts: list[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One start's sweep values, (gauge_ideal, overlap_initial) per time and
-    (gauge_digital, fidelity) per (step count, time), with H, the Casimir
-    and the monomials restricted to the coset of ``basis`` (their X masks'
-    ``pauli.span``) that holds the seed basis state, where the seed's
-    projection is exact.  The (step count, time) Trotter rows are one ragged
-    batch sorted by step count, descending."""
+):
+    """One start's part of a sweep before the Trotter batch, with H, the
+    Casimir and the monomials restricted to the coset of ``basis`` (their X
+    masks' ``pauli.span``) that holds the seed basis state, where the seed's
+    projection is exact: (the Casimir's matvec there, the initial state, the
+    ideal state and its Casimir expectation per time, the restricted
+    monomials).  Every coset gives the monomials the same strings, and
+    weights that differ only by the signs (-1)^parity(rep & zmask)."""
     seed = sector_seed(table, start)
     rows = coset(basis, seed)
     rep = int(rows[0])
@@ -412,13 +440,4 @@ def _start_observables(
     gauge_ideal = _expectations(apply_casimir, ideal)
     if np.any(abs(gauge_ideal) < DEVIATION_GUARD):
         raise GuardError("ideal gauge expectation vanished")
-    digital = _check_norm(_apply_factors(
-        [restrict(m, basis, rep) for m in monomials],
-        np.concatenate([times / steps for steps in step_counts]),
-        np.repeat(step_counts, len(times)),
-        np.broadcast_to(psi0, (len(step_counts) * len(times), len(psi0))),
-    )).reshape(len(step_counts), len(times), -1)
-    gauge_digital = np.array([_expectations(apply_casimir, block) for block in digital])
-    fidelity = np.array([_overlaps(ideal, block) for block in digital])
-    return gauge_ideal, _overlaps(ideal, psi0), gauge_digital, fidelity
-
+    return apply_casimir, psi0, ideal, gauge_ideal, [restrict(m, basis, rep) for m in monomials]

@@ -204,19 +204,18 @@ def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_regi
     return out
 
 
-def _gather_trotter(monomials, dt, steps, states):
-    """``dynamics._apply_factors`` as a gather: each monomial c P becomes one
-    index table ``perm`` and its phases on every basis state, P psi =
-    phases * psi[..., perm], and each factor gathers the active rows of the
-    batch through it, which is held one state per row."""
+def _gather_trotter(monomials, angles, steps, states):
+    """``dynamics._apply_factors`` as a gather: each monomial's unit string P
+    becomes one index table ``perm`` and its phases on every basis state,
+    P psi = phases * psi[..., perm], and each factor gathers the active rows
+    of the batch through it, which is held one state per row, with the
+    row's angle from ``angles`` (one row of angles per monomial)."""
     n = np.shape(states)[1].bit_length() - 1
-    factors = []
-    for monomial in monomials:
+    trig = []
+    for monomial, angle in zip(monomials, np.asarray(angles, dtype=float)[:, :, None]):
         ((perm, values),) = columns(monomial.bare(), np.arange(2**n), n)
-        factors.append((monomial.coefficient.real, perm, values[perm]))
-    dt = np.asarray(dt, dtype=float)[:, None]
+        trig.append((np.cos(angle), 1j * np.sin(angle), perm, values[perm]))
     steps = np.asarray(steps)
-    trig = [(np.cos(c * dt), 1j * np.sin(c * dt), perm, phases) for c, perm, phases in factors]
     out = np.array(states, dtype=complex)
     for step in range(int(steps.max(initial=0))):
         active = int(np.count_nonzero(steps > step))

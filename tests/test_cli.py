@@ -369,8 +369,13 @@ def test_four_triangle_strip_fig3_fits_the_budget():
     phis = cli._phi_grid(0.05, 2.0, 0.05)
     casimir = lm.total_gauge_casimir(layout)
     assert span([hamiltonian, casimir]) == span([hamiltonian])  # the Casimir's masks lie in H's span
-    estimate = dyn._sweep_bytes(12, hamiltonian, casimir, len(phis), 4)
+    estimate = dyn._sweep_bytes(12, hamiltonian, casimir, len(phis), 4, 1)
     assert 0.8e9 < estimate < 0.9e9 < errors.MEMORY_BUDGET
+    # default figS2, seven step counts: one batch holds the second start's ideal
+    # states and rows too, and a copy of both starts' initial rows
+    two_starts = dyn._sweep_bytes(12, hamiltonian, casimir, len(phis), 7, 2)
+    assert two_starts - dyn._sweep_bytes(12, hamiltonian, casimir, len(phis), 7, 1) == 2**12 * 16 * len(phis) * (8 + 2 * 7)
+    assert two_starts < 0.95e9
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -118,6 +120,34 @@ def test_compile_fuzz(two_plaquette_path, backend, what, phi, coupling, two_plaq
     argv = ["compile", f"--backend={backend}", *what, *with_wild({"phi": phi, "J": coupling}, wild)]
     argv += ["--layout", str(two_plaquette_path)] if two_plaquette else []
     check_outcome(*run_cli(argv))
+
+
+# names in one directory: link.json is a symbolic link to report.json
+OUTPUT_NAMES = ["report.json", "./report.json", "link.json", "gates.txt", "./gates.txt"]
+
+
+@FUZZ
+@given(out=st.sampled_from(OUTPUT_NAMES), circuit_out=st.sampled_from(OUTPUT_NAMES), existing=st.booleans())
+def test_compile_output_paths_fuzz(out, circuit_out, existing):
+    # two paths that name one file are refused before either is written; otherwise
+    # the gate list and the report each keep their own file
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        (root / "link.json").symlink_to(root / "report.json")
+        if existing:
+            (root / "report.json").write_text("old\n", encoding="utf-8")
+            (root / "gates.txt").write_text("old\n", encoding="utf-8")
+        paths = [f"{directory}/{name}" for name in (out, circuit_out)]
+        code, stdout, err = run_cli(["compile", "--step", "--backend=cphase", "--out", paths[0], "--circuit-out", paths[1]])
+        if os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+            assert code == 2
+            assert err == f"error: --out and --circuit-out name one file: {paths[1]!r}\n"
+            assert [Path(p).exists() and Path(p).read_text(encoding="utf-8") for p in paths] == [existing and "old\n"] * 2
+        else:
+            assert (code, stdout, err) == (0, "", "")
+            report, gates = (Path(p).read_text(encoding="utf-8") for p in paths)
+            assert json.loads(report)["backend"] == "cphase"
+            assert gates.startswith("qubits 7\n")
 
 
 @WIDE_FUZZ

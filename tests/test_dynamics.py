@@ -348,6 +348,20 @@ def test_flip_kernel_matches_the_gather_reference_bitwise(
     assert repr(rows) == repr(dyn.sweep(layout, 1.0, [3, 1], phis, starts))
 
 
+@pytest.mark.parametrize(
+    "name, starts",
+    [("triangle", [0.75, 2.75]), ("two_plaquette", [0.75, 2.75]), ("strip3", [0.75, 2.75]), ("bowtie", [1.5, 3.5])],
+    ids=["triangle", "two_plaquette", "strip3", "bowtie"],
+)
+def test_shared_batch_moves_no_bit(layouts, strip3, off_span_layouts, name, starts):
+    # every start's rows share one Trotter batch, yet each start reads as if swept alone
+    layout = {**layouts, **off_span_layouts, "strip3": strip3}[name]
+    # the 40 default phis: from 32 phis up, strip3's sums read the batch's memory order
+    phis = cli._phi_grid(0.05, 2.0, 0.05)
+    alone = [row for start in starts for row in dyn.sweep(layout, 1.0, [3, 1], phis, [start])]
+    assert repr(dyn.sweep(layout, 1.0, [3, 1], phis, starts)) == repr(alone)
+
+
 def test_trotter_evolve_matches_the_gather_reference_bitwise(monomials, gather_trotter, monkeypatch):
     rng = np.random.default_rng(18)
     psi = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
@@ -384,17 +398,30 @@ def test_rows_path_matches_full_register_oracle(layouts, strip3, off_span_layout
 
 
 def test_each_start_evolves_on_its_own_coset(layout, monkeypatch):
-    # the figS2 starts 0.75 and 2.75 reach disjoint 8-state cosets of the triangle
-    widths = []
-    original = dyn._apply_factors
+    # the figS2 starts 0.75 and 2.75 reach disjoint 8-state cosets of the
+    # triangle, and their rows share one batch on the coset register
+    calls, cosets = [], []
+    original_kernel, original_coset = dyn._apply_factors, dyn.coset
 
-    def recording(factors, dt, steps, states):
-        widths.append(np.shape(states))
-        return original(factors, dt, steps, states)
+    def recording(monomials, angles, steps, states):
+        calls.append((np.shape(states), np.array(angles)))
+        return original_kernel(monomials, angles, steps, states)
+
+    def recording_coset(basis, index):
+        cosets.append(original_coset(basis, index))
+        return cosets[-1]
 
     monkeypatch.setattr(dyn, "_apply_factors", recording)
+    monkeypatch.setattr(dyn, "coset", recording_coset)
     dyn.sweep(layout, 1.0, [1, 2, 4], [0.3, 0.6], [0.75, 2.75])
-    assert widths == [(6, 8), (6, 8)]
+    ((shape, angles),) = calls
+    assert shape == (12, 8)
+    first, second = cosets
+    assert not set(first.tolist()) & set(second.tolist())
+    # columns by step count, then start, then phi: each start's angles carry its coset's signs
+    by_start = angles.reshape(len(angles), 3, 2, 2)
+    assert np.array_equal(abs(by_start[:, :, 0]), abs(by_start[:, :, 1]))
+    assert not np.array_equal(by_start[:, :, 0], by_start[:, :, 1])
 
 
 @pytest.mark.parametrize("name", ["bowtie", "dangling_link"])
@@ -408,21 +435,21 @@ def test_start_rows_close_under_the_casimir_too(off_span_layouts, name, monkeypa
     widths = []
     original = dyn._apply_factors
 
-    def recording(factors, dt, steps, states):
+    def recording(monomials, angles, steps, states):
         widths.append(np.shape(states)[1])
-        return original(factors, dt, steps, states)
+        return original(monomials, angles, steps, states)
 
     monkeypatch.setattr(dyn, "_apply_factors", recording)
     dyn.sweep(layout, 1.0, [1, 2], [0.3], [1.5, 3.5])
-    assert widths == [2**rank] * 2
+    assert widths == [2**rank]
 
 
 def test_sweep_norm_guard_checks_every_row(layout, monkeypatch):
     # one corrupted row of the batch must trip the guard
     original = dyn._apply_factors
 
-    def corrupt_last_row(factors, dt, steps, states):
-        out = original(factors, dt, steps, states).copy()
+    def corrupt_last_row(monomials, angles, steps, states):
+        out = original(monomials, angles, steps, states).copy()
         out[-1] *= 1.001
         return out
 

@@ -494,6 +494,26 @@ def test_restrict_reproduces_columns_on_every_sector_coset(layouts, strip3, off_
             assert values.tobytes() == full_values.tobytes(), (eigenvalue, format_string(term))
 
 
+@pytest.mark.parametrize("name", ["triangle", "bowtie"])
+def test_restrict_gives_every_coset_one_string_and_signed_weights(layouts, off_span_layouts, name):
+    # a sweep's starts share one Trotter batch on this: one string per term,
+    # with weights that differ only by the signs (-1)^parity(rep & zmask)
+    from su2link import linkmodel as lm
+
+    layout = {**layouts, **off_span_layouts}[name]
+    hamiltonian, casimir = lm.plaquette_hamiltonian(layout, 1.0), lm.total_gauge_casimir(layout)
+    basis = span([hamiltonian, casimir])
+    reps = sorted({int(coset(basis, index)[0]) for index in range(2**layout.n_qubits)})
+    assert len(reps) == 2 ** (layout.n_qubits - len(basis))
+    for term in hamiltonian.terms + casimir.terms:
+        zmask = sum(1 << q for q, letter in term.key() if letter != "X")
+        first = restrict(term, basis, 0)
+        for rep in reps:
+            restricted = restrict(term, basis, rep)
+            assert restricted.key() == first.key()
+            assert restricted.coefficient == first.coefficient * (-1) ** (rep & zmask).bit_count(), format_string(term)
+
+
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
 def test_columns_are_the_dense_columns_bitwise(n):
     rng = np.random.default_rng(80 + n)
