@@ -123,7 +123,13 @@ def _figure_csv(args: argparse.Namespace, layout: lm.PlaquetteLayout) -> str:
     starts = default_starts if args.start_sector is None else (args.start_sector,)
     rows = dyn.sweep(layout, args.J, steps, phis, starts)
     if args.figure == "fig3":
-        lines = [f"{r.steps},{r.phi!r},{r.deviation!r},{r.overlap_initial!r},{r.fidelity!r}" for r in rows]
+        # E, the relative gauge deviation, is the only output that divides by the ideal expectation
+        if any(abs(r.gauge_ideal) < dyn.DEVIATION_GUARD for r in rows):
+            raise GuardError("ideal gauge expectation vanished")
+        lines = [
+            f"{r.steps},{r.phi!r},{(r.gauge_ideal - r.gauge_digital) / r.gauge_ideal!r},{r.overlap_initial!r},{r.fidelity!r}"
+            for r in rows
+        ]
         return _csv("N,phi,E,overlap_I0,fidelity_ID", lines)
     if args.figure == "figS2":
         per_start = len(rows) // len(starts)

@@ -24,18 +24,18 @@ sector representative), so every operator acts here on a coset register:
 rows (``pauli.coset``) of the one coset of ``span(ops, support)`` that holds
 the joint support of their states: the evolutions gather the state there,
 evolve it and scatter it back, and ``relative_deviation`` takes both
-expectations on the gathered rows.  ``sweep`` holds each start on its seed
-basis state's coset of the span of the Hamiltonian's and the Casimir's
-masks: the Hamiltonian's own span on the triangle, the two-plaquette layout
-and every strip, a larger one where the Casimir's masks lie outside it (two
-plaquettes that share only a vertex, a link in no plaquette).  Every coset
-gives the restricted monomials the same strings, with weights that differ
-only by their signs, so the (step count, start, phi) rows of every start form
-one ragged batch sorted by step count, where step s acts on the prefix of
-rows that take more than s steps; each start brings its own initial state
-and its own signed angles.  Each row gets the same arithmetic as a
-``trotter_evolve`` call, and likewise for the ideal states and
-``exact_evolve``.
+expectations on the gathered rows.  ``sweep`` holds each start on its
+``linkmodel.sector_on_coset`` of the span of the Hamiltonian's and the
+Casimir's masks: the Hamiltonian's own span on the triangle, the
+two-plaquette layout and every strip, a larger one where the Casimir's masks
+lie outside it (two plaquettes that share only a vertex, a link in no
+plaquette).  Every coset gives the restricted monomials the same strings,
+with weights that differ only by their signs, so the (step count, start,
+phi) rows of every start form one ragged batch sorted by step count, where
+step s acts on the prefix of rows that take more than s steps; each start
+brings its own initial state and its own signed angles.  Each row gets the
+same arithmetic as a ``trotter_evolve`` call, and likewise for the ideal
+states and ``exact_evolve``.
 
 ``empirical_vs_bound`` compares the measured Trotter error with the
 step-count bound of ``compiler.trotter_bound``.
@@ -53,15 +53,7 @@ import numpy as np
 
 from .compiler import PLAQUETTE_NORM_READING, trotter_bound
 from .errors import GuardError, check_memory
-from .linkmodel import (
-    GaugeSectorTable,
-    PlaquetteLayout,
-    gauge_sectors,
-    plaquette_monomials,
-    sector_projection,
-    sector_seed,
-    total_gauge_casimir,
-)
+from .linkmodel import PlaquetteLayout, gauge_sectors, plaquette_monomials, sector_on_coset, total_gauge_casimir
 from .pauli import PauliString, PauliSum, axis_flip, columns, coset, matvec, pair_count, restrict, span
 
 NORM_TOL = 1e-10
@@ -323,7 +315,6 @@ def empirical_vs_bound(
 class SweepRow:
     steps: int
     phi: float
-    deviation: float
     overlap_initial: float
     fidelity: float
     gauge_ideal: float
@@ -345,12 +336,13 @@ def sweep(
     order, as ``trotter_evolve`` does.  Every step count must be at least 1.
     The monomials, their Hamiltonian, the Casimir and the sector table are
     built once per call, and so is the span of their X masks.  Each start is
-    held on the coset of that span that its seed basis state lies in, from
-    the projection that makes it (``_start_setup``) to the last overlap, so no
-    array of a sweep has 2^n entries.  Every start's (step count, phi) rows
-    are one Trotter batch, ordered by step count (descending), then start,
-    then phi; each start brings its own initial state and restricted
-    weights.
+    held on its ``linkmodel.sector_on_coset`` of that span, from the
+    projection that makes it to the last overlap, so no array of a sweep has
+    2^n entries.  Every start's (step count, phi) rows are one Trotter batch,
+    ordered by step count (descending), then start, then phi; each start
+    brings its own initial state and restricted weights.  The ideal Casimir
+    expectation may vanish (a sector of eigenvalue 0): the rows carry it as
+    it is, and a caller that divides by it guards it.
     """
     starts = [start_sector] if np.ndim(start_sector) == 0 else list(start_sector)
     if not steps_list or not phis or not starts:
@@ -371,73 +363,51 @@ def sweep(
     )
     table = gauge_sectors(layout)
     times = np.asarray(phis, dtype=float) / coupling
-    setups = [_start_setup(hamiltonian, casimir, basis, monomials, table, start, times) for start in starts]
-    # every start's restricted monomials have the same strings, so the first start's serve the batch,
+    psi0s, readouts, weights = [], [], []
+    for start in starts:
+        rows, apply_casimir, psi0 = sector_on_coset(table, start, casimir, basis)
+        ideal = _evolve_spectrum(_krylov_spectrum(restrict(hamiltonian, basis, int(rows[0])), psi0), times)
+        psi0s.append(psi0)
+        readouts.append((apply_casimir, ideal, _expectations(apply_casimir, ideal).tolist(), _overlaps(ideal, psi0).tolist()))
+        restricted = [restrict(m, basis, int(rows[0])) for m in monomials]
+        weights.append([m.coefficient.real for m in restricted])
+    # every start's restricted monomials have the same strings, so the last start's serve the batch,
     # whose rows run by step count (descending), then start, then phi
-    weights = np.array([[m.coefficient.real for m in restricted] for *_, restricted in setups])  # (start, monomial)
+    weights = np.array(weights)  # (start, monomial)
     dts = times / np.array(step_counts)[:, None]  # (step count, phi)
-    psi0s = np.array([psi0 for _, psi0, *_ in setups])
+    psi0s = np.array(psi0s)
     initial = np.broadcast_to(psi0s[:, None], (len(step_counts), len(starts), len(times), psi0s.shape[1]))
     digital = _check_norm(_apply_factors(
-        setups[0][-1],
+        restricted,
         (weights.T[:, None, :, None] * dts[:, None]).reshape(len(monomials), -1),
         np.repeat(step_counts, len(starts) * len(times)),
         initial.reshape(-1, psi0s.shape[1]),  # a view for one start; several starts' rows are copied
     )).reshape(initial.shape)
-    rows = []
-    for (apply_casimir, psi0, ideal, gauge_ideal, _), blocks in zip(setups, digital.swapaxes(0, 1)):
-        overlap_initial = _overlaps(ideal, psi0)
+    out = []
+    for (apply_casimir, ideal, gauge_ideal, overlap_initial), blocks in zip(readouts, digital.swapaxes(0, 1)):
         gauge_digital = [_expectations(apply_casimir, block) for block in blocks]
         fidelity = [_overlaps(ideal, block) for block in blocks]
         for steps in steps_list:
             k = step_counts.index(steps)
-            points = zip(phis, gauge_ideal.tolist(), overlap_initial.tolist(), gauge_digital[k].tolist(), fidelity[k].tolist())
-            rows += [
-                SweepRow(steps, float(phi), (gauge_i - gauge_d) / gauge_i, overlap_i, fidelity_i, gauge_i, gauge_d)
-                for phi, gauge_i, overlap_i, gauge_d, fidelity_i in points
-            ]
-    return rows
+            points = zip(phis, overlap_initial, fidelity[k].tolist(), gauge_ideal, gauge_digital[k].tolist())
+            out += [SweepRow(steps, float(phi), *values) for phi, *values in points]
+    return out
 
 
 def _sweep_bytes(rank: int, hamiltonian: PauliSum, casimir: PauliSum, n_phis: int, n_steps: int, n_starts: int) -> float:
-    """The sweep's memory estimate per row of a start's coset, d = 2^rank
-    rows: the Lanczos stage at its largest (at most three blocks of d vectors
-    of d entries, see ``_krylov_spectrum``), the Casimir's pairs, the Trotter
-    phases and the one ``columns`` pair alive while they are built; per phi
-    and start the ideal state and each step count's Trotter row, which the
-    one batch holds together, and with several starts the batch's input,
-    which is then a copy, not a broadcast view; and per phi six temporaries
-    (the kernel's flipped copy, and an expectation's or a fidelity's
-    conjugate, matvec result, product, gather and sum)."""
+    """The sweep's memory estimate, with d = 2^rank rows per start's coset:
+    per coset row, the Lanczos stage at its largest (at most three blocks of
+    d vectors of d entries, see ``_krylov_spectrum``), the Casimir's pairs,
+    the Trotter phases and the one ``columns`` pair alive while they are
+    built; per coset row and phi, each start's ideal state, five temporaries
+    of an expectation or a fidelity (a conjugate, a matvec result, product,
+    gather and sum), and what the Trotter kernel holds per (step count,
+    start) row of its batch: the row, the flipped copies of the active rows
+    that one factor makes and the one before it still holds, and with
+    several starts the batch's input, which is then a copy, not a broadcast
+    view; and per monomial and batch row its angle, cosine and i sine."""
     d = 2.0**rank
     pairs = 24 * pair_count(casimir) + 16 * len(hamiltonian) + 24
-    per_phi = n_starts * (n_steps + 1) + (n_starts > 1) * n_starts * n_steps + 6
-    return d * (48 * d + pairs + 16 * n_phis * per_phi)
-
-
-def _start_setup(
-    hamiltonian: PauliSum,
-    casimir: PauliSum,
-    basis: list[int],
-    monomials: list[PauliString],
-    table: GaugeSectorTable,
-    start: float,
-    times: np.ndarray,
-):
-    """One start's part of a sweep before the Trotter batch, with H, the
-    Casimir and the monomials restricted to the coset of ``basis`` (their X
-    masks' ``pauli.span``) that holds the seed basis state, where the seed's
-    projection is exact: (the Casimir's matvec there, the initial state, the
-    ideal state and its Casimir expectation per time, the restricted
-    monomials).  Every coset gives the monomials the same strings, and
-    weights that differ only by the signs (-1)^parity(rep & zmask)."""
-    seed = sector_seed(table, start)
-    rows = coset(basis, seed)
-    rep = int(rows[0])
-    apply_casimir = matvec(restrict(casimir, basis, rep), len(basis))
-    psi0 = sector_projection(table, start, (rows == seed).astype(complex), apply_casimir)
-    ideal = _evolve_spectrum(_krylov_spectrum(restrict(hamiltonian, basis, rep), psi0), times)
-    gauge_ideal = _expectations(apply_casimir, ideal)
-    if np.any(abs(gauge_ideal) < DEVIATION_GUARD):
-        raise GuardError("ideal gauge expectation vanished")
-    return apply_casimir, psi0, ideal, gauge_ideal, [restrict(m, basis, rep) for m in monomials]
+    batch = n_starts * n_steps  # batch rows per phi
+    per_phi = n_starts + 5 + (3 + (n_starts > 1)) * batch
+    return d * (48 * d + pairs + 16 * n_phis * per_phi) + 32 * len(hamiltonian) * batch * n_phis

@@ -306,35 +306,38 @@ def sector_seed(table: GaugeSectorTable, eigenvalue: float) -> int:
     raise RuntimeError("no basis state has weight in the sector")  # unreachable for a counted table
 
 
-def sector_projection(table: GaugeSectorTable, eigenvalue: float, state: np.ndarray, apply_casimir) -> np.ndarray:
-    """The normalized projection of ``state`` on a sector: the Lagrange
-    polynomial prod_{mu != lambda} (C - mu) / (lambda - mu) of the Casimir C
-    over the table's eigenvalues.  ``state`` is given on the rows of a
-    ``pauli.coset`` that C keeps, and ``apply_casimir`` is the ``pauli.matvec``
-    of C ``pauli.restrict``-ed to that coset."""
+def sector_on_coset(table: GaugeSectorTable, eigenvalue: float, casimir: PauliSum, basis: list[int]):
+    """A sector's representative on a coset register, as (rows,
+    apply_casimir, state): ``rows`` is the ``pauli.coset`` of ``basis`` (a
+    ``pauli.span`` that holds the Casimir's X masks) that holds the basis
+    state ``sector_seed``, ``apply_casimir`` the ``pauli.matvec`` of the
+    Casimir ``pauli.restrict``-ed there, relative to row 0, and ``state`` the
+    seed's normalized projection on the sector: the Lagrange polynomial
+    prod_{mu != lambda} (C - mu) / (lambda - mu) of the Casimir C over the
+    table's eigenvalues."""
     sector = table.sector(eigenvalue)
+    seed = sector_seed(table, eigenvalue)
+    rows = pauli.coset(basis, seed)
+    apply_casimir = pauli.matvec(pauli.restrict(casimir, basis, int(rows[0])), len(basis))
+    state = (rows == seed).astype(complex)
     for mu in table.eigenvalues():
         if mu != sector.eigenvalue:
             state = (apply_casimir(state) - mu * state) / (sector.eigenvalue - mu)
     # adding 0.0 turns the -0.0 that a negative lambda - mu leaves into +0.0
-    return state / np.linalg.norm(state) + 0.0
+    return rows, apply_casimir, state / np.linalg.norm(state) + 0.0
 
 
 def canonical_sector_state(table: GaugeSectorTable, eigenvalue: float) -> np.ndarray:
-    """Deterministic representative of a sector on the full 2^n register: the
-    ``sector_projection`` of the basis state ``sector_seed`` on its coset of
-    the ``pauli.span`` of the Casimir's X masks, scattered into the returned
-    state.  Those masks lie on spin qubits only, so the coset has at most
-    2^links rows, and the returned state is the only 2^n array, the one that
-    ``gauge_sectors`` counts.
+    """Deterministic representative of a sector on the full 2^n register: its
+    ``sector_on_coset`` on the ``pauli.span`` of the Casimir's X masks,
+    scattered into the returned state.  Those masks lie on spin qubits only,
+    so the coset has at most 2^links rows, and the returned state is the only
+    2^n array, the one that ``gauge_sectors`` counts.
     """
     casimir = total_gauge_casimir(table.layout)
-    seed = sector_seed(table, eigenvalue)
-    basis = pauli.span([casimir])
-    rows = pauli.coset(basis, seed)
-    apply_casimir = pauli.matvec(pauli.restrict(casimir, basis, int(rows[0])), len(basis))
+    rows, _, on_rows = sector_on_coset(table, eigenvalue, casimir, pauli.span([casimir]))
     state = np.zeros(2**table.n_qubits, dtype=complex)
-    state[rows] = sector_projection(table, eigenvalue, (rows == seed).astype(complex), apply_casimir)
+    state[rows] = on_rows
     return state
 
 

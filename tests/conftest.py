@@ -10,7 +10,7 @@ from su2link import errors
 from su2link import linkmodel as lm
 from su2link.errors import GuardError
 from su2link.linkmodel import Link, PlaquetteLayout
-from su2link.pauli import columns, coset, dense, matvec, restrict, span
+from su2link.pauli import columns, dense, matvec, span
 
 # two triangles sharing link 23: 1 -> 2 -> 3 -> 1 and 2 -> 3 -> 4 -> 2, qubits 0-9
 TWO_PLAQUETTE = """\
@@ -135,11 +135,17 @@ def dense_canonical_state():
 
 def _full_register_sector_state(table: lm.GaugeSectorTable, eigenvalue: float) -> np.ndarray:
     """``canonical_sector_state`` on all 2^n amplitudes: the seed basis state
-    projected with the unrestricted Casimir's ``matvec``."""
+    projected with the unrestricted Casimir's ``matvec``, by the Lagrange
+    polynomial of ``sector_on_coset``, with neither ``coset`` nor
+    ``restrict``."""
     state = np.zeros(2**table.n_qubits, dtype=complex)
     state[lm.sector_seed(table, eigenvalue)] = 1.0
     apply_casimir = matvec(lm.total_gauge_casimir(table.layout), table.n_qubits)
-    return lm.sector_projection(table, eigenvalue, state, apply_casimir)
+    sector = table.sector(eigenvalue)
+    for mu in table.eigenvalues():
+        if mu != sector.eigenvalue:
+            state = (apply_casimir(state) - mu * state) / (sector.eigenvalue - mu)
+    return state / np.linalg.norm(state) + 0.0
 
 
 def _full_register_expectation(op, state: np.ndarray) -> float:
@@ -163,9 +169,8 @@ def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_regi
     trotter_evolve per point, on full 2^n vectors.
 
     By default the start state and the observables are taken as sweep()
-    takes them, on the coset of the Hamiltonian's and the Casimir's X masks
-    that holds the sector's seed basis state, with the Casimir restricted
-    there, so that each row must match sweep() bitwise.  With
+    takes them, from ``sector_on_coset`` on the span of the Hamiltonian's and
+    the Casimir's X masks, so that each row must match sweep() bitwise.  With
     ``full_register`` the start is ``_full_register_sector_state`` and every
     expectation value and overlap runs on all 2^n amplitudes: an oracle for
     the tapered path, whose start and observables use neither ``coset``
@@ -180,11 +185,7 @@ def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_regi
         apply_casimir = matvec(casimir, n)
         start = _full_register_sector_state(table, start_sector)
     else:
-        seed = lm.sector_seed(table, start_sector)
-        basis = span([hamiltonian, casimir])
-        rows = coset(basis, seed)
-        apply_casimir = matvec(restrict(casimir, basis, int(rows[0])), len(basis))
-        start = lm.sector_projection(table, start_sector, (rows == seed).astype(complex), apply_casimir)
+        rows, apply_casimir, start = lm.sector_on_coset(table, start_sector, casimir, span([hamiltonian, casimir]))
     psi0 = np.zeros(2**n, dtype=complex)
     psi0[rows] = start
     ideal = {phi: dyn.exact_evolve(hamiltonian, psi0, phi / coupling)[rows] for phi in phis}
@@ -196,10 +197,7 @@ def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_regi
             psi_digital = dyn.trotter_evolve(monomials, psi0, phi / coupling, steps)[rows]
             gauge_d = float(dyn._expectations(apply_casimir, psi_digital))
             out.append(
-                dyn.SweepRow(
-                    steps, float(phi), (gauge_i - gauge_d) / gauge_i, dyn.overlap(psi_ideal, start),
-                    dyn.overlap(psi_ideal, psi_digital), gauge_i, gauge_d,
-                )
+                dyn.SweepRow(steps, float(phi), dyn.overlap(psi_ideal, start), dyn.overlap(psi_ideal, psi_digital), gauge_i, gauge_d)
             )
     return out
 

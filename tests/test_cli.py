@@ -80,7 +80,9 @@ def test_strip3_fig3_matches_per_point_loop(per_point_sweep, capsys):
     assert code == 0 and err == ""
     rows = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[1:]])
     expected = per_point_sweep(cli._load_layout(str(STRIP3_PATH)), 1.0, (1, 2), [0.05, 0.1], 0.75)
-    expected = np.array([[r.steps, r.phi, r.deviation, r.overlap_initial, r.fidelity] for r in expected])
+    expected = np.array([
+        [r.steps, r.phi, (r.gauge_ideal - r.gauge_digital) / r.gauge_ideal, r.overlap_initial, r.fidelity] for r in expected
+    ])
     assert rows.shape == expected.shape == (4, 5)
     assert np.max(np.abs(rows - expected)) < 1e-12
 
@@ -356,7 +358,7 @@ def test_five_triangle_strip_fig3_exits_3_before_allocating():
     assert time.perf_counter() - start < 20
     assert result.returncode == 3 and result.stdout == ""
     assert result.stderr.splitlines() == [
-        "numerical guard: sweep on 22 qubits needs an estimated 51834257408 bytes, "
+        "numerical guard: sweep on 22 qubits needs an estimated 51981467648 bytes, "
         "over the memory budget of 1073741824 bytes"
     ]
 
@@ -372,10 +374,39 @@ def test_four_triangle_strip_fig3_fits_the_budget():
     estimate = dyn._sweep_bytes(12, hamiltonian, casimir, len(phis), 4, 1)
     assert 0.8e9 < estimate < 0.9e9 < errors.MEMORY_BUDGET
     # default figS2, seven step counts: one batch holds the second start's ideal
-    # states and rows too, and a copy of both starts' initial rows
+    # states, rows, flipped copies and angles too, and a copy of both starts' initial rows
     two_starts = dyn._sweep_bytes(12, hamiltonian, casimir, len(phis), 7, 2)
-    assert two_starts - dyn._sweep_bytes(12, hamiltonian, casimir, len(phis), 7, 1) == 2**12 * 16 * len(phis) * (8 + 2 * 7)
-    assert two_starts < 0.95e9
+    second_start = 2**12 * 16 * len(phis) * (1 + 3 * 7 + 2 * 7) + 32 * len(hamiltonian) * 7 * len(phis)
+    assert two_starts - dyn._sweep_bytes(12, hamiltonian, casimir, len(phis), 7, 1) == second_start
+    assert two_starts < 0.98e9
+
+
+@pytest.mark.parametrize("figure", sorted(cli._FIGURES))
+def test_four_triangle_strip_default_figures_fit_the_budget(figure):
+    # the estimates count the Trotter stage's flipped copies and angles as well
+    layout = cli._load_layout(str(STRIP4_PATH))
+    grid, steps, starts = cli._FIGURES[figure]
+    hamiltonian, casimir = lm.plaquette_hamiltonian(layout, 1.0), lm.total_gauge_casimir(layout)
+    estimate = dyn._sweep_bytes(12, hamiltonian, casimir, len(cli._phi_grid(*grid)), len(set(steps)), len(starts))
+    assert 0.85e9 < estimate < errors.MEMORY_BUDGET
+
+
+@pytest.mark.parametrize("name", ["bowtie", "dangling_link"])
+def test_zero_sector_is_refused_only_where_e_divides_by_it(name, capsys):
+    # the Casimir's sector 0 has a vanishing ideal expectation: figS2 and fig4
+    # print no ratio and run; fig3's E divides by it and exits 3
+    path = str(Path(__file__).parent / "data" / f"{name}.layout")
+    code, out, err = run(["figures", "figS2", "--layout", path, "--start-sector", "0.0"], capsys)
+    assert code == 0 and err == ""
+    gauge_ideal = [float(line.split(",")[3]) for line in out.splitlines()[1:]]
+    assert len(gauge_ideal) == 7 * 40 and max(map(abs, gauge_ideal)) < 1e-12
+    code, out, err = run(["figures", "fig4", "--layout", path, "--start-sector", "0.0"], capsys)
+    assert code == 0 and err == "" and len(out.splitlines()) == 1 + 2 * 160
+    rows = dyn.sweep(cli._load_layout(path), 1.0, [2, 3], cli._phi_grid(0.01, 1.6, 0.01), 0.0)
+    assert max(abs(r.gauge_ideal) for r in rows) < 1e-12
+    assert run(["figures", "fig3", "--layout", path, "--start-sector", "0.0"], capsys) == (
+        3, "", "numerical guard: ideal gauge expectation vanished\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -267,7 +267,10 @@ def test_sweep_deterministic_and_serializable(layout, capsys):
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "N,phi,E,overlap_I0,fidelity_ID"
-    assert lines[1:] == [f"{r.steps},{r.phi!r},{r.deviation!r},{r.overlap_initial!r},{r.fidelity!r}" for r in rows_a]
+    assert lines[1:] == [
+        f"{r.steps},{r.phi!r},{(r.gauge_ideal - r.gauge_digital) / r.gauge_ideal!r},{r.overlap_initial!r},{r.fidelity!r}"
+        for r in rows_a
+    ]
 
 
 def test_sweep_gauge_convergence(layout):
@@ -401,7 +404,7 @@ def test_each_start_evolves_on_its_own_coset(layout, monkeypatch):
     # the figS2 starts 0.75 and 2.75 reach disjoint 8-state cosets of the
     # triangle, and their rows share one batch on the coset register
     calls, cosets = [], []
-    original_kernel, original_coset = dyn._apply_factors, dyn.coset
+    original_kernel, original_coset = dyn._apply_factors, lm.pauli.coset
 
     def recording(monomials, angles, steps, states):
         calls.append((np.shape(states), np.array(angles)))
@@ -412,7 +415,7 @@ def test_each_start_evolves_on_its_own_coset(layout, monkeypatch):
         return cosets[-1]
 
     monkeypatch.setattr(dyn, "_apply_factors", recording)
-    monkeypatch.setattr(dyn, "coset", recording_coset)
+    monkeypatch.setattr(lm.pauli, "coset", recording_coset)  # the coset that sector_on_coset takes
     dyn.sweep(layout, 1.0, [1, 2, 4], [0.3, 0.6], [0.75, 2.75])
     ((shape, angles),) = calls
     assert shape == (12, 8)
@@ -422,6 +425,21 @@ def test_each_start_evolves_on_its_own_coset(layout, monkeypatch):
     by_start = angles.reshape(len(angles), 3, 2, 2)
     assert np.array_equal(abs(by_start[:, :, 0]), abs(by_start[:, :, 1]))
     assert not np.array_equal(by_start[:, :, 0], by_start[:, :, 1])
+
+
+@pytest.mark.parametrize("starts", [(0.75,), (0.75, 2.75)])
+def test_sweep_estimate_bounds_its_peak(strip3, starts):
+    # 400 phis and seven step counts on the 2^9 rows of a start: the Trotter
+    # stage, not the Lanczos stage, sets the peak
+    hamiltonian, casimir = lm.plaquette_hamiltonian(strip3, 1.0), lm.total_gauge_casimir(strip3)
+    phis = [round(0.005 * k, 12) for k in range(1, 401)]
+    steps = [1, 2, 3, 4, 5, 6, 7]
+    estimate = dyn._sweep_bytes(len(span([hamiltonian, casimir])), hamiltonian, casimir, len(phis), len(steps), len(starts))
+    tracemalloc.start()
+    dyn.sweep(strip3, 1.0, steps, phis, starts)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert 48 * 2**18 < peak <= estimate
 
 
 @pytest.mark.parametrize("name", ["bowtie", "dangling_link"])

@@ -10,7 +10,7 @@ from su2link import linkmodel as lm
 from su2link.errors import GuardError, LayoutError
 from su2link.linkmodel import Link, PlaquetteLayout
 from su2link.linalg import expi_hermitian
-from su2link.pauli import PauliString, PauliSum, coset, dense, letter_matrix, matvec, restrict, span
+from su2link.pauli import PauliString, PauliSum, coset, dense, letter_matrix, span
 
 TRIANGLE_PATH = Path(__file__).parent / "data" / "triangle.layout"
 EPSILON = {(1, 2, 3): 1, (1, 3, 2): -1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1}
@@ -323,23 +323,25 @@ def test_canonical_sector_state_holds_only_its_output(strip4):
     assert np.count_nonzero(psi) == 24 and abs(np.linalg.norm(psi) - 1) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["triangle", "two_plaquette", "disjoint_triangles", "unused_qubit"])
-def test_sector_projection_stays_on_the_seeds_cosets(layouts, name):
-    # on these layouts the Casimir's X masks lie in the span of H's, so
-    # projecting on the seed's coset of that span is exact
-    layout = layouts[name]
-    n = layout.n_qubits
+@pytest.mark.parametrize(
+    "name", ["triangle", "two_plaquette", "disjoint_triangles", "unused_qubit", "bowtie", "dangling_link"]
+)
+def test_sector_projection_stays_on_the_seeds_cosets(layouts, off_span_layouts, name):
+    # on the first four layouts the Casimir's X masks lie in the span of H's,
+    # so projecting on the seed's coset of that span is exact; on the last two
+    # they do not, and the span of both, which sweep() uses, holds them
+    layout = {**layouts, **off_span_layouts}[name]
     table = lm.gauge_sectors(layout)
     casimir = lm.total_gauge_casimir(layout)
     hamiltonian = lm.plaquette_hamiltonian(layout, 1.0)
+    basis = span([hamiltonian, casimir] if name in off_span_layouts else [hamiltonian])
     for eigenvalue in table.eigenvalues():
         full = lm.canonical_sector_state(table, eigenvalue)
         seed = lm.sector_seed(table, eigenvalue)
         assert np.flatnonzero(abs(full) > 1e-12)[0] == seed  # no weight on a lower basis state
-        basis = span([hamiltonian])
-        rows = coset(basis, seed)
-        apply_casimir = matvec(restrict(casimir, basis, int(rows[0])), len(basis))
-        on_rows = lm.sector_projection(table, eigenvalue, (rows == seed).astype(complex), apply_casimir)
+        rows, apply_casimir, on_rows = lm.sector_on_coset(table, eigenvalue, casimir, basis)
+        assert np.array_equal(rows, coset(basis, seed))
+        assert np.max(np.abs(apply_casimir(on_rows) - eigenvalue * on_rows)) < 1e-12
         assert np.max(np.abs(on_rows - full[rows])) < 1e-15
         assert not np.delete(full, rows).any()
 
