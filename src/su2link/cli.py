@@ -8,6 +8,7 @@ usage errors, 3 numerical guard failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -44,16 +45,12 @@ def _json(report: dict) -> str:
 
 
 def _phi_grid(start: float, stop: float, step: float) -> list[float]:
-    """start, start + step, ... up to stop, by accumulation.
+    """start, start + step, ... up to stop, by accumulation, for finite
+    bounds and a finite positive step.
 
     A step too small to move phi (absolutely, or at the magnitude phi has
     reached) would loop forever; the point limit turns that into an error.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise LayoutError(f"--phi-step must be finite and positive, got {step!r}")
-    for option, value in (("--phi-start", start), ("--phi-stop", stop)):
-        if not math.isfinite(value):
-            raise LayoutError(f"{option} must be finite, got {value!r}")
     values = []
     phi = start
     while phi <= stop + 1e-12:
@@ -69,11 +66,6 @@ def _load_layout(path: str | None) -> lm.PlaquetteLayout:
         return lm.triangle_layout()
     with open(path, "r", encoding="utf-8") as handle:
         return lm.parse_layout(handle.read())
-
-
-def _check_coupling(coupling: float) -> None:
-    if not (math.isfinite(coupling) and coupling != 0):
-        raise LayoutError(f"--J must be finite and nonzero, got {coupling!r}")
 
 
 def run_sectors(args: argparse.Namespace) -> str:
@@ -98,21 +90,7 @@ def _fidelity_bands(counts: dict[str, cp.GateCounts], n_steps: int) -> tuple[tup
 
 
 def run_figures(args: argparse.Namespace) -> str:
-    _check_coupling(args.J)
-    if abs(args.J) / 2 <= MERGE_TOL:
-        # the monomial coefficients -J/2 would merge away from the Hamiltonian
-        raise LayoutError(f"--J must exceed {2 * MERGE_TOL!r} in magnitude, got {args.J!r}")
-    if any(n_steps > PHI_GRID_LIMIT for n_steps in args.steps):
-        raise LayoutError(f"--steps must be at most {PHI_GRID_LIMIT}, got {max(args.steps)}")
     layout = _load_layout(args.layout)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _figure_csv(args, layout)
-    except FloatingPointError:
-        raise LayoutError("the plaquette energies overflow a float for these inputs") from None
-
-
-def _figure_csv(args: argparse.Namespace, layout: lm.PlaquetteLayout) -> str:
     (start, stop, step), default_steps, default_starts = _FIGURES[args.figure]
     phis = _phi_grid(
         start if args.phi_start is None else args.phi_start,
@@ -158,7 +136,6 @@ def run_compile(args: argparse.Namespace) -> str:
         raise LayoutError("--step and --monomial are mutually exclusive")
     if args.out and args.circuit_out and _same_file(args.out, args.circuit_out):
         raise LayoutError(f"--out and --circuit-out name one file: {args.circuit_out!r}")
-    _check_coupling(args.J)
     layout = _load_layout(args.layout)
     if args.monomial is not None:
         monomials = [parse_string(args.monomial)]
@@ -194,17 +171,8 @@ def format_circuit(circuit: cp.Circuit) -> str:
 
 
 def run_bounds(args: argparse.Namespace) -> str:
-    if not (math.isfinite(args.Jt) and args.Jt >= 0):
-        raise LayoutError(f"--Jt must be finite and non-negative, got {args.Jt!r}")
-    if not (math.isfinite(args.eps) and args.eps > 0):
-        raise LayoutError(f"--eps must be finite and positive, got {args.eps!r}")
-    if args.plaquettes < 1:
-        raise LayoutError(f"--plaquettes must be at least 1, got {args.plaquettes}")
-    try:
-        generic = cp.trotter_bound(cp.PLAQUETTE_TERMS * args.plaquettes, cp.PLAQUETTE_NORM_READING, args.Jt, args.eps, args.k)
-        printed = cp.printed_steps_bound(args.plaquettes, args.Jt, args.eps)
-    except OverflowError:
-        raise LayoutError("the step bound overflows a float for these inputs") from None
+    generic = cp.trotter_bound(cp.PLAQUETTE_TERMS * args.plaquettes, cp.PLAQUETTE_NORM_READING, args.Jt, args.eps, args.k)
+    printed = cp.printed_steps_bound(args.plaquettes, args.Jt, args.eps)
     report = {
         "schema": 1,
         "plaquettes": args.plaquettes,
@@ -223,12 +191,6 @@ def run_bounds(args: argparse.Namespace) -> str:
 
 
 def run_matter(args: argparse.Namespace) -> str:
-    if not math.isfinite(args.omega):
-        raise LayoutError(f"--omega must be finite, got {args.omega!r}")
-    if not (math.isfinite(args.hopping) and args.hopping > 0):
-        raise LayoutError(f"--hopping must be finite and positive, got {args.hopping!r}")
-    if not all(math.isfinite(ratio) and ratio > 0 for ratio in args.ratios):
-        raise LayoutError(f"--ratios must be finite and positive, got {','.join(map(repr, args.ratios))}")
     chain = mt.ChainConfig(
         n_sites=args.sites,
         omega=args.omega,
@@ -236,21 +198,11 @@ def run_matter(args: argparse.Namespace) -> str:
         n0=args.n0,
         matter_number=args.matter_number,
     )
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            rows = mt.compare_effective(chain, list(args.ratios))
-    except (OverflowError, FloatingPointError):
-        raise LayoutError("the matter-chain energies overflow a float for these inputs") from None
+    rows = mt.compare_effective(chain, list(args.ratios))
     return _csv("ratio,deviation,density_norm", [f"{r.ratio!r},{r.deviation!r},{r.density_norm!r}" for r in rows])
 
 
 def run_covariance(args: argparse.Namespace) -> str:
-    if args.sets < 0:
-        raise LayoutError(f"--sets must be non-negative, got {args.sets}")
-    if args.sets > PHI_GRID_LIMIT:
-        raise LayoutError(f"--sets must be at most {PHI_GRID_LIMIT}, got {args.sets}")
-    if args.seed < 0:
-        raise LayoutError(f"--seed must be non-negative, got {args.seed}")
     layout = _load_layout(args.layout)
     rng = np.random.default_rng(args.seed)
     angle_sets = [{v: tuple(rng.uniform(-np.pi, np.pi, 3)) for v in layout.vertices} for _ in range(args.sets)]
@@ -262,25 +214,42 @@ def run_covariance(args: argparse.Namespace) -> str:
     return _csv("set,link,max_deviation", lines)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+def _checked(parse, rule: str, test):
+    """``parse`` as an argparse type that also refuses a value failing
+    ``test``, as ``must <rule>, got <value>``, which ``_Parser.error`` puts
+    after the option's name."""
+
+    def check(text: str):
+        value = parse(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {value!r}")
+        return value
+
+    check.__name__ = parse.__name__  # argparse names it in "invalid float value: 'abc'"
+    return check
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+def _list(parse, what: str):
+    """A comma-separated list, each item converted and checked by ``parse``."""
+
+    def parse_list(text: str) -> tuple:
+        try:
+            return tuple(parse(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from None
+
+    return parse_list
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a LayoutError carrying argparse's one-line
-    message, instead of printing the usage and exiting."""
+    message, instead of printing the usage and exiting; a ``_checked`` rule
+    reads ``--eps must be ...``, not ``argument --eps: must be ...``."""
 
     def error(self, message: str):
+        name, _, rule = message.partition(": ")
+        if rule.startswith("must "):
+            message = f"{name.removeprefix('argument ')} {rule}"
         raise LayoutError(message)
 
     def _get_values(self, action, arg_strings):
@@ -295,9 +264,17 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser(defaults: dict[str, object] | None = None) -> argparse.ArgumentParser:
     """The su2link parser; ``defaults`` replaces the built-in defaults of
-    every command's options.  Their string values are converted by the
-    option's type; a usage error, or a value that does not convert, raises
-    ``LayoutError``."""
+    every command's options.  Their string values are converted and checked
+    by the option's type, as flags are; a usage error, or a value that does
+    not convert or breaks its option's rule, raises ``LayoutError``."""
+    finite = _checked(float, "be finite", math.isfinite)
+    positive = _checked(float, "be finite and positive", lambda x: math.isfinite(x) and x > 0)
+    coupling = _checked(float, "be finite and nonzero", lambda x: math.isfinite(x) and x != 0)
+    non_negative = _checked(int, "be non-negative", lambda n: n >= 0)
+
+    def capped(parse):
+        return _checked(parse, f"be at most {PHI_GRID_LIMIT}", lambda n: n <= PHI_GRID_LIMIT)
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value defaults file")
     common.add_argument("--out", help="output file (default: stdout)")
@@ -320,11 +297,13 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
     p = sub.add_parser("figures", parents=[common], help="tabulated data products for the named figures")
     p.add_argument("figure", choices=["fig3", "fig4", "figS2"])
     add_layout(p)
-    p.add_argument("--J", type=float, default=1.0)
-    p.add_argument("--steps", type=_int_list, default=(), help="comma-separated step counts")
-    p.add_argument("--phi-start", type=float, default=None)
-    p.add_argument("--phi-stop", type=float, default=None)
-    p.add_argument("--phi-step", type=float, default=None)
+    # below 2e-12 the monomial coefficients -J/2 would merge away from the Hamiltonian
+    resolved = _checked(coupling, f"exceed {2 * MERGE_TOL!r} in magnitude", lambda x: abs(x) / 2 > MERGE_TOL)
+    p.add_argument("--J", type=resolved, default=1.0)
+    p.add_argument("--steps", type=_list(capped(int), "integers"), default=(), help="comma-separated step counts")
+    p.add_argument("--phi-start", type=finite, default=None)
+    p.add_argument("--phi-stop", type=finite, default=None)
+    p.add_argument("--phi-step", type=positive, default=None)
     p.add_argument("--start-sector", type=float, default=None, help="gauge sector eigenvalue of the initial state")
 
     p = sub.add_parser("compile", parents=[common], help="lower one step (or one monomial) to a gate set (JSON report)")
@@ -333,27 +312,27 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
     p.add_argument("--step", action="store_true", help="compile the full 16-monomial step (default)")
     p.add_argument("--monomial", help="single Pauli string, e.g. '(1.0) X0 Y1'")
     p.add_argument("--phi", type=float, default=0.1)
-    p.add_argument("--J", type=float, default=1.0)
+    p.add_argument("--J", type=coupling, default=1.0)
     p.add_argument("--circuit-out", help="also write the gate list to this file")
 
     p = sub.add_parser("bounds", parents=[common], help="digitization step-count bounds (JSON report)")
-    p.add_argument("--plaquettes", type=int, default=1)
-    p.add_argument("--Jt", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--plaquettes", type=_checked(int, "be at least 1", lambda n: n >= 1), default=1)
+    p.add_argument("--Jt", type=_checked(float, "be finite and non-negative", lambda x: math.isfinite(x) and x >= 0), default=1.0)
+    p.add_argument("--eps", type=positive, default=0.1)
     p.add_argument("--k", type=int, default=1)
 
     p = sub.add_parser("matter", parents=[common], help="matter-chain effective-interaction deviation sweep (CSV)")
     p.add_argument("--sites", type=int, default=2)
-    p.add_argument("--ratios", type=_float_list, default=(1e-1, 1e-2, 1e-3))
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--hopping", type=float, default=1.0)
+    p.add_argument("--ratios", type=_list(positive, "numbers"), default=(1e-1, 1e-2, 1e-3))
+    p.add_argument("--omega", type=finite, default=1.0)
+    p.add_argument("--hopping", type=positive, default=1.0)
     p.add_argument("--n0", type=int, default=1)
     p.add_argument("--matter-number", type=int, default=1)
 
     p = sub.add_parser("covariance", parents=[common], help="gauge covariance residuals for seeded random angle sets (CSV)")
     add_layout(p)
-    p.add_argument("--sets", type=int, default=50)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--sets", type=capped(non_negative), default=50)
+    p.add_argument("--seed", type=non_negative, default=1)
 
     if defaults is not None:
         for command in sub.choices.values():
@@ -404,27 +383,38 @@ def _write(path: str | None, content: str) -> None:
             handle.write(content)
 
 
+# what overflows a float in each command that can overflow one
+_OVERFLOWS = {
+    "figures": "the plaquette energies overflow",
+    "bounds": "the step bound overflows",
+    "matter": "the matter-chain energies overflow",
+}
+
+
+@functools.cache
+def _default_parser() -> argparse.ArgumentParser:
+    """The parser without config defaults, built on the first ``main`` call;
+    no call sets defaults on it, so every call parses with the same one."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _default_parser().parse_args(argv)
         if args.config:
             # parsing again with the file's values as defaults lets argparse
             # decide which flags were given, in whatever spelling
             args = build_parser(_config_defaults(args)).parse_args(argv)
-        # looked up on each call, so a wrapper set on a run_* name is the one called
-        runners = {
-            "sectors": run_sectors,
-            "figures": run_figures,
-            "compile": run_compile,
-            "bounds": run_bounds,
-            "matter": run_matter,
-            "covariance": run_covariance,
-        }
-        _write(args.out, runners[args.command](args))
+        with np.errstate(over="raise", invalid="raise"):
+            # looked up on each call, so a wrapper set on a run_* name is the one called
+            _write(args.out, globals()[f"run_{args.command}"](args))
     except GuardError as err:
         print(f"numerical guard: {err}", file=sys.stderr)
         return EXIT_GUARD
+    except (OverflowError, FloatingPointError):
+        print(f"error: {_OVERFLOWS.get(args.command, 'a value overflows')} a float for these inputs", file=sys.stderr)
+        return EXIT_CONFIG
     except (LayoutError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -75,15 +75,22 @@ def _check_norm(states: np.ndarray) -> np.ndarray:
     return states
 
 
+def _row_sums(products: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, taken in C order: numpy sums a row in
+    another order when the rows are not contiguous, so without the copy a
+    row's sum would depend on the batch's memory order."""
+    return np.sum(np.ascontiguousarray(products), axis=-1)
+
+
 def _expectations(apply_op, states: np.ndarray) -> np.ndarray:
     """<psi|op|psi> of one state, or of every row of a batch, for a Hermitian
     op given as a ``pauli.matvec``."""
-    return np.sum(states.conj() * apply_op(states), axis=-1).real
+    return _row_sums(states.conj() * apply_op(states)).real
 
 
 def _overlaps(states: np.ndarray, others: np.ndarray) -> np.ndarray:
     """|<psi|phi>|^2 of one pair of states, or row by row of two batches."""
-    inner = np.sum(states.conj() * others, axis=-1)
+    inner = _row_sums(states.conj() * others)
     # products and a sum, not abs(): numpy's scalar and array abs round differently
     return inner.real * inner.real + inner.imag * inner.imag
 
@@ -203,8 +210,7 @@ def _apply_factors(monomials: Sequence[PauliString], angles, steps, states: np.n
     arithmetic it would get alone.  Rows may start from different states and
     carry different angles: a sweep's starts share one batch, where each
     start's restricted weights differ from another's only by their signs.
-    The batch is held one column per row, in the broadcast input's memory
-    order, which the sweep's sums read; each monomial's ``pauli.axis_flip``
+    The batch is held one column per row; each monomial's ``pauli.axis_flip``
     view and phases are built once per call."""
     angles = np.asarray(angles, dtype=float)
     steps = np.asarray(steps)
@@ -396,18 +402,20 @@ def sweep(
 
 def _sweep_bytes(rank: int, hamiltonian: PauliSum, casimir: PauliSum, n_phis: int, n_steps: int, n_starts: int) -> float:
     """The sweep's memory estimate, with d = 2^rank rows per start's coset:
-    per coset row, the Lanczos stage at its largest (at most three blocks of
-    d vectors of d entries, see ``_krylov_spectrum``), the Casimir's pairs,
-    the Trotter phases and the one ``columns`` pair alive while they are
-    built; per coset row and phi, each start's ideal state, five temporaries
-    of an expectation or a fidelity (a conjugate, a matvec result, product,
-    gather and sum), and what the Trotter kernel holds per (step count,
-    start) row of its batch: the row, the flipped copies of the active rows
+    what both stages hold, plus the larger stage.  Both hold, per coset row,
+    the Casimir's pairs, the Trotter phases and the one ``columns`` pair
+    alive while they are built, and per coset row and phi each start's ideal
+    state.  The Lanczos stage holds at most three blocks of d vectors of d
+    entries (see ``_krylov_spectrum``).  The Trotter stage holds, per coset
+    row and phi, five temporaries of an expectation or a fidelity (a
+    conjugate, a matvec result, product, gather and sum; the C-ordered copy
+    of a product comes after its factors are freed) and, per (step count,
+    start) row of its batch, the row, the flipped copies of the active rows
     that one factor makes and the one before it still holds, and with
     several starts the batch's input, which is then a copy, not a broadcast
     view; and per monomial and batch row its angle, cosine and i sine."""
     d = 2.0**rank
     pairs = 24 * pair_count(casimir) + 16 * len(hamiltonian) + 24
     batch = n_starts * n_steps  # batch rows per phi
-    per_phi = n_starts + 5 + (3 + (n_starts > 1)) * batch
-    return d * (48 * d + pairs + 16 * n_phis * per_phi) + 32 * len(hamiltonian) * batch * n_phis
+    trotter = 16 * d * n_phis * (5 + (3 + (n_starts > 1)) * batch) + 32 * len(hamiltonian) * batch * n_phis
+    return d * (pairs + 16 * n_phis * n_starts) + max(48 * d * d, trotter)

@@ -9,7 +9,7 @@ from su2link import dynamics as dyn
 from su2link import linkmodel as lm
 from su2link.errors import GuardError
 from su2link.linalg import expi_hermitian
-from su2link.pauli import PauliString, PauliSum, coset, dense, matvec, pair_count, span
+from su2link.pauli import PauliString, PauliSum, coset, dense, matvec, pair_count, restrict, span
 
 
 def basis_state(n_qubits, index):
@@ -344,7 +344,7 @@ def test_flip_kernel_matches_the_gather_reference_bitwise(
     layouts, strip3, off_span_layouts, name, starts, gather_trotter, monkeypatch
 ):
     layout = {**layouts, **off_span_layouts, "strip3": strip3}[name]
-    # the 40 default phis: from 32 phis up, strip3's sums read the batch's memory order
+    # the 40 default phis: from 32 phis up, numpy sums strip3's non-contiguous rows in another order
     phis = cli._phi_grid(0.05, 2.0, 0.05)
     rows = dyn.sweep(layout, 1.0, [3, 1], phis, starts)
     monkeypatch.setattr(dyn, "_apply_factors", gather_trotter)
@@ -359,10 +359,28 @@ def test_flip_kernel_matches_the_gather_reference_bitwise(
 def test_shared_batch_moves_no_bit(layouts, strip3, off_span_layouts, name, starts):
     # every start's rows share one Trotter batch, yet each start reads as if swept alone
     layout = {**layouts, **off_span_layouts, "strip3": strip3}[name]
-    # the 40 default phis: from 32 phis up, strip3's sums read the batch's memory order
+    # the 40 default phis: from 32 phis up, numpy sums strip3's non-contiguous rows in another order
     phis = cli._phi_grid(0.05, 2.0, 0.05)
     alone = [row for start in starts for row in dyn.sweep(layout, 1.0, [3, 1], phis, [start])]
     assert repr(dyn.sweep(layout, 1.0, [3, 1], phis, starts)) == repr(alone)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["triangle", "two_plaquette", "disjoint_triangles", "unused_qubit", "strip3", "strip4", "bowtie", "dangling_link"],
+)
+def test_row_sums_do_not_read_memory_order(layouts, strip3, strip4, off_span_layouts, name):
+    # a sweep's (step count, phi) blocks of the Trotter batch are not C-ordered
+    layout = {**layouts, **off_span_layouts, "strip3": strip3, "strip4": strip4}[name]
+    casimir = lm.total_gauge_casimir(layout)
+    basis = span([lm.plaquette_hamiltonian(layout, 1.0), casimir])
+    apply_casimir = matvec(restrict(casimir, basis, 0), len(basis))
+    rng = np.random.default_rng(23)
+    shape = (7, 40, 2 ** len(basis))
+    states, others = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+    fortran, others_fortran = (np.array(batch, order="F") for batch in (states, others))
+    assert dyn._expectations(apply_casimir, states).tobytes() == dyn._expectations(apply_casimir, fortran).tobytes()
+    assert dyn._overlaps(states, others).tobytes() == dyn._overlaps(fortran, others_fortran).tobytes()
 
 
 def test_trotter_evolve_matches_the_gather_reference_bitwise(monomials, gather_trotter, monkeypatch):
