@@ -325,7 +325,8 @@ def fidelity_cap(counts: GateCounts, backend: str) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# step-count bounds for a first-order fractal decomposition
+# the bound of Berry, Ahokas, Cleve & Sanders, CMP 270, 359 (2007), Theorem 1: the number of exponentials
+# in Suzuki's order-2k product (for k = 1 the symmetric second-order one; figures runs the first-order one)
 
 PLAQUETTE_TERMS = 16
 PLAQUETTE_NORM_READING = 1.0 / 8.0  # per-plaquette norm bound in units of |J|

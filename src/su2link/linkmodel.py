@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -25,6 +26,11 @@ from .linalg import expi_hermitian
 from .pauli import PauliString, PauliSum, dense
 
 _AXES = {1: "X", 2: "Y", 3: "Z"}
+# sigma_0..sigma_3, the identity first, as one-qubit strings and as 2x2 matrices
+_PAULIS = [PauliString(1.0, {0: _AXES[a]} if a else {}) for a in range(4)]
+_SIGMA = [dense(sigma, 1) for sigma in _PAULIS]
+# (a, b, c, epsilon_abc) in lexicographic order, from sigma_a sigma_b = i epsilon_abc sigma_c
+_LEVI_CIVITA = [(a, b, c, pauli.multiply(_PAULIS[a], _PAULIS[b]).coefficient.imag) for a, b, c in permutations((1, 2, 3))]
 
 
 @dataclass(frozen=True)
@@ -132,12 +138,11 @@ def link_operator(layout: PlaquetteLayout, link_id: str) -> list[list[PauliSum]]
     U = (Gamma0 tau0 + i sum_a Gamma_a tau_a) / 2 with tau acting on the color
     indices."""
     g = [gamma(layout, link_id, k) for k in range(4)]
-    tau = [pauli.letter_matrix(l) for l in ("I", "X", "Y", "Z")]
     out = []
     for alpha in range(2):
         row = []
         for beta in range(2):
-            coeffs = [0.5 * tau[0][alpha, beta]] + [0.5j * tau[a][alpha, beta] for a in (1, 2, 3)]
+            coeffs = [0.5 * _SIGMA[0][alpha, beta]] + [0.5j * _SIGMA[a][alpha, beta] for a in (1, 2, 3)]
             row.append(PauliSum([c * g[k] for k, c in enumerate(coeffs) if c != 0]))
         out.append(row)
     return out
@@ -182,17 +187,13 @@ def plaquette_monomials(layout: PlaquetteLayout, coupling: float) -> list[PauliS
     """
     if not layout.plaquettes:
         raise LayoutError("layout contains no plaquettes")
-    epsilon = {
-        (1, 2, 3): 1, (1, 3, 2): -1, (2, 1, 3): -1,
-        (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1,
-    }
     out: list[PauliString] = []
     for plaq in layout.plaquettes:
         g = [[gamma(layout, link_id, k) for k in range(4)] for link_id in plaq]
         half = -coupling / 2.0
         out.append(half * (g[0][0] * g[1][0] * g[2][0]))
-        for (a, b, c) in sorted(epsilon):
-            out.append((half * epsilon[(a, b, c)]) * (g[0][a] * g[1][b] * g[2][c]))
+        for a, b, c, epsilon in _LEVI_CIVITA:
+            out.append((half * epsilon) * (g[0][a] * g[1][b] * g[2][c]))
         for a in (1, 2, 3):
             out.append((-half) * (g[0][0] * g[1][a] * g[2][a]))
             out.append((-half) * (g[0][a] * g[1][0] * g[2][a]))
@@ -392,9 +393,8 @@ def _link_covariance(link: Link, matrices, angles) -> float:
     left, right, u = matrices
     generator = sum(angles[link.frm][a] * left[a] + angles[link.to][a] * right[a] for a in range(3))
     transform = expi_hermitian(generator, scale=-1.0)
-    sigma = [pauli.letter_matrix(l) for l in ("X", "Y", "Z")]
-    rot_from = expi_hermitian(sum(angles[link.frm][a] * sigma[a] for a in range(3)) / 2.0)
-    rot_to = expi_hermitian(sum(angles[link.to][a] * sigma[a] for a in range(3)) / 2.0, scale=-1.0)
+    rot_from = expi_hermitian(sum(angles[link.frm][a] * _SIGMA[a + 1] for a in range(3)) / 2.0)
+    rot_to = expi_hermitian(sum(angles[link.to][a] * _SIGMA[a + 1] for a in range(3)) / 2.0, scale=-1.0)
     lhs = transform @ u @ transform.conj().T
     rhs = np.einsum("ag,db,gdij->abij", rot_from, rot_to, u)
     return float(np.max(np.abs(lhs - rhs)))

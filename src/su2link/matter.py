@@ -28,12 +28,13 @@ import numpy as np
 
 from . import pauli
 from .errors import GuardError, check_memory
-from .pauli import PauliString, PauliSum, letter_matrix
+from .pauli import PauliString, PauliSum
 
 DEGENERACY_GUARD = 1e-9
 REACH_TOL = 1e-12
 
-_SIGMA_Y = letter_matrix("Y")
+# sigma_y's one nonzero entry per column: <1 - mu| sigma_y |mu> at mu
+_SIGMA_Y = pauli.columns(PauliString(1.0, {0: "Y"}), np.arange(2), 1)[0][1]
 
 UP, DOWN = 0, 1
 LEFT, RIGHT = 0, 1
@@ -133,17 +134,12 @@ def v_operator(cfg: ChainConfig) -> PauliSum:
             if site < cfg.n_links:  # link leaving this site
                 link = site
                 half = half + b_dag * lowering(cfg.c_mode(link, LEFT, alpha))
-                for mu in (UP, DOWN):
-                    coeff = _SIGMA_Y[alpha, mu]
-                    if coeff != 0:
-                        half = half + coeff * (b_dag * raising(cfg.c_mode(link, LEFT, mu)))
+                # the colour conjugate: sigma_y pairs alpha with 1 - alpha only
+                half = half + _SIGMA_Y[1 - alpha] * (b_dag * raising(cfg.c_mode(link, LEFT, 1 - alpha)))
             if site > 0:  # link arriving at this site
                 link = site - 1
                 half = half + raising(cfg.c_mode(link, RIGHT, alpha)) * b_low
-                for mu in (UP, DOWN):
-                    coeff = _SIGMA_Y[mu, alpha]
-                    if coeff != 0:
-                        half = half + coeff * (lowering(cfg.c_mode(link, RIGHT, mu)) * b_low)
+                half = half + _SIGMA_Y[alpha] * (lowering(cfg.c_mode(link, RIGHT, 1 - alpha)) * b_low)
     total = _scaled(half, cfg.hopping, f"hopping {cfg.hopping:.3g}")
     return total + total.adjoint()
 
@@ -278,12 +274,9 @@ def _hopping_pattern(cfg: ChainConfig) -> PauliSum:
                 b_pair = raising(cfg.b_mode(site, alpha)) * lowering(cfg.b_mode(nxt, beta))
                 direct = lowering(cfg.c_mode(link, LEFT, alpha)) * raising(cfg.c_mode(link, RIGHT, beta))
                 total = total + b_pair * direct
-                for mu in (UP, DOWN):
-                    for nu in (UP, DOWN):
-                        coeff = _SIGMA_Y[alpha, mu] * _SIGMA_Y[nu, beta]
-                        if coeff != 0:
-                            conj = raising(cfg.c_mode(link, LEFT, mu)) * lowering(cfg.c_mode(link, RIGHT, nu))
-                            total = total + coeff * (b_pair * conj)
+                # the colour conjugate: sigma_y pairs alpha and beta with 1 - alpha and 1 - beta only
+                conj = raising(cfg.c_mode(link, LEFT, 1 - alpha)) * lowering(cfg.c_mode(link, RIGHT, 1 - beta))
+                total = total + (_SIGMA_Y[1 - alpha] * _SIGMA_Y[beta]) * (b_pair * conj)
     return total
 
 

@@ -2,19 +2,24 @@
 realizations.
 
 A PauliString is a complex coefficient times a tensor product of single-qubit
-Pauli letters; a PauliSum is a merged linear combination of strings.  All
-coefficient arithmetic is double-precision complex, phases are tracked exactly
-over {1, i, -1, -i}, and like terms merge with tolerance ``MERGE_TOL``.
+Pauli letters, the one-term operator; a PauliSum is a merged linear combination
+of strings.  Both list their ``terms``, and the functions on operators
+(``columns``, ``pair_count``, ``span``, ``restrict``, ``matvec``, ``dense``)
+take either type.  All coefficient arithmetic is double-precision complex,
+phases are tracked exactly over {1, i, -1, -i}, and like terms merge with
+tolerance ``MERGE_TOL``.
 
 ``columns`` is the one kernel that evaluates matrix elements.  It uses the
 symplectic encoding of Aaronson & Gottesman, PRA 70, 052328 (2004): X and Y
 letters set bits of an X mask, Y and Z letters set bits of a Z mask, and each
-Y contributes a factor i (Y = i X Z).  A string then maps basis state ``k``
-to ``k ^ xmask`` with the amplitude ``c i^#Y (-1)^popcount(k & zmask)``, so
-the elements out of chosen basis columns take one XOR per X mask and one
-sign vector per term, with no matrix.  ``matvec`` applies an operator to
-states from those pairs, one gather per X mask, and ``dense`` scatters them
-into a matrix, for the tests and the covariance check's 4x4 link matrices.
+Y contributes a factor i (Y = i X Z); ``_symplectic`` is the one decoder of a
+term's letters into these masks.  A string then maps basis state ``k`` to
+``k ^ xmask`` with the amplitude ``c i^#Y (-1)^popcount(k & zmask)``, so the
+elements out of chosen basis columns take one XOR per X mask and one sign
+vector per term, with no matrix.  ``matvec`` applies an operator to states
+from those pairs, one gather per X mask, and ``dense`` scatters them into a
+matrix, for the tests and the covariance check's 4x4 link matrices.  No Pauli
+matrix is typed by hand: the 2x2 and 4x4 matrices come from ``dense``.
 A gate's or Trotter factor's rotation cos t - i sin t P flips P's X qubits on
 an ``axis_flip`` view; ``matvec``, a sum over X masks, keeps its gathers.
 
@@ -48,18 +53,6 @@ _PRODUCT = {
     ("Y", "Z"): ("X", 1j), ("Z", "Y"): ("X", -1j),
     ("Z", "X"): ("Y", 1j), ("X", "Z"): ("Y", -1j),
 }
-
-_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def letter_matrix(letter: str) -> np.ndarray:
-    return _MATRICES[letter].copy()
-
 
 class PauliString:
     """A signed, weighted tensor product of Pauli letters on indexed qubits.
@@ -106,6 +99,11 @@ class PauliString:
     def key(self) -> tuple[tuple[int, str], ...]:
         """Canonical letter pattern, sorted by qubit index."""
         return self._key
+
+    @property
+    def terms(self) -> list[PauliString]:
+        """The string as a one-term operator, as ``PauliSum.terms`` lists its terms."""
+        return [self]
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -187,27 +185,24 @@ class PauliSum:
 
     @property
     def support(self) -> tuple[int, ...]:
-        qubits = set()
-        for key in self._terms:
-            qubits.update(q for q, _ in key)
-        return tuple(sorted(qubits))
+        return tuple(sorted({q for key in self._terms for q, _ in key}))
 
     def __len__(self):
         return len(self._terms)
 
     def __add__(self, other):
-        return PauliSum(self.terms + _as_sum(other).terms)
+        if not isinstance(other, (PauliSum, PauliString)):
+            return NotImplemented
+        return PauliSum(self.terms + other.terms)
 
     def __sub__(self, other):
-        return PauliSum(self.terms + [-t for t in _as_sum(other).terms])
+        if not isinstance(other, (PauliSum, PauliString)):
+            return NotImplemented
+        return PauliSum(self.terms + [-t for t in other.terms])
 
     def __mul__(self, other):
         if isinstance(other, (PauliSum, PauliString)):
-            out = []
-            for a in self.terms:
-                for b in _as_sum(other).terms:
-                    out.append(multiply(a, b))
-            return PauliSum(out)
+            return PauliSum(multiply(a, b) for a in self.terms for b in other.terms)
         if other == 0:
             return PauliSum()
         return PauliSum([t * other for t in self.terms])
@@ -221,9 +216,8 @@ class PauliSum:
     def __eq__(self, other):
         if not isinstance(other, (PauliSum, PauliString)):
             return NotImplemented
-        other = _as_sum(other)
-        keys = set(self._terms) | set(other._terms)
-        return all(abs(self._terms.get(k, 0) - other._terms.get(k, 0)) <= MERGE_TOL for k in keys)
+        theirs = {t.key(): t.coefficient for t in other.terms}
+        return all(abs(self._terms.get(k, 0) - theirs.get(k, 0)) <= MERGE_TOL for k in self._terms.keys() | theirs)
 
     def adjoint(self) -> PauliSum:
         return PauliSum([t.adjoint() for t in self.terms])
@@ -236,14 +230,6 @@ class PauliSum:
         return f"PauliSum({format_sum(self)!r})"
 
 
-def _as_sum(op) -> PauliSum:
-    if isinstance(op, PauliSum):
-        return op
-    if isinstance(op, PauliString):
-        return PauliSum([op])
-    raise TypeError(f"expected PauliString or PauliSum, got {type(op).__name__}")
-
-
 def commutator(a: PauliString, b: PauliString) -> PauliSum:
     """ab - ba as a PauliSum with zero or one term."""
     ab = multiply(a, b)
@@ -254,18 +240,24 @@ def commutator(a: PauliString, b: PauliString) -> PauliSum:
 _I_POWERS = (1, 1j, -1, -1j)
 
 
-def _xmask(term: PauliString) -> int:
-    """The bits that ``term`` flips: one per X or Y letter."""
-    return sum(1 << q for q, letter in term.key() if letter != "Z")
+def _symplectic(term: PauliString) -> tuple[int, int, int]:
+    """``(xmask, zmask, n_y)``: the bits ``term`` flips (X and Y letters), the
+    bits whose parity signs it (Y and Z letters) and its number of Y letters."""
+    xmask = zmask = n_y = 0
+    for q, letter in term.key():
+        if letter != "Z":
+            xmask |= 1 << q
+        if letter != "X":
+            zmask |= 1 << q
+            n_y += letter == "Y"
+    return xmask, zmask, n_y
 
 
-def _phases(term: PauliString, sources: np.ndarray) -> np.ndarray:
-    """The amplitude ``c i^#Y (-1)^popcount(source & zmask)`` that ``term``
+def _phases(coefficient: complex, zmask: int, n_y: int, sources: np.ndarray) -> np.ndarray:
+    """The amplitude ``c i^#Y (-1)^popcount(source & zmask)`` that a term
     carries from each basis state in ``sources`` to ``source ^ xmask``."""
-    n_y = sum(1 for _, letter in term.key() if letter == "Y")
-    zmask = sum(1 << q for q, letter in term.key() if letter != "X")
     signs = 1 - 2 * (np.bitwise_count(sources & zmask) & 1).astype(sources.dtype)
-    return (term.coefficient * _I_POWERS[n_y % 4]) * signs
+    return (coefficient * _I_POWERS[n_y % 4]) * signs
 
 
 def columns(op: PauliSum | PauliString, cols: np.ndarray, n_qubits: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -276,23 +268,22 @@ def columns(op: PauliSum | PauliString, cols: np.ndarray, n_qubits: int) -> list
     order, as ``dense`` sums them, so every element equals the dense one
     bitwise.  Bit ordering: qubit 0 is the least significant bit of the
     basis index, so basis state ``k`` assigns qubit q the bit ``(k >> q) & 1``."""
-    terms = [op] if isinstance(op, PauliString) else _as_sum(op).terms
     if n_qubits < 0:
         raise ValueError("n_qubits must be non-negative")
     if op.support and max(op.support) >= n_qubits:
         raise ValueError(f"support {op.support} does not fit in {n_qubits} qubits")
     cols = np.asarray(cols, dtype=int)
-    by_xmask: dict[int, np.ndarray] = {}
-    for term in terms:
-        xmask = _xmask(term)
-        by_xmask[xmask] = by_xmask.get(xmask, 0.0) + _phases(term, cols)
-    return [(cols ^ xmask, values) for xmask, values in by_xmask.items()]
+    by_mask: dict[int, np.ndarray] = {}
+    for term in op.terms:
+        xmask, zmask, n_y = _symplectic(term)
+        by_mask[xmask] = by_mask.get(xmask, 0.0) + _phases(term.coefficient, zmask, n_y, cols)
+    return [(cols ^ xmask, values) for xmask, values in by_mask.items()]
 
 
 def pair_count(*ops: PauliSum | PauliString) -> int:
     """How many pairs ``columns`` gives the terms of all the ``ops``
     together: one per distinct X mask."""
-    return len({_xmask(term) for op in ops for term in ([op] if isinstance(op, PauliString) else _as_sum(op).terms)})
+    return len({_symplectic(term)[0] for op in ops for term in op.terms})
 
 
 def matvec(op: PauliSum | PauliString, n_qubits: int):
@@ -331,7 +322,7 @@ def span(ops: Iterable[PauliSum | PauliString], indices: np.ndarray = ()) -> lis
     of the differences of the basis indices ``indices``: one mask per pivot,
     its highest set bit, ascending by pivot, with each pivot bit cleared from
     every other mask.  The basis of a span is unique, whatever spans it."""
-    masks = list({_xmask(term) for op in ops for term in _as_sum(op).terms})
+    masks = list({_symplectic(term)[0] for op in ops for term in op.terms})
     rest = np.asarray(indices, dtype=np.int64)
     rest = rest[1:] ^ rest[:1]  # kept clear of every pivot bit, so rest[0] is a new mask
     basis: dict[int, int] = {}
@@ -371,13 +362,7 @@ def restrict(op: PauliSum | PauliString, basis: list[int], rep: int) -> PauliSum
     the exact ``i^(#Y - #Y') (-1)^parity(rep & zmask)``.  A term that flips
     bits outside the span raises ValueError."""
     def virtual(term: PauliString) -> PauliString:
-        xmask = zmask = turns = 0  # turns: #Y - #Y' + 2 parity(rep & zmask), quarter turns of c
-        for q, letter in term.key():
-            if letter != "Z":
-                xmask |= 1 << q
-            if letter != "X":
-                zmask |= 1 << q
-                turns += letter == "Y"
+        xmask, zmask, turns = _symplectic(term)  # turns: #Y - #Y' + 2 parity(rep & zmask), quarter turns of c
         key, flipped = [], 0
         for i, mask in enumerate(basis):
             x, z = (xmask >> (mask.bit_length() - 1)) & 1, (mask & zmask).bit_count() & 1

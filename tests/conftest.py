@@ -61,6 +61,19 @@ def layouts() -> dict[str, PlaquetteLayout]:
 
 
 @pytest.fixture(scope="session")
+def letter_matrices() -> dict[str, np.ndarray]:
+    """The one-qubit Pauli matrices typed by hand, an oracle independent of
+    the kernel.  Every zero is +0.0, as ``dense`` sums each element from
+    zero: Y's upper entry is complex(0, -1), not -1j, whose real part is -0.0."""
+    return {
+        "I": np.array([[1, 0], [0, 1]], dtype=complex),
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": np.array([[0, complex(0, -1)], [1j, 0]]),
+        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+
+
+@pytest.fixture(scope="session")
 def two_plaquette(layouts) -> PlaquetteLayout:
     return layouts["two_plaquette"]
 

@@ -445,13 +445,20 @@ def test_each_start_evolves_on_its_own_coset(layout, monkeypatch):
     assert not np.array_equal(by_start[:, :, 0], by_start[:, :, 1])
 
 
-@pytest.mark.parametrize("starts", [(0.75,), (0.75, 2.75)])
-def test_sweep_estimate_bounds_its_peak(strip3, starts):
-    # 400 phis and seven step counts on the 2^9 rows of a start: the Trotter
-    # stage, not the Lanczos stage, sets the peak
+MANY_PHIS = ([1, 2, 3, 4, 5, 6, 7], [round(0.005 * k, 12) for k in range(1, 401)])
+FIGS2_GRID, FIGS2_STEPS, FIGS2_STARTS = cli._FIGURES["figS2"]
+
+
+@pytest.mark.parametrize(
+    "steps, phis, starts",
+    [(*MANY_PHIS, (0.75,)), (*MANY_PHIS, (0.75, 2.75)), (FIGS2_STEPS, cli._phi_grid(*FIGS2_GRID), FIGS2_STARTS)],
+    ids=["starts0", "starts1", "figS2"],
+)
+def test_sweep_estimate_bounds_its_peak(strip3, steps, phis, starts):
+    # on the 2^9 rows of a start the Trotter stage, not the Lanczos stage, sets
+    # the peak: with 400 phis and seven step counts, and on the default figS2
+    # grid, whose peak sits about 5% under its estimate
     hamiltonian, casimir = lm.plaquette_hamiltonian(strip3, 1.0), lm.total_gauge_casimir(strip3)
-    phis = [round(0.005 * k, 12) for k in range(1, 401)]
-    steps = [1, 2, 3, 4, 5, 6, 7]
     estimate = dyn._sweep_bytes(len(span([hamiltonian, casimir])), hamiltonian, casimir, len(phis), len(steps), len(starts))
     tracemalloc.start()
     dyn.sweep(strip3, 1.0, steps, phis, starts)

@@ -10,7 +10,7 @@ from su2link import linkmodel as lm
 from su2link.errors import GuardError, LayoutError
 from su2link.linkmodel import Link, PlaquetteLayout
 from su2link.linalg import expi_hermitian
-from su2link.pauli import PauliString, PauliSum, coset, dense, letter_matrix, span
+from su2link.pauli import PauliString, PauliSum, coset, dense, span
 
 TRIANGLE_PATH = Path(__file__).parent / "data" / "triangle.layout"
 EPSILON = {(1, 2, 3): 1, (1, 3, 2): -1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1}
@@ -84,9 +84,9 @@ def test_link_operator_components(layout):
     assert u[0][0] == want
 
 
-def test_link_operator_color_commutators(layout):
+def test_link_operator_color_commutators(layout, letter_matrices):
     n = layout.n_qubits
-    sigma = [letter_matrix(l) for l in ("X", "Y", "Z")]
+    sigma = [letter_matrices[l] for l in ("X", "Y", "Z")]
     for link_id in ("12", "23", "31"):
         u = [[dense(op, n) for op in row] for row in lm.link_operator(layout, link_id)]
         left, right = lm.left_right_generators(layout, link_id)
@@ -372,7 +372,7 @@ def test_covariance_deviations_match_per_link_checks(layouts, name):
         assert max(deviations.values()) < 1e-9
 
 
-def full_register_covariance(layout, angles, link_ids):
+def full_register_covariance(layout, angles, link_ids, letter_matrices):
     """Oracle for the per-link check: the dense exponential of every gauge
     generator on the whole register, and each link operator as a dense 2^n
     matrix conjugated by it."""
@@ -382,7 +382,7 @@ def full_register_covariance(layout, angles, link_ids):
         for a in (1, 2, 3):
             generator = generator + angles[vertex][a - 1] * lm.gauge_generator(layout, vertex, a)
     transform = expi_hermitian(dense(generator, n), scale=-1.0)
-    sigma = [letter_matrix(letter) for letter in "XYZ"]
+    sigma = [letter_matrices[letter] for letter in "XYZ"]
     out = {}
     for link_id in link_ids:
         link = layout.link(link_id)
@@ -406,7 +406,7 @@ ORACLE_LINKS = {"triangle": ("12", "23", "31"), "unused_qubit": ("12", "23", "31
 
 @pytest.mark.parametrize("swap", [False, True], ids=["generators", "swapped-generators"])
 @pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
-def test_covariance_matches_full_register_oracle(layouts, monkeypatch, name, swap):
+def test_covariance_matches_full_register_oracle(layouts, letter_matrices, monkeypatch, name, swap):
     """The per-link check against the full register, with the true generators
     (roundoff on both sides) and with L and R swapped, where both must report
     the same nonzero deviation."""
@@ -417,7 +417,7 @@ def test_covariance_matches_full_register_oracle(layouts, monkeypatch, name, swa
     rng = np.random.default_rng(99 + swap)
     for _ in range(1 if name == "two_plaquette" else 3):
         angles = {v: tuple(rng.uniform(-np.pi, np.pi, 3)) for v in layout.vertices}
-        oracle = full_register_covariance(layout, angles, ORACLE_LINKS[name])
+        oracle = full_register_covariance(layout, angles, ORACLE_LINKS[name], letter_matrices)
         local = lm.gauge_covariance_deviations(layout, [angles])[0]
         for link_id, expected in oracle.items():
             assert abs(local[link_id] - expected) <= 1e-12

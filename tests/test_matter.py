@@ -6,7 +6,7 @@ import pytest
 from su2link import cli
 from su2link import matter as mt
 from su2link.errors import GuardError
-from su2link.pauli import PauliString, PauliSum, dense, letter_matrix
+from su2link.pauli import PauliString, PauliSum, dense
 
 RATIOS = [1e-1, 1e-2, 1e-3]
 
@@ -39,10 +39,10 @@ def h0_operator(cfg):
     return total
 
 
-def su2_generator(cfg, site, a):
-    """Color generator at a site: link right-end part (incoming link), the
-    matter spin, and link left-end part (outgoing link)."""
-    sigma = letter_matrix({1: "X", 2: "Y", 3: "Z"}[a])
+def su2_generator(cfg, site, sigma):
+    """Color generator at a site for the color matrix ``sigma``: link
+    right-end part (incoming link), the matter spin, and link left-end part
+    (outgoing link)."""
     total = PauliSum()
     pieces = []
     if site > 0:
@@ -120,20 +120,20 @@ def test_v_hermitian_and_moves_one_link_quantum(cfg):
     assert all(abs(charge[r] - charge[c]) == 1 for r, c in zip(rows, cols))
 
 
-def test_h0_plus_v_color_invariance_on_model_space(cfg):
+def test_h0_plus_v_color_invariance_on_model_space(cfg, letter_matrices):
     total = dense(h0_operator(cfg) + mt.v_operator(cfg), cfg.n_modes)
     keep = mt.faithful_indices(cfg)
     for site in range(cfg.n_sites):
         for a in (1, 2, 3):
-            gen = dense(su2_generator(cfg, site, a), cfg.n_modes)
+            gen = dense(su2_generator(cfg, site, letter_matrices["XYZ"[a - 1]]), cfg.n_modes)
             comm = total @ gen - gen @ total
             assert np.max(np.abs(comm[np.ix_(keep, keep)])) < 1e-10
 
 
-def test_su2_generator_algebra(cfg):
+def test_su2_generator_algebra(cfg, letter_matrices):
     epsilon = {(1, 2, 3): 1, (1, 3, 2): -1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1}
     for site in range(cfg.n_sites):
-        gens = [dense(su2_generator(cfg, site, a), cfg.n_modes) for a in (1, 2, 3)]
+        gens = [dense(su2_generator(cfg, site, letter_matrices[letter]), cfg.n_modes) for letter in "XYZ"]
         for (a, b, c), sign in epsilon.items():
             comm = gens[a - 1] @ gens[b - 1] - gens[b - 1] @ gens[a - 1]
             assert np.allclose(comm, 1j * sign * gens[c - 1], atol=1e-12)
@@ -164,12 +164,12 @@ def test_effective_hamiltonian_zero_hopping(cfg):
     assert np.max(np.abs(block.matrix)) == 0.0
 
 
-def test_effective_block_invariances(cfg):
+def test_effective_block_invariances(cfg, letter_matrices):
     block = mt.effective_hamiltonian(cfg)
     p = block.basis_indices
     for site in range(cfg.n_sites):
         for a in (1, 2, 3):
-            gen = dense(su2_generator(cfg, site, a), cfg.n_modes)[np.ix_(p, p)]
+            gen = dense(su2_generator(cfg, site, letter_matrices["XYZ"[a - 1]]), cfg.n_modes)[np.ix_(p, p)]
             assert np.max(np.abs(block.matrix @ gen - gen @ block.matrix)) < 1e-9
     charge = dense(link_charge(cfg, 0), cfg.n_modes)[np.ix_(p, p)]
     assert np.max(np.abs(block.matrix @ charge - charge @ block.matrix)) < 1e-9

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from su2link.dynamics import trotter_evolve
 from su2link.errors import GuardError
 from su2link.pauli import (
     _phases,
+    _symplectic,
     PauliString,
     PauliSum,
     axis_flip,
@@ -19,24 +21,19 @@ from su2link.pauli import (
     format_sum,
     matvec,
     multiply,
+    pair_count,
     parse_string,
     parse_sum,
     restrict,
     span,
 )
 
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
-MATS = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
-
-def kron_oracle(term: PauliString, n: int) -> np.ndarray:
+def kron_oracle(term: PauliString, n: int, mats: dict[str, np.ndarray]) -> np.ndarray:
     """Independent dense realization by explicit kron chain (qubit 0 = LSB)."""
     out = np.array([[term.coefficient]], dtype=complex)
     for q in range(n - 1, -1, -1):
-        out = np.kron(out, MATS[term.letters.get(q, "I")])
+        out = np.kron(out, mats[term.letters.get(q, "I")])
     return out
 
 
@@ -55,13 +52,13 @@ def test_multiply_single_qubit_table():
     assert multiply(x0, x0) == PauliString(1)
 
 
-def test_multiply_mixed_support():
+def test_multiply_mixed_support(letter_matrices):
     a = PauliString(2, {0: "X", 1: "Z"})
     b = PauliString(3, {0: "Y"})
     got = multiply(a, b)
     # oracle: dense 2x2-per-qubit matrix product
-    want = kron_oracle(a, 2) @ kron_oracle(b, 2)
-    assert np.allclose(kron_oracle(got, 2), want, atol=1e-12)
+    want = kron_oracle(a, 2, letter_matrices) @ kron_oracle(b, 2, letter_matrices)
+    assert np.allclose(kron_oracle(got, 2, letter_matrices), want, atol=1e-12)
     assert got == PauliString(6j, {0: "Z", 1: "Z"})
 
 
@@ -109,8 +106,8 @@ def test_commutator_antisymmetric():
         assert commutator(a, b) == -commutator(b, a)
 
 
-def test_dense_conventions():
-    assert np.allclose(dense(PauliString(1, {0: "X"}), 1), X)
+def test_dense_conventions(letter_matrices):
+    assert np.allclose(dense(PauliString(1, {0: "X"}), 1), letter_matrices["X"])
     zz = PauliSum([PauliString(1, {0: "Z"}), PauliString(1, {1: "Z"})])
     # qubit 0 is the least significant bit: index 1 flips qubit 0 only
     assert np.allclose(dense(zz, 2), np.diag([2, 0, 0, -2]))
@@ -128,15 +125,14 @@ def test_dense_guards(memory_boundary):
     memory_boundary(lambda: dense(PauliSum([PauliString(1, {0: "X"}), PauliString(1, {1: "Z"})]), 3))
 
 
-def kron_dense_reference(op, n: int) -> np.ndarray:
+def kron_dense_reference(op, n: int, mats: dict[str, np.ndarray]) -> np.ndarray:
     """dense() as it was built before the bit-mask kernel: one kron chain of
     letter matrices per term, scaled and accumulated in canonical term order."""
-    terms = op.terms if isinstance(op, PauliSum) else [op]
     out = np.zeros((2**n, 2**n), dtype=complex)
-    for term in terms:
+    for term in op.terms:
         block = np.array([[1]], dtype=complex)
         for q in range(n - 1, -1, -1):
-            block = np.kron(block, MATS[term.letters.get(q, "I")])
+            block = np.kron(block, mats[term.letters.get(q, "I")])
         out += term.coefficient * block
     return out
 
@@ -163,16 +159,22 @@ def per_letter_phases(term: PauliString, sources: np.ndarray) -> np.ndarray:
     return (term.coefficient * (1, 1j, -1, -1j)[n_y % 4]) * (1 - 2 * (parity & 1))
 
 
+def term_phases(term: PauliString, sources: np.ndarray) -> np.ndarray:
+    """``_phases`` of ``term`` on the masks that ``_symplectic`` decodes."""
+    _, zmask, n_y = _symplectic(term)
+    return _phases(term.coefficient, zmask, n_y, sources)
+
+
 @pytest.mark.parametrize("n", [0, 1, 5, 12])
 def test_phases_match_the_per_letter_rule_bitwise(n):
     rng = np.random.default_rng(120 + n)
     sources = np.arange(2**n)
     for _ in range(8):
         term = PauliString(complex(rng.normal(), rng.normal()), full_letters(rng, n))
-        got, want = _phases(term, sources), per_letter_phases(term, sources)
+        got, want = term_phases(term, sources), per_letter_phases(term, sources)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     some = rng.choice(2**n, size=min(5, 2**n), replace=False)
-    assert _phases(term, some).tobytes() == per_letter_phases(term, some).tobytes()
+    assert term_phases(term, some).tobytes() == per_letter_phases(term, some).tobytes()
 
 
 def test_action_single_letters():
@@ -224,15 +226,15 @@ def test_action_complex_coefficient_on_complex_state():
         np.testing.assert_allclose(matvec(term, n)(psi), dense(term, n) @ psi, rtol=0, atol=tol)
 
 
-def test_dense_scatter_matches_kron_reference_bitwise():
+def test_dense_scatter_matches_kron_reference_bitwise(letter_matrices):
     rng = np.random.default_rng(11)
     for n in range(9):
         for _ in range(4):
             coefficients = [complex(rng.normal(), rng.normal()), rng.normal(), 1j * rng.normal()]
             op = PauliSum([PauliString(c, full_letters(rng, n)) for c in coefficients])
-            assert dense(op, n).tobytes() == kron_dense_reference(op, n).tobytes()
+            assert dense(op, n).tobytes() == kron_dense_reference(op, n, letter_matrices).tobytes()
             term = PauliString(coefficients[0], full_letters(rng, n))
-            assert dense(term, n).tobytes() == kron_dense_reference(term, n).tobytes()
+            assert dense(term, n).tobytes() == kron_dense_reference(term, n, letter_matrices).tobytes()
 
 
 def test_sum_merges_like_terms():
@@ -299,6 +301,45 @@ def test_derived_letters_are_not_shared():
         with pytest.raises(TypeError):
             del string.letters[0]
         assert string.letters == {0: "X", 3: "Y"} and string.key() == ((0, "X"), (3, "Y"))
+
+
+def test_a_string_is_its_one_term_sum():
+    # every kernel reads a string and its one-term sum alike
+    rng = np.random.default_rng(140)
+    for n in (1, 4, 7):
+        cols = np.arange(2**n)
+        for _ in range(6):
+            string = PauliString(complex(rng.normal(), rng.normal()), full_letters(rng, n))
+            one_term = PauliSum([string])
+            got, want = columns(string, cols, n), columns(one_term, cols, n)
+            assert [(t.tobytes(), v.tobytes()) for t, v in got] == [(t.tobytes(), v.tobytes()) for t, v in want]
+            assert pair_count(string) == pair_count(one_term) == 1
+            basis = span([string])
+            assert basis == span([one_term])
+            rep = int(coset(basis, int(rng.integers(2**n)))[0])
+            assert restrict(string, basis, rep).terms == restrict(one_term, basis, rep).terms
+            assert dense(string, n).tobytes() == dense(one_term, n).tobytes()
+            psi = random_state(rng, n)
+            assert matvec(string, n)(psi).tobytes() == matvec(one_term, n)(psi).tobytes()
+    # a sum drops a coefficient at or below MERGE_TOL, a string keeps its one term
+    tiny = PauliString(1e-13, {0: "X"})
+    assert len(PauliSum([tiny])) == 0
+    assert pair_count(tiny) == 1 and span([tiny]) == [1]
+    evolved = trotter_evolve([tiny], np.array([1, 0], dtype=complex), 1.0, 1)
+    assert abs(np.linalg.norm(evolved) - 1) <= 1e-12
+    # a sum adds and subtracts only Pauli operators
+    op = PauliSum([PauliString(1.0, {0: "X"})])
+    for combine in (lambda: op + 1, lambda: op - 1, lambda: 1 + op):
+        with pytest.raises(TypeError):
+            combine()
+
+
+def test_one_qubit_dense_is_the_hand_typed_matrix_bitwise(letter_matrices):
+    # linkmodel's link and colour matrices and matter's sigma_y entries are read from the
+    # kernel, so they rest on this equality, signed zeros included
+    for letter, matrix in letter_matrices.items():
+        string = PauliString(1.0, {} if letter == "I" else {0: letter})
+        assert dense(string, 1).tobytes() == matrix.tobytes()
 
 
 def test_text_round_trip():
