@@ -185,7 +185,7 @@ def _basis_changes(monomial: PauliString, canonical: str) -> tuple[list[Gate], l
 
 
 def _folded_angle(monomial: PauliString, phi: float) -> float:
-    if abs(monomial.coefficient.imag) > 1e-12:
+    if not abs(monomial.coefficient.imag) <= 1e-12:  # NaN fails too
         raise ValueError("monomial coefficient must be real")
     return phi * monomial.coefficient.real
 

@@ -70,7 +70,7 @@ def _n_qubits_of(state: np.ndarray) -> int:
 
 def _check_norm(states: np.ndarray) -> np.ndarray:
     """Guard one state, or every row of a batch of states."""
-    if np.any(abs(np.linalg.norm(states, axis=-1) - 1.0) > NORM_TOL):
+    if not np.all(abs(np.linalg.norm(states, axis=-1) - 1.0) <= NORM_TOL):  # NaN fails too
         raise GuardError("state norm drifted beyond 1e-10")
     return states
 

@@ -60,8 +60,10 @@ class ChainConfig:
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError("a chain needs at least two sites")
-        if self.penalty <= 0:
+        if not self.penalty > 0:  # NaN fails too; an infinite penalty is kept
             raise ValueError("penalty scale must be positive")
+        if not (np.isfinite(self.hopping) and np.isfinite(self.omega)):
+            raise ValueError("hopping and omega must be finite")
         if not 0 <= self.matter_number <= 2 * self.n_sites:
             raise ValueError("matter_number out of range")
         if not 0 <= self.n0 <= 2:

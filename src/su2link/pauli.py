@@ -13,15 +13,18 @@ tolerance ``MERGE_TOL``.
 symplectic encoding of Aaronson & Gottesman, PRA 70, 052328 (2004): X and Y
 letters set bits of an X mask, Y and Z letters set bits of a Z mask, and each
 Y contributes a factor i (Y = i X Z); ``_symplectic`` is the one decoder of a
-term's letters into these masks.  A string then maps basis state ``k`` to
-``k ^ xmask`` with the amplitude ``c i^#Y (-1)^popcount(k & zmask)``, so the
-elements out of chosen basis columns take one XOR per X mask and one sign
-vector per term, with no matrix.  ``matvec`` applies an operator to states
-from those pairs, one gather per X mask, and ``dense`` scatters them into a
-matrix, for the tests and the covariance check's 4x4 link matrices.  No Pauli
-matrix is typed by hand: the 2x2 and 4x4 matrices come from ``dense``.
-A gate's or Trotter factor's rotation cos t - i sin t P flips P's X qubits on
-an ``axis_flip`` view; ``matvec``, a sum over X masks, keeps its gathers.
+term's letters into these masks.  A letter's index in ``_LETTERS`` is its
+code x + 2z, and ``multiply`` follows the symplectic rule on those codes,
+letter by letter and not on masks, since qubit indices reach 5e9.  A string
+then maps basis state ``k`` to ``k ^ xmask`` with the amplitude
+``c i^#Y (-1)^popcount(k & zmask)``, so the elements out of chosen basis
+columns take one XOR per X mask and one sign vector per term, with no matrix.
+``matvec`` applies an operator to states from those pairs, one gather per X
+mask, and ``dense`` scatters them into a matrix, for the tests and the
+covariance check's 4x4 link matrices.  No Pauli matrix or product table is
+typed by hand: the 2x2 and 4x4 matrices come from ``dense``.  A gate's or
+Trotter factor's rotation cos t - i sin t P flips P's X qubits on an
+``axis_flip`` view; ``matvec``, a sum over X masks, keeps its gathers.
 
 An operator maps each XOR coset of the GF(2) ``span`` of its X masks, listed
 by ``coset``, to itself, and the Z strings that fix a coset are the Z2
@@ -35,7 +38,6 @@ Values are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import re
-from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
 import numpy as np
@@ -44,23 +46,17 @@ from .errors import check_memory
 
 MERGE_TOL = 1e-12
 
-_LETTERS = ("I", "X", "Y", "Z")
+_LETTERS = ("I", "X", "Z", "Y")  # index: the symplectic code x + 2z
+_I_POWERS = (1, 1j, -1, -1j)
 
-# single-letter products: (a, b) -> (letter, phase) with sigma_a sigma_b = phase * sigma_letter
-_PRODUCT = {
-    ("X", "X"): ("I", 1), ("Y", "Y"): ("I", 1), ("Z", "Z"): ("I", 1),
-    ("X", "Y"): ("Z", 1j), ("Y", "X"): ("Z", -1j),
-    ("Y", "Z"): ("X", 1j), ("Z", "Y"): ("X", -1j),
-    ("Z", "X"): ("Y", 1j), ("X", "Z"): ("Y", -1j),
-}
 
 class PauliString:
     """A signed, weighted tensor product of Pauli letters on indexed qubits.
 
-    The letter pattern is stored once, as the sorted ``key()``; ``letters``
-    is a read-only view of it mapping qubit index to one of X, Y, Z.  Identity
-    entries are never stored, so the support is exactly ``letters.keys()``.
-    The coefficient must be nonzero.
+    The letter pattern is stored once, as the sorted ``key()``: a tuple of
+    (qubit index, letter) pairs, each letter one of X, Y, Z, so it cannot be
+    changed after construction.  Identity entries are never stored, so the
+    support is exactly the key's qubits.  The coefficient must be nonzero.
     """
 
     __slots__ = ("coefficient", "_key")
@@ -91,10 +87,6 @@ class PauliString:
         out.coefficient = coefficient
         out._key = key
         return out
-
-    @property
-    def letters(self) -> Mapping[int, str]:
-        return MappingProxyType(dict(self._key))
 
     def key(self) -> tuple[tuple[int, str], ...]:
         """Canonical letter pattern, sorted by qubit index."""
@@ -152,12 +144,12 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
         if q not in letters:
             letters[q] = letter
             continue
-        merged, phase = _PRODUCT[(letters[q], letter)]
-        coefficient *= phase
-        if merged == "I":
-            del letters[q]
-        else:
-            letters[q] = merged
+        ca, cb = _LETTERS.index(letters.pop(q)), _LETTERS.index(letter)
+        cc = ca ^ cb
+        # sigma_a sigma_b = i^(ya + yb - yc + 2 za xb) sigma_c, with y = xz: 1 for Y (code 3) only
+        coefficient *= _I_POWERS[((ca == 3) + (cb == 3) - (cc == 3) + 2 * (ca >> 1) * (cb & 1)) % 4]
+        if cc:
+            letters[q] = _LETTERS[cc]
     return PauliString(coefficient, letters)
 
 
@@ -165,7 +157,8 @@ class PauliSum:
     """A merged linear combination of Pauli strings.
 
     Terms with the same letter pattern are combined and coefficients below
-    ``MERGE_TOL`` are dropped, so equality is structural.  ``terms`` lists the
+    ``MERGE_TOL`` are dropped, so equality is structural; a NaN coefficient is
+    kept, for the Hermiticity guard to see.  ``terms`` lists the
     strings in canonical order (lexicographic by support, then letters).
     """
 
@@ -176,7 +169,7 @@ class PauliSum:
         for term in terms:
             key = term.key()
             merged[key] = merged.get(key, 0) + term.coefficient
-        self._terms = {k: c for k, c in merged.items() if abs(c) > MERGE_TOL}
+        self._terms = {k: c for k, c in merged.items() if not abs(c) <= MERGE_TOL}
         self._sorted = tuple(PauliString._derived(c, k) for k, c in sorted(self._terms.items()))
 
     @property
@@ -235,9 +228,6 @@ def commutator(a: PauliString, b: PauliString) -> PauliSum:
     ab = multiply(a, b)
     ba = multiply(b, a)
     return PauliSum([ab, -ba])
-
-
-_I_POWERS = (1, 1j, -1, -1j)
 
 
 def _symplectic(term: PauliString) -> tuple[int, int, int]:
@@ -367,7 +357,7 @@ def restrict(op: PauliSum | PauliString, basis: list[int], rep: int) -> PauliSum
         for i, mask in enumerate(basis):
             x, z = (xmask >> (mask.bit_length() - 1)) & 1, (mask & zmask).bit_count() & 1
             if x or z:
-                key.append((i, "IXZY"[x + 2 * z]))
+                key.append((i, _LETTERS[x + 2 * z]))
                 flipped ^= mask * x
                 turns -= x & z
         if flipped != xmask:

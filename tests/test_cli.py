@@ -772,6 +772,12 @@ def test_matter_overflow_exits_2(argv, capsys):
     assert_config_error(run(["matter", *argv], capsys), "the matter-chain energies overflow a float")
 
 
+@pytest.mark.parametrize("backend, coefficient", [("cphase", "(nanj)"), ("collective", "(1+nanj)")])
+def test_compile_rejects_a_nan_imaginary_part(backend, coefficient, capsys):
+    argv = ["compile", "--backend", backend, "--monomial", f"{coefficient} X0 X1"]
+    assert_config_error(run(argv, capsys), "monomial coefficient must be real")
+
+
 @pytest.mark.parametrize("plaquettes", ["0", "-1"])
 def test_bounds_rejects_plaquettes_below_one(plaquettes, capsys):
     result = run(["bounds", f"--plaquettes={plaquettes}"], capsys)

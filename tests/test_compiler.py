@@ -307,7 +307,7 @@ def test_reduced_unitary_matches_sandwich(monomials, ancilla):
     # target exponential on six qubits
     for monomial in monomials:
         shifted = PauliString(
-            monomial.coefficient, {q + (q >= ancilla): letter for q, letter in monomial.letters.items()}
+            monomial.coefficient, {q + (q >= ancilla): letter for q, letter in monomial.key()}
         )
         # widened to 7 qubits, as a monomial may leave the top system qubit idle
         circuit = Circuit(cp.compile_cphase(shifted, 0.7, ancilla=ancilla).gates, 7)

@@ -127,6 +127,17 @@ def test_trotter_evolve_rejects_non_real_monomial(monomials, coefficient):
             dyn.trotter_evolve(listed, basis_state(6, 0), 1.0, 2)
 
 
+def test_nan_coefficients_trip_the_guards(layout):
+    nan = float("nan")
+    with pytest.raises(GuardError, match="^state norm drifted beyond 1e-10$"):
+        dyn.trotter_evolve([PauliString(nan, {0: "X"})], basis_state(1, 0), 1.0, 1)
+    with pytest.raises(GuardError, match="^Hamiltonian must be Hermitian$"):
+        dyn.exact_evolve(PauliSum([PauliString(nan, {0: "X"})]), basis_state(1, 0), 1.0)
+    for coupling in (nan, float("inf")):
+        with pytest.raises(GuardError, match="^Hamiltonian must be Hermitian$"):
+            dyn.sweep(layout, coupling, [1], [0.1], 0.75)
+
+
 def test_trotter_error_decreases_and_scales(hamiltonian, monomials, sector_table):
     psi0 = lm.canonical_sector_state(sector_table, 0.75)
     psi_ideal = dyn.exact_evolve(hamiltonian, psi0, 0.5)

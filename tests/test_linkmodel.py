@@ -269,9 +269,9 @@ def position_block_table(layout):
         bits = {q: (config >> i) & 1 for i, q in enumerate(positions)}
         reduced = []
         for term in terms:
-            assert all(term.letters[q] == "Z" for q in term.support if q in bits)
+            assert all(dict(term.key())[q] == "Z" for q in term.support if q in bits)
             sign = np.prod([1 - 2 * bits[q] for q in term.support if q in bits])
-            letters = {others.index(q): letter for q, letter in term.letters.items() if q not in bits}
+            letters = {others.index(q): letter for q, letter in term.key() if q not in bits}
             reduced.append(PauliString(sign * term.coefficient, letters))
         block = dense(PauliSum(reduced), len(others))
         counts.update(np.round(np.linalg.eigvalsh(block), 8).tolist())

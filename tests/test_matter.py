@@ -77,8 +77,15 @@ def cfg():
 def test_config_validation():
     with pytest.raises(ValueError):
         mt.ChainConfig(n_sites=1)
-    with pytest.raises(ValueError):
-        mt.ChainConfig(penalty=0.0)
+    for penalty in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="^penalty scale must be positive$"):
+            mt.ChainConfig(penalty=penalty)
+    for field in ("hopping", "omega"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="^hopping and omega must be finite$"):
+                mt.ChainConfig(**{field: value})
+    # the penalty hopping / ratio overflows to inf at a subnormal ratio; the CLI reports that overflow
+    assert mt.ChainConfig(penalty=float("inf")).ratio == 0.0
     for n0 in (-1, 3):
         with pytest.raises(ValueError, match="^n0 out of range"):
             mt.ChainConfig(n0=n0)
