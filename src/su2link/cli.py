@@ -21,7 +21,7 @@ from . import dynamics as dyn
 from . import linkmodel as lm
 from . import matter as mt
 from .errors import GuardError, LayoutError
-from .pauli import MERGE_TOL, parse_string
+from .pauli import parse_string
 
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
@@ -99,7 +99,7 @@ def run_figures(args: argparse.Namespace) -> str:
     )
     steps = list(args.steps or default_steps)
     starts = default_starts if args.start_sector is None else (args.start_sector,)
-    rows = dyn.sweep(layout, args.J, steps, phis, starts)
+    rows = dyn.sweep(layout, steps, phis, starts)
     if args.figure == "fig3":
         # E, the relative gauge deviation, is the only output that divides by the ideal expectation
         if any(abs(r.gauge_ideal) < dyn.DEVIATION_GUARD for r in rows):
@@ -269,7 +269,6 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
     not convert or breaks its option's rule, raises ``LayoutError``."""
     finite = _checked(float, "be finite", math.isfinite)
     positive = _checked(float, "be finite and positive", lambda x: math.isfinite(x) and x > 0)
-    coupling = _checked(float, "be finite and nonzero", lambda x: math.isfinite(x) and x != 0)
     non_negative = _checked(int, "be non-negative", lambda n: n >= 0)
 
     def capped(parse):
@@ -297,9 +296,6 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
     p = sub.add_parser("figures", parents=[common], help="tabulated data products for the named figures")
     p.add_argument("figure", choices=["fig3", "fig4", "figS2"])
     add_layout(p)
-    # below 2e-12 the monomial coefficients -J/2 would merge away from the Hamiltonian
-    resolved = _checked(coupling, f"exceed {2 * MERGE_TOL!r} in magnitude", lambda x: abs(x) / 2 > MERGE_TOL)
-    p.add_argument("--J", type=resolved, default=1.0)
     p.add_argument("--steps", type=_list(capped(int), "integers"), default=(), help="comma-separated step counts")
     p.add_argument("--phi-start", type=finite, default=None)
     p.add_argument("--phi-stop", type=finite, default=None)
@@ -311,8 +307,8 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
     p.add_argument("--backend", choices=["collective", "cphase"], required=True)
     p.add_argument("--step", action="store_true", help="compile the full 16-monomial step (default)")
     p.add_argument("--monomial", help="single Pauli string, e.g. '(1.0) X0 Y1'")
-    p.add_argument("--phi", type=float, default=0.1)
-    p.add_argument("--J", type=coupling, default=1.0)
+    p.add_argument("--phi", type=finite, default=0.1)
+    p.add_argument("--J", type=_checked(float, "be finite and nonzero", lambda x: math.isfinite(x) and x != 0), default=1.0)
     p.add_argument("--circuit-out", help="also write the gate list to this file")
 
     p = sub.add_parser("bounds", parents=[common], help="digitization step-count bounds (JSON report)")

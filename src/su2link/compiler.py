@@ -187,6 +187,8 @@ def _basis_changes(monomial: PauliString, canonical: str) -> tuple[list[Gate], l
 def _folded_angle(monomial: PauliString, phi: float) -> float:
     if not abs(monomial.coefficient.imag) <= 1e-12:  # NaN fails too
         raise ValueError("monomial coefficient must be real")
+    if not math.isfinite(monomial.coefficient.real):
+        raise ValueError("monomial coefficient must be finite")
     return phi * monomial.coefficient.real
 
 

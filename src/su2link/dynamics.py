@@ -8,8 +8,8 @@ space closes after a handful of vectors.  The small tridiagonal matrix is
 diagonalised once and serves every time of a sweep.  A Trotter step is an
 ordered list of monomials: Trotterized evolution applies the closed-form
 exponential of one monomial at a time (cos * 1 - i sin * P) in the order
-given, repeated for the chosen number of steps.  The simulated phase is
-phi = J * t, so the evolution time of a phase is t = phi / J.
+given, repeated for the chosen number of steps.  A sweep runs at J = 1, so
+the evolution time of a phase phi = J t is t = phi.
 
 Every operator acts through the bit-mask kernel ``pauli.columns``, with no
 matrix: ``pauli.matvec`` for the Lanczos iteration and for expectation
@@ -104,8 +104,10 @@ def _on_support(ops: Sequence[PauliSum | PauliString], states: Sequence[np.ndarr
     """(rows, the ops ``pauli.restrict``-ed there, rank): the ``pauli.coset``
     rows of ``pauli.span(ops, support)`` that hold the joint support of the
     2^n states, where each op acts on ``rank`` virtual qubits.  States with no
-    support get the coset of basis state 0."""
+    support get the coset of basis state 0; a non-finite amplitude is refused."""
     n = _n_qubits_of(states[0])
+    if not all(np.isfinite(state).all() for state in states):
+        raise ValueError(f"{what} needs finite amplitudes")
     # per basis state: six complex vectors (the input, its gathered rows, the output, and a matvec's
     # result, product and gather), the matvec's pairs, and the support's, rows' and columns' indices
     check_memory(lambda: 2.0**n * (16 * 6 + 24 * pair_count(*ops) + 24), f"{what} on {n} qubits")
@@ -329,7 +331,6 @@ class SweepRow:
 
 def sweep(
     layout: PlaquetteLayout,
-    coupling: float,
     steps_list: list[int],
     phis: list[float],
     start_sector: float | Sequence[float],
@@ -356,7 +357,7 @@ def sweep(
     for steps in steps_list:
         _check_steps(steps)
     n = layout.n_qubits
-    monomials = plaquette_monomials(layout, coupling)
+    monomials = plaquette_monomials(layout, 1.0)
     hamiltonian = PauliSum(monomials)
     casimir = total_gauge_casimir(layout)
     step_counts = sorted(set(steps_list), reverse=True)
@@ -368,7 +369,7 @@ def sweep(
         lambda: _sweep_bytes(len(basis), hamiltonian, casimir, len(phis), len(step_counts), len(starts)), f"sweep on {n} qubits"
     )
     table = gauge_sectors(layout)
-    times = np.asarray(phis, dtype=float) / coupling
+    times = np.asarray(phis, dtype=float)
     psi0s, readouts, weights = [], [], []
     for start in starts:
         rows, apply_casimir, psi0 = sector_on_coset(table, start, casimir, basis)

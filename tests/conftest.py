@@ -177,9 +177,9 @@ def full_register_expectation():
     return _full_register_expectation
 
 
-def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_register=False):
+def _per_point_sweep(layout, steps_list, phis, start_sector, full_register=False):
     """sweep() as a loop over grid points: one exact_evolve per phi and one
-    trotter_evolve per point, on full 2^n vectors.
+    trotter_evolve per point, on full 2^n vectors, at J = 1, so t = phi.
 
     By default the start state and the observables are taken as sweep()
     takes them, from ``sector_on_coset`` on the span of the Hamiltonian's and
@@ -190,8 +190,8 @@ def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_regi
     nor ``restrict``."""
     n = layout.n_qubits
     table = lm.gauge_sectors(layout)
-    monomials = lm.plaquette_monomials(layout, coupling)
-    hamiltonian = lm.plaquette_hamiltonian(layout, coupling)
+    monomials = lm.plaquette_monomials(layout, 1.0)
+    hamiltonian = lm.plaquette_hamiltonian(layout, 1.0)
     casimir = lm.total_gauge_casimir(layout)
     if full_register:
         rows = np.arange(2**n)
@@ -201,13 +201,13 @@ def _per_point_sweep(layout, coupling, steps_list, phis, start_sector, full_regi
         rows, apply_casimir, start = lm.sector_on_coset(table, start_sector, casimir, span([hamiltonian, casimir]))
     psi0 = np.zeros(2**n, dtype=complex)
     psi0[rows] = start
-    ideal = {phi: dyn.exact_evolve(hamiltonian, psi0, phi / coupling)[rows] for phi in phis}
+    ideal = {phi: dyn.exact_evolve(hamiltonian, psi0, phi)[rows] for phi in phis}
     gauge_ideal = {phi: float(dyn._expectations(apply_casimir, psi)) for phi, psi in ideal.items()}
     out = []
     for steps in steps_list:
         for phi in phis:
             psi_ideal, gauge_i = ideal[phi], gauge_ideal[phi]
-            psi_digital = dyn.trotter_evolve(monomials, psi0, phi / coupling, steps)[rows]
+            psi_digital = dyn.trotter_evolve(monomials, psi0, phi, steps)[rows]
             gauge_d = float(dyn._expectations(apply_casimir, psi_digital))
             out.append(
                 dyn.SweepRow(steps, float(phi), dyn.overlap(psi_ideal, start), dyn.overlap(psi_ideal, psi_digital), gauge_i, gauge_d)

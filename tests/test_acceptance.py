@@ -165,8 +165,8 @@ def test_criterion_05_oscillation(layout, hamiltonian, table):
         assert len(returns) >= 2
         # digital fidelity ordering across one full oscillation
         phis = [round(p, 2) for p in np.arange(0.05, 1.6001, 0.05)]
-        rows2 = dyn.sweep(layout, 1.0, [2], phis, 2.25)
-        rows3 = dyn.sweep(layout, 1.0, [3], phis, 2.25)
+        rows2 = dyn.sweep(layout, [2], phis, 2.25)
+        rows3 = dyn.sweep(layout, [3], phis, 2.25)
         assert all(r3.fidelity > r2.fidelity for r2, r3 in zip(rows2, rows3))
 
 

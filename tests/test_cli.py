@@ -79,7 +79,7 @@ def test_strip3_fig3_matches_per_point_loop(per_point_sweep, capsys):
     code, out, err = run(argv, capsys)
     assert code == 0 and err == ""
     rows = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[1:]])
-    expected = per_point_sweep(cli._load_layout(str(STRIP3_PATH)), 1.0, (1, 2), [0.05, 0.1], 0.75)
+    expected = per_point_sweep(cli._load_layout(str(STRIP3_PATH)), (1, 2), [0.05, 0.1], 0.75)
     expected = np.array([
         [r.steps, r.phi, (r.gauge_ideal - r.gauge_digital) / r.gauge_ideal, r.overlap_initial, r.fidelity] for r in expected
     ])
@@ -402,7 +402,7 @@ def test_zero_sector_is_refused_only_where_e_divides_by_it(name, capsys):
     assert len(gauge_ideal) == 7 * 40 and max(map(abs, gauge_ideal)) < 1e-12
     code, out, err = run(["figures", "fig4", "--layout", path, "--start-sector", "0.0"], capsys)
     assert code == 0 and err == "" and len(out.splitlines()) == 1 + 2 * 160
-    rows = dyn.sweep(cli._load_layout(path), 1.0, [2, 3], cli._phi_grid(0.01, 1.6, 0.01), 0.0)
+    rows = dyn.sweep(cli._load_layout(path), [2, 3], cli._phi_grid(0.01, 1.6, 0.01), 0.0)
     assert max(abs(r.gauge_ideal) for r in rows) < 1e-12
     assert run(["figures", "fig3", "--layout", path, "--start-sector", "0.0"], capsys) == (
         3, "", "numerical guard: ideal gauge expectation vanished\n"
@@ -551,23 +551,6 @@ def test_default_covariance_matches_golden_output(capsys):
         assert abs(float(got_value) - float(want_value)) <= 1e-12, (got_line, want_line)
 
 
-@pytest.mark.parametrize("coupling", ["0.7", "-1.3"])
-def test_figures_do_not_depend_on_the_coupling(coupling, capsys):
-    """The sweep evolves to t = phi / J under a Hamiltonian proportional to
-    J, so J cancels: default fig3 at any J is the J = 1 table up to roundoff
-    (9.8e-15 at most for these two)."""
-    tables = []
-    for argv in (["figures", "fig3"], ["figures", "fig3", f"--J={coupling}"]):
-        code, out, _ = run(argv, capsys)
-        assert code == 0
-        tables.append(out.splitlines())
-    want, got = tables
-    assert got[0] == want[0] and len(got) == len(want)
-    values = [np.array([[float(x) for x in line.split(",")] for line in table[1:]]) for table in (want, got)]
-    assert np.array_equal(values[0][:, :2], values[1][:, :2])  # N and phi
-    assert np.max(np.abs(values[0] - values[1])) <= 1e-13
-
-
 @pytest.mark.parametrize("sites", [2, 3])
 def test_matter_matches_golden_outputs(sites, capsys):
     """The default-ratio matter CSVs against the committed ones in tests/data,
@@ -631,7 +614,7 @@ def test_config_file_bad_value_is_one_line(tmp_path, capsys):
         (["figures", "fig3"], "steps", "1,,2", "argument --steps: expected comma-separated integers, got '1,,2'"),
         (["bounds"], "eps", "0", "--eps must be finite and positive, got 0.0"),
         (["covariance"], "sets", "-1", "--sets must be non-negative, got -1"),
-        (["figures", "fig3"], "J", "0", "--J must be finite and nonzero, got 0.0"),
+        (["compile", "--backend", "cphase"], "J", "0", "--J must be finite and nonzero, got 0.0"),
         (["matter"], "ratios", "0.1,-1", "--ratios must be finite and positive, got -1.0"),
         (["figures", "fig3"], "phi_step", "nan", "--phi-step must be finite and positive, got nan"),
     ]:
@@ -652,8 +635,7 @@ def test_config_file_unknown_key(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, key, value",
     [
-        # no output depends on J at a given phi = J t, but J = 0 is refused
-        (["figures", "fig3", "--phi-stop", "0.1"], "J", "0"),
+        (["figures", "fig3", "--phi-stop", "0.1"], "steps", "1"),
         (["compile", "--backend", "collective"], "J", "0"),
         (["sectors"], "layout", str(STRIP3_PATH)),
         (["covariance", "--sets", "1"], "layout", str(STRIP3_PATH)),
@@ -744,10 +726,9 @@ def test_figures_rejects_unknown_start_sector(figure, capsys):
     assert_config_error(result, "no sector with eigenvalue 1.0; available: 0.75, 2.25, 2.75")
 
 
-@pytest.mark.parametrize("command", [["figures", "fig3"], ["compile", "--backend", "cphase"]])
 @pytest.mark.parametrize("coupling", ["nan", "inf", "-inf", "0"])
-def test_rejects_non_finite_or_zero_coupling(command, coupling, capsys):
-    result = run([*command, f"--J={coupling}"], capsys)
+def test_compile_rejects_non_finite_or_zero_coupling(coupling, capsys):
+    result = run(["compile", "--backend", "cphase", f"--J={coupling}"], capsys)
     assert_config_error(result, "--J must be finite and nonzero")
 
 
@@ -770,6 +751,20 @@ def test_matter_rejects_hopping_that_is_not_finite_and_positive(hopping, capsys)
 @pytest.mark.parametrize("argv", [["--omega", "1e308"], ["--hopping", "1e200"], ["--ratios", "5e-324"]])
 def test_matter_overflow_exits_2(argv, capsys):
     assert_config_error(run(["matter", *argv], capsys), "the matter-chain energies overflow a float")
+
+
+# weights 0, 1 and 2, which each backend lowers by a path of its own
+@pytest.mark.parametrize("backend", ["collective", "cphase"])
+@pytest.mark.parametrize("monomial", ["(nan) I", "(inf) X0", "(-inf) X0 X1"])
+def test_compile_rejects_a_non_finite_coefficient(backend, monomial, capsys):
+    argv = ["compile", "--backend", backend, "--monomial", monomial]
+    assert_config_error(run(argv, capsys), "monomial coefficient must be finite")
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+def test_compile_rejects_a_non_finite_phi(phi, capsys):
+    argv = ["compile", "--backend", "cphase", "--monomial", "(1) I", f"--phi={phi}"]
+    assert_config_error(run(argv, capsys), f"--phi must be finite, got {float(phi)!r}")
 
 
 @pytest.mark.parametrize("backend, coefficient", [("cphase", "(nanj)"), ("collective", "(1+nanj)")])
@@ -828,7 +823,7 @@ def test_bounds_zero_jt_needs_no_steps(capsys):
         (["figures", "fig5"], "argument figure: invalid choice: 'fig5'"),
         (["compile"], "the following arguments are required: --backend"),
         ([], "the following arguments are required: command"),
-        (["figures", "fig3", "--J=--"], "argument --J: invalid float value: '--'"),
+        (["compile", "--backend", "cphase", "--J=--"], "argument --J: invalid float value: '--'"),
         (["compile", "--backend=--"], "argument --backend: invalid choice: '--'"),
         (["figures", "fig3", "--steps=abc"], "argument --steps: expected comma-separated integers, got 'abc'"),
         (["figures", "fig3", "--steps=1.5"], "argument --steps: expected comma-separated integers, got '1.5'"),
@@ -854,13 +849,6 @@ def test_help_still_exits_0(capsys):
     assert "--eps" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("coupling", ["2e-12", "-2e-12", "1e-300"])
-def test_figures_rejects_vanishing_coupling(coupling, capsys):
-    # the monomial coefficients |J|/2 would fall under the Pauli merge tolerance
-    argv = ["figures", "fig3", "--steps", "1", "--phi-start", "0.5", "--phi-stop", "0.5", f"--J={coupling}"]
-    assert_config_error(run(argv, capsys), f"--J must exceed 2e-12 in magnitude, got {float(coupling)!r}")
-
-
 def test_compile_accepts_vanishing_coupling(capsys):
     code, out, err = run(["compile", "--backend", "cphase", "--J=2e-12"], capsys)
     assert code == 0 and err == ""
@@ -868,9 +856,18 @@ def test_compile_accepts_vanishing_coupling(capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("coupling", ["1e160", "1e300", "-1e200"])
-def test_figures_overflow_exits_2(coupling, capsys):
-    assert_config_error(run(["figures", "fig3", f"--J={coupling}"], capsys), "the plaquette energies overflow a float")
+@pytest.mark.parametrize("figure", ["fig3", "fig4", "figS2"])
+def test_figures_overflow_exits_2(figure, capsys):
+    argv = ["figures", figure, "--phi-start=1e308", "--phi-stop=1e308", "--phi-step=1e308"]
+    assert_config_error(run(argv, capsys), "the plaquette energies overflow a float")
+
+
+def test_figures_has_no_coupling_option(tmp_path, capsys):
+    # figures run at J = 1: a phase phi = J t is its own evolution time
+    assert_config_error(run(["figures", "fig3", "--J=1"], capsys), "unrecognized arguments: --J=1")
+    config = tmp_path / "run.conf"
+    config.write_text("J=0.7\n", encoding="utf-8")
+    assert_config_error(run(["figures", "fig3", "--config", str(config)], capsys), "config file sets unknown option 'J'")
 
 
 @pytest.mark.parametrize("figure", ["fig3", "fig4", "figS2"])

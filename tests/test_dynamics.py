@@ -70,12 +70,12 @@ def test_evolutions_reject_an_operator_outside_the_register():
 
 def test_trotter_evolve_and_sweep_guards(layout, monomials, monkeypatch, memory_boundary):
     memory_boundary(lambda: dyn.trotter_evolve(monomials, basis_state(6, 5), 0.3, 2))
-    estimate = memory_boundary(lambda: dyn.sweep(layout, 1.0, [1, 2], [0.3, 0.6], 0.75))
+    estimate = memory_boundary(lambda: dyn.sweep(layout, [1, 2], [0.3, 0.6], 0.75))
     # the sweep refuses before the sector table or any state is built
     monkeypatch.setattr(errors, "MEMORY_BUDGET", estimate - 1)
     monkeypatch.setattr(dyn, "gauge_sectors", None)
     with pytest.raises(GuardError, match="^sweep on 6 qubits needs"):
-        dyn.sweep(layout, 1.0, [1, 2], [0.3, 0.6], 0.75)
+        dyn.sweep(layout, [1, 2], [0.3, 0.6], 0.75)
 
 
 def test_exact_evolution_conserves_casimir(hamiltonian, layout, sector_table, full_register_expectation):
@@ -127,15 +127,12 @@ def test_trotter_evolve_rejects_non_real_monomial(monomials, coefficient):
             dyn.trotter_evolve(listed, basis_state(6, 0), 1.0, 2)
 
 
-def test_nan_coefficients_trip_the_guards(layout):
+def test_nan_coefficients_trip_the_guards():
     nan = float("nan")
     with pytest.raises(GuardError, match="^state norm drifted beyond 1e-10$"):
         dyn.trotter_evolve([PauliString(nan, {0: "X"})], basis_state(1, 0), 1.0, 1)
     with pytest.raises(GuardError, match="^Hamiltonian must be Hermitian$"):
         dyn.exact_evolve(PauliSum([PauliString(nan, {0: "X"})]), basis_state(1, 0), 1.0)
-    for coupling in (nan, float("inf")):
-        with pytest.raises(GuardError, match="^Hamiltonian must be Hermitian$"):
-            dyn.sweep(layout, coupling, [1], [0.1], 0.75)
 
 
 def test_trotter_error_decreases_and_scales(hamiltonian, monomials, sector_table):
@@ -223,6 +220,20 @@ def test_gauge_deviation_trivial_cases(hamiltonian, monomials, layout, sector_ta
     assert abs(dyn.gauge_deviation(psi_ideal, psi_digital, layout)) > 1e-6
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", ["reference", "other"])
+def test_deviations_refuse_non_finite_amplitudes(bad, value, layout, sector_table):
+    # a NaN would otherwise pass the guard on the reference and come back as the deviation
+    psi0 = lm.canonical_sector_state(sector_table, 0.75)
+    broken = psi0.copy()
+    broken[np.flatnonzero(psi0)[0]] = value
+    states = (broken, psi0) if bad == "reference" else (psi0, broken)
+    with pytest.raises(ValueError, match="^relative deviation needs finite amplitudes$"):
+        dyn.gauge_deviation(*states, layout)
+    with pytest.raises(ValueError, match="^relative deviation needs finite amplitudes$"):
+        dyn.relative_deviation(lm.total_gauge_casimir(layout), *states)
+
+
 def test_gauge_deviation_shrinks_with_steps(hamiltonian, monomials, layout, sector_table):
     psi0 = lm.canonical_sector_state(sector_table, 0.75)
     for phi in (0.25, 0.5, 1.0):
@@ -257,19 +268,19 @@ def test_two_state_oscillation(hamiltonian, sector_table):
 
 
 def test_sweep_empty_grid(layout):
-    assert dyn.sweep(layout, 1.0, [], [0.5], 0.75) == []
-    assert dyn.sweep(layout, 1.0, [2], [], 0.75) == []
+    assert dyn.sweep(layout, [], [0.5], 0.75) == []
+    assert dyn.sweep(layout, [2], [], 0.75) == []
 
 
 @pytest.mark.parametrize("steps_list", [[0], [-1], [2, 0]])
 def test_sweep_rejects_step_count_below_one(layout, steps_list):
     with pytest.raises(ValueError, match="step count must be at least 1"):
-        dyn.sweep(layout, 1.0, steps_list, [0.5], 0.75)
+        dyn.sweep(layout, steps_list, [0.5], 0.75)
 
 
 def test_sweep_deterministic_and_serializable(layout, capsys):
-    rows_a = dyn.sweep(layout, 1.0, [1, 2], [0.3, 0.6], 0.75)
-    rows_b = dyn.sweep(layout, 1.0, [1, 2], [0.3, 0.6], 0.75)
+    rows_a = dyn.sweep(layout, [1, 2], [0.3, 0.6], 0.75)
+    rows_b = dyn.sweep(layout, [1, 2], [0.3, 0.6], 0.75)
     assert rows_a == rows_b
     assert len(rows_a) == 4
     assert [(r.steps, r.phi) for r in rows_a] == [(1, 0.3), (1, 0.6), (2, 0.3), (2, 0.6)]
@@ -286,16 +297,16 @@ def test_sweep_deterministic_and_serializable(layout, capsys):
 
 def test_sweep_gauge_convergence(layout):
     # digital gauge value approaches the sector eigenvalue as steps grow
-    rows = dyn.sweep(layout, 1.0, [64], [0.5, 1.0, 2.0], 0.75)
+    rows = dyn.sweep(layout, [64], [0.5, 1.0, 2.0], 0.75)
     assert all(abs(r.gauge_digital - 0.75) < 1e-2 for r in rows)
-    rows = dyn.sweep(layout, 1.0, [64], [0.5, 1.0, 2.0], 2.75)
+    rows = dyn.sweep(layout, [64], [0.5, 1.0, 2.0], 2.75)
     assert all(abs(r.gauge_digital - 2.75) < 1e-2 for r in rows)
 
 
 def test_sweep_fidelity_ordering(layout):
     phis = [round(p, 2) for p in np.arange(0.05, 1.6, 0.05)]
-    rows2 = dyn.sweep(layout, 1.0, [2], phis, 2.25)
-    rows3 = dyn.sweep(layout, 1.0, [3], phis, 2.25)
+    rows2 = dyn.sweep(layout, [2], phis, 2.25)
+    rows3 = dyn.sweep(layout, [3], phis, 2.25)
     assert all(r3.fidelity > r2.fidelity for r2, r3 in zip(rows2, rows3))
 
 
@@ -342,8 +353,8 @@ def test_trotter_kernel_matches_dense_loop_bitwise(monomials, sector_table):
 def test_batched_sweep_matches_per_point_loop_bitwise(layout, steps_list, start_sector, per_point_sweep):
     phis = cli._phi_grid(0.05, 2.0, 0.05)  # the fig3 and figS2 default grid
     assert len(phis) == 40
-    rows = dyn.sweep(layout, 1.0, list(steps_list), phis, start_sector)
-    assert repr(rows) == repr(per_point_sweep(layout, 1.0, steps_list, phis, start_sector))
+    rows = dyn.sweep(layout, list(steps_list), phis, start_sector)
+    assert repr(rows) == repr(per_point_sweep(layout, steps_list, phis, start_sector))
 
 
 @pytest.mark.parametrize(
@@ -357,9 +368,9 @@ def test_flip_kernel_matches_the_gather_reference_bitwise(
     layout = {**layouts, **off_span_layouts, "strip3": strip3}[name]
     # the 40 default phis: from 32 phis up, numpy sums strip3's non-contiguous rows in another order
     phis = cli._phi_grid(0.05, 2.0, 0.05)
-    rows = dyn.sweep(layout, 1.0, [3, 1], phis, starts)
+    rows = dyn.sweep(layout, [3, 1], phis, starts)
     monkeypatch.setattr(dyn, "_apply_factors", gather_trotter)
-    assert repr(rows) == repr(dyn.sweep(layout, 1.0, [3, 1], phis, starts))
+    assert repr(rows) == repr(dyn.sweep(layout, [3, 1], phis, starts))
 
 
 @pytest.mark.parametrize(
@@ -372,8 +383,8 @@ def test_shared_batch_moves_no_bit(layouts, strip3, off_span_layouts, name, star
     layout = {**layouts, **off_span_layouts, "strip3": strip3}[name]
     # the 40 default phis: from 32 phis up, numpy sums strip3's non-contiguous rows in another order
     phis = cli._phi_grid(0.05, 2.0, 0.05)
-    alone = [row for start in starts for row in dyn.sweep(layout, 1.0, [3, 1], phis, [start])]
-    assert repr(dyn.sweep(layout, 1.0, [3, 1], phis, starts)) == repr(alone)
+    alone = [row for start in starts for row in dyn.sweep(layout, [3, 1], phis, [start])]
+    assert repr(dyn.sweep(layout, [3, 1], phis, starts)) == repr(alone)
 
 
 @pytest.mark.parametrize(
@@ -420,9 +431,9 @@ def test_rows_path_matches_full_register_oracle(layouts, strip3, off_span_layout
     steps_list, starts, phis = FIGURES[figure]
     if name in off_span_layouts:
         starts = OFF_SPAN_STARTS[figure]
-    rows = dyn.sweep(layout, 1.0, list(steps_list), phis, starts)
+    rows = dyn.sweep(layout, list(steps_list), phis, starts)
     expected = [
-        row for start in starts for row in per_point_sweep(layout, 1.0, steps_list, phis, start, full_register=True)
+        row for start in starts for row in per_point_sweep(layout, steps_list, phis, start, full_register=True)
     ]
     assert [(r.steps, r.phi) for r in rows] == [(r.steps, r.phi) for r in expected]
     difference = np.array([astuple(r) for r in rows]) - np.array([astuple(r) for r in expected])
@@ -445,7 +456,7 @@ def test_each_start_evolves_on_its_own_coset(layout, monkeypatch):
 
     monkeypatch.setattr(dyn, "_apply_factors", recording)
     monkeypatch.setattr(lm.pauli, "coset", recording_coset)  # the coset that sector_on_coset takes
-    dyn.sweep(layout, 1.0, [1, 2, 4], [0.3, 0.6], [0.75, 2.75])
+    dyn.sweep(layout, [1, 2, 4], [0.3, 0.6], [0.75, 2.75])
     ((shape, angles),) = calls
     assert shape == (12, 8)
     first, second = cosets
@@ -472,7 +483,7 @@ def test_sweep_estimate_bounds_its_peak(strip3, steps, phis, starts):
     hamiltonian, casimir = lm.plaquette_hamiltonian(strip3, 1.0), lm.total_gauge_casimir(strip3)
     estimate = dyn._sweep_bytes(len(span([hamiltonian, casimir])), hamiltonian, casimir, len(phis), len(steps), len(starts))
     tracemalloc.start()
-    dyn.sweep(strip3, 1.0, steps, phis, starts)
+    dyn.sweep(strip3, steps, phis, starts)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert 48 * 2**18 < peak <= estimate
@@ -494,7 +505,7 @@ def test_start_rows_close_under_the_casimir_too(off_span_layouts, name, monkeypa
         return original(monomials, angles, steps, states)
 
     monkeypatch.setattr(dyn, "_apply_factors", recording)
-    dyn.sweep(layout, 1.0, [1, 2], [0.3], [1.5, 3.5])
+    dyn.sweep(layout, [1, 2], [0.3], [1.5, 3.5])
     assert widths == [2**rank]
 
 
@@ -509,7 +520,7 @@ def test_sweep_norm_guard_checks_every_row(layout, monkeypatch):
 
     monkeypatch.setattr(dyn, "_apply_factors", corrupt_last_row)
     with pytest.raises(GuardError, match="norm"):
-        dyn.sweep(layout, 1.0, [2], [0.3, 0.6, 0.9], 0.75)
+        dyn.sweep(layout, [2], [0.3, 0.6, 0.9], 0.75)
 
 
 @pytest.fixture(scope="module")
@@ -642,7 +653,7 @@ def test_two_plaquette_sweep_builds_no_dense_matrix(two_plaquette, monkeypatch):
 
     monkeypatch.setattr(lm, "dense", refuse_dense)
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    rows = dyn.sweep(two_plaquette, 1.0, [1, 2], [0.5, 1.0], 0.75)
+    rows = dyn.sweep(two_plaquette, [1, 2], [0.5, 1.0], 0.75)
     assert len(rows) == 4
     assert sizes and max(sizes) <= 64  # only the Lanczos tridiagonal matrix
 
@@ -741,9 +752,9 @@ def test_ragged_sweep_rows_match_single_calls_bitwise(layouts, name):
     layout = layouts[name]
     starts = lm.gauge_sectors(layout).eigenvalues()[:2]
     phis = [0.3, 0.7]
-    rows = dyn.sweep(layout, 1.0, [3, 1, 3], phis, starts)
+    rows = dyn.sweep(layout, [3, 1, 3], phis, starts)
     assert [(r.steps, r.phi) for r in rows] == [(n, phi) for _ in starts for n in (3, 1, 3) for phi in phis]
-    expected = [row for start in starts for n in (3, 1, 3) for row in dyn.sweep(layout, 1.0, [n], phis, start)]
+    expected = [row for start in starts for n in (3, 1, 3) for row in dyn.sweep(layout, [n], phis, start)]
     assert repr(rows) == repr(expected)
 
 
@@ -757,5 +768,5 @@ def test_sweep_builds_the_casimir_once_per_call(layout, monkeypatch):
 
     monkeypatch.setattr(lm, "total_gauge_casimir", counting)
     monkeypatch.setattr(dyn, "total_gauge_casimir", counting)
-    dyn.sweep(layout, 1.0, [2, 1], [0.3, 0.6], [0.75, 2.75])
+    dyn.sweep(layout, [2, 1], [0.3, 0.6], [0.75, 2.75])
     assert len(calls) == 1
