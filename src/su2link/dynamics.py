@@ -41,8 +41,9 @@ states and ``exact_evolve``.
 step-count bound of ``compiler.trotter_bound``.
 
 The public functions take and return states as plain complex numpy arrays
-of length 2^n.  Every evolution preserves the norm to 1e-10; sweeps are
-evaluated in deterministic grid order.
+of length 2^n.  Every state they take passes ``_register`` (one shape, 2^n
+finite amplitudes) and every evolution time must be finite.  Every evolution
+preserves the norm to 1e-10; sweeps are evaluated in deterministic grid order.
 """
 from __future__ import annotations
 
@@ -61,16 +62,21 @@ LANCZOS_BREAKDOWN = 1e-13
 DEVIATION_GUARD = 1e-12
 
 
-def _n_qubits_of(state: np.ndarray) -> int:
-    n = int(np.log2(len(state)))
-    if 2**n != len(state):
+def _register(states: Sequence[np.ndarray], what: str) -> int:
+    """n for states of one shape with 2^n finite amplitudes: every state a public function takes is checked here."""
+    if any(np.shape(state) != np.shape(states[0]) for state in states):
+        raise ValueError("states must have equal dimension")
+    n = len(states[0]).bit_length() - 1
+    if 2**n != len(states[0]):
         raise ValueError("state length is not a power of two")
+    if not all(np.isfinite(state).all() for state in states):
+        raise ValueError(f"{what} needs finite amplitudes")
     return n
 
 
 def _check_norm(states: np.ndarray) -> np.ndarray:
     """Guard one state, or every row of a batch of states."""
-    if not np.all(abs(np.linalg.norm(states, axis=-1) - 1.0) <= NORM_TOL):  # NaN fails too
+    if not np.all(abs(np.linalg.norm(states, axis=-1) - 1.0) <= NORM_TOL):  # NaN fails too: c dt can overflow
         raise GuardError("state norm drifted beyond 1e-10")
     return states
 
@@ -104,10 +110,8 @@ def _on_support(ops: Sequence[PauliSum | PauliString], states: Sequence[np.ndarr
     """(rows, the ops ``pauli.restrict``-ed there, rank): the ``pauli.coset``
     rows of ``pauli.span(ops, support)`` that hold the joint support of the
     2^n states, where each op acts on ``rank`` virtual qubits.  States with no
-    support get the coset of basis state 0; a non-finite amplitude is refused."""
-    n = _n_qubits_of(states[0])
-    if not all(np.isfinite(state).all() for state in states):
-        raise ValueError(f"{what} needs finite amplitudes")
+    support get the coset of basis state 0."""
+    n = _register(states, what)
     # per basis state: six complex vectors (the input, its gathered rows, the output, and a matvec's
     # result, product and gather), the matvec's pairs, and the support's, rows' and columns' indices
     check_memory(lambda: 2.0**n * (16 * 6 + 24 * pair_count(*ops) + 24), f"{what} on {n} qubits")
@@ -136,10 +140,9 @@ def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray):
     Before each growth, those three blocks at the new size are checked
     against the memory budget.
     """
-    _check_norm(state)
-    apply_h = matvec(hamiltonian, _n_qubits_of(state))
-    scale = sum(abs(term.coefficient) for term in hamiltonian.terms)
     d = len(state)
+    apply_h = matvec(hamiltonian, d.bit_length() - 1)
+    scale = sum(abs(term.coefficient) for term in hamiltonian.terms)
     block = np.empty((min(d, 16), d), dtype=complex)
     block[0] = state / np.linalg.norm(state)
     alphas, betas, residual_sq, m = [], [], 0.0, 1
@@ -191,15 +194,23 @@ def _evolve_spectrum(spectrum, times: np.ndarray) -> np.ndarray:
 def exact_evolve(hamiltonian: PauliSum, state: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) applied by Lanczos reduction to the Krylov space of the state."""
     _check_hermitian(hamiltonian)
-    rows, (restricted,), _ = _on_support([hamiltonian], [_check_norm(state)], "exact evolution")
+    times = _check_times([t])
+    rows, (restricted,), _ = _on_support([hamiltonian], [state], "exact evolution")
     out = np.zeros(len(state), dtype=complex)
-    out[rows] = _evolve_spectrum(_krylov_spectrum(restricted, state[rows]), np.array([t], dtype=float))[0]
+    out[rows] = _evolve_spectrum(_krylov_spectrum(restricted, _check_norm(state)[rows]), times)[0]
     return out
 
 
 def _check_steps(steps: int) -> None:
     if steps < 1:
         raise ValueError("step count must be at least 1")
+
+
+def _check_times(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("evolution time must be finite")
+    return times
 
 
 def _apply_factors(monomials: Sequence[PauliString], angles, steps, states: np.ndarray) -> np.ndarray:
@@ -245,16 +256,17 @@ def trotter_evolve(monomials: Sequence[PauliString], state: np.ndarray, t: float
     _check_steps(steps)
     if any(m.coefficient.imag != 0 for m in monomials):
         raise GuardError("Trotter monomials must have real coefficients")
-    rows, restricted, _ = _on_support(monomials, [_check_norm(state)], "Trotter evolution")
+    _check_times([t])
+    rows, restricted, _ = _on_support(monomials, [state], "Trotter evolution")
+    start = _check_norm(state)[rows][None]
     out = np.zeros(len(state), dtype=complex)
-    out[rows] = _apply_factors(restricted, [[m.coefficient.real * (t / steps)] for m in restricted], [steps], state[rows][None])[0]
+    out[rows] = _apply_factors(restricted, [[m.coefficient.real * (t / steps)] for m in restricted], [steps], start)[0]
     return _check_norm(out)
 
 
 def overlap(state: np.ndarray, other: np.ndarray) -> float:
     """Squared modulus of the inner product."""
-    if state.shape != other.shape:
-        raise ValueError("states must have equal dimension")
+    _register([state, other], "overlap")
     return float(_overlaps(state, other))
 
 
@@ -262,8 +274,6 @@ def relative_deviation(op: PauliSum, reference: np.ndarray, other: np.ndarray) -
     """(<op>_ref - <op>_other) / <op>_ref, guarded against a vanishing
     reference, with both expectations taken on the coset rows that hold the
     states' joint support."""
-    if reference.shape != other.shape:
-        raise ValueError("states must have equal dimension")
     rows, (restricted,), rank = _on_support([op], [reference, other], "relative deviation")
     apply_op = matvec(restricted, rank)
     ref_value, other_value = (float(_expectations(apply_op, s[rows])) for s in (reference, other))
@@ -356,6 +366,7 @@ def sweep(
         return []
     for steps in steps_list:
         _check_steps(steps)
+    times = _check_times(phis)
     n = layout.n_qubits
     monomials = plaquette_monomials(layout, 1.0)
     hamiltonian = PauliSum(monomials)
@@ -369,7 +380,6 @@ def sweep(
         lambda: _sweep_bytes(len(basis), hamiltonian, casimir, len(phis), len(step_counts), len(starts)), f"sweep on {n} qubits"
     )
     table = gauge_sectors(layout)
-    times = np.asarray(phis, dtype=float)
     psi0s, readouts, weights = [], [], []
     for start in starts:
         rows, apply_casimir, psi0 = sector_on_coset(table, start, casimir, basis)

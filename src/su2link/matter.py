@@ -62,7 +62,7 @@ class ChainConfig:
             raise ValueError("a chain needs at least two sites")
         if not self.penalty > 0:  # NaN fails too; an infinite penalty is kept
             raise ValueError("penalty scale must be positive")
-        if not (np.isfinite(self.hopping) and np.isfinite(self.omega)):
+        if not (np.isfinite(self.hopping) and np.isfinite(self.omega)):  # omega enters numpy energies, never a Pauli coefficient
             raise ValueError("hopping and omega must be finite")
         if not 0 <= self.matter_number <= 2 * self.n_sites:
             raise ValueError("matter_number out of range")

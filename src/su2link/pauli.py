@@ -7,7 +7,9 @@ of strings.  Both list their ``terms``, and the functions on operators
 (``columns``, ``pair_count``, ``span``, ``restrict``, ``matvec``, ``dense``)
 take either type.  All coefficient arithmetic is double-precision complex,
 phases are tracked exactly over {1, i, -1, -i}, and like terms merge with
-tolerance ``MERGE_TOL``.
+tolerance ``MERGE_TOL``.  Every string's coefficient, built, parsed, scaled,
+merged, multiplied or restricted, passes ``_coefficient``, which refuses zero
+and NaN or inf, so no operator holds a non-finite coefficient.
 
 ``columns`` is the one kernel that evaluates matrix elements.  It uses the
 symplectic encoding of Aaronson & Gottesman, PRA 70, 052328 (2004): X and Y
@@ -37,6 +39,7 @@ Values are immutable after construction and safe to share between threads.
 """
 from __future__ import annotations
 
+import cmath
 import re
 from typing import Collection, Iterable, Mapping
 
@@ -50,21 +53,28 @@ _LETTERS = ("I", "X", "Z", "Y")  # index: the symplectic code x + 2z
 _I_POWERS = (1, 1j, -1, -1j)
 
 
+def _coefficient(value: complex) -> complex:
+    """``value`` as a string's coefficient, which must be nonzero and finite."""
+    value = complex(value)
+    if value and cmath.isfinite(value):
+        return value
+    if not value:
+        raise ValueError("zero-coefficient Pauli strings are not representable")
+    raise ValueError(f"Pauli coefficient must be finite, got {value!r}")
+
+
 class PauliString:
     """A signed, weighted tensor product of Pauli letters on indexed qubits.
 
     The letter pattern is stored once, as the sorted ``key()``: a tuple of
     (qubit index, letter) pairs, each letter one of X, Y, Z, so it cannot be
     changed after construction.  Identity entries are never stored, so the
-    support is exactly the key's qubits.  The coefficient must be nonzero.
+    support is exactly the key's qubits.  The coefficient is nonzero and finite.
     """
 
     __slots__ = ("coefficient", "_key")
 
     def __init__(self, coefficient: complex, letters: Mapping[int, str] | Iterable[tuple[int, str]] = ()):
-        coefficient = complex(coefficient)
-        if coefficient == 0:
-            raise ValueError("zero-coefficient Pauli strings are not representable")
         items = dict(letters)
         for q, letter in items.items():
             if letter == "I":
@@ -73,18 +83,15 @@ class PauliString:
                 raise ValueError(f"unknown Pauli letter {letter!r}")
             if q < 0:
                 raise ValueError("qubit indices must be non-negative")
-        self.coefficient = coefficient
+        self.coefficient = _coefficient(coefficient)
         self._key = tuple(sorted(items.items()))
 
     @classmethod
     def _derived(cls, coefficient: complex, key: tuple[tuple[int, str], ...]) -> PauliString:
         """A string on the letter pattern ``key`` of an already validated
         string: only the coefficient is checked."""
-        coefficient = complex(coefficient)
-        if coefficient == 0:
-            raise ValueError("zero-coefficient Pauli strings are not representable")
         out = cls.__new__(cls)
-        out.coefficient = coefficient
+        out.coefficient = _coefficient(coefficient)
         out._key = key
         return out
 
@@ -157,8 +164,7 @@ class PauliSum:
     """A merged linear combination of Pauli strings.
 
     Terms with the same letter pattern are combined and coefficients below
-    ``MERGE_TOL`` are dropped, so equality is structural; a NaN coefficient is
-    kept, for the Hermiticity guard to see.  ``terms`` lists the
+    ``MERGE_TOL`` are dropped, so equality is structural.  ``terms`` lists the
     strings in canonical order (lexicographic by support, then letters).
     """
 
@@ -169,7 +175,7 @@ class PauliSum:
         for term in terms:
             key = term.key()
             merged[key] = merged.get(key, 0) + term.coefficient
-        self._terms = {k: c for k, c in merged.items() if not abs(c) <= MERGE_TOL}
+        self._terms = {k: c for k, c in merged.items() if abs(c) > MERGE_TOL}
         self._sorted = tuple(PauliString._derived(c, k) for k, c in sorted(self._terms.items()))
 
     @property

@@ -1,9 +1,11 @@
 import tracemalloc
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import su2link
 from su2link import cli, errors
 from su2link import dynamics as dyn
 from su2link import linkmodel as lm
@@ -128,11 +130,23 @@ def test_trotter_evolve_rejects_non_real_monomial(monomials, coefficient):
 
 
 def test_nan_coefficients_trip_the_guards():
-    nan = float("nan")
-    with pytest.raises(GuardError, match="^state norm drifted beyond 1e-10$"):
-        dyn.trotter_evolve([PauliString(nan, {0: "X"})], basis_state(1, 0), 1.0, 1)
-    with pytest.raises(GuardError, match="^Hamiltonian must be Hermitian$"):
-        dyn.exact_evolve(PauliSum([PauliString(nan, {0: "X"})]), basis_state(1, 0), 1.0)
+    # a NaN coefficient is refused where the string is built, before any evolution sees it
+    with pytest.raises(ValueError, match="^Pauli coefficient must be finite, got"):
+        PauliString(float("nan"), {0: "X"})
+    # but c dt overflows from a finite weight and time, and the drift guard sees the NaN state that makes
+    with np.errstate(invalid="ignore"), pytest.raises(GuardError, match="^state norm drifted beyond 1e-10$"):
+        dyn.trotter_evolve([PauliString(1e308, {0: "X"})], basis_state(1, 0), 1e308, 1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_evolutions_refuse_a_non_finite_time(value, layout, hamiltonian, monomials, sector_table):
+    psi0 = lm.canonical_sector_state(sector_table, 0.75)
+    with pytest.raises(ValueError, match="^evolution time must be finite$"):
+        dyn.exact_evolve(hamiltonian, psi0, value)
+    with pytest.raises(ValueError, match="^evolution time must be finite$"):
+        dyn.trotter_evolve(monomials, psi0, value, 1)
+    with pytest.raises(ValueError, match="^evolution time must be finite$"):
+        dyn.sweep(layout, [1], [0.5, value], 0.75)
 
 
 def test_trotter_error_decreases_and_scales(hamiltonian, monomials, sector_table):
@@ -222,8 +236,9 @@ def test_gauge_deviation_trivial_cases(hamiltonian, monomials, layout, sector_ta
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("bad", ["reference", "other"])
-def test_deviations_refuse_non_finite_amplitudes(bad, value, layout, sector_table):
-    # a NaN would otherwise pass the guard on the reference and come back as the deviation
+def test_deviations_refuse_non_finite_amplitudes(bad, value, layout, hamiltonian, monomials, sector_table):
+    # a NaN would otherwise pass the guard on the reference and come back as the deviation or the
+    # overlap; an inf would end in numpy's RuntimeWarning, in the overlap or the evolutions' norm guard
     psi0 = lm.canonical_sector_state(sector_table, 0.75)
     broken = psi0.copy()
     broken[np.flatnonzero(psi0)[0]] = value
@@ -232,6 +247,61 @@ def test_deviations_refuse_non_finite_amplitudes(bad, value, layout, sector_tabl
         dyn.gauge_deviation(*states, layout)
     with pytest.raises(ValueError, match="^relative deviation needs finite amplitudes$"):
         dyn.relative_deviation(lm.total_gauge_casimir(layout), *states)
+    with pytest.raises(ValueError, match="^overlap needs finite amplitudes$"):
+        dyn.overlap(*states)
+    with pytest.raises(ValueError, match="^exact evolution needs finite amplitudes$"):
+        dyn.exact_evolve(hamiltonian, broken, 0.1)
+    with pytest.raises(ValueError, match="^Trotter evolution needs finite amplitudes$"):
+        dyn.trotter_evolve(monomials, broken, 0.1, 1)
+
+
+# the public names that take no operator and no state: every other name in su2link.__all__ is called
+# below with an operator or a state that carries a non-finite value, and none of them can get one
+TAKE_NO_OPERATOR_OR_STATE = {
+    "ChainConfig", "Circuit", "Gate", "GateCounts", "GaugeSectorTable", "GuardError", "LayoutError",
+    "PlaquetteLayout", "canonical_sector_state", "compare_effective", "effective_hamiltonian", "fidelity_cap",
+    "gauge_covariance_check", "gauge_generator", "gauge_sectors", "link_operator", "sweep", "triangle_layout",
+    "trotter_bound",
+}
+X0 = PauliString(1.0, {0: "X"})
+# (name, what carries the value v, call(v, tri)); tri holds the triangle's layout, Hamiltonian and
+# monomials, its 0.75 sector state psi, and broken(v), that state with one amplitude set to v
+NON_FINITE_CALLS = [
+    ("PauliString", "coefficient", lambda v, tri: su2link.PauliString(v, {0: "X"})),
+    ("PauliSum", "scaled term", lambda v, tri: su2link.PauliSum([X0, X0 * v])),
+    ("commutator", "coefficient", lambda v, tri: su2link.commutator(X0, PauliString(complex(0.5, v), {0: "Z"}))),
+    ("compile_collective", "parsed coefficient", lambda v, tri: su2link.compile_collective(su2link.parse_string(f"({v}) X0 X1"), 0.1)),
+    ("compile_cphase", "negated coefficient", lambda v, tri: su2link.compile_cphase(-PauliString(v, {0: "X", 1: "Y"}), 0.1)),
+    ("compile_step", "scaled monomial", lambda v, tri: su2link.compile_step([*tri.monomials, v * X0], 0.1, "cphase")),
+    ("dense", "parsed term", lambda v, tri: su2link.dense(su2link.parse_sum(f"(1) X0\n({v}) Z0"), 1)),
+    ("exact_evolve", "operator", lambda v, tri: su2link.exact_evolve(tri.hamiltonian + PauliString(v, {0: "X"}), tri.psi, 0.1)),
+    ("exact_evolve", "state", lambda v, tri: su2link.exact_evolve(tri.hamiltonian, tri.broken(v), 0.1)),
+    ("gauge_deviation", "state", lambda v, tri: su2link.gauge_deviation(tri.psi, tri.broken(v), tri.layout)),
+    ("multiply", "coefficient", lambda v, tri: su2link.multiply(X0, PauliString(v, {1: "Y"}))),
+    ("overlap", "state", lambda v, tri: su2link.overlap(tri.broken(v), tri.psi)),
+    ("parse_string", "text", lambda v, tri: su2link.parse_string(f"({v}) X0 Z1")),
+    ("parse_sum", "text", lambda v, tri: su2link.parse_sum(f"(0.5) Y2\n({v}j) X0")),
+    ("plaquette_hamiltonian", "coupling", lambda v, tri: su2link.plaquette_hamiltonian(tri.layout, v)),
+    ("trotter_evolve", "monomial", lambda v, tri: su2link.trotter_evolve([*tri.monomials, v * X0], tri.psi, 0.1, 1)),
+    ("trotter_evolve", "state", lambda v, tri: su2link.trotter_evolve(tri.monomials, tri.broken(v), 0.1, 1)),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name, what, call", NON_FINITE_CALLS, ids=[f"{name}-{what}" for name, what, _ in NON_FINITE_CALLS])
+def test_public_functions_refuse_non_finite_operators_and_states(name, what, call, value, layout, hamiltonian, monomials, sector_table):
+    assert {name for name, _, _ in NON_FINITE_CALLS} == set(su2link.__all__) - TAKE_NO_OPERATOR_OR_STATE
+    psi = lm.canonical_sector_state(sector_table, 0.75)
+
+    def broken(v):
+        out = psi.copy()
+        out[np.flatnonzero(psi)[0]] = v
+        return out
+
+    tri = SimpleNamespace(layout=layout, hamiltonian=hamiltonian, monomials=monomials, psi=psi, broken=broken)
+    message = ".* needs finite amplitudes$" if what == "state" else "Pauli coefficient must be finite, got "
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(value, tri)
 
 
 def test_gauge_deviation_shrinks_with_steps(hamiltonian, monomials, layout, sector_table):

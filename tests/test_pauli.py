@@ -62,8 +62,9 @@ PRODUCT_TABLE = {
     ("Y", "Z"): ("X", 1j), ("Z", "Y"): ("X", -1j),
     ("Z", "X"): ("Y", 1j), ("X", "Z"): ("Y", -1j),
 }
-# coefficient parts on which a multiply by a phase, even by 1, shows in the bits: signed zeros and infinities
-SIGNED_PARTS = (0.0, -0.0, math.inf, -math.inf, 0.5, -1.25)
+# coefficient parts on which a multiply by a phase, even by 1, shows in the bits: signed zeros, as
+# complex(0.5, -0.0) * 1 == 0.5+0j; infinities would too, but no coefficient holds one
+SIGNED_PARTS = (0.0, -0.0, 0.5, -1.25)
 
 
 def table_multiply(a: PauliString, b: PauliString) -> PauliString:
@@ -89,14 +90,18 @@ def coefficient_bytes(string: PauliString) -> bytes:
 
 
 def assert_same_product(got: PauliString, want: PauliString):
-    """Equal keys, coefficients equal to the bit, signed zeros and NaNs
-    included, and equal reprs."""
+    """Equal keys, coefficients equal to the bit, signed zeros included, and
+    equal reprs."""
     assert got.key() == want.key()
     assert coefficient_bytes(got) == coefficient_bytes(want)
     assert repr(got) == repr(want)
 
 
 def test_multiply_is_the_product_table_on_every_one_qubit_pair():
+    for part in (math.inf, -math.inf):
+        for coefficient in (complex(part, 0.5), complex(0.5, part)):
+            with pytest.raises(ValueError, match="^Pauli coefficient must be finite"):
+                PauliString(coefficient, {0: "X"})
     coefficients = [complex(re, im) for re in SIGNED_PARTS for im in SIGNED_PARTS if re or im]
     for a, b in product("IXYZ", repeat=2):
         for ca, cb in product(coefficients, repeat=2):
@@ -310,10 +315,30 @@ def test_sum_merges_like_terms():
     assert len(s) == 0
     s2 = PauliSum([a, PauliString(1e-13, {1: "Y"})])
     assert len(s2) == 1
-    # a NaN is not under the merge tolerance: it stays for the Hermiticity guard to see
+    # a NaN never reaches the merge: the string that would carry it is refused
     for c in (math.nan, complex(0, math.nan), complex(1, math.nan)):
-        s3 = PauliSum([PauliString(c, {0: "X"})])
-        assert len(s3) == 1 and not s3.is_hermitian()
+        with pytest.raises(ValueError, match="^Pauli coefficient must be finite, got "):
+            PauliString(c, {0: "X"})
+
+
+BIG, HUGE = PauliString(1e308, {0: "X"}), PauliString(1e200, {0: "X"})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: PauliSum([BIG, BIG]), id="merge"),
+        pytest.param(lambda: PauliSum([BIG]) + BIG, id="sum"),
+        pytest.param(lambda: multiply(HUGE, HUGE), id="multiply"),  # (inf+nanj): the phase 1 multiplies 0 * inf
+        pytest.param(lambda: PauliSum([HUGE]) * HUGE, id="sum-product"),
+        pytest.param(lambda: HUGE * 1e200, id="scalar-product"),
+        pytest.param(lambda: 1e200 * HUGE, id="scalar-product-from-the-left"),
+        pytest.param(lambda: 1e200 * PauliSum([HUGE]), id="scaled-sum"),
+    ],
+)
+def test_an_overflowing_coefficient_is_refused_where_it_is_made(make):
+    with pytest.raises(ValueError, match=r"^Pauli coefficient must be finite, got \(inf\+(0|nan)j\)$"):
+        make()
 
 
 def test_sum_algebra_and_hermiticity():
