@@ -8,8 +8,16 @@ space closes after a handful of vectors.  The small tridiagonal matrix is
 diagonalised once and serves every time of a sweep.  A Trotter step is an
 ordered list of monomials: Trotterized evolution applies the closed-form
 exponential of one monomial at a time (cos * 1 - i sin * P) in the order
-given, repeated for the chosen number of steps.  A sweep runs at J = 1, so
-the evolution time of a phase phi = J t is t = phi.
+given, repeated for the chosen number of steps.  A long row on a narrow
+register runs as one fused step unitary instead (``_trotter``): N steps of F
+monomials on d coset rows fuse when d (4F + N) < 4FN, that is when building
+the d x d product of one step (F factors of four passes over d identity
+columns) and N d x d products cost less than N F factors of four passes on
+one state.  That is N >= 10 on the triangle's 8 rows, N > 128 on the
+two-plaquette layout's 64 and never on a strip, whose d exceeds 4F.
+``_apply_factors`` builds the unitary, so it stays the one function that
+evaluates a Trotter factor, and a fused row moves by roundoff only.  A sweep
+runs at J = 1, so the evolution time of a phase phi = J t is t = phi.
 
 Every operator acts through the bit-mask kernel ``pauli.columns``, with no
 matrix: ``pauli.matvec`` for the Lanczos iteration and for expectation
@@ -42,8 +50,9 @@ step-count bound of ``compiler.trotter_bound``.
 
 The public functions take and return states as plain complex numpy arrays
 of length 2^n.  Every state they take passes ``_register`` (one shape, 2^n
-finite amplitudes) and every evolution time must be finite.  Every evolution
-preserves the norm to 1e-10; sweeps are evaluated in deterministic grid order.
+finite amplitudes), every evolution time must be finite, and so must every
+Trotter angle c dt.  Every evolution preserves the norm to 1e-10; sweeps are
+evaluated in deterministic grid order.
 """
 from __future__ import annotations
 
@@ -223,6 +232,9 @@ def _apply_factors(monomials: Sequence[PauliString], angles, steps, states: np.n
     arithmetic it would get alone.  Rows may start from different states and
     carry different angles: a sweep's starts share one batch, where each
     start's restricted weights differ from another's only by their signs.
+    A row may also be a block of states, ``states`` of shape (rows, ..., d),
+    all evolved with the row's angles and step count: on a block of identity
+    columns one step builds the row's step unitary (``_trotter``).
     The batch is held one column per row; each monomial's ``pauli.axis_flip``
     view and phases are built once per call."""
     angles = np.asarray(angles, dtype=float)
@@ -233,7 +245,8 @@ def _apply_factors(monomials: Sequence[PauliString], angles, steps, states: np.n
     for monomial, angle in zip(monomials, angles):
         shape, reverse = axis_flip(n, [q for q, letter in monomial.key() if letter != "Z"])
         ((_, values),) = columns(monomial.bare(), np.arange(len(out)), n)
-        batch, phases = out.reshape(*shape, -1, len(steps)), values.reshape(*shape, -1, 1)[reverse]  # values[k ^ xmask]
+        batch = out.reshape(*shape, -1, *out.shape[1:])
+        phases = values.reshape(*shape, -1, *(1,) * (out.ndim - 1))[reverse]  # values[k ^ xmask]
         factors.append((np.cos(angle), 1j * np.sin(angle), batch, reverse, phases))
     for step in range(int(steps.max(initial=0))):
         active = int(np.count_nonzero(steps > step))
@@ -246,12 +259,55 @@ def _apply_factors(monomials: Sequence[PauliString], angles, steps, states: np.n
     return out.T
 
 
+def _fuses(n_monomials: int, d: int, steps) -> np.ndarray:
+    """Whether a row of ``steps`` Trotter steps of ``n_monomials`` factors on
+    d coset rows runs as one fused d x d step unitary: building it costs the
+    factors' four passes over d identity columns, and then each step one d x d
+    product, against four passes per factor and step applied directly."""
+    steps = np.asarray(steps)
+    return d * (4 * n_monomials + steps) < 4 * n_monomials * steps
+
+
+def _trotter(monomials: Sequence[PauliString], angles, steps, states: np.ndarray) -> np.ndarray:
+    """The evolution ``_apply_factors`` makes of a batch sorted by step count,
+    with the rows that ``_fuses`` picks (a prefix of the batch, since it picks
+    every count from some N on) run as one d x d step unitary U per row.
+    ``_apply_factors`` builds U, one step on a block of identity columns with
+    the row's angles; each of the N steps is then one batched product with U.
+    The fused rows are built and applied one step count at a time, so one
+    count's unitaries are alive at most; the other rows go to
+    ``_apply_factors`` as they are.  Every angle c dt must be finite: it can
+    overflow from a finite weight and time, and its cosine would warn before
+    the norm guard sees the state it makes."""
+    angles = np.asarray(angles, dtype=float)
+    if not np.isfinite(angles).all():
+        raise GuardError("Trotter angle c dt overflowed")
+    steps = np.asarray(steps)
+    d = np.shape(states)[-1]
+    fused = int(np.count_nonzero(_fuses(len(monomials), d, steps)))
+    if not fused:
+        return _apply_factors(monomials, angles, steps, states)
+    parts = []
+    for count in dict.fromkeys(steps[:fused].tolist()):  # not np.unique: its first call adds 1.7 MB of resident memory
+        rows = np.flatnonzero(steps == count)
+        identity = np.broadcast_to(np.eye(d), (len(rows), d, d))
+        unitary = _apply_factors(monomials, angles[:, rows], np.ones(len(rows), dtype=int), identity)  # [r, j, i] = U_r[i, j]
+        evolved = states[rows]
+        for _ in range(count):
+            evolved = np.einsum("rji,rj->ri", unitary, evolved)
+        parts.append(evolved)
+    if fused < len(steps):
+        parts.append(_apply_factors(monomials, angles[:, fused:], steps[fused:], states[fused:]))
+    return np.concatenate(parts)
+
+
 def trotter_evolve(monomials: Sequence[PauliString], state: np.ndarray, t: float, steps: int) -> np.ndarray:
     """The monomials' exponentials in the order given, repeated ``steps``
     times with the time step t / steps.
 
     Each factor is computed in closed form: exp(-i c P dt) = cos(c dt) - i sin(c dt) P
-    for a unit-coefficient string P with real weight c.
+    for a unit-coefficient string P with real weight c.  Many steps on a
+    narrow coset register run as one fused step unitary (``_trotter``).
     """
     _check_steps(steps)
     if any(m.coefficient.imag != 0 for m in monomials):
@@ -260,7 +316,7 @@ def trotter_evolve(monomials: Sequence[PauliString], state: np.ndarray, t: float
     rows, restricted, _ = _on_support(monomials, [state], "Trotter evolution")
     start = _check_norm(state)[rows][None]
     out = np.zeros(len(state), dtype=complex)
-    out[rows] = _apply_factors(restricted, [[m.coefficient.real * (t / steps)] for m in restricted], [steps], start)[0]
+    out[rows] = _trotter(restricted, [[m.coefficient.real * (t / steps)] for m in restricted], [steps], start)[0]
     return _check_norm(out)
 
 
@@ -377,7 +433,7 @@ def sweep(
     _check_hermitian(hamiltonian)
     basis = span([hamiltonian, casimir])
     check_memory(
-        lambda: _sweep_bytes(len(basis), hamiltonian, casimir, len(phis), len(step_counts), len(starts)), f"sweep on {n} qubits"
+        lambda: _sweep_bytes(len(basis), hamiltonian, casimir, len(phis), step_counts, len(starts)), f"sweep on {n} qubits"
     )
     table = gauge_sectors(layout)
     psi0s, readouts, weights = [], [], []
@@ -394,7 +450,7 @@ def sweep(
     dts = times / np.array(step_counts)[:, None]  # (step count, phi)
     psi0s = np.array(psi0s)
     initial = np.broadcast_to(psi0s[:, None], (len(step_counts), len(starts), len(times), psi0s.shape[1]))
-    digital = _check_norm(_apply_factors(
+    digital = _check_norm(_trotter(
         restricted,
         (weights.T[:, None, :, None] * dts[:, None]).reshape(len(monomials), -1),
         np.repeat(step_counts, len(starts) * len(times)),
@@ -411,7 +467,9 @@ def sweep(
     return out
 
 
-def _sweep_bytes(rank: int, hamiltonian: PauliSum, casimir: PauliSum, n_phis: int, n_steps: int, n_starts: int) -> float:
+def _sweep_bytes(
+    rank: int, hamiltonian: PauliSum, casimir: PauliSum, n_phis: int, step_counts: Sequence[int], n_starts: int
+) -> float:
     """The sweep's memory estimate, with d = 2^rank rows per start's coset:
     what both stages hold, plus the larger stage.  Both hold, per coset row,
     the Casimir's pairs, the Trotter phases and the one ``columns`` pair
@@ -424,9 +482,15 @@ def _sweep_bytes(rank: int, hamiltonian: PauliSum, casimir: PauliSum, n_phis: in
     start) row of its batch, the row, the flipped copies of the active rows
     that one factor makes and the one before it still holds, and with
     several starts the batch's input, which is then a copy, not a broadcast
-    view; and per monomial and batch row its angle, cosine and i sine."""
+    view; and per monomial and batch row its angle, cosine and i sine.  When
+    ``_fuses`` picks a step count (one monomial per term of the Hamiltonian),
+    one step count's rows, one per start and phi, also hold their d x d step
+    unitaries three times: the unitary and the two flipped copies of its
+    build."""
     d = 2.0**rank
     pairs = 24 * pair_count(casimir) + 16 * len(hamiltonian) + 24
-    batch = n_starts * n_steps  # batch rows per phi
+    batch = n_starts * len(step_counts)  # batch rows per phi
     trotter = 16 * d * n_phis * (5 + (3 + (n_starts > 1)) * batch) + 32 * len(hamiltonian) * batch * n_phis
+    if _fuses(len(hamiltonian), d, step_counts).any():
+        trotter += 48 * d * d * n_starts * n_phis
     return d * (pairs + 16 * n_phis * n_starts) + max(48 * d * d, trotter)

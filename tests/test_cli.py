@@ -371,13 +371,14 @@ def test_four_triangle_strip_fig3_fits_the_budget():
     phis = cli._phi_grid(0.05, 2.0, 0.05)
     casimir = lm.total_gauge_casimir(layout)
     assert span([hamiltonian, casimir]) == span([hamiltonian])  # the Casimir's masks lie in H's span
-    estimate = dyn._sweep_bytes(12, hamiltonian, casimir, len(phis), 4, 1)
+    estimate = dyn._sweep_bytes(12, hamiltonian, casimir, len(phis), [4, 3, 2, 1], 1)
     assert 0.8e9 < estimate < 0.9e9 < errors.MEMORY_BUDGET
     # default figS2, seven step counts: the second start adds its ideal states; its batch
     # rows, flipped copies and angles stay below the Lanczos stage, which is the larger one here
-    two_starts = dyn._sweep_bytes(12, hamiltonian, casimir, len(phis), 7, 2)
+    figs2_steps = [64, 32, 16, 8, 4, 2, 1]  # none fuses on 2^12 coset rows
+    two_starts = dyn._sweep_bytes(12, hamiltonian, casimir, len(phis), figs2_steps, 2)
     second_start = 2**12 * 16 * len(phis)
-    assert two_starts - dyn._sweep_bytes(12, hamiltonian, casimir, len(phis), 7, 1) == second_start
+    assert two_starts - dyn._sweep_bytes(12, hamiltonian, casimir, len(phis), figs2_steps, 1) == second_start
     assert two_starts < 0.98e9
 
 
@@ -387,7 +388,7 @@ def test_four_triangle_strip_default_figures_fit_the_budget(figure):
     layout = cli._load_layout(str(STRIP4_PATH))
     grid, steps, starts = cli._FIGURES[figure]
     hamiltonian, casimir = lm.plaquette_hamiltonian(layout, 1.0), lm.total_gauge_casimir(layout)
-    estimate = dyn._sweep_bytes(12, hamiltonian, casimir, len(cli._phi_grid(*grid)), len(set(steps)), len(starts))
+    estimate = dyn._sweep_bytes(12, hamiltonian, casimir, len(cli._phi_grid(*grid)), sorted(set(steps)), len(starts))
     assert 48 * 4**12 < estimate < 0.83e9 < errors.MEMORY_BUDGET
 
 
@@ -476,14 +477,13 @@ def test_covariance_sets_over_limit_exits_2_before_allocating(capsys):
 GOLDEN = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("figure", ["fig3", "fig4", "figS2"])
-def test_default_figures_match_golden_outputs(figure, capsys):
-    """The default figure CSVs against the committed ones in tests/data: the
-    header and the start, N and phi columns exactly, every other value within
-    1e-12 (the last bits may move with the BLAS build)."""
-    code, out, _ = run(["figures", figure], capsys)
+def assert_matches_golden_figure(argv, golden, capsys):
+    """A figure CSV against the committed one in tests/data: the header and
+    the start, N and phi columns exactly, every other value within 1e-12 (the
+    last bits may move with the BLAS build, or with a fused Trotter step)."""
+    code, out, _ = run(argv, capsys)
     assert code == 0
-    want = (GOLDEN / f"{figure}.csv").read_text(encoding="utf-8").splitlines()
+    want = (GOLDEN / golden).read_text(encoding="utf-8").splitlines()
     got = out.splitlines()
     assert got[0] == want[0] and len(got) == len(want)
     header = want[0].split(",")
@@ -493,6 +493,16 @@ def test_default_figures_match_golden_outputs(figure, capsys):
                 assert got_value == want_value
             else:
                 assert abs(float(got_value) - float(want_value)) <= 1e-12, (column, got_line, want_line)
+
+
+@pytest.mark.parametrize("figure", ["fig3", "fig4", "figS2"])
+def test_default_figures_match_golden_outputs(figure, capsys):
+    assert_matches_golden_figure(["figures", figure], f"{figure}.csv", capsys)
+
+
+def test_four_triangle_strip_default_fig3_matches_golden_output(capsys):
+    # 18 qubits, 2^12 coset rows: no Trotter row fuses
+    assert_matches_golden_figure(["figures", "fig3", "--layout", str(STRIP4_PATH)], "strip4_fig3.csv", capsys)
 
 
 @pytest.mark.parametrize(

@@ -133,8 +133,8 @@ def test_nan_coefficients_trip_the_guards():
     # a NaN coefficient is refused where the string is built, before any evolution sees it
     with pytest.raises(ValueError, match="^Pauli coefficient must be finite, got"):
         PauliString(float("nan"), {0: "X"})
-    # but c dt overflows from a finite weight and time, and the drift guard sees the NaN state that makes
-    with np.errstate(invalid="ignore"), pytest.raises(GuardError, match="^state norm drifted beyond 1e-10$"):
+    # but c dt overflows from a finite weight and time: refused by name before a cosine of it warns
+    with pytest.raises(GuardError, match="^Trotter angle c dt overflowed$"):
         dyn.trotter_evolve([PauliString(1e308, {0: "X"})], basis_state(1, 0), 1e308, 1)
 
 
@@ -415,6 +415,57 @@ def test_trotter_kernel_matches_dense_loop_bitwise(monomials, sector_table):
             assert dyn.trotter_evolve(listed, psi, 1.3 / 0.7, 2).tobytes() == expected.tobytes()
 
 
+def record_factor_calls(monkeypatch):
+    """Each ``_apply_factors`` call of a run as (shape of its states, its step counts)."""
+    calls, original = [], dyn._apply_factors
+
+    def recording(monomials, angles, steps, states):
+        calls.append((np.shape(states), np.asarray(steps).tolist()))
+        return original(monomials, angles, steps, states)
+
+    monkeypatch.setattr(dyn, "_apply_factors", recording)
+    return calls
+
+
+def test_fused_trotter_evolve_matches_dense_loop(monomials, sector_table, monkeypatch):
+    # the 0.75 sector state and a random state on all of its 8 coset rows run
+    # as a step unitary from N = 10 on; a random state on all 64 basis states
+    # fills the register, where no step count fuses
+    rng = np.random.default_rng(5)
+    sector_state = lm.canonical_sector_state(sector_table, 0.75)
+    on_coset = np.zeros(2**6, dtype=complex)
+    rows = coset(span(monomials), int(np.flatnonzero(sector_state)[0]))
+    on_coset[rows] = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    full = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
+    calls = record_factor_calls(monkeypatch)
+    for psi, width in [(sector_state, 8), (on_coset / np.linalg.norm(on_coset), 8), (full / np.linalg.norm(full), 64)]:
+        for steps in (16, 64, 120, 1000):
+            calls.clear()
+            out = dyn.trotter_evolve(monomials, psi, 1.3, steps)
+            assert calls == ([((1, 8, 8), [1])] if width == 8 else [((1, 64), [steps])])
+            # roundoff, which one step unitary repeats: two units of it per step, 2e-13 read at
+            # N = 1000, where the dense loop and the fused path both lie 2-5e-13 from a long-double product
+            tolerance = max(1e-13, 2 * np.finfo(float).eps * steps)
+            assert np.max(np.abs(out - dense_trotter_reference(monomials, psi, 1.3, steps))) < tolerance
+
+
+def test_fusion_rule_picks_long_rows_on_narrow_registers(layouts, strip3, monkeypatch):
+    # F monomials on d coset rows fuse at N steps iff d (4F + N) < 4 F N: on
+    # the triangle (F = 16, d = 8) from N = 10 on, on the two-plaquette layout
+    # (F = 32, d = 64) above N = 128, on the 14-qubit strip (F = 48, d = 512) never
+    calls = record_factor_calls(monkeypatch)
+    dyn.sweep(layouts["triangle"], [1, 8, 9, 10, 12, 64], [0.3, 0.6], 0.75)
+    # one build per fused step count, with both phis' rows, then the direct rows
+    assert calls == [((2, 8, 8), [1, 1])] * 3 + [((6, 8), [9, 9, 8, 8, 1, 1])]
+    calls.clear()
+    dyn.sweep(layouts["two_plaquette"], [1, 128, 129], [0.3], 0.75)
+    assert calls == [((1, 64, 64), [1]), ((2, 64), [128, 1])]
+    calls.clear()
+    dyn.sweep(strip3, [1, 64], [0.3], 0.75)
+    assert calls == [((2, 512), [64, 1])]
+    assert not dyn._fuses(48, 512, [10**12]).any()
+
+
 @pytest.mark.parametrize(
     "steps_list, start_sector",
     [((1, 2, 3, 4), 0.75), ((1, 2, 4, 8, 16, 32, 64), 0.75), ((1, 2, 4, 8, 16, 32, 64), 2.75)],
@@ -542,21 +593,30 @@ FIGS2_GRID, FIGS2_STEPS, FIGS2_STARTS = cli._FIGURES["figS2"]
 
 
 @pytest.mark.parametrize(
-    "steps, phis, starts",
-    [(*MANY_PHIS, (0.75,)), (*MANY_PHIS, (0.75, 2.75)), (FIGS2_STEPS, cli._phi_grid(*FIGS2_GRID), FIGS2_STARTS)],
-    ids=["starts0", "starts1", "figS2"],
+    "name, steps, phis, starts",
+    [
+        ("strip3", *MANY_PHIS, (0.75,)),
+        ("strip3", *MANY_PHIS, (0.75, 2.75)),
+        ("strip3", FIGS2_STEPS, cli._phi_grid(*FIGS2_GRID), FIGS2_STARTS),
+        ("triangle", FIGS2_STEPS, cli._phi_grid(*FIGS2_GRID), FIGS2_STARTS),
+    ],
+    ids=["starts0", "starts1", "figS2", "triangle-figS2"],
 )
-def test_sweep_estimate_bounds_its_peak(strip3, steps, phis, starts):
-    # on the 2^9 rows of a start the Trotter stage, not the Lanczos stage, sets
-    # the peak: with 400 phis and seven step counts, and on the default figS2
-    # grid, whose peak sits about 5% under its estimate
-    hamiltonian, casimir = lm.plaquette_hamiltonian(strip3, 1.0), lm.total_gauge_casimir(strip3)
-    estimate = dyn._sweep_bytes(len(span([hamiltonian, casimir])), hamiltonian, casimir, len(phis), len(steps), len(starts))
+def test_sweep_estimate_bounds_its_peak(layout, strip3, name, steps, phis, starts):
+    # on the 2^9 rows of a strip3 start the Trotter stage, not the Lanczos
+    # stage, sets the peak: with 400 phis and seven step counts, and on the
+    # default figS2 grid, whose peak sits about 5% under its estimate; on the
+    # triangle's 2^3 rows figS2's step counts 16, 32 and 64 fuse, and the
+    # estimate counts one count's step unitaries
+    layout = {"triangle": layout, "strip3": strip3}[name]
+    hamiltonian, casimir = lm.plaquette_hamiltonian(layout, 1.0), lm.total_gauge_casimir(layout)
+    rank = len(span([hamiltonian, casimir]))
+    estimate = dyn._sweep_bytes(rank, hamiltonian, casimir, len(phis), sorted(set(steps)), len(starts))
     tracemalloc.start()
-    dyn.sweep(strip3, steps, phis, starts)
+    dyn.sweep(layout, steps, phis, starts)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert 48 * 2**18 < peak <= estimate
+    assert 48 * 4**rank < peak <= estimate
 
 
 @pytest.mark.parametrize("name", ["bowtie", "dangling_link"])
