@@ -132,15 +132,15 @@ def _single_gate_bound(weights: list[int], backend: str) -> int:
 def run_compile(args: argparse.Namespace) -> str:
     """The JSON resource report; with ``--circuit-out`` the gate list is
     written there once every check has passed."""
-    if args.monomial and args.step:
-        raise LayoutError("--step and --monomial are mutually exclusive")
+    for option in ("step", "layout"):
+        if args.monomial and getattr(args, option):
+            raise LayoutError(f"--{option} and --monomial are mutually exclusive")
     if args.out and args.circuit_out and _same_file(args.out, args.circuit_out):
         raise LayoutError(f"--out and --circuit-out name one file: {args.circuit_out!r}")
-    layout = _load_layout(args.layout)
     if args.monomial is not None:
         monomials = [parse_string(args.monomial)]
     else:
-        monomials = lm.plaquette_monomials(layout, args.J)
+        monomials = lm.plaquette_monomials(_load_layout(args.layout), 1.0)
     circuit = cp.compile_step(monomials, args.phi, args.backend)
     counts = circuit.counts
     low, high = cp.fidelity_cap(counts, args.backend)
@@ -254,7 +254,7 @@ class _Parser(argparse.ArgumentParser):
 
     def _get_values(self, action, arg_strings):
         # argparse as of Python 3.11 drops a "--" that is an option's own
-        # value (--J=--) and hands back an empty list; convert it instead
+        # value (--phi=--) and hands back an empty list; convert it instead
         if action.option_strings and action.nargs is None and arg_strings == ["--"]:
             value = self._get_value(action, "--")
             self._check_value(action, value)
@@ -308,7 +308,6 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
     p.add_argument("--step", action="store_true", help="compile the full 16-monomial step (default)")
     p.add_argument("--monomial", help="single Pauli string, e.g. '(1.0) X0 Y1'")
     p.add_argument("--phi", type=finite, default=0.1)
-    p.add_argument("--J", type=_checked(float, "be finite and nonzero", lambda x: math.isfinite(x) and x != 0), default=1.0)
     p.add_argument("--circuit-out", help="also write the gate list to this file")
 
     p = sub.add_parser("bounds", parents=[common], help="digitization step-count bounds (JSON report)")

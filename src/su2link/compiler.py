@@ -55,7 +55,7 @@ class Gate:
     axis: str | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.angle):  # finite phi and coefficients can overflow it: compile --phi 1e308 --J 1e308
+        if not math.isfinite(self.angle):  # finite phi and coefficients can overflow it: --monomial "(1e300) X0 X1" --phi 1e10
             raise ValueError("gate angle must be finite")
         if min(self.qubits, default=0) < 0:
             raise ValueError(f"gate qubit indices must be non-negative, got {self.qubits}")

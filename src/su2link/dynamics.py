@@ -110,11 +110,6 @@ def _overlaps(states: np.ndarray, others: np.ndarray) -> np.ndarray:
     return inner.real * inner.real + inner.imag * inner.imag
 
 
-def _check_hermitian(hamiltonian: PauliSum) -> None:
-    if not hamiltonian.is_hermitian():
-        raise GuardError("Hamiltonian must be Hermitian")
-
-
 def _on_support(ops: Sequence[PauliSum | PauliString], states: Sequence[np.ndarray], what: str):
     """(rows, the ops ``pauli.restrict``-ed there, rank): the ``pauli.coset``
     rows of ``pauli.span(ops, support)`` that hold the joint support of the
@@ -202,9 +197,17 @@ def _evolve_spectrum(spectrum, times: np.ndarray) -> np.ndarray:
 
 def exact_evolve(hamiltonian: PauliSum, state: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) applied by Lanczos reduction to the Krylov space of the state."""
-    _check_hermitian(hamiltonian)
+    if not hamiltonian.is_hermitian():
+        raise GuardError("Hamiltonian must be Hermitian")
     times = _check_times([t])
     rows, (restricted,), _ = _on_support([hamiltonian], [state], "exact evolution")
+    # the 1-norm bounds |H v| for a unit v, and so every eigenvalue E; the squares of the d rows of a
+    # Lanczos recurrence (at most three times it) and E t must not overflow before a guard sees them
+    scale = sum(abs(term.coefficient) for term in hamiltonian.terms)
+    if not np.isfinite(9.0 * len(rows) * scale * scale):
+        raise GuardError(f"coefficient 1-norm {scale:.3g} overflows the Lanczos dot products")
+    if not np.isfinite(scale * abs(t)):
+        raise GuardError(f"coefficient 1-norm {scale:.3g} times t = {t:.3g} overflows")
     out = np.zeros(len(state), dtype=complex)
     out[rows] = _evolve_spectrum(_krylov_spectrum(restricted, _check_norm(state)[rows]), times)[0]
     return out
@@ -256,6 +259,7 @@ def _apply_factors(monomials: Sequence[PauliString], angles, steps, states: np.n
             flipped *= isin_a[:active]
             view *= cos_a[:active]
             view -= flipped
+            del flipped  # freed before the next factor's copy is made
     return out.T
 
 
@@ -430,7 +434,6 @@ def sweep(
     step_counts = sorted(set(steps_list), reverse=True)
     # span holds an X mask of n bits per term of H and the Casimir; then d = 2^rank rows per start
     check_memory(lambda: (len(hamiltonian) + len(casimir)) * n / 8, f"sweep on {n} qubits")
-    _check_hermitian(hamiltonian)
     basis = span([hamiltonian, casimir])
     check_memory(
         lambda: _sweep_bytes(len(basis), hamiltonian, casimir, len(phis), step_counts, len(starts)), f"sweep on {n} qubits"
@@ -479,18 +482,17 @@ def _sweep_bytes(
     row and phi, five temporaries of an expectation or a fidelity (a
     conjugate, a matvec result, product, gather and sum; the C-ordered copy
     of a product comes after its factors are freed) and, per (step count,
-    start) row of its batch, the row, the flipped copies of the active rows
-    that one factor makes and the one before it still holds, and with
-    several starts the batch's input, which is then a copy, not a broadcast
-    view; and per monomial and batch row its angle, cosine and i sine.  When
-    ``_fuses`` picks a step count (one monomial per term of the Hamiltonian),
-    one step count's rows, one per start and phi, also hold their d x d step
-    unitaries three times: the unitary and the two flipped copies of its
-    build."""
+    start) row of its batch, the row, the flipped copy of the active rows
+    that one factor makes, and with several starts the batch's input, which
+    is then a copy, not a broadcast view; and per monomial and batch row its
+    angle, cosine and i sine.  When ``_fuses`` picks a step count (one
+    monomial per term of the Hamiltonian), one step count's rows, one per
+    start and phi, also hold their d x d step unitaries twice: the unitary
+    and the flipped copy of its build."""
     d = 2.0**rank
     pairs = 24 * pair_count(casimir) + 16 * len(hamiltonian) + 24
     batch = n_starts * len(step_counts)  # batch rows per phi
-    trotter = 16 * d * n_phis * (5 + (3 + (n_starts > 1)) * batch) + 32 * len(hamiltonian) * batch * n_phis
+    trotter = 16 * d * n_phis * (5 + (2 + (n_starts > 1)) * batch) + 32 * len(hamiltonian) * batch * n_phis
     if _fuses(len(hamiltonian), d, step_counts).any():
-        trotter += 48 * d * d * n_starts * n_phis
+        trotter += 32 * d * d * n_starts * n_phis
     return d * (pairs + 16 * n_phis * n_starts) + max(48 * d * d, trotter)

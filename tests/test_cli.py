@@ -3,15 +3,19 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from su2link import cli, errors
+from su2link import compiler as cp
 from su2link import dynamics as dyn
 from su2link import linkmodel as lm
 from su2link.pauli import dense, matvec, span
+
+from golden_csv import first_difference
 
 TRIANGLE_PATH = Path(__file__).parent / "data" / "triangle.layout"  # README's layout file
 # strips of three, four and five triangles, each sharing one link with the
@@ -478,21 +482,10 @@ GOLDEN = Path(__file__).parent / "data"
 
 
 def assert_matches_golden_figure(argv, golden, capsys):
-    """A figure CSV against the committed one in tests/data: the header and
-    the start, N and phi columns exactly, every other value within 1e-12 (the
-    last bits may move with the BLAS build, or with a fused Trotter step)."""
+    """A figure CSV against the committed one in tests/data, by ``golden_csv``'s rule."""
     code, out, _ = run(argv, capsys)
     assert code == 0
-    want = (GOLDEN / golden).read_text(encoding="utf-8").splitlines()
-    got = out.splitlines()
-    assert got[0] == want[0] and len(got) == len(want)
-    header = want[0].split(",")
-    for got_line, want_line in zip(got[1:], want[1:]):
-        for column, got_value, want_value in zip(header, got_line.split(","), want_line.split(",")):
-            if column in ("start", "N", "phi"):
-                assert got_value == want_value
-            else:
-                assert abs(float(got_value) - float(want_value)) <= 1e-12, (column, got_line, want_line)
+    assert first_difference(out, (GOLDEN / golden).read_text(encoding="utf-8")) is None
 
 
 @pytest.mark.parametrize("figure", ["fig3", "fig4", "figS2"])
@@ -624,7 +617,7 @@ def test_config_file_bad_value_is_one_line(tmp_path, capsys):
         (["figures", "fig3"], "steps", "1,,2", "argument --steps: expected comma-separated integers, got '1,,2'"),
         (["bounds"], "eps", "0", "--eps must be finite and positive, got 0.0"),
         (["covariance"], "sets", "-1", "--sets must be non-negative, got -1"),
-        (["compile", "--backend", "cphase"], "J", "0", "--J must be finite and nonzero, got 0.0"),
+        (["compile", "--backend", "cphase"], "phi", "inf", "--phi must be finite, got inf"),
         (["matter"], "ratios", "0.1,-1", "--ratios must be finite and positive, got -1.0"),
         (["figures", "fig3"], "phi_step", "nan", "--phi-step must be finite and positive, got nan"),
     ]:
@@ -646,7 +639,7 @@ def test_config_file_unknown_key(tmp_path, capsys):
     "argv, key, value",
     [
         (["figures", "fig3", "--phi-stop", "0.1"], "steps", "1"),
-        (["compile", "--backend", "collective"], "J", "0"),
+        (["compile", "--backend", "collective"], "monomial", "(1.0) X0 Y1"),
         (["sectors"], "layout", str(STRIP3_PATH)),
         (["covariance", "--sets", "1"], "layout", str(STRIP3_PATH)),
         (["bounds"], "Jt", "2"),
@@ -734,12 +727,6 @@ def assert_config_error(result, message):
 def test_figures_rejects_unknown_start_sector(figure, capsys):
     result = run(["figures", figure, "--start-sector", "1.0", "--phi-stop", "0.1"], capsys)
     assert_config_error(result, "no sector with eigenvalue 1.0; available: 0.75, 2.25, 2.75")
-
-
-@pytest.mark.parametrize("coupling", ["nan", "inf", "-inf", "0"])
-def test_compile_rejects_non_finite_or_zero_coupling(coupling, capsys):
-    result = run(["compile", "--backend", "cphase", f"--J={coupling}"], capsys)
-    assert_config_error(result, "--J must be finite and nonzero")
 
 
 @pytest.mark.parametrize("ratios", ["0", "-0.1", "nan", "inf", "0.1,0"])
@@ -834,7 +821,7 @@ def test_bounds_zero_jt_needs_no_steps(capsys):
         (["figures", "fig5"], "argument figure: invalid choice: 'fig5'"),
         (["compile"], "the following arguments are required: --backend"),
         ([], "the following arguments are required: command"),
-        (["compile", "--backend", "cphase", "--J=--"], "argument --J: invalid float value: '--'"),
+        (["compile", "--backend", "cphase", "--phi=--"], "argument --phi: invalid float value: '--'"),
         (["compile", "--backend=--"], "argument --backend: invalid choice: '--'"),
         (["figures", "fig3", "--steps=abc"], "argument --steps: expected comma-separated integers, got 'abc'"),
         (["figures", "fig3", "--steps=1.5"], "argument --steps: expected comma-separated integers, got '1.5'"),
@@ -860,12 +847,6 @@ def test_help_still_exits_0(capsys):
     assert "--eps" in capsys.readouterr().out
 
 
-def test_compile_accepts_vanishing_coupling(capsys):
-    code, out, err = run(["compile", "--backend", "cphase", "--J=2e-12"], capsys)
-    assert code == 0 and err == ""
-    assert json.loads(out)["monomials"] == 16
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("figure", ["fig3", "fig4", "figS2"])
 def test_figures_overflow_exits_2(figure, capsys):
@@ -873,12 +854,42 @@ def test_figures_overflow_exits_2(figure, capsys):
     assert_config_error(run(argv, capsys), "the plaquette energies overflow a float")
 
 
-def test_figures_has_no_coupling_option(tmp_path, capsys):
-    # figures run at J = 1: a phase phi = J t is its own evolution time
-    assert_config_error(run(["figures", "fig3", "--J=1"], capsys), "unrecognized arguments: --J=1")
+@pytest.mark.parametrize("argv", [["figures", "fig3"], ["compile", "--backend", "cphase"]], ids=["figures", "compile"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_has_no_coupling_option(argv, source, tmp_path, capsys):
+    # figures and compile run at J = 1: a phase phi = J t is its own evolution time
+    if source == "flag":
+        assert_config_error(run([*argv, "--J=1"], capsys), "unrecognized arguments: --J=1")
+    else:
+        config = tmp_path / "run.conf"
+        config.write_text("J=0.7\n", encoding="utf-8")
+        assert_config_error(run([*argv, "--config", str(config)], capsys), "config file sets unknown option 'J'")
+
+
+@pytest.mark.parametrize("backend", ["collective", "cphase"])
+@pytest.mark.parametrize("coupling, phi", [(0.7, 0.1), (2.5, 0.3), (-1.3, 0.05), (1e-3, 1.7), (40.0, -0.2)])
+def test_compile_phi_carries_the_coupling(backend, coupling, phi, tmp_path, capsys):
+    # a coupling J reaches a gate angle only as phi J, so --phi repr(phi * J) at J = 1
+    # prints what compiling the J-scaled step at phi gives
+    circuit = cp.compile_step(lm.plaquette_monomials(lm.triangle_layout(), coupling), phi, backend)
+    low, high = cp.fidelity_cap(circuit.counts, backend)
+    gates = tmp_path / "gates.txt"
+    code, out, err = run(["compile", "--backend", backend, f"--phi={phi * coupling!r}", "--circuit-out", str(gates)], capsys)
+    assert code == 0 and err == ""
+    assert gates.read_text(encoding="utf-8") == cli.format_circuit(circuit)
+    report = json.loads(out)
+    assert report["monomials"] == 16 and report["fidelity_band"] == {"low": low, "high": high}
+    assert {kind: report[kind] for kind in ("collective", "cphase", "single")} == asdict(circuit.counts)
+
+
+@pytest.mark.parametrize("layout", [str(TRIANGLE_PATH), "/nonexistent/triangle.layout"])
+def test_compile_refuses_a_layout_with_a_monomial(layout, tmp_path, capsys):
+    # refused before the layout file is read, as --step is
+    argv = ["compile", "--backend", "collective", "--monomial", "(1.0) X0 X1", "--layout", layout]
+    assert_config_error(run(argv, capsys), "--layout and --monomial are mutually exclusive")
     config = tmp_path / "run.conf"
-    config.write_text("J=0.7\n", encoding="utf-8")
-    assert_config_error(run(["figures", "fig3", "--config", str(config)], capsys), "config file sets unknown option 'J'")
+    config.write_text(f"layout={layout}\n", encoding="utf-8")
+    assert_config_error(run([*argv[:-2], "--config", str(config)], capsys), "--layout and --monomial are mutually exclusive")
 
 
 @pytest.mark.parametrize("figure", ["fig3", "fig4", "figS2"])

@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2link import cli
@@ -27,8 +27,10 @@ WILD = st.one_of(
 # text that is no number, for a float option or an integer one
 NOT_A_NUMBER = st.sampled_from(["abc", "", "1e", "0x10", "1,2", "--", "1.5"])
 WILD_FLOAT = st.one_of(WILD, NOT_A_NUMBER)
-# compile couplings at and below the Pauli merge tolerance, and huge ones
-EXTREME_J = st.tuples(st.just("J"), st.sampled_from(["1e-300", "-1e-300", "2e-12", "1e160", "1e300"]))
+# monomial coefficients at and below the Pauli merge tolerance, and huge ones,
+# and huge phis: a product of the two can overflow a gate angle
+EXTREME_COEFFICIENT = st.sampled_from(["1e-300", "-1e-300", "2e-12", "1e160", "1e300"])
+HUGE_PHI = st.sampled_from(["1e10", "-1e160", "1e300"])
 # a wild step count, plaquette count or fractal degree
 WILD_COUNT = st.one_of(
     NOT_A_NUMBER, st.sampled_from(["0", "-1", "10001", str(2**31)]), st.integers().map(str)
@@ -100,23 +102,29 @@ def test_figures_fuzz(two_plaquette_path, figure, steps, phi_start, two_plaquett
 @WIDE_FUZZ
 @given(
     backend=st.sampled_from(["collective", "cphase"]),
-    # the whole step, the whole step asked for by --step, or one monomial
+    # the whole step, on the triangle or the two-plaquette layout, the whole step
+    # asked for by --step, or one monomial, which takes no layout
     what=st.one_of(
         st.just([]),
         st.just(["--step"]),
-        st.lists(st.sampled_from("XYZ"), min_size=1, max_size=6).map(
-            lambda letters: ["--monomial=(1.0) " + " ".join(f"{letter}{qubit}" for qubit, letter in enumerate(letters))]
+        st.just(["--layout", "two_plaquette"]),
+        st.builds(
+            lambda coefficient, letters: [
+                f"--monomial=({coefficient}) " + " ".join(f"{letter}{qubit}" for qubit, letter in enumerate(letters))
+            ],
+            st.one_of(USABLE, EXTREME_COEFFICIENT),
+            st.lists(st.sampled_from("XYZ"), min_size=1, max_size=6),
         ),
     ),
-    phi=USABLE,
-    coupling=USABLE,
-    two_plaquette=st.booleans(),
-    wild=st.one_of(st.none(), st.tuples(st.sampled_from(["J", "phi"]), WILD_FLOAT), EXTREME_J),
+    phi=st.one_of(USABLE, HUGE_PHI),
+    wild=st.one_of(st.none(), st.tuples(st.just("phi"), WILD_FLOAT)),
 )
-def test_compile_fuzz(two_plaquette_path, backend, what, phi, coupling, two_plaquette, wild):
-    argv = ["compile", f"--backend={backend}", *what, *with_wild({"phi": phi, "J": coupling}, wild)]
-    argv += ["--layout", str(two_plaquette_path)] if two_plaquette else []
-    check_outcome(*run_cli(argv))
+# an overflowing gate angle on each backend, which the draws above seldom pair
+@example(backend="collective", what=["--monomial=(1e300) X0 X1"], phi="1e10", wild=None)
+@example(backend="cphase", what=["--monomial=(1e160) Y0"], phi="-1e160", wild=None)
+def test_compile_fuzz(two_plaquette_path, backend, what, phi, wild):
+    what = [str(two_plaquette_path) if option == "two_plaquette" else option for option in what]
+    check_outcome(*run_cli(["compile", f"--backend={backend}", *what, *with_wild({"phi": phi}, wild)]))
 
 
 # names in one directory: link.json is a symbolic link to report.json

@@ -138,6 +138,22 @@ def test_nan_coefficients_trip_the_guards():
         dyn.trotter_evolve([PauliString(1e308, {0: "X"})], basis_state(1, 0), 1e308, 1)
 
 
+@pytest.mark.parametrize(
+    "terms, t, message",
+    [
+        ([PauliString(1e308, {0: "X"})], 1.0, "^coefficient 1-norm 1e\\+308 overflows the Lanczos dot products$"),
+        ([PauliString(1e200, {0: "X"}), PauliString(1e200, {0: "Z"})], 1.0, "^coefficient 1-norm 2e\\+200 overflows the Lanczos"),
+        ([PauliString(10.0, {0: "X"})], 1e308, "^coefficient 1-norm 10 times t = 1e\\+308 overflows$"),
+    ],
+    ids=["1e308-X", "1e200-X-Z", "E-t"],
+)
+def test_exact_evolve_names_an_overflow(terms, t, message):
+    # refused before the Lanczos iteration, whose dot products (or E t) would warn
+    # under the pytest config's error::RuntimeWarning before any guard ran
+    with pytest.raises(GuardError, match=message):
+        dyn.exact_evolve(PauliSum(terms), basis_state(1, 0), t)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_evolutions_refuse_a_non_finite_time(value, layout, hamiltonian, monomials, sector_table):
     psi0 = lm.canonical_sector_state(sector_table, 0.75)
@@ -604,10 +620,10 @@ FIGS2_GRID, FIGS2_STEPS, FIGS2_STARTS = cli._FIGURES["figS2"]
 )
 def test_sweep_estimate_bounds_its_peak(layout, strip3, name, steps, phis, starts):
     # on the 2^9 rows of a strip3 start the Trotter stage, not the Lanczos
-    # stage, sets the peak: with 400 phis and seven step counts, and on the
-    # default figS2 grid, whose peak sits about 5% under its estimate; on the
-    # triangle's 2^3 rows figS2's step counts 16, 32 and 64 fuse, and the
-    # estimate counts one count's step unitaries
+    # stage, sets the peak: with 400 phis and seven step counts (estimates
+    # 29% and 10% over the peak), and on the default figS2 grid (7% over);
+    # on the triangle's 2^3 rows figS2's step counts 16, 32 and 64 fuse, and
+    # the estimate counts one count's step unitaries (3% over)
     layout = {"triangle": layout, "strip3": strip3}[name]
     hamiltonian, casimir = lm.plaquette_hamiltonian(layout, 1.0), lm.total_gauge_casimir(layout)
     rank = len(span([hamiltonian, casimir]))
