@@ -1,20 +1,21 @@
 """Exact and Trotterized time evolution of plaquette states.
 
-Exact evolution reduces the Hamiltonian to the Krylov space of the initial
-state by Lanczos iteration (Park & Light, J. Chem. Phys. 85, 5870 (1986)),
-run until that space is invariant, so the reduction is exact rather than an
-approximation: the plaquette Hamiltonian has few distinct eigenvalues and the
-space closes after a handful of vectors.  The small tridiagonal matrix is
-diagonalised once and serves every time of a sweep.  A Trotter step is an
-ordered list of monomials: Trotterized evolution applies the closed-form
-exponential of one monomial at a time (cos * 1 - i sin * P) in the order
-given, repeated for the chosen number of steps.  A long row on a narrow
-register runs as one fused step unitary instead (``_trotter``): N steps of F
-monomials on d coset rows fuse when d (4F + N) < 4FN, that is when building
-the d x d product of one step (F factors of four passes over d identity
-columns) and N d x d products cost less than N F factors of four passes on
-one state.  That is N >= 10 on the triangle's 8 rows, N > 128 on the
-two-plaquette layout's 64 and never on a strip, whose d exceeds 4F.
+Exact evolution has one kernel, ``_exact_rows``, which owns every check of
+its arithmetic.  It reduces the Hamiltonian to the Krylov space of the
+initial state by Lanczos iteration (Park & Light, J. Chem. Phys. 85, 5870
+(1986)), run until that space is invariant, so the reduction is exact rather
+than an approximation: the plaquette Hamiltonian has few distinct eigenvalues
+and the space closes after a handful of vectors.  The small tridiagonal
+matrix is diagonalised once and serves every time of a sweep.  A Trotter step
+is an ordered list of monomials: Trotterized evolution applies the
+closed-form exponential of one monomial at a time (cos * 1 - i sin * P) in
+the order given, repeated for the chosen number of steps.  A long row on a
+narrow register runs as one fused step unitary instead (``_trotter``): N
+steps of F monomials on d coset rows fuse when d (4F + N) < 4FN, that is when
+building the d x d product of one step (F factors of four passes over d
+identity columns) and N d x d products cost less than N F factors of four
+passes on one state.  That is N >= 10 on the triangle's 8 rows, N > 128 on
+the two-plaquette layout's 64 and never on a strip, whose d exceeds 4F.
 ``_apply_factors`` builds the unitary, so it stays the one function that
 evaluates a Trotter factor, and a fused row moves by roundoff only.  A sweep
 runs at J = 1, so the evolution time of a phase phi = J t is t = phi.
@@ -127,26 +128,34 @@ def _on_support(ops: Sequence[PauliSum | PauliString], states: Sequence[np.ndarr
     return rows, [restrict(op, basis, int(rows[0])) for op in ops], len(basis)
 
 
-def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray):
-    """Eigenpairs of H on the Krylov space of ``state``, both on the coset
-    register of log2(len(state)) qubits, as (eigvals, amplitudes, ritz):
-    H ritz[k] = eigvals[k] ritz[k] and state = sum_k amplitudes[k] ritz[k].
-
-    Lanczos with two full reorthogonalisations per step runs until the next
-    vector vanishes (or the space fills the register), then the tridiagonal
-    matrix T is diagonalised.  The residual ||H V - V T|| is guarded relative
-    to the coefficient 1-norm of H, which bounds its operator norm; its row j
-    is H v_j less the three-term recurrence, which is known as soon as v_j+1
-    is, so no image H v_j is kept.  The m Lanczos vectors fill one block of
-    d = len(state) columns, grown by doubling, and at most three m x d blocks
-    are held at once: the block while it grows (1.5 of them), or the block,
-    the Ritz vectors and the complex eigenvectors of T as they are formed.
-    Before each growth, those three blocks at the new size are checked
-    against the memory budget.
+def _exact_rows(hamiltonian: PauliSum, state: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i H t) state for every t in ``times``, one row each, on the coset
+    register of log2(len(state)) qubits; every check of this arithmetic is
+    made here.  The coefficient 1-norm s of H bounds every eigenvalue E and
+    |H v| for a unit v, so an ``OverflowError`` refuses a 9 d s^2 (the squares
+    of d recurrence rows of at most 3 s) or s max|t| that overflows before
+    numpy warns.  Lanczos with two full reorthogonalisations per step runs
+    until the next vector vanishes (or the space fills the register), then
+    the tridiagonal matrix T is diagonalised once: each row is the sum of
+    exp(-i E_k t) a_k r_k over the eigenpairs E_k, r_k of H on the Krylov
+    space, with state = sum_k a_k r_k.  The residual ||H V - V T|| is guarded
+    relative to s; its row j is H v_j less the three-term recurrence, known
+    as soon as v_j+1 is, so no image H v_j is kept.  The m Lanczos vectors
+    fill one block of d = len(state) columns, grown by doubling, and at most
+    three m x d blocks are held at once: the block while it grows (1.5 of
+    them), or the block, the Ritz vectors r_k and the complex eigenvectors of
+    T as they are formed; the block is freed before the rows are formed.
+    Each growth checks those three blocks at the new size against the memory
+    budget, and each row's norm is checked last.
     """
     d = len(state)
-    apply_h = matvec(hamiltonian, d.bit_length() - 1)
     scale = sum(abs(term.coefficient) for term in hamiltonian.terms)
+    if not np.isfinite(9.0 * d * scale * scale):
+        raise OverflowError(f"coefficient 1-norm {scale:.3g} overflows the Lanczos dot products")
+    t = float(times[np.argmax(abs(times))])
+    if not np.isfinite(scale * abs(t)):
+        raise OverflowError(f"coefficient 1-norm {scale:.3g} times t = {t:.3g} overflows")
+    apply_h = matvec(hamiltonian, d.bit_length() - 1)
     block = np.empty((min(d, 16), d), dtype=complex)
     block[0] = state / np.linalg.norm(state)
     alphas, betas, residual_sq, m = [], [], 0.0, 1
@@ -180,36 +189,24 @@ def _krylov_spectrum(hamiltonian: PauliSum, state: np.ndarray):
     amplitudes = np.linalg.norm(state) * eigvecs[0]
     coefficients = eigvecs.T.astype(complex)
     del eigvecs  # not held beside the block, its complex copy and the Ritz vectors
-    return eigvals, amplitudes, coefficients @ block[:m]
-
-
-def _evolve_spectrum(spectrum, times: np.ndarray) -> np.ndarray:
-    """exp(-i H t) state for every t in ``times``, one row each, from a
-    ``_krylov_spectrum``; each row gets the same arithmetic whatever the
-    number of times."""
-    eigvals, amplitudes, ritz = spectrum
+    ritz = coefficients @ block[:m]
+    del block, coefficients
     weights = np.exp(-1j * eigvals * times[:, None]) * amplitudes
-    out = np.zeros((len(times), ritz.shape[1]), dtype=complex)
+    out = np.zeros((len(times), d), dtype=complex)
     for k in range(len(eigvals)):
         out += weights[:, k, None] * ritz[k]
     return _check_norm(out)
 
 
 def exact_evolve(hamiltonian: PauliSum, state: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) applied by Lanczos reduction to the Krylov space of the state."""
+    """exp(-i H t) applied by Lanczos reduction to the Krylov space of the
+    state (``_exact_rows``), on the coset rows that hold it."""
     if not hamiltonian.is_hermitian():
         raise GuardError("Hamiltonian must be Hermitian")
     times = _check_times([t])
     rows, (restricted,), _ = _on_support([hamiltonian], [state], "exact evolution")
-    # the 1-norm bounds |H v| for a unit v, and so every eigenvalue E; the squares of the d rows of a
-    # Lanczos recurrence (at most three times it) and E t must not overflow before a guard sees them
-    scale = sum(abs(term.coefficient) for term in hamiltonian.terms)
-    if not np.isfinite(9.0 * len(rows) * scale * scale):
-        raise GuardError(f"coefficient 1-norm {scale:.3g} overflows the Lanczos dot products")
-    if not np.isfinite(scale * abs(t)):
-        raise GuardError(f"coefficient 1-norm {scale:.3g} times t = {t:.3g} overflows")
     out = np.zeros(len(state), dtype=complex)
-    out[rows] = _evolve_spectrum(_krylov_spectrum(restricted, _check_norm(state)[rows]), times)[0]
+    out[rows] = _exact_rows(restricted, _check_norm(state)[rows], times)[0]
     return out
 
 
@@ -282,15 +279,15 @@ def _trotter(monomials: Sequence[PauliString], angles, steps, states: np.ndarray
     count's unitaries are alive at most; the other rows go to
     ``_apply_factors`` as they are.  Every angle c dt must be finite: it can
     overflow from a finite weight and time, and its cosine would warn before
-    the norm guard sees the state it makes."""
+    the norm guard sees the state it makes.  Every row's norm is checked."""
     angles = np.asarray(angles, dtype=float)
     if not np.isfinite(angles).all():
-        raise GuardError("Trotter angle c dt overflowed")
+        raise OverflowError("Trotter angle c dt overflowed")
     steps = np.asarray(steps)
     d = np.shape(states)[-1]
     fused = int(np.count_nonzero(_fuses(len(monomials), d, steps)))
     if not fused:
-        return _apply_factors(monomials, angles, steps, states)
+        return _check_norm(_apply_factors(monomials, angles, steps, states))
     parts = []
     for count in dict.fromkeys(steps[:fused].tolist()):  # not np.unique: its first call adds 1.7 MB of resident memory
         rows = np.flatnonzero(steps == count)
@@ -302,7 +299,7 @@ def _trotter(monomials: Sequence[PauliString], angles, steps, states: np.ndarray
         parts.append(evolved)
     if fused < len(steps):
         parts.append(_apply_factors(monomials, angles[:, fused:], steps[fused:], states[fused:]))
-    return np.concatenate(parts)
+    return _check_norm(np.concatenate(parts))
 
 
 def trotter_evolve(monomials: Sequence[PauliString], state: np.ndarray, t: float, steps: int) -> np.ndarray:
@@ -321,7 +318,7 @@ def trotter_evolve(monomials: Sequence[PauliString], state: np.ndarray, t: float
     start = _check_norm(state)[rows][None]
     out = np.zeros(len(state), dtype=complex)
     out[rows] = _trotter(restricted, [[m.coefficient.real * (t / steps)] for m in restricted], [steps], start)[0]
-    return _check_norm(out)
+    return out
 
 
 def overlap(state: np.ndarray, other: np.ndarray) -> float:
@@ -442,10 +439,10 @@ def sweep(
     psi0s, readouts, weights = [], [], []
     for start in starts:
         rows, apply_casimir, psi0 = sector_on_coset(table, start, casimir, basis)
-        ideal = _evolve_spectrum(_krylov_spectrum(restrict(hamiltonian, basis, int(rows[0])), psi0), times)
+        restricted = [restrict(m, basis, int(rows[0])) for m in monomials]
+        ideal = _exact_rows(PauliSum(restricted), psi0, times)
         psi0s.append(psi0)
         readouts.append((apply_casimir, ideal, _expectations(apply_casimir, ideal).tolist(), _overlaps(ideal, psi0).tolist()))
-        restricted = [restrict(m, basis, int(rows[0])) for m in monomials]
         weights.append([m.coefficient.real for m in restricted])
     # every start's restricted monomials have the same strings, so the last start's serve the batch,
     # whose rows run by step count (descending), then start, then phi
@@ -453,12 +450,12 @@ def sweep(
     dts = times / np.array(step_counts)[:, None]  # (step count, phi)
     psi0s = np.array(psi0s)
     initial = np.broadcast_to(psi0s[:, None], (len(step_counts), len(starts), len(times), psi0s.shape[1]))
-    digital = _check_norm(_trotter(
+    digital = _trotter(
         restricted,
         (weights.T[:, None, :, None] * dts[:, None]).reshape(len(monomials), -1),
         np.repeat(step_counts, len(starts) * len(times)),
         initial.reshape(-1, psi0s.shape[1]),  # a view for one start; several starts' rows are copied
-    )).reshape(initial.shape)
+    ).reshape(initial.shape)
     out = []
     for (apply_casimir, ideal, gauge_ideal, overlap_initial), blocks in zip(readouts, digital.swapaxes(0, 1)):
         gauge_digital = [_expectations(apply_casimir, block) for block in blocks]
@@ -478,7 +475,7 @@ def _sweep_bytes(
     the Casimir's pairs, the Trotter phases and the one ``columns`` pair
     alive while they are built, and per coset row and phi each start's ideal
     state.  The Lanczos stage holds at most three blocks of d vectors of d
-    entries (see ``_krylov_spectrum``).  The Trotter stage holds, per coset
+    entries (see ``_exact_rows``).  The Trotter stage holds, per coset
     row and phi, five temporaries of an expectation or a fidelity (a
     conjugate, a matvec result, product, gather and sum; the C-ordered copy
     of a product comes after its factors are freed) and, per (step count,

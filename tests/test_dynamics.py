@@ -134,7 +134,7 @@ def test_nan_coefficients_trip_the_guards():
     with pytest.raises(ValueError, match="^Pauli coefficient must be finite, got"):
         PauliString(float("nan"), {0: "X"})
     # but c dt overflows from a finite weight and time: refused by name before a cosine of it warns
-    with pytest.raises(GuardError, match="^Trotter angle c dt overflowed$"):
+    with pytest.raises(OverflowError, match="^Trotter angle c dt overflowed$"):
         dyn.trotter_evolve([PauliString(1e308, {0: "X"})], basis_state(1, 0), 1e308, 1)
 
 
@@ -150,8 +150,15 @@ def test_nan_coefficients_trip_the_guards():
 def test_exact_evolve_names_an_overflow(terms, t, message):
     # refused before the Lanczos iteration, whose dot products (or E t) would warn
     # under the pytest config's error::RuntimeWarning before any guard ran
-    with pytest.raises(GuardError, match=message):
+    with pytest.raises(OverflowError, match=message):
         dyn.exact_evolve(PauliSum(terms), basis_state(1, 0), t)
+
+
+def test_sweep_names_an_overflow(layout):
+    # the sweep's ideal states go through the same kernel, so E t is refused
+    # by name before numpy warns under the pytest config's error::RuntimeWarning
+    with pytest.raises(OverflowError, match="^coefficient 1-norm 8 times t = 1e\\+308 overflows$"):
+        dyn.sweep(layout, [1], [0.5, 1e308], 0.75)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -711,7 +718,7 @@ def test_lanczos_exact_evolve_matches_eigh_on_random_pauli_sum():
     assert np.max(np.abs(dyn.exact_evolve(h, psi, 0.9) - expected)) < 1e-12
 
 
-def test_lanczos_holds_at_most_three_blocks():
+def test_lanczos_holds_at_most_three_blocks(monkeypatch):
     # a Krylov space that fills all d rows, the case that the sweep's 48 d^2
     # bytes for the Lanczos stage are sized for, beside H's matvec pairs and
     # the last step's few d-entry vectors
@@ -723,11 +730,21 @@ def test_lanczos_holds_at_most_three_blocks():
     )
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi /= np.linalg.norm(psi)
-    tracemalloc.start()
-    eigvals, _, _ = dyn._krylov_spectrum(h, psi)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert len(eigvals) == d
+    sizes, original = [], np.linalg.eigh
+
+    def recording(matrix):
+        sizes.append(len(matrix))
+        return original(matrix)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", recording)
+        tracemalloc.start()
+        try:
+            dyn._exact_rows(h, psi, np.array([0.4]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:  # a failed call must not leave tracing on for later peak tests
+            tracemalloc.stop()
+    assert sizes == [d]
     assert peak < 48 * d**2 + (24 * pair_count(h) + 16 * 4) * d + 2**16
 
 
@@ -916,3 +933,22 @@ def test_sweep_builds_the_casimir_once_per_call(layout, monkeypatch):
     monkeypatch.setattr(dyn, "total_gauge_casimir", counting)
     dyn.sweep(layout, [2, 1], [0.3, 0.6], [0.75, 2.75])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["triangle", "two_plaquette", "bowtie", "dangling_link", "strip3", "strip4"])
+def test_restricted_monomials_sum_to_the_restricted_hamiltonian(layouts, off_span_layouts, strip3, strip4, name):
+    # sweep restricts each start's monomials once and sums them for its ideal
+    # states: the same terms as the restricted Hamiltonian, bitwise and in order
+    layout = {**layouts, **off_span_layouts, "strip3": strip3, "strip4": strip4}[name]
+    monomials = lm.plaquette_monomials(layout, 1.0)
+    hamiltonian, casimir = PauliSum(monomials), lm.total_gauge_casimir(layout)
+    basis = span([hamiltonian, casimir])
+    table = lm.gauge_sectors(layout)
+
+    def bits(op):
+        return [(term.key(), term.coefficient.real.hex(), term.coefficient.imag.hex()) for term in op.terms]
+
+    for eigenvalue in table.eigenvalues():
+        rep = int(lm.sector_on_coset(table, eigenvalue, casimir, basis)[0][0])
+        summed = PauliSum(restrict(m, basis, rep) for m in monomials)
+        assert bits(summed) == bits(restrict(hamiltonian, basis, rep))
