@@ -186,12 +186,15 @@ def penalty_free_indices(cfg: ChainConfig, faithful: np.ndarray) -> np.ndarray:
 
 def _block(op: PauliSum, rows: np.ndarray, cols: np.ndarray, n_modes: int) -> np.ndarray:
     """``<rows| op |cols>`` as a dense array, ``rows`` sorted; elements that
-    lead outside ``rows`` are dropped."""
+    lead outside ``rows`` are dropped.  One sorted search per X mask finds
+    each target's row, and the row there must equal it; past the last row
+    the search meets the -1 that ends the rows, which no index equals."""
     out = np.zeros((len(rows), len(cols)), dtype=complex)
-    positions = np.arange(len(cols))
+    ended = np.append(rows, -1)
     for targets, values in pauli.columns(op, cols, n_modes):
-        hit = np.isin(targets, rows)
-        out[np.searchsorted(rows, targets[hit]), positions[hit]] = values[hit]
+        at = np.searchsorted(rows, targets)
+        hit = np.flatnonzero(ended[at] == targets)
+        out[at[hit], hit] = values[hit]
     return out
 
 

@@ -20,7 +20,9 @@ code x + 2z, and ``multiply`` follows the symplectic rule on those codes,
 letter by letter and not on masks, since qubit indices reach 5e9.  A string
 then maps basis state ``k`` to ``k ^ xmask`` with the amplitude
 ``c i^#Y (-1)^popcount(k & zmask)``, so the elements out of chosen basis
-columns take one XOR per X mask and one sign vector per term, with no matrix.
+columns take one XOR per X mask and, with no matrix, one numpy pass per chunk
+of terms: the chunk's Z masks against the columns give its whole sign table,
+of at most ``_CHUNK_ENTRIES`` entries (one term's row from 4096 columns up).
 ``matvec`` applies an operator to states from those pairs, one gather per X
 mask, and ``dense`` scatters them into a matrix, for the tests and the
 covariance check's 4x4 link matrices.  No Pauli matrix or product table is
@@ -249,30 +251,52 @@ def _symplectic(term: PauliString) -> tuple[int, int, int]:
     return xmask, zmask, n_y
 
 
-def _phases(coefficient: complex, zmask: int, n_y: int, sources: np.ndarray) -> np.ndarray:
-    """The amplitude ``c i^#Y (-1)^popcount(source & zmask)`` that a term
-    carries from each basis state in ``sources`` to ``source ^ xmask``."""
-    signs = 1 - 2 * (np.bitwise_count(sources & zmask) & 1).astype(sources.dtype)
-    return (coefficient * _I_POWERS[n_y % 4]) * signs
+# entries of one chunk's sign table: 4096 complex values are 64 KiB, and with
+# its mask, popcount and ufunc buffer temporaries (about 40 B an entry) a
+# chunk assumes an L2 cache of 256 KiB or more per core; from 4096 columns up
+# a chunk is one term
+_CHUNK_ENTRIES = 4096
+# (-1)^popcount by popcount, which is at most 64; complex, as the multiply
+# by a coefficient would cast it
+_SIGNS = (1 - 2 * (np.arange(65) & 1)).astype(complex)
+
+
+def _phases(terms: list[PauliString], sources: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The X masks of ``terms`` and their table of amplitudes: row k holds the
+    ``c i^#Y (-1)^popcount(source & zmask)`` that term k carries from each
+    basis state in ``sources`` to ``source ^ xmask``, one pass for all rows."""
+    xmasks, zmasks, factors = [], [], []
+    for term in terms:
+        xmask, zmask, n_y = _symplectic(term)
+        xmasks.append(xmask)
+        zmasks.append([zmask])
+        factors.append([term.coefficient * _I_POWERS[n_y % 4]])
+    table = _SIGNS.take(np.bitwise_count(sources & np.array(zmasks, dtype=sources.dtype)))
+    table *= np.array(factors)  # each product is by +-1 or 0, exact: the bits of c i^#Y times the signs
+    return xmasks, table
 
 
 def columns(op: PauliSum | PauliString, cols: np.ndarray, n_qubits: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Matrix elements of ``op`` in the basis columns ``cols``, without a
     matrix: one ``(targets, values)`` pair per distinct X mask, with
     ``targets = cols ^ xmask`` and ``values[i] = <targets[i]| op |cols[i]>``.
-    Terms that flip the same bits are summed from zero in canonical term
+    The terms' amplitudes come from ``_phases`` a chunk at a time, one sign
+    table of at most ``_CHUNK_ENTRIES`` entries per chunk (or one term), and
+    terms that flip the same bits are summed from zero in canonical term
     order, as ``dense`` sums them, so every element equals the dense one
     bitwise.  Bit ordering: qubit 0 is the least significant bit of the
     basis index, so basis state ``k`` assigns qubit q the bit ``(k >> q) & 1``."""
     if n_qubits < 0:
         raise ValueError("n_qubits must be non-negative")
-    if op.support and max(op.support) >= n_qubits:
-        raise ValueError(f"support {op.support} does not fit in {n_qubits} qubits")
+    if (support := op.support) and support[-1] >= n_qubits:
+        raise ValueError(f"support {support} does not fit in {n_qubits} qubits")
     cols = np.asarray(cols, dtype=int)
+    terms, step = op.terms, max(1, _CHUNK_ENTRIES // max(len(cols), 1))
     by_mask: dict[int, np.ndarray] = {}
-    for term in op.terms:
-        xmask, zmask, n_y = _symplectic(term)
-        by_mask[xmask] = by_mask.get(xmask, 0.0) + _phases(term.coefficient, zmask, n_y, cols)
+    for start in range(0, len(terms), step):
+        for xmask, row in zip(*_phases(terms[start : start + step], cols)):
+            by_mask[xmask] = by_mask.get(xmask, 0.0) + row
+        del row  # the chunk's table goes before the next one is built
     return [(cols ^ xmask, values) for xmask, values in by_mask.items()]
 
 

@@ -1,5 +1,6 @@
-"""Shared layouts, dense oracles and the memory-budget probe."""
+"""Shared layouts, dense oracles, the memory-budget probe and the peak-memory probe."""
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -281,3 +282,20 @@ def memory_boundary(monkeypatch):
         return budget
 
     return pin
+
+
+def _traced_peak(call):
+    """``(result, peak)``: what ``call()`` returns and the peak of the memory
+    that tracemalloc traced while it ran.  Tracing stops in a ``finally``, so
+    a call that raises does not leave it on for a later peak test."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    return _traced_peak

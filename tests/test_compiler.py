@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -149,27 +148,21 @@ def test_dense_guard_fires_before_allocation(memory_boundary):
     memory_boundary(lambda: cp.reduced_system_unitary(circuit, 2, cp.ancilla_state(2)))
 
 
-def test_circuit_unitary_holds_one_gather_copy():
+def test_circuit_unitary_holds_one_gather_copy(traced_peak):
     # the unitary and one factor's gather copy: the estimate's 32N^2, not 48N^2
     n = 9
     gates = (rot("x", 0, 0.1), coll((0, 1, 2), 0.2), rot("y", 4, 0.3), coll((3, 8), 0.4))
-    tracemalloc.start()
-    cp.circuit_unitary(Circuit(gates, n))
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    _, peak = traced_peak(lambda: cp.circuit_unitary(Circuit(gates, n)))
     assert 2 * 16 * 4**n < peak < 2.5 * 16 * 4**n
 
 
-def test_reduced_system_unitary_peak_stays_under_its_estimate():
+def test_reduced_system_unitary_peak_stays_under_its_estimate(traced_peak):
     # the projection holds the block and tensordot's transposed copy (8 * 4^n
     # bytes each) and the result (4 * 4^n); with the system identity still
     # held the peak would be 24 * 4^n
     n = 10
     gates = (rot("z", 0, 0.1), cphase(0, 1, 0.2), rot("x", 0, 0.1), coll((0, 1, 2), 0.2), rot("y", 4, 0.3))
-    tracemalloc.start()
-    cp.reduced_system_unitary(Circuit(gates, n), 3, cp.ancilla_state(2))
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    _, peak = traced_peak(lambda: cp.reduced_system_unitary(Circuit(gates, n), 3, cp.ancilla_state(2)))
     estimate = 20 * 4**n + (8 * n + 48) * 2**n
     assert 0.95 * estimate < peak <= estimate
 

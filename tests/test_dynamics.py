@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import astuple
 from types import SimpleNamespace
 
@@ -237,14 +236,11 @@ def test_relative_deviation_matches_full_register_oracle(layouts, strip3, full_r
                 assert abs(dyn.relative_deviation(op, reference, other) - expected) < 1e-12, name
 
 
-def test_gauge_deviation_of_sector_states_builds_no_register(strip4):
+def test_gauge_deviation_of_sector_states_builds_no_register(strip4, traced_peak):
     # on the 18-qubit strip two 24- and 12-entry sector states are compared on their joint coset
     table = lm.gauge_sectors(strip4)
     states = [lm.canonical_sector_state(table, ev) for ev in (0.75, 2.75)]
-    tracemalloc.start()
-    deviation = dyn.gauge_deviation(*states, strip4)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    deviation, peak = traced_peak(lambda: dyn.gauge_deviation(*states, strip4))
     assert peak < 16 * 2**20
     assert deviation == pytest.approx(1 - 2.75 / 0.75, abs=1e-12)
 
@@ -625,7 +621,7 @@ FIGS2_GRID, FIGS2_STEPS, FIGS2_STARTS = cli._FIGURES["figS2"]
     ],
     ids=["starts0", "starts1", "figS2", "triangle-figS2"],
 )
-def test_sweep_estimate_bounds_its_peak(layout, strip3, name, steps, phis, starts):
+def test_sweep_estimate_bounds_its_peak(layout, strip3, name, steps, phis, starts, traced_peak):
     # on the 2^9 rows of a strip3 start the Trotter stage, not the Lanczos
     # stage, sets the peak: with 400 phis and seven step counts (estimates
     # 29% and 10% over the peak), and on the default figS2 grid (7% over);
@@ -635,10 +631,7 @@ def test_sweep_estimate_bounds_its_peak(layout, strip3, name, steps, phis, start
     hamiltonian, casimir = lm.plaquette_hamiltonian(layout, 1.0), lm.total_gauge_casimir(layout)
     rank = len(span([hamiltonian, casimir]))
     estimate = dyn._sweep_bytes(rank, hamiltonian, casimir, len(phis), sorted(set(steps)), len(starts))
-    tracemalloc.start()
-    dyn.sweep(layout, steps, phis, starts)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    _, peak = traced_peak(lambda: dyn.sweep(layout, steps, phis, starts))
     assert 48 * 4**rank < peak <= estimate
 
 
@@ -718,7 +711,7 @@ def test_lanczos_exact_evolve_matches_eigh_on_random_pauli_sum():
     assert np.max(np.abs(dyn.exact_evolve(h, psi, 0.9) - expected)) < 1e-12
 
 
-def test_lanczos_holds_at_most_three_blocks(monkeypatch):
+def test_lanczos_holds_at_most_three_blocks(monkeypatch, traced_peak):
     # a Krylov space that fills all d rows, the case that the sweep's 48 d^2
     # bytes for the Lanczos stage are sized for, beside H's matvec pairs and
     # the last step's few d-entry vectors
@@ -738,12 +731,7 @@ def test_lanczos_holds_at_most_three_blocks(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigh", recording)
-        tracemalloc.start()
-        try:
-            dyn._exact_rows(h, psi, np.array([0.4]))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:  # a failed call must not leave tracing on for later peak tests
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: dyn._exact_rows(h, psi, np.array([0.4])))
     assert sizes == [d]
     assert peak < 48 * d**2 + (24 * pair_count(h) + 16 * 4) * d + 2**16
 

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -312,13 +311,10 @@ def test_canonical_sector_state_matches_full_register_oracle(
         assert np.max(np.abs(lm.canonical_sector_state(table, eigenvalue) - expected)) < 1e-12
 
 
-def test_canonical_sector_state_holds_only_its_output(strip4):
+def test_canonical_sector_state_holds_only_its_output(strip4, traced_peak):
     # the 18-qubit output is 4 MiB; the projection runs on a coset of at most 2^9 rows
     table = lm.gauge_sectors(strip4)
-    tracemalloc.start()
-    psi = lm.canonical_sector_state(table, 0.75)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    psi, peak = traced_peak(lambda: lm.canonical_sector_state(table, 0.75))
     assert peak < 8 * 2**20
     assert np.count_nonzero(psi) == 24 and abs(np.linalg.norm(psi) - 1) < 1e-12
 

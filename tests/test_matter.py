@@ -310,6 +310,25 @@ def test_blocks_match_dense_path(name):
     assert np.max(np.abs(block - closed)) <= 1e-12
 
 
+def test_block_is_the_dense_submatrix_bitwise():
+    # rows 20-39 leave targets below the first row and above the last, drawn
+    # rows leave targets between rows, and no rows leave every target out
+    rng = np.random.default_rng(31)
+    n = 6
+    op = PauliSum(
+        PauliString(complex(rng.normal(), rng.normal()), {int(q): "XYZ"[rng.integers(3)] for q in rng.choice(n, size=2, replace=False)})
+        for _ in range(12)
+    )
+    full = dense(op, n)
+    cols = np.sort(rng.choice(2**n, size=10, replace=False))
+    targets = np.concatenate([targets for targets, _ in mt.pauli.columns(op, cols, n)])
+    assert targets.min() < 20 and targets.max() > 39
+    for rows in (np.arange(20, 40), np.sort(rng.choice(2**n, size=9, replace=False)), np.arange(0), np.arange(2**n)):
+        block = mt._block(op, rows, cols, n)
+        assert block.shape == (len(rows), len(cols))
+        assert block.tobytes() == full[np.ix_(rows, cols)].tobytes()
+
+
 def test_three_sites_deviation_shrinks_with_ratio():
     rows = mt.compare_effective(mt.ChainConfig(n_sites=3), RATIOS)
     deviations = [r.deviation for r in rows]

@@ -1,6 +1,5 @@
 import math
 import struct
-import tracemalloc
 from itertools import combinations, product
 from pathlib import Path
 
@@ -10,6 +9,7 @@ import pytest
 from su2link.dynamics import trotter_evolve
 from su2link.errors import GuardError
 from su2link.pauli import (
+    _CHUNK_ENTRIES,
     _phases,
     _symplectic,
     PauliString,
@@ -231,22 +231,19 @@ def per_letter_phases(term: PauliString, sources: np.ndarray) -> np.ndarray:
     return (term.coefficient * (1, 1j, -1, -1j)[n_y % 4]) * (1 - 2 * (parity & 1))
 
 
-def term_phases(term: PauliString, sources: np.ndarray) -> np.ndarray:
-    """``_phases`` of ``term`` on the masks that ``_symplectic`` decodes."""
-    _, zmask, n_y = _symplectic(term)
-    return _phases(term.coefficient, zmask, n_y, sources)
-
-
 @pytest.mark.parametrize("n", [0, 1, 5, 12])
 def test_phases_match_the_per_letter_rule_bitwise(n):
     rng = np.random.default_rng(120 + n)
     sources = np.arange(2**n)
-    for _ in range(8):
-        term = PauliString(complex(rng.normal(), rng.normal()), full_letters(rng, n))
-        got, want = term_phases(term, sources), per_letter_phases(term, sources)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    terms = [PauliString(complex(rng.normal(), rng.normal()), full_letters(rng, n)) for _ in range(8)]
     some = rng.choice(2**n, size=min(5, 2**n), replace=False)
-    assert term_phases(term, some).tobytes() == per_letter_phases(term, some).tobytes()
+    # a chunk of eight terms and a chunk of one
+    for chunk, cols in ((terms, sources), (terms[-1:], sources), (terms, some)):
+        xmasks, table = _phases(chunk, cols)
+        assert xmasks == [_symplectic(term)[0] for term in chunk] and len(table) == len(chunk)
+        for term, row in zip(chunk, table):
+            want = per_letter_phases(term, cols)
+            assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
 
 
 def test_action_single_letters():
@@ -560,16 +557,13 @@ def test_reachable_on_the_layouts(layouts, strip3, off_span_layouts):
         assert np.array_equal(coset(span([hamiltonian, casimir], [0, index]), 0), reachable(ops, [0, index], n)), name
 
 
-def test_coset_of_the_22_qubit_strip_builds_no_register():
+def test_coset_of_the_22_qubit_strip_builds_no_register(traced_peak):
     from su2link import linkmodel as lm
 
     layout = lm.parse_layout((Path(__file__).parent / "data" / "strip5.layout").read_text(encoding="utf-8"))
     seed = lm.sector_seed(lm.gauge_sectors(layout), 0.75)
     hamiltonian, casimir = lm.plaquette_hamiltonian(layout, 1.0), lm.total_gauge_casimir(layout)
-    tracemalloc.start()
-    rows = coset(span([hamiltonian, casimir]), seed)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    rows, peak = traced_peak(lambda: coset(span([hamiltonian, casimir]), seed))
     assert len(rows) == 32768 and seed in rows
     assert peak < 4e6
 
@@ -667,6 +661,68 @@ def test_columns_are_the_dense_columns_bitwise(n):
         assert block.tobytes() == dense(op, n)[:, cols].tobytes()
     with pytest.raises(ValueError):
         columns(PauliString(1, {3: "X"}), np.array([0]), 2)
+
+
+def per_term_columns(op, cols: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``columns`` one term per numpy pass, the reference for its chunks: one
+    sign vector and one multiply per term, summed per X mask from zero in
+    canonical term order."""
+    cols = np.asarray(cols, dtype=int)
+    by_mask = {}
+    for term in op.terms:
+        xmask, zmask, n_y = _symplectic(term)
+        signs = 1 - 2 * (np.bitwise_count(cols & zmask) & 1).astype(cols.dtype)
+        by_mask[xmask] = by_mask.get(xmask, 0.0) + (term.coefficient * (1, 1j, -1, -1j)[n_y % 4]) * signs
+    return [(cols ^ xmask, values) for xmask, values in by_mask.items()]
+
+
+def shared_mask_sum(rng, n, n_terms) -> PauliSum:
+    """A sum whose drawn terms share three X masks, some with -0.0 parts in
+    their coefficients; two terms on a fourth mask that differ by a Z on the
+    top qubit, so that they cancel to 0.0 in half the columns; and alone on
+    X mask 0, 1j Z on the top qubit, whose amplitude has the real part -0.0
+    in half the columns, which the sum from 0.0 makes 0.0."""
+    xmasks = [int(x) for x in rng.integers(2 ** (n - 1), 2**n, size=3)]
+    coefficients = [1.0, -1.0, 0.5j, -0.5j, complex(-0.0, 2.0), complex(2.0, -0.0), complex(rng.normal(), rng.normal())]
+    strings = []
+    for _ in range(n_terms):
+        xmask = xmasks[rng.integers(3)]
+        letters = {q: ("IZ", "XY")[(xmask >> q) & 1][rng.integers(2)] for q in range(n)}
+        coefficient = coefficients[rng.integers(len(coefficients))]
+        strings.append(PauliString(coefficient, {q: letter for q, letter in letters.items() if letter != "I"}))
+    pair = {0: "X"} | {q: "X" for q in range(1, n - 1) if rng.integers(2)}
+    coefficient = complex(rng.normal(), rng.normal())
+    pair_terms = [PauliString(coefficient, pair), PauliString(coefficient, {**pair, n - 1: "Z"})]
+    return PauliSum(strings + pair_terms + [PauliString(1j, {n - 1: "Z"})])
+
+
+@pytest.mark.parametrize("size", [0, 1, 64, 4096, 5000])
+def test_columns_match_the_per_term_loop_bitwise(size):
+    # 0 and 1 columns take every term in one chunk, 64 columns take several
+    # chunks of 64 terms, and from 4096 columns a chunk is one term
+    n = 13
+    rng = np.random.default_rng(140 + size)
+    cols = np.sort(rng.choice(2**n, size=size, replace=False))
+    for _ in range(3):
+        op = shared_mask_sum(rng, n, 200)
+        assert len(op) > 2 * _CHUNK_ENTRIES // 64
+        got, want = columns(op, cols, n), per_term_columns(op, cols)
+        assert [(t.tobytes(), v.dtype, v.tobytes()) for t, v in got] == [(t.tobytes(), v.dtype, v.tobytes()) for t, v in want]
+        if size >= 64:  # some columns set the top bit, where the pair cancels
+            assert any(np.count_nonzero(values) < size for _, values in got)
+
+
+def test_a_chunk_costs_at_most_its_temporaries(traced_peak):
+    # from 4096 columns a chunk is one term and peaks no higher than the
+    # per-term loop; over 64 columns a chunk's table of _CHUNK_ENTRIES
+    # complex values and its mask, popcount and sign temporaries come on top
+    n = 12
+    op = shared_mask_sum(np.random.default_rng(150), n, 300)
+    for size, extra in ((2**n, 0), (64, 40 * _CHUNK_ENTRIES)):
+        cols = np.arange(size)
+        _, want = traced_peak(lambda: per_term_columns(op, cols))
+        _, got = traced_peak(lambda: columns(op, cols, n))
+        assert got <= want + extra, size
 
 
 @pytest.mark.parametrize("n", range(7))
