@@ -46,9 +46,6 @@ brings its own initial state and its own signed angles.  Each row gets the
 same arithmetic as a ``trotter_evolve`` call, and likewise for the ideal
 states and ``exact_evolve``.
 
-``empirical_vs_bound`` compares the measured Trotter error with the
-step-count bound of ``compiler.trotter_bound``.
-
 The public functions take and return states as plain complex numpy arrays
 of length 2^n.  Every state they take passes ``_register`` (one shape, 2^n
 finite amplitudes), every evolution time must be finite, and so must every
@@ -62,7 +59,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .compiler import PLAQUETTE_NORM_READING, trotter_bound
 from .errors import GuardError, check_memory
 from .linkmodel import PlaquetteLayout, gauge_sectors, plaquette_monomials, sector_on_coset, total_gauge_casimir
 from .pauli import PauliString, PauliSum, axis_flip, columns, coset, matvec, pair_count, restrict, span
@@ -343,47 +339,6 @@ def gauge_deviation(psi_ideal: np.ndarray, psi_digital: np.ndarray, layout: Plaq
     """Relative deviation of the summed squared gauge generators between the
     ideal and the digitized state."""
     return relative_deviation(total_gauge_casimir(layout), psi_ideal, psi_digital)
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    eps: float
-    steps: int
-    measured_error: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    measured: tuple[tuple[int, float], ...]  # (steps, state error)
-    checks: tuple[BoundCheck, ...]
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(c.satisfied for c in self.checks)
-
-
-def empirical_vs_bound(
-    monomials: Sequence[PauliString], psi0: np.ndarray, t: float, steps_list: list[int], eps_list: list[float]
-) -> BoundReport:
-    """Measured digital state error of the monomials' product formula versus
-    the step-count bound.
-
-    For each requested accuracy the bound's step count is run and the achieved
-    error compared against it (the bound is loose, so the margin is large).
-    """
-    psi_ideal = exact_evolve(PauliSum(monomials), psi0, t)
-
-    def error_at(steps: int) -> float:
-        return float(np.linalg.norm(trotter_evolve(monomials, psi0, t, steps) - psi_ideal))
-
-    measured = tuple((steps, error_at(steps)) for steps in steps_list)
-    checks = []
-    for eps in eps_list:
-        steps = trotter_bound(len(monomials), PLAQUETTE_NORM_READING, t, eps)
-        err = error_at(steps)
-        checks.append(BoundCheck(eps, steps, err, err <= eps))
-    return BoundReport(measured, tuple(checks))
 
 
 @dataclass(frozen=True)

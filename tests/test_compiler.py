@@ -510,24 +510,6 @@ def test_plaquette_bound_constant_near_printed_value():
     assert abs(constant - cp.PRINTED_BOUND_CONSTANT) / cp.PRINTED_BOUND_CONSTANT < 0.03
 
 
-def test_empirical_vs_bound(monomials):
-    layout = lm.triangle_layout()
-    from su2link.dynamics import empirical_vs_bound
-
-    table = lm.gauge_sectors(layout)
-    psi0 = lm.canonical_sector_state(table, 0.75)
-    report = empirical_vs_bound(monomials, psi0, 0.25, [1, 2, 4], [0.1, 0.05])
-    assert report.all_satisfied
-    errors = [e for _, e in report.measured]
-    assert errors[-1] <= errors[0] and errors[0] > 1e-6
-    # single-term Hamiltonian digitizes exactly
-    single = [PauliString(0.5, {0: "X", 1: "X"})]
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = 1.0
-    report = empirical_vs_bound(single, psi, 0.5, [1, 2], [0.5])
-    assert all(err < 1e-12 for _, err in report.measured)
-
-
 def test_resource_report(capsys):
     """The JSON resource report of the triangle's step at phi 0.3, as the
     compile command writes it, twice byte for byte."""

@@ -183,6 +183,18 @@ def test_trotter_error_decreases_and_scales(hamiltonian, monomials, sector_table
     assert 0.8 <= -slope <= 1.2
 
 
+def test_trotter_error_shrinks_and_one_term_digitizes_exactly(monomials, sector_table):
+    psi0 = lm.canonical_sector_state(sector_table, 0.75)
+    psi_ideal = dyn.exact_evolve(PauliSum(monomials), psi0, 0.25)
+    errors = [np.linalg.norm(dyn.trotter_evolve(monomials, psi0, 0.25, n) - psi_ideal) for n in (1, 2, 4)]
+    assert errors[-1] <= errors[0] and errors[0] > 1e-6
+    single = [PauliString(0.5, {0: "X", 1: "X"})]
+    psi = basis_state(2, 0)
+    psi_ideal = dyn.exact_evolve(PauliSum(single), psi, 0.5)
+    for n in (1, 2):
+        assert np.linalg.norm(dyn.trotter_evolve(single, psi, 0.5, n) - psi_ideal) < 1e-12
+
+
 def test_unitarity_preserved(hamiltonian, monomials, layout):
     psi = basis_state(layout.n_qubits, 3)
     out = dyn.trotter_evolve(monomials, psi, 1.7, 5)

@@ -16,8 +16,8 @@ LAYERS = {
     "linkmodel": 2,
     "compiler": 3,
     "matter": 3,
-    "dynamics": 4,
-    "cli": 5,
+    "dynamics": 3,
+    "cli": 4,
 }
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 

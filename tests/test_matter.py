@@ -60,12 +60,15 @@ def su2_generator(cfg, site, sigma):
 
 
 def closed_form_hopping(cfg):
-    """The expected effective hopping, as ``compare_effective`` builds it."""
+    """The expected effective hopping; with ``closed_form_density`` it makes
+    the summed closed-form operator, the oracle of ``compare_effective``'s
+    separate hopping and density blocks."""
     return mt._hopping_form(cfg, mt._hopping_pattern(cfg))
 
 
 def closed_form_density(cfg):
-    """The density-density companion term, as ``compare_effective`` builds it."""
+    """The density-density companion term, scaled as ``compare_effective``
+    scales it."""
     return mt._closed_form_term(cfg, mt._density_pattern(cfg))
 
 
@@ -358,6 +361,18 @@ def test_sweep_builds_index_sets_once_and_density_norm_is_the_spectral_norm(n_si
         closed_op = closed_form_hopping(scaled) + closed_form_density(scaled)
         closed = mt.EffectiveBlock(mt._block(closed_op, p_idx, p_idx, cfg.n_modes), p_idx)
         assert row.deviation == mt.block_deviation(brute, closed, cfg.hopping)
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+@pytest.mark.parametrize("n0", [0, 1, 2])
+def test_hopping_terms_flip_bits_and_density_terms_do_not(n_sites, n0):
+    # compare_effective adds the two patterns' blocks, exact when no element takes values from both
+    cfg = mt.ChainConfig(n_sites=n_sites, n0=n0)
+    origin = np.zeros(1, dtype=int)  # columns' targets from basis state 0 are the X masks
+    hopping_masks = [int(targets[0]) for targets, _ in mt.pauli.columns(mt._hopping_pattern(cfg), origin, cfg.n_modes)]
+    density_masks = [int(targets[0]) for targets, _ in mt.pauli.columns(mt._density_pattern(cfg), origin, cfg.n_modes)]
+    assert hopping_masks and 0 not in hopping_masks
+    assert density_masks == [0]
 
 
 def test_sweep_runs_just_above_the_merge_tolerance():
