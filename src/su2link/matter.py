@@ -118,8 +118,9 @@ def unperturbed_energies(cfg: ChainConfig, indices: np.ndarray) -> np.ndarray:
 
 
 def _scaled(pattern: PauliSum, factor: float, name: str) -> PauliSum:
-    """``factor * pattern``; a nonzero factor that pushes terms under the
-    merge tolerance would silently drop them, so that raises."""
+    """``factor * pattern`` of a Hermitian pattern, so this guard sees the
+    used operator's terms: a nonzero factor that pushes terms under the merge
+    tolerance would silently drop them, so that raises."""
     scaled = factor * pattern
     if factor != 0 and len(scaled) < len(pattern):
         raise GuardError(f"{name} is too small: terms fall under the Pauli merge tolerance {pauli.MERGE_TOL:g}")
@@ -127,7 +128,7 @@ def _scaled(pattern: PauliSum, factor: float, name: str) -> PauliSum:
 
 
 def v_operator(cfg: ChainConfig) -> PauliSum:
-    """Color-symmetric matter-link hopping, explicitly Hermitian."""
+    """Color-symmetric matter-link hopping: a half plus its adjoint, scaled."""
     half = PauliSum()
     for site in range(cfg.n_sites):
         for alpha in (UP, DOWN):
@@ -142,8 +143,7 @@ def v_operator(cfg: ChainConfig) -> PauliSum:
                 link = site - 1
                 half = half + raising(cfg.c_mode(link, RIGHT, alpha)) * b_low
                 half = half + _SIGMA_Y[alpha] * (lowering(cfg.c_mode(link, RIGHT, 1 - alpha)) * b_low)
-    total = _scaled(half, cfg.hopping, f"hopping {cfg.hopping:.3g}")
-    return total + total.adjoint()
+    return _scaled(half + half.adjoint(), cfg.hopping, f"hopping {cfg.hopping:.3g}")
 
 
 def color_cells(cfg: ChainConfig) -> list[tuple[int, int]]:
@@ -184,14 +184,14 @@ def penalty_free_indices(cfg: ChainConfig, faithful: np.ndarray) -> np.ndarray:
     return faithful[keep]
 
 
-def _block(op: PauliSum, rows: np.ndarray, cols: np.ndarray, n_modes: int) -> np.ndarray:
-    """``<rows| op |cols>`` as a dense array, ``rows`` sorted; elements that
-    lead outside ``rows`` are dropped.  One sorted search per X mask finds
-    each target's row, and the row there must equal it; past the last row
-    the search meets the -1 that ends the rows, which no index equals."""
-    out = np.zeros((len(rows), len(cols)), dtype=complex)
+def _block(pairs: list[tuple[np.ndarray, np.ndarray]], rows: np.ndarray, n_cols: int) -> np.ndarray:
+    """``<rows| op |cols>`` from the pairs of ``pauli.columns(op, cols, n)``,
+    ``rows`` sorted; elements that lead outside ``rows`` are dropped.  One
+    sorted search per X mask finds each target's row, and the row there must
+    equal it; past the last row it meets the -1 ending the rows, which no index equals."""
+    out = np.zeros((len(rows), n_cols), dtype=complex)
     ended = np.append(rows, -1)
-    for targets, values in pauli.columns(op, cols, n_modes):
+    for targets, values in pairs:
         at = np.searchsorted(rows, targets)
         hit = np.flatnonzero(ended[at] == targets)
         out[at[hit], hit] = values[hit]
@@ -204,14 +204,14 @@ def _couplings(cfg: ChainConfig, p_idx: np.ndarray, faithful: np.ndarray) -> tup
     model-space state outside P couples to P."""
     if len(p_idx) == 0:
         raise GuardError("penalty-free subspace is empty in this sector")
-    v = v_operator(cfg)
+    pairs = pauli.columns(v_operator(cfg), p_idx, cfg.n_modes)
     # p_idx[:0] keeps the concatenation defined when V has no terms (zero hopping)
-    reached = np.concatenate([p_idx[:0]] + [targets for targets, _ in pauli.columns(v, p_idx, cfg.n_modes)])
+    reached = np.concatenate([p_idx[:0]] + [targets for targets, _ in pairs])
     q_idx = np.setdiff1d(np.intersect1d(reached, faithful), p_idx)
     # the block, its conjugate and weighted copy, and six P x P blocks of a ratio
     p, q = len(p_idx), len(q_idx)
     check_memory(lambda: 16.0 * p * (3 * q + 6 * p), f"matter coupling block of {q} x {p}")
-    return q_idx, _block(v, q_idx, p_idx, cfg.n_modes)
+    return q_idx, _block(pairs, q_idx, len(p_idx))
 
 
 @dataclass(frozen=True)
@@ -262,15 +262,10 @@ def _closed_form_term(cfg: ChainConfig, pattern: PauliSum) -> PauliSum:
     return _scaled(pattern, -2.0 * cfg.hopping**2 / cfg.penalty, f"ratio {cfg.ratio:.3g}")
 
 
-def _hopping_form(cfg: ChainConfig, pattern: PauliSum) -> PauliSum:
-    scaled = _closed_form_term(cfg, pattern)
-    return scaled + scaled.adjoint()
-
-
 def _hopping_pattern(cfg: ChainConfig) -> PauliSum:
-    """The penalty-free part of the closed-form hopping, before scaling and
-    adding the adjoint: matter moves across a link while the link excitation
-    swaps ends, in both color channels."""
+    """Half the penalty-free closed-form hopping, Hermitian with its adjoint:
+    matter moves across a link while the link excitation swaps ends, in both
+    color channels."""
     total = PauliSum()
     for link in range(cfg.n_links):
         site, nxt = link, link + 1
@@ -328,22 +323,24 @@ def compare_effective(cfg: ChainConfig, ratios: list[float]) -> list[ComparisonR
     """Deviation sweep: the penalty scale runs over hopping / ratio while the
     mode frequency and hopping stay fixed.  What does not depend on the
     penalty is built once: the index sets, the couplings of P to Q and the
-    closed forms' operator patterns; each ratio only scales the patterns and
+    closed forms' two Hermitian patterns; each ratio only scales them and
     builds its blocks.  The closed block is the hopping block plus the density
     block, bit for bit the block of their summed operator: every hopping term
     flips bits and no density term does, so each element adds +0.0 to its value."""
     faithful = faithful_indices(cfg)
     p_idx = penalty_free_indices(cfg, faithful)
     q_idx, couplings = _couplings(cfg, p_idx, faithful)
-    hopping_pattern, density_pattern = _hopping_pattern(cfg), _density_pattern(cfg)
+    half = _hopping_pattern(cfg)
+    hopping_pattern, density_pattern = half + half.adjoint(), _density_pattern(cfg)
+    del half  # no ratio reads it; kept through the loop, it raised the sweep's traced peak from 99 to 114 KB
     rows = []
     for ratio in ratios:
         scaled = replace(cfg, penalty=cfg.hopping / ratio)
         brute = _second_order(scaled, p_idx, q_idx, couplings)
         # both operators before either block: a block built between them raised peak RSS 0.6 MB (heap layout)
-        density_op, hopping_op = _closed_form_term(scaled, density_pattern), _hopping_form(scaled, hopping_pattern)
-        density = _block(density_op, p_idx, p_idx, cfg.n_modes)
-        closed = EffectiveBlock(_block(hopping_op, p_idx, p_idx, cfg.n_modes) + density, p_idx)
+        density_op, hopping_op = _closed_form_term(scaled, density_pattern), _closed_form_term(scaled, hopping_pattern)
+        density = _block(pauli.columns(density_op, p_idx, cfg.n_modes), p_idx, len(p_idx))
+        closed = EffectiveBlock(_block(pauli.columns(hopping_op, p_idx, cfg.n_modes), p_idx, len(p_idx)) + density, p_idx)
         rows.append(
             ComparisonRow(
                 ratio=float(ratio),

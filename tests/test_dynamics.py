@@ -100,12 +100,13 @@ def test_evolution_commutes_with_sector_projection(hamiltonian, layout, sector_t
     assert 1 - dyn.overlap(project_then_evolve, evolve_then_project) < 1e-9
 
 
-def test_trotter_single_term_is_exact():
-    h = PauliSum([PauliString(0.8, {0: "X", 1: "X"})])
-    psi = basis_state(2, 1)
-    assert np.allclose(
-        dyn.trotter_evolve(h.terms, psi, 0.9, 1), dyn.exact_evolve(h, psi, 0.9), atol=1e-12
-    )
+@pytest.mark.parametrize(
+    "coefficient, start, t, steps", [(0.8, 1, 0.9, 1), (0.5, 0, 0.5, 1), (0.5, 0, 0.5, 2)]
+)
+def test_trotter_single_term_is_exact(coefficient, start, t, steps):
+    h = PauliSum([PauliString(coefficient, {0: "X", 1: "X"})])
+    psi = basis_state(2, start)
+    assert np.linalg.norm(dyn.trotter_evolve(h.terms, psi, t, steps) - dyn.exact_evolve(h, psi, t)) < 1e-12
 
 
 def test_trotter_zero_phase_identity(monomials, layout):
@@ -171,28 +172,18 @@ def test_evolutions_refuse_a_non_finite_time(value, layout, hamiltonian, monomia
         dyn.sweep(layout, [1], [0.5, value], 0.75)
 
 
-def test_trotter_error_decreases_and_scales(hamiltonian, monomials, sector_table):
+@pytest.mark.parametrize("t", [0.5, 0.25])
+def test_trotter_error_decreases_and_scales(t, hamiltonian, monomials, sector_table):
     psi0 = lm.canonical_sector_state(sector_table, 0.75)
-    psi_ideal = dyn.exact_evolve(hamiltonian, psi0, 0.5)
+    psi_ideal = dyn.exact_evolve(hamiltonian, psi0, t)
     steps = [1, 2, 4, 8, 16, 32, 64]
     errors = []
     for n_steps in steps:
-        errors.append(np.linalg.norm(dyn.trotter_evolve(monomials, psi0, 0.5, n_steps) - psi_ideal))
+        errors.append(np.linalg.norm(dyn.trotter_evolve(monomials, psi0, t, n_steps) - psi_ideal))
+    assert errors[0] > 1e-6
     assert all(b < a for a, b in zip(errors, errors[1:]))
     slope = np.polyfit(np.log(steps[2:]), np.log(errors[2:]), 1)[0]
     assert 0.8 <= -slope <= 1.2
-
-
-def test_trotter_error_shrinks_and_one_term_digitizes_exactly(monomials, sector_table):
-    psi0 = lm.canonical_sector_state(sector_table, 0.75)
-    psi_ideal = dyn.exact_evolve(PauliSum(monomials), psi0, 0.25)
-    errors = [np.linalg.norm(dyn.trotter_evolve(monomials, psi0, 0.25, n) - psi_ideal) for n in (1, 2, 4)]
-    assert errors[-1] <= errors[0] and errors[0] > 1e-6
-    single = [PauliString(0.5, {0: "X", 1: "X"})]
-    psi = basis_state(2, 0)
-    psi_ideal = dyn.exact_evolve(PauliSum(single), psi, 0.5)
-    for n in (1, 2):
-        assert np.linalg.norm(dyn.trotter_evolve(single, psi, 0.5, n) - psi_ideal) < 1e-12
 
 
 def test_unitarity_preserved(hamiltonian, monomials, layout):

@@ -59,11 +59,34 @@ def su2_generator(cfg, site, sigma):
     return total
 
 
+def scaled_then_hermitian(half, factor):
+    """The older construction of a Hermitian operator, kept as a bitwise
+    oracle: scale the half first, then add its adjoint."""
+    scaled = factor * half
+    return scaled + scaled.adjoint()
+
+
+def v_half(cfg):
+    """A copy of ``v_operator``'s half: the hopping terms before their adjoint."""
+    half = PauliSum()
+    for site in range(cfg.n_sites):
+        for alpha in (mt.UP, mt.DOWN):
+            b_dag, b_low = mt.raising(cfg.b_mode(site, alpha)), mt.lowering(cfg.b_mode(site, alpha))
+            if site < cfg.n_links:
+                half = half + b_dag * mt.lowering(cfg.c_mode(site, mt.LEFT, alpha))
+                half = half + mt._SIGMA_Y[1 - alpha] * (b_dag * mt.raising(cfg.c_mode(site, mt.LEFT, 1 - alpha)))
+            if site > 0:
+                half = half + mt.raising(cfg.c_mode(site - 1, mt.RIGHT, alpha)) * b_low
+                half = half + mt._SIGMA_Y[alpha] * (mt.lowering(cfg.c_mode(site - 1, mt.RIGHT, 1 - alpha)) * b_low)
+    return half
+
+
 def closed_form_hopping(cfg):
-    """The expected effective hopping; with ``closed_form_density`` it makes
-    the summed closed-form operator, the oracle of ``compare_effective``'s
-    separate hopping and density blocks."""
-    return mt._hopping_form(cfg, mt._hopping_pattern(cfg))
+    """The expected effective hopping, built the older way (scaled half plus
+    its adjoint); with ``closed_form_density`` it makes the summed closed-form
+    operator, the oracle of ``compare_effective``'s separate hopping and
+    density blocks."""
+    return scaled_then_hermitian(mt._hopping_pattern(cfg), -2.0 * cfg.hopping**2 / cfg.penalty)
 
 
 def closed_form_density(cfg):
@@ -309,7 +332,8 @@ def test_blocks_match_dense_path(name):
     p_idx = mt.penalty_free_indices(cfg, mt.faithful_indices(cfg))
     assert np.max(np.abs(mt.effective_hamiltonian(cfg).matrix - dense_effective_block(cfg))) <= 1e-12
     closed = dense(closed_form_hopping(cfg) + closed_form_density(cfg), cfg.n_modes)[np.ix_(p_idx, p_idx)]
-    block = mt._block(closed_form_hopping(cfg) + closed_form_density(cfg), p_idx, p_idx, cfg.n_modes)
+    pairs = mt.pauli.columns(closed_form_hopping(cfg) + closed_form_density(cfg), p_idx, cfg.n_modes)
+    block = mt._block(pairs, p_idx, len(p_idx))
     assert np.max(np.abs(block - closed)) <= 1e-12
 
 
@@ -324,10 +348,11 @@ def test_block_is_the_dense_submatrix_bitwise():
     )
     full = dense(op, n)
     cols = np.sort(rng.choice(2**n, size=10, replace=False))
-    targets = np.concatenate([targets for targets, _ in mt.pauli.columns(op, cols, n)])
+    pairs = mt.pauli.columns(op, cols, n)
+    targets = np.concatenate([targets for targets, _ in pairs])
     assert targets.min() < 20 and targets.max() > 39
     for rows in (np.arange(20, 40), np.sort(rng.choice(2**n, size=9, replace=False)), np.arange(0), np.arange(2**n)):
-        block = mt._block(op, rows, cols, n)
+        block = mt._block(pairs, rows, len(cols))
         assert block.shape == (len(rows), len(cols))
         assert block.tobytes() == full[np.ix_(rows, cols)].tobytes()
 
@@ -355,11 +380,11 @@ def test_sweep_builds_index_sets_once_and_density_norm_is_the_spectral_norm(n_si
     p_idx = mt.penalty_free_indices(cfg, mt.faithful_indices(cfg))
     for ratio, row in zip(ratios, rows):
         scaled = replace(cfg, penalty=cfg.hopping / ratio)
-        density = mt._block(closed_form_density(scaled), p_idx, p_idx, cfg.n_modes)
+        density = mt._block(mt.pauli.columns(closed_form_density(scaled), p_idx, cfg.n_modes), p_idx, len(p_idx))
         assert row.density_norm == float(np.linalg.norm(density, 2))
         brute = mt.effective_hamiltonian(scaled)
         closed_op = closed_form_hopping(scaled) + closed_form_density(scaled)
-        closed = mt.EffectiveBlock(mt._block(closed_op, p_idx, p_idx, cfg.n_modes), p_idx)
+        closed = mt.EffectiveBlock(mt._block(mt.pauli.columns(closed_op, p_idx, cfg.n_modes), p_idx, len(p_idx)), p_idx)
         assert row.deviation == mt.block_deviation(brute, closed, cfg.hopping)
 
 
@@ -375,8 +400,35 @@ def test_hopping_terms_flip_bits_and_density_terms_do_not(n_sites, n0):
     assert density_masks == [0]
 
 
-def test_sweep_runs_just_above_the_merge_tolerance():
-    # the smallest closed-form coefficients are ratio / 8; ratios below 8e-12 exit 3 (test_cli)
-    (row,) = mt.compare_effective(mt.ChainConfig(), [1e-11])
-    assert row.deviation == pytest.approx(1e-11, rel=1e-6)
-    assert row.density_norm == pytest.approx(2e-11, rel=1e-6)
+def test_sweep_runs_just_above_the_merge_tolerance(capsys):
+    # the smallest terms in use are ratio / 4 in the closed-form hopping and hopping / 2 in V,
+    # so at hopping 1 a ratio up to 4e-12 exits 3, and so does a hopping up to 2e-12
+    for ratio in (1e-11, 4.1e-12):
+        (row,) = mt.compare_effective(mt.ChainConfig(), [ratio])
+        assert row.deviation == pytest.approx(ratio, rel=1e-6)
+        assert row.density_norm == pytest.approx(2 * ratio, rel=1e-6)
+    for name, argv in (("ratio 4e-12", ["--ratios", "4e-12"]), ("hopping 2e-12", ["--hopping", "2e-12"])):
+        assert cli.main(["matter", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"numerical guard: {name} is too small: terms fall under the Pauli merge tolerance 1e-12\n"
+    assert cli.main(["matter", "--hopping", "3e-12", "--ratios", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[0] == "ratio,deviation,density_norm" and len(out.splitlines()) == 2
+
+
+def term_bits(op):
+    return [(t.key(), t.coefficient.real.hex(), t.coefficient.imag.hex()) for t in op.terms]
+
+
+@pytest.mark.parametrize("hopping", [1.0, 2.5])
+@pytest.mark.parametrize("n0", [0, 1, 2])
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_hermitian_patterns_scale_to_the_older_operators_bitwise(n_sites, n0, hopping):
+    # adding the adjoint before scaling doubles exactly where the older sum doubled a scaled term
+    cfg = mt.ChainConfig(n_sites=n_sites, n0=n0, hopping=hopping)
+    assert term_bits(mt.v_operator(cfg)) == term_bits(scaled_then_hermitian(v_half(cfg), hopping))
+    half = mt._hopping_pattern(cfg)
+    for ratio in (1e-1, 1e-2, 1e-3, 1e-11):
+        scaled = replace(cfg, penalty=hopping / ratio)
+        assert term_bits(mt._closed_form_term(scaled, half + half.adjoint())) == term_bits(closed_form_hopping(scaled))
