@@ -161,21 +161,18 @@ def gauge_generator(layout: PlaquetteLayout, vertex: int, a: int) -> PauliSum:
 def _gauge_generators(layout: PlaquetteLayout) -> dict[tuple[int, int], PauliSum]:
     """Every gauge generator of a layout by (vertex, color), from one pass
     over the links that adds each link's generators in layout order."""
-    total = {(vertex, a): PauliSum() for vertex in layout.vertices for a in (1, 2, 3)}
+    parts = {(vertex, a): [] for vertex in layout.vertices for a in (1, 2, 3)}
     for link in layout.links:
         left, right = left_right_generators(layout, link.link_id)
         for a in (1, 2, 3):
-            total[link.to, a] = total[link.to, a] + right[a - 1]
-            total[link.frm, a] = total[link.frm, a] + left[a - 1]
-    return total
+            parts[link.to, a].append(right[a - 1])
+            parts[link.frm, a].append(left[a - 1])
+    return {key: PauliSum(ops) for key, ops in parts.items()}
 
 
 def total_gauge_casimir(layout: PlaquetteLayout) -> PauliSum:
     """Sum over vertices and colors of the squared gauge generators."""
-    squares = []
-    for g in _gauge_generators(layout).values():
-        squares += (g * g).terms
-    return PauliSum(squares)
+    return PauliSum(g * g for g in _gauge_generators(layout).values())
 
 
 def plaquette_monomials(layout: PlaquetteLayout, coupling: float) -> list[PauliString]:

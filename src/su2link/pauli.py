@@ -3,13 +3,14 @@ realizations.
 
 A PauliString is a complex coefficient times a tensor product of single-qubit
 Pauli letters, the one-term operator; a PauliSum is a merged linear combination
-of strings.  Both list their ``terms``, and the functions on operators
-(``columns``, ``pair_count``, ``span``, ``restrict``, ``matvec``, ``dense``)
-take either type.  All coefficient arithmetic is double-precision complex,
-phases are tracked exactly over {1, i, -1, -i}, and like terms merge with
-tolerance ``MERGE_TOL``.  Every string's coefficient, built, parsed, scaled,
-merged, multiplied or restricted, passes ``_coefficient``, which refuses zero
-and NaN or inf, so no operator holds a non-finite coefficient.
+of strings, and ``PauliSum(ops)`` merges strings and sums in one pass.  Both
+list their ``terms``, and the functions on operators (``columns``,
+``pair_count``, ``span``, ``restrict``, ``matvec``, ``dense``) take either
+type.  All coefficient arithmetic is double-precision complex, phases are
+tracked exactly over {1, i, -1, -i}, and like terms merge with tolerance
+``MERGE_TOL``.  Every string's coefficient, built, parsed, scaled, merged,
+multiplied or restricted, passes ``_coefficient``, which refuses zero and NaN
+or inf, so no operator holds a non-finite coefficient.
 
 ``columns`` is the one kernel that evaluates matrix elements.  It uses the
 symplectic encoding of Aaronson & Gottesman, PRA 70, 052328 (2004): X and Y
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import re
+from numbers import Integral
 from typing import Collection, Iterable, Mapping
 
 import numpy as np
@@ -68,23 +70,30 @@ def _coefficient(value: complex) -> complex:
 class PauliString:
     """A signed, weighted tensor product of Pauli letters on indexed qubits.
 
-    The letter pattern is stored once, as the sorted ``key()``: a tuple of
-    (qubit index, letter) pairs, each letter one of X, Y, Z, so it cannot be
-    changed after construction.  Identity entries are never stored, so the
-    support is exactly the key's qubits.  The coefficient is nonzero and finite.
+    The letters come as a mapping or as (qubit, letter) pairs, each qubit a
+    non-negative integer listed once.  The letter pattern is stored once, as
+    the sorted ``key()``: a tuple of (qubit index, letter) pairs, each letter
+    one of X, Y, Z, so it cannot be changed after construction.  Identity
+    entries are never stored, so the support is exactly the key's qubits.  The
+    coefficient is nonzero and finite.
     """
 
     __slots__ = ("coefficient", "_key")
 
     def __init__(self, coefficient: complex, letters: Mapping[int, str] | Iterable[tuple[int, str]] = ()):
-        items = dict(letters)
-        for q, letter in items.items():
+        items: dict[int, str] = {}
+        for q, letter in letters.items() if isinstance(letters, Mapping) else letters:
             if letter == "I":
                 raise ValueError("identity letters must be omitted")
             if letter not in _LETTERS:
                 raise ValueError(f"unknown Pauli letter {letter!r}")
+            if not isinstance(q, Integral):
+                raise ValueError(f"qubit indices must be integers, got {q!r}")
             if q < 0:
                 raise ValueError("qubit indices must be non-negative")
+            if q in items:
+                raise ValueError(f"qubit {q} listed twice")
+            items[int(q)] = letter  # a numpy integer would wrap in the masks from bit 63 up
         self.coefficient = _coefficient(coefficient)
         self._key = tuple(sorted(items.items()))
 
@@ -159,34 +168,35 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
         coefficient *= _I_POWERS[((ca == 3) + (cb == 3) - (cc == 3) + 2 * (ca >> 1) * (cb & 1)) % 4]
         if cc:
             letters[q] = _LETTERS[cc]
-    return PauliString(coefficient, letters)
+    return PauliString._derived(coefficient, tuple(sorted(letters.items())))
 
 
 class PauliSum:
     """A merged linear combination of Pauli strings.
 
-    Terms with the same letter pattern are combined and coefficients below
-    ``MERGE_TOL`` are dropped, so equality is structural.  ``terms`` lists the
-    strings in canonical order (lexicographic by support, then letters).
+    ``PauliSum(ops)`` merges strings and sums in one pass: like terms add in
+    the order given and coefficients at or below ``MERGE_TOL`` are dropped, so
+    equality is structural.  ``terms`` lists the strings in canonical order
+    (lexicographic by support, then letters).
     """
 
-    __slots__ = ("_terms", "_sorted")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Iterable[PauliString] = ()):
+    def __init__(self, ops: Iterable[PauliSum | PauliString] = ()):
         merged: dict[tuple, complex] = {}
-        for term in terms:
-            key = term.key()
-            merged[key] = merged.get(key, 0) + term.coefficient
-        self._terms = {k: c for k, c in merged.items() if abs(c) > MERGE_TOL}
-        self._sorted = tuple(PauliString._derived(c, k) for k, c in sorted(self._terms.items()))
+        for op in ops:
+            for term in op.terms:
+                key = term.key()
+                merged[key] = merged.get(key, 0) + term.coefficient
+        self._terms = tuple(PauliString._derived(c, k) for k, c in sorted(merged.items()) if abs(c) > MERGE_TOL)
 
     @property
     def terms(self) -> list[PauliString]:
-        return list(self._sorted)
+        return list(self._terms)
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted({q for key in self._terms for q, _ in key}))
+        return tuple(sorted({q for term in self._terms for q, _ in term.key()}))
 
     def __len__(self):
         return len(self._terms)
@@ -194,12 +204,12 @@ class PauliSum:
     def __add__(self, other):
         if not isinstance(other, (PauliSum, PauliString)):
             return NotImplemented
-        return PauliSum(self.terms + other.terms)
+        return PauliSum([self, other])
 
     def __sub__(self, other):
         if not isinstance(other, (PauliSum, PauliString)):
             return NotImplemented
-        return PauliSum(self.terms + [-t for t in other.terms])
+        return PauliSum([self, -other])
 
     def __mul__(self, other):
         if isinstance(other, (PauliSum, PauliString)):
@@ -217,15 +227,15 @@ class PauliSum:
     def __eq__(self, other):
         if not isinstance(other, (PauliSum, PauliString)):
             return NotImplemented
-        theirs = {t.key(): t.coefficient for t in other.terms}
-        return all(abs(self._terms.get(k, 0) - theirs.get(k, 0)) <= MERGE_TOL for k in self._terms.keys() | theirs)
+        mine, theirs = ({t.key(): t.coefficient for t in op.terms} for op in (self, other))
+        return all(abs(mine.get(k, 0) - theirs.get(k, 0)) <= MERGE_TOL for k in mine.keys() | theirs)
 
     def adjoint(self) -> PauliSum:
         return PauliSum([t.adjoint() for t in self.terms])
 
     def is_hermitian(self) -> bool:
         """Checked termwise: the sum must equal its own adjoint."""
-        return all(abs(c - c.conjugate()) <= MERGE_TOL for c in self._terms.values())
+        return all(abs(t.coefficient - t.coefficient.conjugate()) <= MERGE_TOL for t in self._terms)
 
     def __repr__(self):
         return f"PauliSum({format_sum(self)!r})"

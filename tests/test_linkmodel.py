@@ -438,3 +438,29 @@ def test_layout_round_trip(layout):
         lm.parse_layout("")
     with pytest.raises(LayoutError):
         lm.parse_layout("vertex 1\nlink 12 1 2 0 1\n")  # vertex 2 undeclared
+
+
+def gauge_generators_by_addition(layout):
+    """``_gauge_generators`` built the older way, adding each link's
+    generators to running sums: a bitwise oracle of its one merge per generator."""
+    total = {(vertex, a): PauliSum() for vertex in layout.vertices for a in (1, 2, 3)}
+    for link in layout.links:
+        left, right = lm.left_right_generators(layout, link.link_id)
+        for a in (1, 2, 3):
+            total[link.to, a] = total[link.to, a] + right[a - 1]
+            total[link.frm, a] = total[link.frm, a] + left[a - 1]
+    return total
+
+
+def term_bits(op):
+    return [(t.key(), t.coefficient.real.hex(), t.coefficient.imag.hex()) for t in op.terms]
+
+
+@pytest.mark.parametrize("name", ["triangle", "bowtie", "dangling_link", "strip3", "strip4"])
+def test_gauge_operators_merge_once_to_the_running_sums_bitwise(name):
+    layout = lm.parse_layout((Path(__file__).parent / "data" / f"{name}.layout").read_text(encoding="utf-8"))
+    expected = gauge_generators_by_addition(layout)
+    for (vertex, a), generator in expected.items():
+        assert term_bits(lm.gauge_generator(layout, vertex, a)) == term_bits(generator)
+    squares = [t for g in expected.values() for t in (g * g).terms]
+    assert term_bits(lm.total_gauge_casimir(layout)) == term_bits(PauliSum(squares))

@@ -81,6 +81,39 @@ def v_half(cfg):
     return half
 
 
+def hopping_pattern_by_addition(cfg):
+    """``_hopping_pattern`` built the older way, adding each part to the
+    running sum: a bitwise oracle of its one merge."""
+    total = PauliSum()
+    for link in range(cfg.n_links):
+        for alpha in (mt.UP, mt.DOWN):
+            for beta in (mt.UP, mt.DOWN):
+                b_pair = mt.raising(cfg.b_mode(link, alpha)) * mt.lowering(cfg.b_mode(link + 1, beta))
+                total = total + b_pair * (mt.lowering(cfg.c_mode(link, mt.LEFT, alpha)) * mt.raising(cfg.c_mode(link, mt.RIGHT, beta)))
+                conj = mt.raising(cfg.c_mode(link, mt.LEFT, 1 - alpha)) * mt.lowering(cfg.c_mode(link, mt.RIGHT, 1 - beta))
+                total = total + (mt._SIGMA_Y[1 - alpha] * mt._SIGMA_Y[beta]) * (b_pair * conj)
+    return total
+
+
+def density_pattern_by_addition(cfg):
+    """``_density_pattern`` built the older way, adding each part to the
+    running sum: a bitwise oracle of its one merge."""
+    total = PauliSum()
+    for site in range(cfg.n_sites):
+        matter = PauliSum()
+        for spin in (mt.UP, mt.DOWN):
+            matter = matter + mt.number(cfg.b_mode(site, spin))
+        ends = PauliSum()
+        if site > 0:
+            for spin in (mt.UP, mt.DOWN):
+                ends = ends + mt.number(cfg.c_mode(site - 1, mt.RIGHT, spin))
+        if site < cfg.n_links:
+            for spin in (mt.UP, mt.DOWN):
+                ends = ends + mt.number(cfg.c_mode(site, mt.LEFT, spin))
+        total = total + matter * ends
+    return total
+
+
 def closed_form_hopping(cfg):
     """The expected effective hopping, built the older way (scaled half plus
     its adjoint); with ``closed_form_density`` it makes the summed closed-form
@@ -432,3 +465,14 @@ def test_hermitian_patterns_scale_to_the_older_operators_bitwise(n_sites, n0, ho
     for ratio in (1e-1, 1e-2, 1e-3, 1e-11):
         scaled = replace(cfg, penalty=hopping / ratio)
         assert term_bits(mt._closed_form_term(scaled, half + half.adjoint())) == term_bits(closed_form_hopping(scaled))
+
+
+@pytest.mark.parametrize("n0", [0, 1, 2])
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_builders_merge_once_to_the_running_sums_bitwise(n_sites, n0):
+    # every part's coefficients are dyadic, so each partial sum of the older running sum is exact
+    cfg = mt.ChainConfig(n_sites=n_sites, n0=n0)
+    half = v_half(cfg)
+    assert term_bits(mt.v_operator(cfg)) == term_bits(cfg.hopping * (half + half.adjoint()))
+    assert term_bits(mt._hopping_pattern(cfg)) == term_bits(hopping_pattern_by_addition(cfg))
+    assert term_bits(mt._density_pattern(cfg)) == term_bits(density_pattern_by_addition(cfg))

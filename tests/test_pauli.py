@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from itertools import combinations, product
 from pathlib import Path
@@ -10,6 +11,7 @@ from su2link.dynamics import trotter_evolve
 from su2link.errors import GuardError
 from su2link.pauli import (
     _CHUNK_ENTRIES,
+    MERGE_TOL,
     _phases,
     _symplectic,
     PauliString,
@@ -349,20 +351,61 @@ def test_sum_algebra_and_hermiticity():
 
 
 def test_zero_coefficient_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^zero-coefficient Pauli strings are not representable$"):
         PauliString(0.0, {0: "X"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^identity letters must be omitted$"):
         PauliString(1.0, {0: "I"})
     for letter in ("W", "XZ", "", "x"):  # a letter is an item of pauli._LETTERS, not a substring
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"unknown Pauli letter {letter!r}")):
             PauliString(1.0, {0: letter})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^qubit indices must be non-negative$"):
         PauliString(1.0, {-1: "X"})
+    # a qubit listed twice among pairs, as parse_string refuses it in text
+    for pairs in ([(0, "X"), (0, "Z")], [(2, "Y"), (0, "X"), (2, "Y")]):
+        with pytest.raises(ValueError, match=r"^qubit (0|2) listed twice$"):
+            PauliString(1.0, pairs)
+    for index in (1.5, np.float64(2.0), "3", None):
+        with pytest.raises(ValueError, match=re.escape(f"qubit indices must be integers, got {index!r}")):
+            PauliString(1.0, {index: "X"})
+    # numpy integers stay qubit indices, kept as Python ints so masks reach past bit 63
+    string = PauliString(1.0, [(np.int64(3), "X"), (np.uint8(1), "Z")])
+    assert string == PauliString(1.0, {1: "Z", 3: "X"}) and all(type(q) is int for q in string.support)
+    assert span([PauliString(1.0, {np.int64(64): "X"})]) == [1 << 64]
     # derived strings skip the letter checks but not the coefficient check
     with pytest.raises(ValueError):
         PauliString(1, {0: "X"}) * 0
     with pytest.raises(ValueError):
         0 * PauliString(1, {0: "X"})
+
+
+def term_bits(op):
+    return [(t.key(), t.coefficient.real.hex(), t.coefficient.imag.hex()) for t in op.terms]
+
+
+def test_a_sum_of_strings_and_sums_merges_their_terms_in_order_bitwise():
+    rng = np.random.default_rng(160)
+    x, y = PauliString(0.75, {0: "X"}), PauliString(-0.5j, {1: "Y", 2: "Z"})
+    fixed = [
+        # a pair that cancels exactly, across a string and a sum
+        [x, PauliSum([-x, y]), PauliString(0.25, {2: "X"})],
+        # a term at MERGE_TOL, one just above it, and a pair that leaves 5e-13
+        [PauliString(MERGE_TOL, {0: "Z"}), PauliSum([PauliString(2e-12, {1: "X"}), y]), PauliString(1.0, {3: "Y"})],
+        [PauliString(1.0, {4: "X"}), PauliSum([PauliString(-(1.0 - 5e-13), {4: "X"})]), -y],
+    ]
+    random = []
+    for _ in range(30):
+        strings = [PauliString(complex(*rng.normal(size=2)), full_letters(rng, 3)) for _ in range(8)]
+        random.append([strings[0], PauliSum(strings[1:7]), strings[7]])
+    for ops in fixed + random:
+        merged = PauliSum(ops)
+        concatenated = PauliSum([term for op in ops for term in op.terms])
+        assert term_bits(merged) == term_bits(concatenated)
+        assert term_bits(merged) == term_bits(PauliSum([ops[0]]) + ops[1] + ops[2])
+        assert all(abs(t.coefficient) > MERGE_TOL for t in merged.terms)
+    assert [t.key() for t in PauliSum(fixed[0]).terms] == [((1, "Y"), (2, "Z")), ((2, "X"),)]
+    assert [t.key() for t in PauliSum(fixed[1]).terms] == [((1, "X"),), ((1, "Y"), (2, "Z")), ((3, "Y"),)]
+    assert [t.key() for t in PauliSum(fixed[2]).terms] == [((1, "Y"), (2, "Z"))]
+    assert PauliSum.__slots__ == ("_terms",)
 
 
 def assert_same_string(derived, validated):
