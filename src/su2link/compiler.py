@@ -8,12 +8,17 @@ shared ancilla (one C-phase plus two local Z rotations each) and needs the
 ancilla prepared in a fixed axis eigenstate.
 
 Gate conventions, applied in closed form and in place to a block of state
-columns with no matrix exponential.  Each X/Y rotation and each XX pair of a
-collective gate is a factor cos t + i sin t P whose P flips one or two qubits:
-its copy is the block's ``pauli.axis_flip`` of those qubits, times i sin t
-(and, for Y, the one-qubit phase pair that ``pauli.columns`` gives, taken
-once at import).  A run of Z rotations and C-phases is one phase vector,
-built from a per-call table of each row's qubit bits and multiplied in once:
+columns with no matrix exponential.  A unitary's gates run only on the qubits
+they touch (and the ancilla), relabelled to 0..k-1; the k-qubit block is then
+tensored with the identity on the others.  Each X/Y rotation is a factor
+cos t + i sin t P whose P flips one qubit: its copy is the block's
+``pauli.axis_flip`` of that qubit, times i sin t (and, for Y, the one-qubit
+phase pair that ``pauli.columns`` gives, taken once at import).  A collective
+gate on k qubits is one 2^k x 2^k matrix W diag(lambda_u) W / 2^k on its qubit
+axes, with W the Walsh-Hadamard sign table and lambda_u = e^(i angle M(u)) for
+u qubits at x = -1, M(u) = k(k-1)/2 - 2u(k-u), an integer power of
+e^(i angle).  A run of Z rotations and C-phases is one phase vector, built
+from a per-call table of each row's qubit bits and multiplied in once:
   rot(axis, q, angle)   = exp(-i angle/2 sigma_axis(q)) = cos(angle/2) - i sin(angle/2) sigma_axis(q)
   coll(qubits, angle)   = exp(+i angle sum_{i<j} X_i X_j) = prod_{i<j} (cos angle + i sin angle X_i X_j)
   cphase((a, b), angle) = diag(1, 1, 1, exp(-2i angle)): rows with bits a and b set gain exp(-2i angle)
@@ -35,7 +40,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -114,49 +119,111 @@ class Circuit:
 _PHASES = {axis: columns(PauliString(1.0, {0: axis.upper()}), np.arange(2), 1)[0][1] for axis in "xy"}
 
 
-def _apply_gates(gates: tuple[Gate, ...], block: np.ndarray) -> np.ndarray:
-    """The gates, in order, applied in place to the columns of ``block``; a
-    run of diagonal gates is fused into one phase vector, applied once."""
+def _collective_matrix(k: int, angle: float) -> np.ndarray:
+    """coll's matrix W diag(lambda_u) W / 2^k on k qubits (module docstring).
+    Powers of e^(i angle), not exp of a rounded angle * M(u), hold at any
+    finite angle.  Entry (a, b) depends only on the Hamming distance w of a
+    and b: the k + 1 values of row 0 at b = 2^w - 1 fill the matrix."""
+    top, phase = k * (k - 1) // 2, complex(math.cos(angle), math.sin(angle))
+    powers = [1.0 + 0.0j]
+    for _ in range(top):
+        powers.append(powers[-1] * phase)
+    exponents = [top - 2 * u * (k - u) for u in range(k + 1)]  # negative ones: |e^(i angle)| = 1
+    eigenvalues = np.array([powers[m] if m >= 0 else powers[-m].conjugate() for m in exponents])
+    rows = np.arange(2**k)
+    signs = 1.0 - 2 * (np.bitwise_count(rows[:, None] & ((1 << np.arange(k + 1)) - 1)) & 1)
+    distances = eigenvalues[np.bitwise_count(rows)] @ signs / 2**k
+    return np.take(distances, np.bitwise_count(rows[:, None] ^ rows))
+
+
+def _apply_gates(gates: tuple[Gate, ...], block: np.ndarray, local: dict[int, int]) -> np.ndarray:
+    """The gates, in order, applied in place to the columns of ``block``, whose
+    row bit ``local[q]`` is register qubit q; a run of diagonal gates is fused
+    into one phase vector, applied once."""
     n = len(block).bit_length() - 1
     bits, pending = np.arange(len(block)) >> np.arange(n)[:, None], None
-    bits &= 1  # bits[q] is qubit q's bit of each row
-    scratch = np.empty(block.size, dtype=complex)  # each factor's flipped copy in turn, allocated once
+    bits &= 1  # bits[i] is row bit i of each row
+    scratch = np.empty(block.size, dtype=complex)  # each flipped or staged copy in turn, allocated once
     for gate in gates:
-        if max(gate.qubits) >= n:
-            raise ValueError(f"gate acts outside the {n}-qubit register")
+        qubits = [local[q] for q in gate.qubits]
         if gate.kind == "cphase":
-            diagonal = np.where(bits[gate.qubits[0]] & bits[gate.qubits[1]], np.exp(-2j * gate.angle), 1.0)
+            diagonal = np.where(bits[qubits[0]] & bits[qubits[1]], np.exp(-2j * gate.angle), 1.0)
         elif gate.axis == "z":
-            diagonal = np.where(bits[gate.qubits[0]], np.exp(0.5j * gate.angle), np.exp(-0.5j * gate.angle))
+            diagonal = np.where(bits[qubits[0]], np.exp(0.5j * gate.angle), np.exp(-0.5j * gate.angle))
         else:
             if pending is not None:
                 block *= pending[:, None]
                 pending = None
-            # factors exp(i theta P) = cos theta + i sin theta P, each P a flip of one or two qubit axes
             if gate.kind == "rot":
-                flips, theta, phases = [gate.qubits], -gate.angle / 2.0, _PHASES[gate.axis]
-            else:  # an XX pair's elements are all 1, as are X's: X's pair serves on the lower axis
-                flips, theta, phases = combinations(gate.qubits, 2), gate.angle, _PHASES["x"]
-            # row b of a flipped axis gathers from source 1 - b
-            factor = (1j * math.sin(theta) * phases[::-1])[:, None]
-            for qubits in flips:
+                # exp(i theta P) = cos theta + i sin theta P, P a flip of one qubit axis; row b
+                # of the flipped axis gathers from source 1 - b
+                theta = -gate.angle / 2.0
                 shape, reverse = axis_flip(n, qubits)
-                view = block.reshape(*shape, -1, copy=False)  # the bits below the lowest qubit join the columns
+                view = block.reshape(*shape, -1, copy=False)  # the bits below the qubit join the columns
+                factor = (1j * math.sin(theta) * _PHASES[gate.axis][::-1])[:, None]
                 gathered = np.multiply(view[reverse], factor, out=scratch.reshape(view.shape))
                 view *= math.cos(theta)
                 view += gathered
+            else:
+                # the gate's qubit axes first, in the block's order (any order would do, as
+                # the matrix is symmetric in its qubits): scratch stages the block in that
+                # order, the product lands in the block's memory in it and, unless the
+                # gate's axes already lead, goes back through scratch
+                axes = sorted(n - 1 - q for q in qubits)
+                moved = block.reshape((2,) * n + (-1,)).transpose(axes + [a for a in range(n + 1) if a not in axes])
+                staged = scratch.reshape(moved.shape)
+                np.copyto(staged, moved)
+                product = block.reshape(2 ** len(qubits), -1)
+                np.matmul(_collective_matrix(len(qubits), gate.angle), staged.reshape(len(product), -1), out=product)
+                if axes != list(range(len(axes))):
+                    np.copyto(staged, product.reshape(moved.shape))
+                    np.copyto(moved, staged)
             continue
         pending = diagonal if pending is None else pending * diagonal
     return block if pending is None else np.multiply(block, pending[:, None], out=block)
 
 
+def _placed(block: np.ndarray, qubits: list[int], n: int) -> np.ndarray:
+    """``block``, whose bit i is qubit ``qubits[i]`` (ascending), tensored with
+    the identity on the other qubits of an n-qubit register."""
+    if len(qubits) == n:
+        return block
+    rows, mask = np.arange(2**n), sum(1 << q for q in qubits)
+    # the rows with only the block's qubits set, in the block's order, and with none of them
+    spread, others = rows[(rows & ~mask) == 0], rows[(rows & mask) == 0]
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    out[(others[:, None] + spread)[:, :, None], (others[:, None] + spread)[:, None, :]] = block
+    return out
+
+
+def _unitary_bytes(gates: tuple[Gate, ...], rows: int, columns: int, placed: int) -> float:
+    """Bytes of the larger stage of a unitary run on a 2^rows x 2^columns
+    block and placed on ``placed`` qubits, plus numpy's iteration buffers
+    (two operands of ``np.getbufsize()`` complex entries).  The kernel holds
+    the block and one flipped or staged copy, the largest collective matrix
+    with its distance table (17 bytes per entry), and per row the bit table
+    and three phase vectors; the placement, the placed unitary, the block's
+    result and 48 bytes of row indices per basis state."""
+    largest = max((len(g.qubits) for g in gates if g.kind == "coll"), default=0)
+    kernel = 32 * 2.0 ** (rows + columns) + 17 * 4.0**largest + (8 * rows + 48) * 2.0**rows
+    placement = 0 if placed == columns else 16 * 4.0**placed + 16 * 4.0**columns + 48 * 2.0**placed
+    return max(kernel, placement) + 32 * np.getbufsize()
+
+
 def circuit_unitary(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
+    """The circuit's unitary on ``n_qubits`` (default the circuit's register):
+    the gates run on the qubits they touch, relabelled to 0..k-1, and the
+    result is that block tensored with the identity on the others."""
     n = circuit.n_qubits if n_qubits is None else n_qubits
     if n < 0:
         raise ValueError(f"n_qubits must be non-negative, got {n}")
-    # the unitary and a factor's flipped copy; per basis state the bit table and three phase vectors
-    check_memory(lambda: 32 * 4.0**n + (8 * n + 48) * 2.0**n, f"circuit unitary on {n} qubits")
-    return _apply_gates(circuit.gates, np.eye(2**n, dtype=complex))
+    touched = sorted({q for gate in circuit.gates for q in gate.qubits})
+    if touched and touched[-1] >= n:
+        raise ValueError(f"gate acts outside the {n}-qubit register")
+    k = len(touched)
+    check_memory(lambda: _unitary_bytes(circuit.gates, k, k, n), f"circuit unitary on {n} qubits")
+    block = _apply_gates(circuit.gates, np.eye(2**k, dtype=complex), {q: i for i, q in enumerate(touched)})
+    return _placed(block, touched, n)
 
 
 def _conjugation(canonical: str, target: str) -> tuple[str, float]:
@@ -279,21 +346,29 @@ def compile_step(monomials: list[PauliString], phi: float, backend: str) -> Circ
 
 def reduced_system_unitary(circuit: Circuit, ancilla: int, prepared: np.ndarray) -> np.ndarray:
     """Action of the circuit on the system register with the ancilla prepared
-    in (and projected back onto) the given single-qubit state."""
+    in (and projected back onto) the given single-qubit state.  The gates run
+    on the qubits they touch and the ancilla, relabelled to 0..k-1; the
+    projected block is tensored with the identity on the other system qubits."""
     n_total = circuit.n_qubits
-    # in units of 4^n bytes, the projection: the prepared block and tensordot's transposed copy
-    # (8 each) and the result (4); per basis state the bit table and three phase vectors
-    check_memory(lambda: 20 * 4.0**n_total + (8 * n_total + 48) * 2.0**n_total, f"reduced system unitary on {n_total} qubits")
     if not 0 <= ancilla < n_total:
         raise ValueError(f"ancilla {ancilla} is outside the {n_total}-qubit register")
     if np.shape(prepared) != (2,):
         raise ValueError(f"prepared must be a single-qubit state of 2 amplitudes, got shape {np.shape(prepared)}")
-    # a register index split into (bits above the ancilla, ancilla bit, bits below, column)
-    shape = (2 ** (n_total - 1 - ancilla), 2, 2**ancilla, -1)
+    touched = sorted({q for gate in circuit.gates for q in gate.qubits} | {ancilla})
+    k, ancilla_bit = len(touched), touched.index(ancilla)
+    # the projection holds the block, its result and one product (half a block each):
+    # no more than the kernel's block and copy
+    check_memory(lambda: _unitary_bytes(circuit.gates, k, k - 1, n_total - 1), f"reduced system unitary on {n_total} qubits")
+    # a block index split into (bits above the ancilla, ancilla bit, bits below, column)
+    shape = (2 ** (k - 1 - ancilla_bit), 2, 2**ancilla_bit, -1)
     # the system identity is a temporary, freed before the gates run
-    block = prepared[:, None, None] * np.eye(2 ** (n_total - 1), dtype=complex).reshape(shape[0], 1, shape[2], -1)
-    out = _apply_gates(circuit.gates, block.reshape(2**n_total, -1))
-    return np.tensordot(out.reshape(shape), np.conj(prepared), axes=(1, 0)).reshape(len(out) // 2, -1)
+    block = prepared[:, None, None] * np.eye(2 ** (k - 1), dtype=complex).reshape(shape[0], 1, shape[2], -1)
+    block = _apply_gates(circuit.gates, block.reshape(2**k, -1), {q: i for i, q in enumerate(touched)})
+    # the projection, elementwise: each entry's arithmetic does not depend on the block's shape
+    reduced = block.reshape(shape)[:, 0] * np.conj(prepared[0])
+    reduced += block.reshape(shape)[:, 1] * np.conj(prepared[1])
+    del block  # not held beside the placed unitary
+    return _placed(reduced.reshape(2 ** (k - 1), -1), [q - (q > ancilla) for q in touched if q != ancilla], n_total - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,13 @@ HERMITICITY_TOL = 1e-10
 
 
 def expi_hermitian(matrix: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(i * scale * matrix) for Hermitian ``matrix`` via spectral decomposition."""
-    if not np.allclose(matrix, matrix.conj().T, atol=HERMITICITY_TOL):
+    """exp(i * scale * matrix) for Hermitian ``matrix`` via spectral decomposition.
+
+    The check accepts what ``np.allclose(matrix, adjoint, atol=HERMITICITY_TOL)``
+    accepts, with its default rtol of 1e-5, except that it refuses an infinite
+    entry, which ``allclose`` takes as close to an equal one."""
+    adjoint = matrix.conj().T
+    if not (np.isfinite(matrix).all() and np.all(np.abs(matrix - adjoint) <= HERMITICITY_TOL + 1e-5 * np.abs(adjoint))):
         raise GuardError("matrix is not Hermitian within tolerance")
     eigvals, eigvecs = np.linalg.eigh(matrix)
     return (eigvecs * np.exp(1j * scale * eigvals)) @ eigvecs.conj().T

@@ -457,11 +457,10 @@ def parse_string(text: str) -> PauliString:
             if m is None or m.group(2) is None:
                 raise ValueError(f"bad Pauli token {token!r}")
             letter, qubit = m.group(1), int(m.group(2))
-            if qubit in letters:
+            if qubit in letters:  # an identity token lists its qubit too
                 raise ValueError(f"qubit {qubit} listed twice")
-            if letter != "I":
-                letters[qubit] = letter
-    return PauliString(coefficient, letters)
+            letters[qubit] = letter
+    return PauliString(coefficient, {q: letter for q, letter in letters.items() if letter != "I"})
 
 
 def parse_sum(text: str) -> PauliSum:

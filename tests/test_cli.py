@@ -627,6 +627,13 @@ def test_config_file_bad_value_is_one_line(tmp_path, capsys):
         assert from_file == run([*argv, f"--{key.replace('_', '-')}={value}"], capsys)
 
 
+@pytest.mark.parametrize("monomial", ["(1) I0 X0", "(1) X0 I0"])
+def test_config_monomial_that_lists_a_qubit_twice_exits_2(monomial, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text(f"monomial={monomial}\n", encoding="utf-8")
+    assert_config_error(run(["compile", "--backend", "collective", "--config", str(config)], capsys), "qubit 0 listed twice")
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text("frobnicate=1\n", encoding="utf-8")

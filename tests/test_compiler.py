@@ -68,6 +68,41 @@ def test_unitary_distance_rejects_unequal_shapes():
         unitary_distance_up_to_phase(np.eye(4), np.eye(2))
 
 
+def test_hermiticity_check_agrees_with_allclose():
+    # just inside and just past 1e-10 + 1e-5 |b| at one off-diagonal pair, b = m^H
+    rng = np.random.default_rng(11)
+    outcomes = []
+    for size in (2, 4, 64):
+        base = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        for scale in (0.0, 1.0, 1e6):
+            hermitian = (base + base.conj().T) * scale
+            threshold = 1e-10 + 1e-5 * abs(hermitian[0, 1])
+            for factor in (0.5, 1 - 1e-9, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-9, 2.0):
+                for direction in (1.0, -1.0, 1j, np.exp(0.3j)):
+                    matrix = hermitian.copy()
+                    matrix[0, 1] += threshold * factor * direction
+                    try:
+                        expi_hermitian(matrix)
+                        accepted = True
+                    except GuardError:
+                        accepted = False
+                    assert accepted == np.allclose(matrix, matrix.conj().T, atol=1e-10)
+                    outcomes.append(accepted)
+    assert set(outcomes) == {True, False}
+
+
+@pytest.mark.parametrize("value", [np.nan, complex(np.nan, 0.0), complex(0.0, np.nan), np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_hermiticity_check_refuses_a_non_finite_entry(value, entry):
+    # an infinite entry is refused here too, where allclose takes equal
+    # infinities as close and the exponential came out all NaN
+    matrix = np.eye(2, dtype=complex)
+    matrix[entry] = value
+    matrix[entry[::-1]] = np.conj(value)
+    with pytest.raises(GuardError, match="^matrix is not Hermitian within tolerance$"):
+        expi_hermitian(matrix)
+
+
 def test_cphase_gate_matrix():
     gate = cphase(0, 1, 0.4)
     matrix = cp.circuit_unitary(Circuit((gate,), 2))
@@ -149,21 +184,40 @@ def test_dense_guard_fires_before_allocation(memory_boundary):
 
 
 def test_circuit_unitary_holds_one_gather_copy(traced_peak):
-    # the unitary and one factor's gather copy: the estimate's 32N^2, not 48N^2
+    # the unitary and one flipped or staged copy: the estimate's 32N^2, not
+    # 48N^2; every qubit is touched, so the block is the unitary
     n = 9
-    gates = (rot("x", 0, 0.1), coll((0, 1, 2), 0.2), rot("y", 4, 0.3), coll((3, 8), 0.4))
+    gates = (rot("x", 0, 0.1), coll((0, 1, 2), 0.2), rot("y", 4, 0.3), coll((3, 8), 0.4), *(rot("x", q, 0.1) for q in (5, 6, 7)))
     _, peak = traced_peak(lambda: cp.circuit_unitary(Circuit(gates, n)))
     assert 2 * 16 * 4**n < peak < 2.5 * 16 * 4**n
 
 
 def test_reduced_system_unitary_peak_stays_under_its_estimate(traced_peak):
-    # the projection holds the block and tensordot's transposed copy (8 * 4^n
-    # bytes each) and the result (4 * 4^n); with the system identity still
-    # held the peak would be 24 * 4^n
+    # every qubit is touched: the kernel holds the block and one flipped or
+    # staged copy (8 * 4^n bytes each), the collective matrix and its distance
+    # table (17 bytes per entry), the bit table and three phase vectors, and
+    # numpy's iteration buffers; the projection (the block, its result and one
+    # product: 16 * 4^n) holds no more
+    n = 10
+    gates = (rot("z", 0, 0.1), cphase(0, 1, 0.2), rot("x", 0, 0.1), coll((0, 1, 2), 0.2), rot("y", 4, 0.3), *(rot("x", q, 0.1) for q in range(5, n)))
+    _, peak = traced_peak(lambda: cp.reduced_system_unitary(Circuit(gates, n), 3, cp.ancilla_state(2)))
+    estimate = 16 * 4**n + 17 * 4**3 + (8 * n + 48) * 2**n + 32 * np.getbufsize()
+    assert 0.95 * estimate < peak <= estimate
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_touched_path_peak_stays_under_its_estimate(reduced, traced_peak):
+    # four of ten (system) qubits touched: the placement holds the placed
+    # unitary and the block's result (16 bytes per entry each), the row
+    # indices (48 bytes per basis state) and numpy's iteration buffers
     n = 10
     gates = (rot("z", 0, 0.1), cphase(0, 1, 0.2), rot("x", 0, 0.1), coll((0, 1, 2), 0.2), rot("y", 4, 0.3))
-    _, peak = traced_peak(lambda: cp.reduced_system_unitary(Circuit(gates, n), 3, cp.ancilla_state(2)))
-    estimate = 20 * 4**n + (8 * n + 48) * 2**n
+    circuit = Circuit(gates, n + reduced)  # with the ancilla at qubit 3, system qubit 3 is qubit 4
+    unitary, peak = traced_peak(
+        lambda: cp.reduced_system_unitary(circuit, 3, cp.ancilla_state(2)) if reduced else cp.circuit_unitary(circuit)
+    )
+    assert unitary.shape == (2**n, 2**n)
+    estimate = 16 * 4**n + 16 * 4**4 + 48 * 2**n + 32 * np.getbufsize()
     assert 0.95 * estimate < peak <= estimate
 
 
@@ -184,10 +238,53 @@ def gate_oracle(gate, n):
         letter = dense(PauliString(1.0, {gate.qubits[0]: gate.axis.upper()}), n)
         return math.cos(gate.angle / 2) * np.eye(2**n) - 1j * math.sin(gate.angle / 2) * letter
     if gate.kind == "coll":
-        pairs = PauliSum([PauliString(1.0, {a: "X", b: "X"}) for a, b in combinations(gate.qubits, 2)])
-        return generator_unitary(pairs, gate.angle, n)
+        # the commuting pair factors cos angle + i sin angle X_a X_b: the spectral
+        # exponential of the pair sum rounds angle * eigenvalue, 1e-5 off at angle 1e10
+        out = np.eye(2**n, dtype=complex)
+        for a, b in combinations(gate.qubits, 2):
+            pair = dense(PauliString(1.0, {a: "X", b: "X"}), n)
+            out = (math.cos(gate.angle) * np.eye(2**n) + 1j * math.sin(gate.angle) * pair) @ out
+        return out
     rows, (a, b) = np.arange(2**n), gate.qubits
     return np.diag(np.where((rows >> a) & (rows >> b) & 1, np.exp(-2j * gate.angle), 1.0))
+
+
+def oracle_unitary(gates, n):
+    """The product of the gates' ``gate_oracle`` matrices, first gate rightmost."""
+    out = np.eye(2**n, dtype=complex)
+    for gate in gates:
+        out = gate_oracle(gate, n) @ out
+    return out
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_collective_matrix_matches_the_gate_definition(k):
+    # on every qubit of the register, in descending order, so the gate is its one matrix
+    for angle in (np.pi / 4, -np.pi / 4, 2 * np.pi, -2 * np.pi, 1e10 + 0.1):
+        gate = coll(tuple(range(k - 1, -1, -1)), angle)
+        assert np.max(np.abs(cp.circuit_unitary(Circuit((gate,), k)) - gate_oracle(gate, k))) < ORACLE_TOL
+
+
+def test_untouched_qubits_match_the_dense_oracles(monomials):
+    partial = [m for m in monomials if m.weight in (3, 5)]
+    assert {m.weight for m in partial} == {3, 5}
+    circuits = [Circuit(cp.compile_collective(m, 0.7).gates, 6) for m in partial]
+    circuits += [Circuit(cp.compile_cphase(m, 0.7, ancilla=6).gates, 7) for m in partial]
+    # a circuit on the top qubit only, and an empty one
+    circuits += [Circuit((rot("y", 4, 0.3), rot("z", 4, 1.1), rot("x", 4, -0.4)), 5), Circuit((), 4)]
+    rng = np.random.default_rng(31)
+    for circuit in circuits:
+        n = circuit.n_qubits
+        assert len({q for g in circuit.gates for q in g.qubits}) < n
+        for width in (n, n + 1):
+            want = oracle_unitary(circuit.gates, width)
+            assert np.max(np.abs(cp.circuit_unitary(circuit, width) - want)) < ORACLE_TOL
+        want = oracle_unitary(circuit.gates, n)
+        for ancilla in (0, n // 2, n - 1):
+            prepared = rng.normal(size=2) + 1j * rng.normal(size=2)
+            prepared /= np.linalg.norm(prepared)
+            got = cp.reduced_system_unitary(circuit, ancilla, prepared)
+            assert np.max(np.abs(got - sandwiched_system_unitary(want, ancilla, prepared))) < ORACLE_TOL
 
 
 def random_gate(rng, n, diagonal):
@@ -217,9 +314,7 @@ def test_fused_circuits_match_per_gate_product(n):
     rng = np.random.default_rng(200 + n)
     for ends_diagonal in (False, True):
         circuit = random_circuit(rng, n, ends_diagonal)
-        want = np.eye(2**n, dtype=complex)
-        for gate in circuit.gates:
-            want = gate_oracle(gate, n) @ want
+        want = oracle_unitary(circuit.gates, n)
         assert np.max(np.abs(cp.circuit_unitary(circuit) - want)) < ORACLE_TOL
         ancilla = int(rng.integers(n))
         prepared = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -259,39 +354,71 @@ def per_pair_gates(gates, block):
     return block if pending is None else np.multiply(block, pending[:, None], out=block)
 
 
-def assert_bitwise_as_per_pair(circuit, monkeypatch, ancilla=None, prepared=None):
-    """circuit_unitary, and with an ancilla reduced_system_unitary, equal
-    their values on the per-pair oracle kernel exactly."""
-    calls = [lambda: cp.circuit_unitary(circuit)]
+# the largest measured difference from the per-pair kernel is 3.2e-15, on the
+# triangle's collective step (32 collective gates); 1.5e-15 on one monomial's
+# circuit and 5.6e-16 on the random circuits.  Circuits without collective
+# gates take the same arithmetic and match exactly.
+PER_PAIR_TOL = 1e-14
+
+
+def per_pair_unitaries(circuit, ancilla=None, prepared=None):
+    """circuit_unitary, and with an ancilla reduced_system_unitary, on the
+    whole register with the per-pair kernel: no relabelling, no placement."""
+    n = circuit.n_qubits
+    out = [per_pair_gates(circuit.gates, np.eye(2**n, dtype=complex))]
     if ancilla is not None:
-        calls.append(lambda: cp.reduced_system_unitary(circuit, ancilla, prepared))
-    for call in calls:
-        got = call()
-        with monkeypatch.context() as patch:
-            patch.setattr(cp, "_apply_gates", per_pair_gates)
-            want = call()
-        assert np.array_equal(got, want)
+        shape = (2 ** (n - 1 - ancilla), 2, 2**ancilla, -1)
+        block = prepared[:, None, None] * np.eye(2 ** (n - 1), dtype=complex).reshape(shape[0], 1, shape[2], -1)
+        block = per_pair_gates(circuit.gates, block.reshape(2**n, -1))
+        block = block.reshape(shape)
+        out.append((block[:, 0] * np.conj(prepared[0]) + block[:, 1] * np.conj(prepared[1])).reshape(2 ** (n - 1), -1))
+    return out
+
+
+def assert_as_per_pair(circuit, tol, ancilla=None, prepared=None):
+    """circuit_unitary, and with an ancilla reduced_system_unitary, lie within
+    ``tol`` of their per-pair values; exactly equal at ``tol`` 0."""
+    got = [cp.circuit_unitary(circuit)]
+    if ancilla is not None:
+        got.append(cp.reduced_system_unitary(circuit, ancilla, prepared))
+    for value, want in zip(got, per_pair_unitaries(circuit, ancilla, prepared), strict=True):
+        assert np.array_equal(value, want) if tol == 0 else np.max(np.abs(value - want)) <= tol
 
 
 @pytest.mark.parametrize("phi", [0.7, -1.3, 2.9])
-def test_triangle_unitaries_equal_the_per_pair_kernel_bitwise(monomials, phi, monkeypatch):
+def test_triangle_unitaries_match_the_per_pair_kernel(monomials, phi):
     for monomial in monomials:
-        assert_bitwise_as_per_pair(Circuit(cp.compile_collective(monomial, phi).gates, 6), monkeypatch)
+        assert_as_per_pair(Circuit(cp.compile_collective(monomial, phi).gates, 6), PER_PAIR_TOL)
         circuit = Circuit(cp.compile_cphase(monomial, phi, ancilla=6).gates, 7)
-        assert_bitwise_as_per_pair(circuit, monkeypatch, 6, cp.ancilla_state(monomial.weight))
-    assert_bitwise_as_per_pair(cp.compile_step(monomials, phi, "collective"), monkeypatch)
-    assert_bitwise_as_per_pair(cp.compile_step(monomials, phi, "cphase"), monkeypatch, 6, cp.ancilla_state(6))
+        assert_as_per_pair(circuit, 0, 6, cp.ancilla_state(monomial.weight))  # no collective gate
+    assert_as_per_pair(cp.compile_step(monomials, phi, "collective"), PER_PAIR_TOL)
+    assert_as_per_pair(cp.compile_step(monomials, phi, "cphase"), 0, 6, cp.ancilla_state(6))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_random_unitaries_equal_the_per_pair_kernel_bitwise(n, monkeypatch):
+def test_random_unitaries_match_the_per_pair_kernel(n):
     rng = np.random.default_rng(500 + n)
     for ends_diagonal in (False, True):
         circuit = random_circuit(rng, n, ends_diagonal)
         assert {g.axis or g.kind for g in circuit.gates} == {"x", "y", "z", "coll", "cphase"}
         ancilla = int(rng.integers(n - 1))  # never the last qubit
         prepared = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert_bitwise_as_per_pair(circuit, monkeypatch, ancilla, prepared / np.linalg.norm(prepared))
+        assert_as_per_pair(circuit, PER_PAIR_TOL, ancilla, prepared / np.linalg.norm(prepared))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_circuits_without_collective_gates_equal_the_per_pair_kernel_bitwise(n):
+    # X/Y flips and the diagonal runs' phase products keep their arithmetic
+    # on the touched qubits, and placing the block adds only exact zeros
+    rng = np.random.default_rng(700 + n)
+    runs = [tuple(g for g in random_circuit(rng, n, ends_diagonal).gates if g.kind != "coll") for ends_diagonal in (False, True)]
+    assert {g.axis or g.kind for gates in runs for g in gates} == {"x", "y", "z", "cphase"}
+    for gates in runs:
+        # every qubit touched, and the first half's gates with qubits left untouched
+        for circuit in (Circuit(gates, n), Circuit(gates[: len(gates) // 2], n + 1)):
+            for ancilla in range(circuit.n_qubits):
+                prepared = rng.normal(size=2) + 1j * rng.normal(size=2)
+                assert_as_per_pair(circuit, 0, ancilla, prepared / np.linalg.norm(prepared))
 
 
 @pytest.mark.parametrize("ancilla", [0, 3, 6])

@@ -502,6 +502,16 @@ def test_parse_rejects_garbage():
         parse_string("(1.0) X0 Y0")
 
 
+@pytest.mark.parametrize("body", ["X0 I0", "I0 X0", "I0 I0", "X1 I0 Z0"])
+def test_an_identity_token_lists_its_qubit(body):
+    # either order of a letter and an identity on one qubit is refused, in a string and in a sum
+    with pytest.raises(ValueError, match=r"^qubit 0 listed twice$"):
+        parse_string(f"(1) {body}")
+    with pytest.raises(ValueError, match=r"^qubit 0 listed twice$"):
+        parse_sum(f"(0.5) Z3\n(1) {body}")
+    assert parse_string("(1) I0 X1") == parse_string("(1) X1 I0") == PauliString(1.0, {1: "X"})
+
+
 def coset_closure(op, indices, n) -> list[int]:
     """Breadth-first search over basis states: every index that a chain of
     the terms' bit flips leads to from ``indices``."""
