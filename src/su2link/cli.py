@@ -27,6 +27,8 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 # phi grid points; also caps covariance --sets (built in full first) and each figures --steps value
 PHI_GRID_LIMIT = 10_000
+# characters read from a --layout or --config file: one more shows that a file is longer
+INPUT_FILE_LIMIT = 1_048_576
 
 # per figure: the default phi grid (start, stop, step), step counts and start sectors
 _FIGURES = {
@@ -61,11 +63,20 @@ def _phi_grid(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
+def _read_input(path: str, option: str) -> str:
+    """The text of the file ``option`` names, refused past ``INPUT_FILE_LIMIT``
+    characters, so that no file (/dev/zero) is read without bound."""
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read(INPUT_FILE_LIMIT + 1)
+    if len(text) > INPUT_FILE_LIMIT:
+        raise LayoutError(f"{option} file is longer than {INPUT_FILE_LIMIT} characters")
+    return text
+
+
 def _load_layout(path: str | None) -> lm.PlaquetteLayout:
     if path is None:
         return lm.triangle_layout()
-    with open(path, "r", encoding="utf-8") as handle:
-        return lm.parse_layout(handle.read())
+    return lm.parse_layout(_read_input(path, "--layout"))
 
 
 def run_sectors(args: argparse.Namespace) -> str:
@@ -340,8 +351,7 @@ def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
     are the chosen command's option names, dashes as underscores, as
     ``args`` lists them; a switch is on for 1/true/yes."""
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = _read_input(args.config, "--config")
     except OSError as err:
         raise LayoutError(f"cannot read config file: {err}") from None
     values: dict[str, object] = {}

@@ -111,9 +111,22 @@ def unperturbed_energies(cfg: ChainConfig, indices: np.ndarray) -> np.ndarray:
     """H0 (diagonal) on the basis states ``indices``, from occupation counts:
     omega times the total occupation plus the penalty times each link's
     squared excess over n0."""
-    energies = cfg.omega * _occupation(indices, range(cfg.n_modes))
-    for link in range(cfg.n_links):
-        energies = energies + cfg.penalty * (_occupation(indices, _link_modes(cfg, link)) - cfg.n0) ** 2
+    return _weighted(cfg, _occupations(cfg, indices))
+
+
+def _occupations(cfg: ChainConfig, indices: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The counts H0 weights on ``indices``, which no omega or penalty
+    changes: the total occupation and each link's squared excess over n0."""
+    excesses = [(_occupation(indices, _link_modes(cfg, link)) - cfg.n0) ** 2 for link in range(cfg.n_links)]
+    return _occupation(indices, range(cfg.n_modes)), excesses
+
+
+def _weighted(cfg: ChainConfig, occupations: tuple[np.ndarray, list[np.ndarray]]) -> np.ndarray:
+    """H0 from ``_occupations``, adding the links' penalties in link order."""
+    total, excesses = occupations
+    energies = cfg.omega * total
+    for excess in excesses:
+        energies = energies + cfg.penalty * excess
     return energies
 
 
@@ -216,6 +229,27 @@ def _couplings(cfg: ChainConfig, p_idx: np.ndarray, faithful: np.ndarray) -> tup
 
 
 @dataclass(frozen=True)
+class _Coupled:
+    """What the second-order block reads that no omega or penalty changes:
+    P (``p_idx``), Q, the couplings ``<Q| V |P>``, the Q rows they reach and
+    the occupations of P's first state and of Q."""
+
+    p_idx: np.ndarray
+    q_idx: np.ndarray
+    couplings: np.ndarray
+    reachable: np.ndarray
+    p_occupations: tuple[np.ndarray, list[np.ndarray]]
+    q_occupations: tuple[np.ndarray, list[np.ndarray]]
+
+
+def _coupled(cfg: ChainConfig, p_idx: np.ndarray, faithful: np.ndarray) -> _Coupled:
+    q_idx, couplings = _couplings(cfg, p_idx, faithful)
+    reachable = np.max(np.abs(couplings), axis=1) > REACH_TOL
+    # H0 depends only on the total and the link occupations, which P fixes
+    return _Coupled(p_idx, q_idx, couplings, reachable, _occupations(cfg, p_idx[:1]), _occupations(cfg, q_idx))
+
+
+@dataclass(frozen=True)
 class EffectiveBlock:
     """Dense effective operator on the penalty-free subspace.
 
@@ -237,25 +271,23 @@ def effective_hamiltonian(cfg: ChainConfig) -> EffectiveBlock:
     within 1e-9 * penalty of E0.
     """
     faithful = faithful_indices(cfg)
-    p_idx = penalty_free_indices(cfg, faithful)
-    return _second_order(cfg, p_idx, *_couplings(cfg, p_idx, faithful))
+    return _second_order(cfg, _coupled(cfg, penalty_free_indices(cfg, faithful), faithful))
 
 
-def _second_order(cfg: ChainConfig, p_idx: np.ndarray, q_idx: np.ndarray, couplings: np.ndarray) -> EffectiveBlock:
-    """The penalty-dependent part of ``effective_hamiltonian``: the gaps,
-    their guard and the weighted product of the couplings ``<Q| V |P>``."""
-    # H0 depends only on the total and the link occupations, which P fixes
-    e0 = float(unperturbed_energies(cfg, p_idx[:1])[0])
-    gaps = e0 - unperturbed_energies(cfg, q_idx)
+def _second_order(cfg: ChainConfig, coupled: _Coupled) -> EffectiveBlock:
+    """The part of ``effective_hamiltonian`` that omega and the penalty
+    change: the occupations weighted into gaps, their guard and the weighted
+    product of the couplings."""
+    e0 = float(_weighted(cfg, coupled.p_occupations)[0])
+    gaps = e0 - _weighted(cfg, coupled.q_occupations)
     near = np.abs(gaps) < DEGENERACY_GUARD * cfg.penalty
-    reachable = np.max(np.abs(couplings), axis=1) > REACH_TOL
-    if np.any(near & reachable):
+    if np.any(near & coupled.reachable):
         raise GuardError("hopping couples the penalty-free subspace to a nearly degenerate state")
 
     inverse = np.where(near, 0.0, 1.0 / np.where(near, 1.0, gaps))
-    block = couplings.conj().T @ (inverse[:, None] * couplings)
+    block = coupled.couplings.conj().T @ (inverse[:, None] * coupled.couplings)
     block = (block + block.conj().T) / 2.0
-    return EffectiveBlock(block, p_idx)
+    return EffectiveBlock(block, coupled.p_idx)
 
 
 def _closed_form_term(cfg: ChainConfig, pattern: PauliSum) -> PauliSum:
@@ -316,21 +348,24 @@ class ComparisonRow:
 def compare_effective(cfg: ChainConfig, ratios: list[float]) -> list[ComparisonRow]:
     """Deviation sweep: the penalty scale runs over hopping / ratio while the
     mode frequency and hopping stay fixed.  What does not depend on the
-    penalty is built once: the index sets, the couplings of P to Q and the
-    closed forms' two Hermitian patterns; each ratio only scales them and
-    builds its blocks.  The closed block is the hopping block plus the density
-    block, bit for bit the block of their summed operator: every hopping term
-    flips bits and no density term does, so each element adds +0.0 to its value."""
+    penalty is built once: the index sets, the couplings of P to Q, the Q
+    rows they reach, the occupation counts of P's first state and of Q, and
+    the closed forms' two Hermitian patterns.  Each ratio weights the counts
+    by omega and its penalty into gaps through ``_second_order``, as
+    ``effective_hamiltonian`` does, scales the two patterns and builds its
+    blocks.  The closed block is the hopping block plus the density block,
+    bit for bit the block of their summed operator: every hopping term flips
+    bits and no density term does, so each element adds +0.0 to its value."""
     faithful = faithful_indices(cfg)
     p_idx = penalty_free_indices(cfg, faithful)
-    q_idx, couplings = _couplings(cfg, p_idx, faithful)
+    coupled = _coupled(cfg, p_idx, faithful)
     half = _hopping_pattern(cfg)
     hopping_pattern, density_pattern = half + half.adjoint(), _density_pattern(cfg)
-    del half  # no ratio reads it; kept through the loop, it raised the sweep's traced peak from 93 to 105 KB
+    del half  # no ratio reads it; kept through the loop, it raised the sweep's traced peak from 93 to 104 KB
     rows = []
     for ratio in ratios:
         scaled = replace(cfg, penalty=cfg.hopping / ratio)
-        brute = _second_order(scaled, p_idx, q_idx, couplings)
+        brute = _second_order(scaled, coupled)
         # both operators before either block: a block built between them raised peak RSS 0.6 MB (heap layout)
         density_op, hopping_op = _closed_form_term(scaled, density_pattern), _closed_form_term(scaled, hopping_pattern)
         density = _block(pauli.columns(density_op, p_idx, cfg.n_modes), p_idx, len(p_idx))

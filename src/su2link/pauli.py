@@ -12,6 +12,14 @@ tracked exactly over {1, i, -1, -i}, and like terms merge with tolerance
 multiplied or restricted, passes ``_coefficient``, which refuses zero and NaN
 or inf, so no operator holds a non-finite coefficient.
 
+``_merged`` is the one merge.  It reads (key, coefficient) pairs: the terms'
+own for ``PauliSum(ops)``, and for a sum times a number, ``-sum``,
+``adjoint``, the product of two sums (through ``_product``, the core that
+``multiply`` also wraps) and ``restrict`` of a sum, pairs made from the terms
+with no string between.  Each made coefficient passes ``_coefficient`` as the
+merge reads it, and each kept term's string is built once, after the merge,
+so a pair-fed sum is bit for bit the merge of the strings it once built.
+
 ``columns`` is the one kernel that evaluates matrix elements.  It uses the
 symplectic encoding of Aaronson & Gottesman, PRA 70, 052328 (2004): X and Y
 letters set bits of an X mask, Y and Z letters set bits of a Z mask, and each
@@ -156,6 +164,13 @@ class PauliString:
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:
     """Operator product of two Pauli strings, phase tracked exactly."""
+    key, coefficient = _product(a, b)
+    return PauliString._derived(coefficient, key)
+
+
+def _product(a: PauliString, b: PauliString) -> tuple[tuple[tuple[int, str], ...], complex]:
+    """The key and the unchecked coefficient of ``multiply(a, b)``: the one
+    core of the product of two strings and of two sums."""
     coefficient = a.coefficient * b.coefficient
     letters = dict(a.key())
     for q, letter in b.key():
@@ -168,7 +183,17 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
         coefficient *= _I_POWERS[((ca == 3) + (cb == 3) - (cc == 3) + 2 * (ca >> 1) * (cb & 1)) % 4]
         if cc:
             letters[q] = _LETTERS[cc]
-    return PauliString._derived(coefficient, tuple(sorted(letters.items())))
+    return tuple(sorted(letters.items())), coefficient
+
+
+def _merged(pairs: Iterable[tuple[tuple[tuple[int, str], ...], complex]]) -> tuple[PauliString, ...]:
+    """The one merge: the coefficients of like keys add in the order given,
+    each sum from 0, and one string is built per key, in canonical order, for
+    each sum above ``MERGE_TOL``."""
+    merged: dict[tuple, complex] = {}
+    for key, c in pairs:
+        merged[key] = merged.get(key, 0) + c
+    return tuple(PauliString._derived(c, k) for k, c in sorted(merged.items()) if abs(c) > MERGE_TOL)
 
 
 class PauliSum:
@@ -183,12 +208,16 @@ class PauliSum:
     __slots__ = ("_terms",)
 
     def __init__(self, ops: Iterable[PauliSum | PauliString] = ()):
-        merged: dict[tuple, complex] = {}
-        for op in ops:
-            for term in op.terms:
-                key = term.key()
-                merged[key] = merged.get(key, 0) + term.coefficient
-        self._terms = tuple(PauliString._derived(c, k) for k, c in sorted(merged.items()) if abs(c) > MERGE_TOL)
+        self._terms = _merged((term._key, term.coefficient) for op in ops for term in op.terms)
+
+    @classmethod
+    def _of(cls, pairs: Iterable[tuple[tuple[tuple[int, str], ...], complex]]) -> PauliSum:
+        """The merged sum of (key, coefficient) pairs made from terms: each
+        key is a term's or ``_product``'s, and each coefficient passes
+        ``_coefficient`` as the merge reads it, as a string built from it would."""
+        out = cls.__new__(cls)
+        out._terms = _merged((key, _coefficient(c)) for key, c in pairs)
+        return out
 
     @property
     def terms(self) -> list[PauliString]:
@@ -213,16 +242,16 @@ class PauliSum:
 
     def __mul__(self, other):
         if isinstance(other, (PauliSum, PauliString)):
-            return PauliSum(multiply(a, b) for a in self.terms for b in other.terms)
+            return PauliSum._of(_product(a, b) for a in self._terms for b in other.terms)
         if other == 0:
             return PauliSum()
-        return PauliSum([t * other for t in self.terms])
+        return PauliSum._of((t._key, t.coefficient * other) for t in self._terms)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __neg__(self):
-        return PauliSum([-t for t in self.terms])
+        return PauliSum._of((t._key, -t.coefficient) for t in self._terms)
 
     def __eq__(self, other):
         if not isinstance(other, (PauliSum, PauliString)):
@@ -231,7 +260,7 @@ class PauliSum:
         return all(abs(mine.get(k, 0) - theirs.get(k, 0)) <= MERGE_TOL for k in mine.keys() | theirs)
 
     def adjoint(self) -> PauliSum:
-        return PauliSum([t.adjoint() for t in self.terms])
+        return PauliSum._of((t._key, t.coefficient.conjugate()) for t in self._terms)
 
     def is_hermitian(self) -> bool:
         """Checked termwise: the sum must equal its own adjoint."""
@@ -391,7 +420,7 @@ def restrict(op: PauliSum | PauliString, basis: list[int], rep: int) -> PauliSum
     Z part ``parity(basis[i] & zmask)`` on qubit i, and its coefficient gains
     the exact ``i^(#Y - #Y') (-1)^parity(rep & zmask)``.  A term that flips
     bits outside the span raises ValueError."""
-    def virtual(term: PauliString) -> PauliString:
+    def virtual(term: PauliString) -> tuple[tuple[tuple[int, str], ...], complex]:
         xmask, zmask, turns = _symplectic(term)  # turns: #Y - #Y' + 2 parity(rep & zmask), quarter turns of c
         key, flipped = [], 0
         for i, mask in enumerate(basis):
@@ -405,9 +434,12 @@ def restrict(op: PauliSum | PauliString, basis: list[int], rep: int) -> PauliSum
         coefficient = term.coefficient
         for _ in range((turns + 2 * (int(rep) & zmask).bit_count()) % 4):
             coefficient = complex(-coefficient.imag, coefficient.real)  # times i, exactly
-        return PauliString._derived(coefficient, tuple(key))
+        return tuple(key), coefficient
 
-    return virtual(op) if isinstance(op, PauliString) else PauliSum(virtual(term) for term in op.terms)
+    if isinstance(op, PauliString):
+        key, coefficient = virtual(op)
+        return PauliString._derived(coefficient, key)
+    return PauliSum._of(virtual(term) for term in op.terms)
 
 
 def dense(op: PauliSum | PauliString, n_qubits: int) -> np.ndarray:

@@ -56,6 +56,26 @@ def test_sectors_malformed_layout_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "option, argv",
+    [("--layout", ["sectors", "--layout"]), ("--config", ["bounds", "--config"])],
+)
+def test_an_input_file_is_read_up_to_its_limit(option, argv, tmp_path, capsys):
+    assert cli.INPUT_FILE_LIMIT == 1_048_576
+    text = TRIANGLE_PATH.read_text(encoding="utf-8") if option == "--layout" else "eps=0.01\n"
+    padding = cli.INPUT_FILE_LIMIT - len(text) - 1
+    path = tmp_path / "input"
+    # at the limit the file is read whole; a comment line pads it out
+    path.write_text(text + "#" + "a" * padding, encoding="utf-8")
+    code, out, err = run([*argv, str(path)], capsys)
+    assert code == 0 and err == "" and out
+    path.write_text(text + "#" + "a" * (padding + 1), encoding="utf-8")
+    assert run([*argv, str(path)], capsys) == (2, "", f"error: {option} file is longer than 1048576 characters\n")
+    # the limit counts characters, not bytes
+    path.write_text("#" + "\u00e9" * cli.INPUT_FILE_LIMIT, encoding="utf-8")
+    assert run([*argv, str(path)], capsys) == (2, "", f"error: {option} file is longer than 1048576 characters\n")
+
+
 def test_sectors_dimension_guard_exits_3(huge_index_path, capsys):
     code, out, err = run(["sectors", "--layout", str(huge_index_path)], capsys)
     assert code == 3 and out == ""
@@ -292,9 +312,14 @@ def test_covariance_runs_on_a_three_triangle_strip(capsys):
 
 def run_under_3gb(argv):
     """The CLI in a subprocess under a 3 GB address-space cap."""
+    return run_capped(argv, 3_000_000_000)
+
+
+def run_capped(argv, cap):
+    """The CLI in a subprocess that caps its own address space at ``cap`` bytes."""
     resource = pytest.importorskip("resource")
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    limit = 3_000_000_000 if hard == resource.RLIM_INFINITY else min(3_000_000_000, hard)
+    limit = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -305,6 +330,19 @@ def run_under_3gb(argv):
         [sys.executable, "-m", "su2link.cli", *argv],
         capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
     )
+
+
+@pytest.mark.parametrize(
+    "option, argv",
+    [("--layout", ["sectors", "--layout"]), ("--config", ["compile", "--backend", "cphase", "--config"])],
+)
+def test_an_endless_input_file_exits_2_under_a_1gb_cap(option, argv):
+    # the bound read keeps /dev/zero to 1 MiB; a read without it ends in a MemoryError at the cap
+    if not Path("/dev/zero").exists():
+        pytest.skip("no /dev/zero")
+    result = run_capped([*argv, "/dev/zero"], 1_000_000_000)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.splitlines() == [f"error: {option} file is longer than 1048576 characters"]
 
 
 def test_matter_five_sites_exits_3_before_allocating():

@@ -340,6 +340,34 @@ def test_an_overflowing_coefficient_is_refused_where_it_is_made(make):
         make()
 
 
+TINY_AND_ONE = PauliSum([PauliString(1e-10, {0: "X"}), PauliString(1.0, {1: "Z"})])
+NOT_FINITE, ZERO = "Pauli coefficient must be finite, got ", "zero-coefficient Pauli strings are not representable"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: TINY_AND_ONE * math.nan, NOT_FINITE + "(nan+nanj)", id="sum-times-nan"),
+        pytest.param(lambda: math.nan * TINY_AND_ONE, NOT_FINITE + "(nan+nanj)", id="nan-times-sum"),
+        pytest.param(lambda: TINY_AND_ONE * complex(0, math.nan), NOT_FINITE + "(nan+nanj)", id="sum-times-nanj"),
+        # 1e-10 * 1e-320 underflows to zero, 1 * 1e-320 does not (the merge then drops it)
+        pytest.param(lambda: TINY_AND_ONE * 1e-320, ZERO, id="scaling-underflows-one-term"),
+        pytest.param(lambda: 1e-320 * TINY_AND_ONE, ZERO, id="scaling-from-the-left-underflows-one-term"),
+        pytest.param(lambda: PauliSum([HUGE, PauliString(1.0, {1: "Y"})]) * PauliSum([HUGE]), NOT_FINITE + "(inf+nanj)", id="sum-product-overflows"),
+        pytest.param(
+            lambda: PauliSum([PauliString(1.0, {1: "Y"}), HUGE]) * PauliSum([PauliString(2.0, {2: "Z"}), PauliString(1e200, {1: "Z"})]),
+            NOT_FINITE + "(inf+0j)",
+            id="sum-product-overflows-on-a-later-pair",
+        ),
+        # a sum holds no coefficient at or below MERGE_TOL, so only a string factor can underflow a product
+        pytest.param(lambda: TINY_AND_ONE * PauliString(1e-320, {2: "Y"}), ZERO, id="sum-times-string-underflows"),
+    ],
+)
+def test_each_made_coefficient_passes_the_gate(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_sum_algebra_and_hermiticity():
     a = PauliString(0.5, {0: "X"})
     b = PauliString(0.5j, {1: "Y"})
@@ -406,6 +434,99 @@ def test_a_sum_of_strings_and_sums_merges_their_terms_in_order_bitwise():
     assert [t.key() for t in PauliSum(fixed[1]).terms] == [((1, "X"),), ((1, "Y"), (2, "Z")), ((3, "Y"),)]
     assert [t.key() for t in PauliSum(fixed[2]).terms] == [((1, "Y"), (2, "Z"))]
     assert PauliSum.__slots__ == ("_terms",)
+
+
+# The operations on sums built the older way, each term first a string that the merge reads:
+# the bitwise oracles of the operations that feed the merge (key, coefficient) pairs.
+
+
+def scaled_by_strings(op, factor):
+    return PauliSum([t * factor for t in op.terms])
+
+
+def negated_by_strings(op):
+    return PauliSum([-t for t in op.terms])
+
+
+def adjoint_by_strings(op):
+    return PauliSum([t.adjoint() for t in op.terms])
+
+
+def product_by_strings(a, b):
+    return PauliSum(multiply(x, y) for x in a.terms for y in b.terms)
+
+
+def restricted_by_strings(op, basis, rep):
+    return PauliSum(restrict(t, basis, rep) for t in op.terms)
+
+
+# a numpy scalar on either side, as matter scales by sigma_y's entries; 1e-11 drops terms under MERGE_TOL
+FACTORS = (0.37, -2, 1j, complex(-0.25, 1.5), complex(0.5, -0.0), np.float64(3.5), np.complex128(-1j), 1e-11)
+
+
+def assert_operations_match_the_string_oracles(op, other):
+    for factor in FACTORS:
+        assert term_bits(op * factor) == term_bits(scaled_by_strings(op, factor))
+        assert term_bits(factor * op) == term_bits(scaled_by_strings(op, factor))
+    assert term_bits(-op) == term_bits(negated_by_strings(op))
+    assert term_bits(op.adjoint()) == term_bits(adjoint_by_strings(op))
+    assert term_bits(op * other) == term_bits(product_by_strings(op, other))
+    for string in other.terms[:3]:
+        assert term_bits(op * string) == term_bits(product_by_strings(op, string))
+
+
+def test_operations_on_random_sums_match_the_string_oracles_bitwise():
+    rng = np.random.default_rng(360)
+
+    def coefficient():
+        re, im = (SIGNED_PARTS[i] if i < len(SIGNED_PARTS) else rng.normal() for i in rng.integers(8, size=2))
+        return complex(re, im) or 1.0
+
+    for n in (1, 3, 5):
+        for _ in range(25):
+            a, b = (PauliSum([PauliString(coefficient(), full_letters(rng, n)) for _ in range(rng.integers(1, 12))]) for _ in range(2))
+            assert_operations_match_the_string_oracles(a, b)
+            basis = span([a])
+            for index in rng.integers(2**n, size=3):
+                rep = int(coset(basis, int(index))[0])
+                assert term_bits(restrict(a, basis, rep)) == term_bits(restricted_by_strings(a, basis, rep))
+
+
+@pytest.mark.parametrize(
+    "name", ["triangle", "two_plaquette", "strip3", "bowtie", "dangling_link", "disjoint_triangles", "unused_qubit"]
+)
+def test_gauge_operators_match_the_string_oracles_bitwise(layouts, strip3, off_span_layouts, name):
+    from su2link import linkmodel as lm
+
+    layout = {**layouts, "strip3": strip3, **off_span_layouts}[name]
+    generators = [lm.gauge_generator(layout, vertex, a) for vertex in layout.vertices for a in (1, 2, 3)]
+    casimir = lm.total_gauge_casimir(layout)
+    assert term_bits(casimir) == term_bits(PauliSum(product_by_strings(g, g) for g in generators))
+    for g, other in zip(generators, generators[1:] + generators[:1]):
+        assert_operations_match_the_string_oracles(g, other)
+    assert_operations_match_the_string_oracles(casimir, generators[0])
+    # the Casimir on each sector coset, as sweeps restrict it
+    basis = span([lm.plaquette_hamiltonian(layout, 1.0), casimir])
+    table = lm.gauge_sectors(layout)
+    for eigenvalue in table.eigenvalues():
+        rep = int(coset(basis, lm.sector_seed(table, eigenvalue))[0])
+        assert term_bits(restrict(casimir, basis, rep)) == term_bits(restricted_by_strings(casimir, basis, rep))
+
+
+@pytest.mark.parametrize("n0", [0, 1, 2])
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_matter_operators_match_the_string_oracles_bitwise(n_sites, n0):
+    from su2link import matter as mt
+
+    cfg = mt.ChainConfig(n_sites=n_sites, n0=n0)
+    v, hopping, density = mt.v_operator(cfg), mt._hopping_pattern(cfg), mt._density_pattern(cfg)
+    assert_operations_match_the_string_oracles(v, hopping)
+    assert_operations_match_the_string_oracles(hopping, density)
+    assert_operations_match_the_string_oracles(density, v)
+    for op in (v, hopping, density):
+        basis = span([op])
+        rep = int(coset(basis, int(mt.penalty_free_indices(cfg, mt.faithful_indices(cfg))[0]))[0])
+        assert term_bits(restrict(op, basis, rep)) == term_bits(restricted_by_strings(op, basis, rep))
 
 
 def assert_same_string(derived, validated):
