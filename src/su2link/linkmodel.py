@@ -230,15 +230,6 @@ class GaugeSectorTable:
         raise LayoutError(f"no sector with eigenvalue {eigenvalue!r}; available: {available}")
 
 
-def _spins_at_vertices(layout: PlaquetteLayout, index: int) -> list[list[int]]:
-    """Per vertex, the spin qubits of the links whose excitation sits there in
-    basis state ``index`` (position bit 0, Z = +1: the head end)."""
-    spins: dict[int, list[int]] = {v: [] for v in layout.vertices}
-    for link in layout.links:
-        spins[link.frm if (index >> link.pos_qubit) & 1 else link.to].append(link.spin_qubit)
-    return list(spins.values())
-
-
 def _combine(options_per_vertex) -> Counter:
     """Choose one (4 j(j+1), weight) option per vertex: the summed weight of
     each total 4 * sum_v j_v(j_v + 1)."""
@@ -271,15 +262,27 @@ def gauge_sectors(layout: PlaquetteLayout) -> GaugeSectorTable:
     The Casimir commutes with every position Z.  In one position
     configuration the generators at vertex v are the total spin of the k_v
     spins whose excitation sits at v, so the Casimir is sum_v j_v(j_v + 1)
-    over the couplings of those spins.  Each qubit index that no link uses
-    doubles every degeneracy.  The memory check counts one 2^n state; that bounds 2^links too.
+    over the couplings of those spins, and its spectrum there depends only on
+    the multiset of the k_v.  One pass over the 2^links configurations counts
+    them per sorted k-vector; each distinct vector's couplings are combined
+    once and added times its count, in integers.  Each qubit index that no
+    link uses doubles every degeneracy.  The memory check counts one 2^n
+    state; that bounds 2^links too.
     """
     n = layout.n_qubits
     check_memory(lambda: 16 * 2.0**n, f"sector table on {n} qubits")
-    counts = Counter()
+    slot = {v: i for i, v in enumerate(layout.vertices)}
+    ends = [(1 << i, slot[link.frm], slot[link.to]) for i, link in enumerate(layout.links)]
+    shapes = Counter()
     for config in range(2 ** len(layout.links)):
-        index = sum(1 << link.pos_qubit for i, link in enumerate(layout.links) if (config >> i) & 1)
-        counts.update(_combine(_multiplets(len(spins)) for spins in _spins_at_vertices(layout, index)))
+        k = [0] * len(slot)
+        for bit, tail, head in ends:
+            k[tail if config & bit else head] += 1
+        shapes[tuple(sorted(k))] += 1
+    counts = Counter()
+    for shape, configs in shapes.items():
+        for q, weight in _combine(_multiplets(k) for k in shape).items():
+            counts[q] += weight * configs
     unused = 2 ** (n - 2 * len(layout.links))
     return GaugeSectorTable(layout, tuple(GaugeSector(q / 4, count * unused) for q, count in sorted(counts.items())))
 
@@ -288,18 +291,34 @@ def sector_seed(table: GaugeSectorTable, eigenvalue: float) -> int:
     """The lowest-index computational basis state with nonzero weight in a
     sector.
 
-    A basis state whose spins at vertex v sum to m_v has weight in every total
-    spin |m_v| <= j_v <= k_v / 2 there, so it has weight in the sector if some
-    such choice gives the eigenvalue.  The search stops at the first hit.
+    A basis state with k_v spins at vertex v that sum to m_v has weight in
+    every total spin |m_v| <= j_v <= k_v / 2 there, so it has weight in the
+    sector if some such choice gives the eigenvalue.  That test depends only
+    on the multiset of the pairs (k_v, 2 |m_v|).  The ascending scan reads
+    the spin qubits at each vertex once per position configuration, as one
+    bit mask, combines each multiset the first time it meets it, and stops
+    at the first hit.
     """
-    sector = table.sector(eigenvalue)
-    target = round(4 * sector.eigenvalue)
+    target = round(4 * table.sector(eigenvalue).eigenvalue)
+    links = table.layout.links
+    positions = sum(1 << link.pos_qubit for link in links)
+    occupied: dict[int, list[tuple[int, int]]] = {}  # position bits -> (k_v, spin-qubit mask) per occupied vertex
+    hits: dict[tuple[tuple[int, int], ...], bool] = {}
     for index in range(2**table.n_qubits):
-        options = []
-        for spins in _spins_at_vertices(table.layout, index):
-            m2 = abs(sum(1 - 2 * ((index >> q) & 1) for q in spins))  # 2 |m_v|
-            options.append([(j2 * (j2 + 2), 1) for j2 in range(m2, len(spins) + 1, 2)])
-        if _combine(options)[target]:
+        vertices = occupied.get(index & positions)
+        if vertices is None:
+            masks: dict[int, int] = {}
+            for link in links:
+                vertex = link.frm if (index >> link.pos_qubit) & 1 else link.to
+                masks[vertex] = masks.get(vertex, 0) | 1 << link.spin_qubit
+            vertices = occupied[index & positions] = [(mask.bit_count(), mask) for mask in masks.values()]
+        # (k_v, 2 |m_v|): each spin up (bit 0) adds 1 to 2 m_v, each spin down -1
+        pattern = tuple(sorted((k, abs(k - 2 * (index & mask).bit_count())) for k, mask in vertices))
+        hit = hits.get(pattern)
+        if hit is None:
+            options = ([(j2 * (j2 + 2), 1) for j2 in range(m2, k + 1, 2)] for k, m2 in pattern)
+            hit = hits[pattern] = _combine(options)[target] > 0
+        if hit:
             return index
     raise RuntimeError("no basis state has weight in the sector")  # unreachable for a counted table
 

@@ -291,6 +291,80 @@ def test_counted_table_matches_dense_eigh(layouts, name):
         assert counted == {0.75: 24, 2.25: 32, 2.75: 72}
 
 
+def spins_at_vertices(layout, index):
+    """Per vertex, the spin qubits of the links whose excitation sits there in
+    basis state ``index`` (position bit 0, Z = +1: the head end)."""
+    spins = {v: [] for v in layout.vertices}
+    for link in layout.links:
+        spins[link.frm if (index >> link.pos_qubit) & 1 else link.to].append(link.spin_qubit)
+    return list(spins.values())
+
+
+def reference_gauge_sectors(layout):
+    """The sector table counted without grouping: every position
+    configuration's vertices coupled afresh, a bitwise reference for
+    ``gauge_sectors``, which couples each sorted k-vector once."""
+    counts = Counter()
+    for config in range(2 ** len(layout.links)):
+        index = sum(1 << link.pos_qubit for i, link in enumerate(layout.links) if (config >> i) & 1)
+        counts.update(lm._combine(lm._multiplets(len(spins)) for spins in spins_at_vertices(layout, index)))
+    unused = 2 ** (layout.n_qubits - 2 * len(layout.links))
+    return tuple(lm.GaugeSector(q / 4, count * unused) for q, count in sorted(counts.items()))
+
+
+def reference_sector_seeds(table):
+    """Every sector's seed from one ascending scan without memo: each basis
+    state's vertices coupled afresh, and each eigenvalue's seed the first
+    state whose couplings reach it."""
+    seeds = {}
+    for index in range(2**table.n_qubits):
+        options = []
+        for spins in spins_at_vertices(table.layout, index):
+            m2 = abs(sum(1 - 2 * ((index >> q) & 1) for q in spins))  # 2 |m_v|
+            options.append([(j2 * (j2 + 2), 1) for j2 in range(m2, len(spins) + 1, 2)])
+        for q in lm._combine(options):
+            seeds.setdefault(q / 4, index)
+        if len(seeds) == len(table.sectors):
+            return seeds
+    raise AssertionError("a sector has no basis state with weight in it")
+
+
+def named_layout(name, layouts, off_span_layouts):
+    """A shared layout by name, or else the layout file of that name under tests/data."""
+    known = {**layouts, **off_span_layouts}
+    if name in known:
+        return known[name]
+    return lm.parse_layout((Path(__file__).parent / "data" / f"{name}.layout").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["triangle", "two_plaquette", "disjoint_triangles", "unused_qubit", "bowtie", "dangling_link", "strip3", "strip4", "strip5"],
+)
+def test_gauge_sectors_match_the_per_configuration_reference(layouts, off_span_layouts, name):
+    layout = named_layout(name, layouts, off_span_layouts)
+    assert lm.gauge_sectors(layout).sectors == reference_gauge_sectors(layout)
+
+
+@pytest.mark.parametrize(
+    "name", ["triangle", "two_plaquette", "disjoint_triangles", "unused_qubit", "bowtie", "dangling_link", "strip3"]
+)
+def test_every_sector_seed_matches_the_per_index_reference(layouts, off_span_layouts, name):
+    table = lm.gauge_sectors(named_layout(name, layouts, off_span_layouts))
+    assert {eigenvalue: lm.sector_seed(table, eigenvalue) for eigenvalue in table.eigenvalues()} == reference_sector_seeds(table)
+
+
+# the reference scan's seeds of figS2's default starts on the 18- and 22-qubit
+# strips; the reference takes about a second on the 22-qubit strip, so its
+# results are pinned here rather than recomputed
+@pytest.mark.parametrize(
+    "name, seeds", [("strip4", {0.75: 1931, 2.75: 1146}), ("strip5", {0.75: 30863, 2.75: 18315})]
+)
+def test_default_start_seeds_on_the_large_strips(layouts, off_span_layouts, name, seeds):
+    table = lm.gauge_sectors(named_layout(name, layouts, off_span_layouts))
+    assert {eigenvalue: lm.sector_seed(table, eigenvalue) for eigenvalue in seeds} == seeds
+
+
 @pytest.mark.parametrize("name", ["triangle", "two_plaquette"])
 def test_canonical_sector_state_matches_dense_basis(layouts, dense_canonical_state, name):
     layout = layouts[name]

@@ -8,6 +8,11 @@ numbers.  The oracles use ``pauli.dense`` and ``eigh`` only: no ``span``,
 ``coset``, ``restrict`` or Lanczos.  Two triangles that share only a vertex
 need 12 qubits, where one dense ``eigh`` takes seconds; ``bowtie.layout``
 covers them in ``test_dynamics``.
+
+A second, counting-only property draws bare link graphs of up to 8 links (16
+qubits), with dangling and parallel links and vertex degrees 1 to 4, and
+checks ``gauge_sectors`` and every sector's ``sector_seed`` against the
+per-configuration and per-index references of ``test_linkmodel``.
 """
 import numpy as np
 from hypothesis import example, given, settings
@@ -17,6 +22,7 @@ from su2link import dynamics as dyn
 from su2link import linkmodel as lm
 from su2link.linkmodel import Link, PlaquetteLayout
 from su2link.pauli import dense
+from test_linkmodel import reference_gauge_sectors, reference_sector_seeds
 
 MAX_LINKS = 5  # 10 qubits
 # per shape: the links' (tail, head) vertex slots, and each plaquette's links in circulation order
@@ -121,3 +127,47 @@ def test_sweep_and_sectors_match_dense_oracles(layout, pick, phis):
     assert [(r.steps, r.phi) for r in rows] == [(steps, phi) for steps in STEPS for phi in phis]
     measured = [[r.overlap_initial, r.fidelity, r.gauge_ideal, r.gauge_digital] for r in rows]
     assert np.max(np.abs(np.array(measured) - expected)) < 1e-12
+
+
+COUNTING_LINKS = 8  # 16 qubits
+COUNTING_SLOTS = 6
+MAX_DEGREE = 4
+
+
+@st.composite
+def link_graphs(draw) -> PlaquetteLayout:
+    """Links between distinct vertex slots, each slot ending at most
+    ``MAX_DEGREE`` links, with drawn labels, qubit numbers (unused ones
+    allowed below 16 qubits) and listing order; no plaquettes."""
+    degree = [0] * COUNTING_SLOTS
+    ends = []
+    for _ in range(draw(st.integers(1, COUNTING_LINKS))):
+        tail = draw(st.sampled_from([v for v in range(COUNTING_SLOTS) if degree[v] < MAX_DEGREE]))
+        head = draw(st.sampled_from([v for v in range(COUNTING_SLOTS) if degree[v] < MAX_DEGREE and v != tail]))
+        degree[tail] += 1
+        degree[head] += 1
+        ends.append((tail, head))
+    qubits = draw(st.permutations(range(min(2 * COUNTING_LINKS, 2 * len(ends) + 2))))
+    return build_layout(
+        ends,
+        [],
+        draw(st.permutations(range(1, COUNTING_SLOTS + 1))),
+        qubits[: 2 * len(ends)],
+        draw(st.permutations(range(len(ends)))),
+    )
+
+
+# 8 links (16 qubits) on six vertices of degrees 1, 2, 3, 4, 4 and 2, two of them parallel
+FULL_DEGREES = build_layout(
+    [(0, 3), (3, 4), (3, 4), (3, 2), (4, 2), (4, 1), (2, 5), (1, 5)], [], labels=range(1, COUNTING_SLOTS + 1)
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(layout=link_graphs())
+@example(layout=FULL_DEGREES)
+def test_counted_sectors_and_seeds_match_the_references(layout):
+    table = lm.gauge_sectors(layout)
+    assert table.sectors == reference_gauge_sectors(layout)
+    assert sum(s.degeneracy for s in table.sectors) == 2**layout.n_qubits
+    assert {eigenvalue: lm.sector_seed(table, eigenvalue) for eigenvalue in table.eigenvalues()} == reference_sector_seeds(table)
